@@ -88,9 +88,9 @@ class ConcreteAdjacency:
 
     Each edge's keep-score is an antisymmetric function of its endpoint
     embeddings squashed to (-1, 1). Training perturbs the score with
-    logistic noise from the seeded stream; evaluation uses the noise-free
-    deterministic limit. Stretching past [0,1] and clamping back lets gates
-    reach exactly 0 (edge removed) or 1 (edge kept) with nonzero
+    logistic noise drawn from the caller's generator; evaluation uses the
+    noise-free deterministic limit. Stretching past [0,1] and clamping back
+    lets gates reach exactly 0 (edge removed) or 1 (edge kept) with nonzero
     probability; the clamp passes gradient only in its interior.
     """
 
@@ -117,7 +117,6 @@ class ConcreteAdjacency:
         self.src, self.dst = directed_edges(graph)
         self.embed_a = Mlp([dim, embed_dim], rng)
         self.embed_b = Mlp([dim, embed_dim], rng)
-        self._noise_rng = np.random.default_rng(seed + 1)
 
     def edge_logits(self, x) -> ad.Tensor:
         """Antisymmetric per-edge score: swapping an edge's endpoints negates it."""
@@ -131,8 +130,9 @@ class ConcreteAdjacency:
     def realize(self, x, stage, training=False, rng=None):
         logits = self.edge_logits(x)
         if training:
-            stream = rng if rng is not None else self._noise_rng
-            eps = stream.uniform(size=self.src.size)
+            if rng is None:
+                raise DomainError("training-mode realize needs an rng for the gate noise")
+            eps = rng.uniform(size=self.src.size)
             logits = logits + ad.Tensor(np.log(eps) - np.log1p(-eps))
         soft = ad.sigmoid(logits * (1.0 / self.temperature))
         stretched = soft * (self.stretch_hi - self.stretch_lo) + self.stretch_lo

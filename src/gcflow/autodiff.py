@@ -430,21 +430,6 @@ def slice_cols(a, j0, j1):
     return make_node(a.data[:, j0:j1].copy(), (a,), bw, "slice_cols")
 
 
-def slice_rows(a, i0, i1):
-    a = as_tensor(a)
-    if a.data.ndim != 2 or not (0 <= i0 <= i1 <= a.shape[0]):
-        raise ShapeError(f"row slice [{i0}:{i1}] invalid for shape {a.shape}")
-
-    def bw(out):
-        def run():
-            if a.requires_grad:
-                a.grad[i0:i1, :] += out.grad
-
-        return run
-
-    return make_node(a.data[i0:i1, :].copy(), (a,), bw, "slice_rows")
-
-
 def concat_cols(parts):
     parts = [as_tensor(p) for p in parts]
     if not parts or any(p.data.ndim != 2 for p in parts):

@@ -45,6 +45,18 @@ class GcnModel:
     def params(self):
         return list(self.weights)
 
+    def loss(self, x, labels, loss_cfg, rng) -> Tensor:
+        """Cross-entropy over the labeled nodes of a training-mode forward."""
+        return gcn_loss(gcn_forward(self, x, training=True, rng=rng), labels, loss_cfg.labeled)
+
+    def predict(self, x):
+        """Most probable class per node."""
+        probs, _ = self.forward(x)
+        return probs.data.argmax(axis=1)
+
+    def represent(self, x):
+        return self.forward(x)[1]
+
     def forward(self, x, training=False, rng=None):
         """Class probabilities and the penultimate representation."""
         h = ad.as_tensor(x)
@@ -78,11 +90,6 @@ def gcn_loss(probs, labels, labeled) -> Tensor:
     picked = ad.take_per_row(ad.gather_rows(probs, labeled), np.asarray(labels)[labeled])
     # clamp floor guards log(0); ceiling 2 keeps prob=1 off the mask boundary
     return -ad.tsum(ad.log(ad.clamp(picked, 1e-12, 2.0))) * (1.0 / labeled.size)
-
-
-def gcn_predict(model: GcnModel, x):
-    probs, _ = model.forward(x)
-    return probs.data.argmax(axis=1)
 
 
 # -- EM-fitted Gaussian mixture -----------------------------------------
@@ -195,6 +202,40 @@ def component_class_mapping(gmm: EmGmm, x, labels, labeled):
         if members.size:
             mapping[c] = np.bincount(members).argmax()
     return mapping
+
+
+class EmReference:
+    """An EM mixture fitted on features, or on features pre-mixed by a fixed
+    normalized adjacency (``mixing``), with its components mapped to classes.
+
+    It has no gradient parameters: ``fit`` takes the place of training.
+    """
+
+    def __init__(self, classes, mixing=None):
+        self.classes = int(classes)
+        self.mixing = mixing
+        self.gmm: EmGmm | None = None
+        self.mapping: np.ndarray | None = None
+
+    def params(self):
+        return []
+
+    def represent(self, x):
+        """The features the mixture is fitted on."""
+        return x if self.mixing is None else self.mixing @ x
+
+    def fit(self, x, labels, labeled, seed=0):
+        """EM from the labeled per-class feature means, then the class mapping."""
+        feats = self.represent(x)
+        init = np.stack(
+            [feats[labeled[labels[labeled] == c]].mean(axis=0) for c in range(self.classes)]
+        )
+        self.gmm = em_fit(feats, self.classes, init_means=init, seed=seed)
+        self.mapping = component_class_mapping(self.gmm, feats, labels, labeled)
+
+    def predict(self, x):
+        resp, _ = responsibilities(self.gmm, self.represent(x))
+        return self.mapping[resp.argmax(axis=1)]
 
 
 def gmm_classify(gmm: EmGmm, x, labels, labeled):

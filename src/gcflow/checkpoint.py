@@ -1,10 +1,12 @@
 """Save and restore trained models as JSON.
 
-A checkpoint stores the config snapshot plus every parameter value. JSON
-serializes Python floats through their shortest round-tripping repr, so a
-reload reproduces the model bit-for-bit: the skeleton is rebuilt from the
-config (same constructors, same seed) and the saved values overwrite the
-fresh initialization in parameter order.
+A checkpoint stores the config snapshot, the fingerprint of the graph the
+model was trained on, and the values of ``model.params()`` in that order;
+an EM reference, which has no gradient parameters, stores its fitted
+arrays instead. JSON serializes Python floats through their shortest
+round-tripping repr, so a reload reproduces the model bit-for-bit: the
+skeleton is rebuilt from the config (same constructors, same seed) and the
+saved values overwrite the fresh initialization.
 """
 
 from __future__ import annotations
@@ -13,25 +15,17 @@ import json
 
 import numpy as np
 
-from .baselines import EmGmm
+from .baselines import EmGmm, EmReference
 from .errors import FormatError
 from .evalkit import PcaProjection
+from .graphs import fingerprint
 from .training import TrainConfig, TrainedModel, assemble_model
 
-FORMAT_TAG = "gcflow-checkpoint-1"
+FORMAT_TAG = "gcflow-checkpoint-2"
 
 
-def _head_payload(head):
-    if head is None:
-        return None
-    return {
-        "means": [m.data.tolist() for m in head.means],
-        "log_stds": [s.data.tolist() for s in head.log_stds],
-        "weight_logits": head.weight_logits.data.tolist(),
-    }
-
-
-def save_checkpoint(path, tm: TrainedModel):
+def save_checkpoint(path, tm: TrainedModel, graph):
+    """Write ``tm``, trained on ``graph``, to ``path``."""
     payload = {
         "format": FORMAT_TAG,
         "kind": tm.kind,
@@ -39,9 +33,9 @@ def save_checkpoint(path, tm: TrainedModel):
         "dim": tm.dim,
         "classes": tm.classes,
         "damping_used": tm.damping_used,
+        "graph": fingerprint(graph),
         "pca": None,
-        "params": None,
-        "head": _head_payload(tm.head),
+        "params": [p.data.tolist() for p in tm.model.params()],
         "gmm": None,
     }
     if tm.pca is not None:
@@ -50,41 +44,37 @@ def save_checkpoint(path, tm: TrainedModel):
             "directions": tm.pca.directions.tolist(),
             "explained": tm.pca.explained.tolist(),
         }
-    if isinstance(tm.model, EmGmm):
+    if isinstance(tm.model, EmReference):
         payload["gmm"] = {
-            "weights": tm.model.weights.tolist(),
-            "means": tm.model.means.tolist(),
-            "covs": tm.model.covs.tolist(),
-            "mapping": tm.gmm_mapping.tolist(),
+            "weights": tm.model.gmm.weights.tolist(),
+            "means": tm.model.gmm.means.tolist(),
+            "covs": tm.model.gmm.covs.tolist(),
+            "mapping": tm.model.mapping.tolist(),
         }
-    elif tm.model is not None:
-        payload["params"] = [p.data.tolist() for p in tm.model.params()]
     with open(path, "w") as fh:
         json.dump(payload, fh, sort_keys=True)
         fh.write("\n")
     return str(path)
 
 
-def _restore_params(params, saved, what):
-    if len(saved) != len(params):
-        raise FormatError(f"checkpoint stores {len(saved)} {what} arrays, model has {len(params)}")
-    for p, value in zip(params, saved):
-        arr = np.asarray(value, dtype=np.float64)
-        if arr.shape != p.data.shape:
-            raise FormatError(f"{what} array is {arr.shape}, model expects {p.data.shape}")
-        p.data[...] = arr
-
-
 def load_checkpoint(path, graph) -> TrainedModel:
-    """Rebuild a trained model against the given graph."""
+    """Rebuild a trained model against the graph it was trained on.
+
+    Refuses, with ``FormatError``, any other checkpoint format and any
+    graph whose node count or edge list differs from the saved one.
+    """
     with open(path) as fh:
         try:
             payload = json.load(fh)
         except json.JSONDecodeError as exc:
             raise FormatError(f"{path}: invalid JSON ({exc})") from None
-    if payload.get("format") != FORMAT_TAG:
-        raise FormatError(f"{path}: not a checkpoint file")
+    tag = payload.get("format") if isinstance(payload, dict) else None
+    if tag != FORMAT_TAG:
+        raise FormatError(f"{path}: checkpoint format is {tag!r}, this version reads {FORMAT_TAG!r}")
     try:
+        saved, given = payload["graph"], fingerprint(graph)
+        if saved != given:
+            raise FormatError(f"{path}: saved for the graph {saved}, not for the given graph {given}")
         cfg = TrainConfig(**payload["config"])
         tm = assemble_model(
             cfg, graph, int(payload["dim"]), int(payload["classes"]),
@@ -96,17 +86,20 @@ def load_checkpoint(path, graph) -> TrainedModel:
                 directions=np.asarray(payload["pca"]["directions"], dtype=np.float64),
                 explained=np.asarray(payload["pca"]["explained"], dtype=np.float64),
             )
-        if payload["gmm"] is not None:
+        params = tm.model.params()
+        if len(payload["params"]) != len(params):
+            raise FormatError(
+                f"{path}: stores {len(payload['params'])} parameter arrays, model has {len(params)}"
+            )
+        for p, value in zip(params, payload["params"]):
+            arr = np.asarray(value, dtype=np.float64)
+            if arr.shape != p.data.shape:
+                raise FormatError(f"{path}: parameter array is {arr.shape}, model expects {p.data.shape}")
+            p.data[...] = arr
+        if isinstance(tm.model, EmReference):
             gmm = payload["gmm"]
-            tm.model = EmGmm(gmm["weights"], gmm["means"], gmm["covs"])
-            tm.gmm_mapping = np.asarray(gmm["mapping"], dtype=np.intp)
-        elif payload["params"] is not None:
-            _restore_params(tm.model.params(), payload["params"], "parameter")
-        if payload["head"] is not None:
-            head = payload["head"]
-            _restore_params(tm.head.means, head["means"], "component mean")
-            _restore_params(tm.head.log_stds, head["log_stds"], "component log-std")
-            tm.head.weight_logits.data[...] = np.asarray(head["weight_logits"], dtype=np.float64)
+            tm.model.gmm = EmGmm(gmm["weights"], gmm["means"], gmm["covs"])
+            tm.model.mapping = np.asarray(gmm["mapping"], dtype=np.intp)
     except (KeyError, TypeError) as exc:
         raise FormatError(f"{path}: malformed checkpoint ({exc})") from None
     return tm

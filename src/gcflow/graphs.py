@@ -10,6 +10,7 @@ is the supported remediation.
 
 from __future__ import annotations
 
+import hashlib
 import warnings
 from dataclasses import dataclass
 
@@ -47,6 +48,13 @@ def make_graph(n, edges) -> Graph:
             raise DomainError(f"edge ({i},{j}) out of range for n={n}")
         canonical.add((min(i, j), max(i, j)))
     return Graph(n=int(n), edges=tuple(sorted(canonical)))
+
+
+def fingerprint(g: Graph) -> dict:
+    """Node count plus SHA-256 of the canonical edge list, as little-endian
+    int64 pairs; saved artifacts use it to refuse a graph they were not made for."""
+    edges = np.asarray(g.edges, dtype="<i8").reshape(-1, 2)
+    return {"n": g.n, "edges_sha256": hashlib.sha256(edges.tobytes()).hexdigest()}
 
 
 def load_edge_list(path):

@@ -29,6 +29,14 @@ MEAN_LO = 0.5
 MEAN_HI = 10.0
 
 
+def spread_means(num_components, lo=MEAN_LO, hi=MEAN_HI):
+    """Component mean scalars evenly spaced from lo to hi (lo alone for K=1)."""
+    if num_components == 1:
+        return [lo]
+    step = (hi - lo) / (num_components - 1)
+    return [lo + k * step for k in range(num_components)]
+
+
 class MixtureHead:
     """Per-component mean and log-std scalars, plus mixture weights.
 
@@ -44,11 +52,7 @@ class MixtureHead:
         self.num_components = int(num_components)
         self.dim = int(dim)
         if mean_scalars is None:
-            if num_components == 1:
-                mean_scalars = [MEAN_LO]
-            else:
-                step = (MEAN_HI - MEAN_LO) / (num_components - 1)
-                mean_scalars = [MEAN_LO + k * step for k in range(num_components)]
+            mean_scalars = spread_means(num_components)
         if log_stds is None:
             log_stds = [0.0] * num_components
         if len(mean_scalars) != num_components or len(log_stds) != num_components:
@@ -140,10 +144,6 @@ def posterior_matrix(head: MixtureHead, z) -> np.ndarray:
     return ad.row_softmax(comp + head.log_weights()).data
 
 
-def posterior(model, head: MixtureHead, x, i) -> np.ndarray:
-    return posterior_matrix(head, model.forward(x).z)[i]
-
-
 def predict(model, head: MixtureHead, x) -> np.ndarray:
     """Most probable component per node."""
     return posterior_matrix(head, model.forward(x).z).argmax(axis=1)
@@ -210,3 +210,28 @@ def init_means_from_labels(head: MixtureHead, z, labels, labeled):
         mine = labeled[labels[labeled] == k]
         if mine.size:
             head.means[k].data[...] = z[mine].mean()
+
+
+class FlowMixture:
+    """A flow paired with its mixture head: one trainable model.
+
+    ``params`` lists the flow's parameters first, then the head's, and that
+    order is the one checkpoints store.
+    """
+
+    def __init__(self, flow, head: MixtureHead):
+        self.flow = flow
+        self.head = head
+
+    def params(self):
+        return self.flow.params() + self.head.params()
+
+    def loss(self, x, labels, loss_cfg: LossConfig, rng) -> ad.Tensor:
+        return semi_supervised_loss(self.flow, self.head, x, labels, loss_cfg, training=True, rng=rng)
+
+    def predict(self, x) -> np.ndarray:
+        return predict(self.flow, self.head, x)
+
+    def represent(self, x) -> np.ndarray:
+        """Latent features: the space the mixture clusters in."""
+        return self.flow.forward(x).z.data

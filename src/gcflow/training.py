@@ -1,16 +1,21 @@
-"""Full-batch training loop, optimizer, and the model-kind dispatcher.
+"""Full-batch training loop, optimizer, and model assembly.
 
 One entry point, ``train``, covers every model kind: the graph classifier,
 the plain row-wise flow, the graph-convolutional flow with fixed or
 parameterized mixing, and the two EM-mixture references fitted on raw or
-pre-mixed features. Everything stochastic draws from a single generator
-seeded by the run seed, so a repeated run reproduces its metrics exactly.
+pre-mixed features. ``assemble_model`` is the one place that reads the
+kind. It returns one model object per kind, and everything after it calls
+that object's ``params``, ``loss``, ``predict`` and ``represent`` (the EM
+references have ``fit`` in place of ``loss``). Everything stochastic draws
+from a single generator seeded by the run seed, so a repeated run
+reproduces its metrics exactly.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -24,28 +29,20 @@ from .adjparam import (
     AttentionAdjacency,
     ConcreteAdjacency,
 )
-from .baselines import (
-    GCN_DROPOUT,
-    GCN_HIDDEN,
-    EmGmm,
-    GcnModel,
-    component_class_mapping,
-    em_fit,
-    gcn_forward,
-    gcn_loss,
-    gcn_predict,
-)
+from .baselines import GCN_DROPOUT, GCN_HIDDEN, EmReference, GcnModel
 from .data import Dataset, apply_pca_reduction
 from .errors import ConfigError, DivergedError, DomainError, SingularMatrixError
 from .evalkit import PcaProjection, kmeans, micro_f1, pca_apply, silhouette
 from .flows import build_gcflow
 from .graphs import normalize_row, normalize_sym
 from .mixture import (
+    MEAN_HI,
+    MEAN_LO,
+    FlowMixture,
     LossConfig,
     MixtureHead,
     init_means_from_labels,
-    predict,
-    semi_supervised_loss,
+    spread_means,
 )
 
 ADAM_BETA1 = 0.9
@@ -138,8 +135,8 @@ class TrainConfig:
     damping: float = 0.0
     learn_weights: bool = False
     label_init_means: bool = True
-    mean_lo: float = 0.5  # smallest component-mean scalar at init
-    mean_hi: float = 10.0
+    mean_lo: float = MEAN_LO  # smallest component-mean scalar at init
+    mean_hi: float = MEAN_HI
     log_std_init: float = 0.0
     embed_dim: int = 16
     temperature: float = DEFAULT_TEMPERATURE
@@ -210,17 +207,23 @@ class RunRecord:
 
 @dataclass
 class TrainedModel:
-    """A model with everything needed to run it on the dataset it came from."""
+    """A model with everything needed to run it on the dataset it came from.
+
+    ``model`` is the kind's model object, as built by ``assemble_model``.
+    """
 
     kind: str
     config: dict
     dim: int
     classes: int
     model: object
-    head: MixtureHead | None = None
-    gmm_mapping: np.ndarray | None = None
     pca: PcaProjection | None = None
     damping_used: float = 0.0
+
+    @property
+    def head(self) -> MixtureHead | None:
+        """The flow kinds' mixture head; None for the other kinds."""
+        return getattr(self.model, "head", None)
 
 
 # -- model assembly -----------------------------------------------------
@@ -237,27 +240,31 @@ def build_adjacency(graph, scheme, damping=0.0):
 
 
 def assemble_model(cfg: TrainConfig, graph, dim, classes, damping_used=None) -> TrainedModel:
-    """Fresh, untrained model structure for a config. Deterministic in the
-    config seed, so a checkpoint can rebuild the exact same skeleton."""
-    hidden = cfg.resolved_hidden
-    dropout = cfg.resolved_dropout
+    """Fresh, untrained model for a config; the one place that reads the kind.
+
+    * ``gcn``: a ``GcnModel`` over the normalized adjacency.
+    * ``flowgmm``, ``gcflow``, ``gcflow-p``, ``gcflow-l``: a ``FlowMixture``
+      whose flow mixes with nothing, the normalized adjacency, attention, or
+      edge gates.
+    * ``gmm-x``, ``gmm-ax``: an unfitted ``EmReference`` on raw features, or
+      on features mixed by the normalized adjacency.
+
+    Deterministic in the config seed, so a checkpoint can rebuild the exact
+    same skeleton; ``damping_used`` replays the damping a normalized
+    adjacency was built with.
+    """
+    kind = cfg.model
     damp = cfg.damping
-    if cfg.model == "gcn":
-        adj, damp = build_adjacency(graph, cfg.adjacency, damping_used if damping_used is not None else cfg.damping)
-        model = GcnModel(adj, [dim, hidden, classes], dropout=dropout, seed=cfg.seed)
-        head = None
-    elif cfg.model in FLOW_KINDS:
-        if cfg.model == "flowgmm":
-            source = None
-        elif cfg.model == "gcflow":
-            source, damp = build_adjacency(
-                graph, cfg.adjacency, damping_used if damping_used is not None else cfg.damping
-            )
-        elif cfg.model == "gcflow-p":
-            damp = cfg.damping if cfg.damping > 0.0 else DEFAULT_DAMPING
+    source = None
+    if kind in ("gcn", "gcflow", "gmm-ax"):
+        source, damp = build_adjacency(
+            graph, cfg.adjacency, damp if damping_used is None else damping_used
+        )
+    elif kind in ("gcflow-p", "gcflow-l"):
+        damp = damp if damp > 0.0 else DEFAULT_DAMPING
+        if kind == "gcflow-p":
             source = AttentionAdjacency(graph, dim, embed_dim=cfg.embed_dim, damping=damp, seed=cfg.seed)
         else:
-            damp = cfg.damping if cfg.damping > 0.0 else DEFAULT_DAMPING
             source = ConcreteAdjacency(
                 graph, dim,
                 embed_dim=cfg.embed_dim,
@@ -267,36 +274,27 @@ def assemble_model(cfg: TrainConfig, graph, dim, classes, damping_used=None) -> 
                 damping=damp,
                 seed=cfg.seed,
             )
-        model = build_gcflow(
-            cfg.num_flows, dim, hidden, cfg.net_layers,
-            couplings_per_flow=cfg.couplings, adjacency=source, seed=cfg.seed, dropout=dropout,
+    if kind == "gcn":
+        model = GcnModel(
+            source, [dim, cfg.resolved_hidden, classes], dropout=cfg.resolved_dropout, seed=cfg.seed
         )
-        if classes == 1:
-            scalars = [cfg.mean_lo]
-        else:
-            step = (cfg.mean_hi - cfg.mean_lo) / (classes - 1)
-            scalars = [cfg.mean_lo + k * step for k in range(classes)]
+    elif kind in GMM_KINDS:
+        model = EmReference(classes, mixing=None if source is None else source.matrix)
+    else:
+        flow = build_gcflow(
+            cfg.num_flows, dim, cfg.resolved_hidden, cfg.net_layers,
+            couplings_per_flow=cfg.couplings, adjacency=source, seed=cfg.seed,
+            dropout=cfg.resolved_dropout,
+        )
         head = MixtureHead(
             classes, dim,
-            mean_scalars=scalars,
+            mean_scalars=spread_means(classes, cfg.mean_lo, cfg.mean_hi),
             log_stds=[cfg.log_std_init] * classes,
             learn_weights=cfg.learn_weights,
         )
-    else:  # gmm kinds get their parameters from em_fit afterwards
-        model = None
-        head = None
-        if cfg.model == "gmm-ax":
-            _, damp = build_adjacency(
-                graph, cfg.adjacency, damping_used if damping_used is not None else cfg.damping
-            )
+        model = FlowMixture(flow, head)
     return TrainedModel(
-        kind=cfg.model,
-        config=asdict(cfg),
-        dim=dim,
-        classes=classes,
-        model=model,
-        head=head,
-        damping_used=damp,
+        kind=kind, config=asdict(cfg), dim=dim, classes=classes, model=model, damping_used=damp
     )
 
 
@@ -312,37 +310,15 @@ def node_features(tm: TrainedModel, ds: Dataset):
     return x
 
 
-def _mixed_features(tm: TrainedModel, ds: Dataset, x):
-    adj, _ = build_adjacency(ds.graph, tm.config["adjacency"], tm.damping_used)
-    return adj.matrix @ x
-
-
 def representation(tm: TrainedModel, ds: Dataset):
     """The node embedding each model kind is evaluated on: latents for
     flows, penultimate activations for the classifier, (mixed) features
     for the EM references."""
-    x = node_features(tm, ds)
-    if tm.kind == "gcn":
-        _, penult = tm.model.forward(x)
-        return penult
-    if tm.kind in FLOW_KINDS:
-        return tm.model.forward(x).z.data
-    if tm.kind == "gmm-ax":
-        return _mixed_features(tm, ds, x)
-    return x
+    return tm.model.represent(node_features(tm, ds))
 
 
 def predictions(tm: TrainedModel, ds: Dataset):
-    x = node_features(tm, ds)
-    if tm.kind == "gcn":
-        return gcn_predict(tm.model, x)
-    if tm.kind in FLOW_KINDS:
-        return predict(tm.model, tm.head, x)
-    feats = _mixed_features(tm, ds, x) if tm.kind == "gmm-ax" else x
-    from .baselines import responsibilities
-
-    resp, _ = responsibilities(tm.model, feats)
-    return tm.gmm_mapping[resp.argmax(axis=1)]
+    return tm.model.predict(node_features(tm, ds))
 
 
 def evaluate(tm: TrainedModel, ds: Dataset, seed=None):
@@ -368,43 +344,15 @@ def evaluate(tm: TrainedModel, ds: Dataset, seed=None):
 # -- the training loop --------------------------------------------------
 
 
-def _epoch_loss(tm, x, labels, loss_cfg, rng):
-    if tm.kind == "gcn":
-        probs = gcn_forward(tm.model, x, training=True, rng=rng)
-        return gcn_loss(probs, labels, loss_cfg.labeled)
-    return semi_supervised_loss(
-        tm.model, tm.head, x, labels, loss_cfg, training=True, rng=rng
-    )
-
-
-def _val_f1(tm, x, labels, val_idx):
-    if tm.kind == "gcn":
-        pred = gcn_predict(tm.model, x)
-    else:
-        pred = predict(tm.model, tm.head, x)
-    return micro_f1(pred[val_idx], labels[val_idx])
-
-
-def _fit_gmm(cfg: TrainConfig, tm: TrainedModel, ds: Dataset):
-    x = node_features(tm, ds)
-    feats = _mixed_features(tm, ds, x) if cfg.model == "gmm-ax" else x
-    train_idx = ds.mask_indices("train")
-    init = np.stack(
-        [feats[train_idx[ds.labels[train_idx] == c]].mean(axis=0) for c in range(ds.num_classes)]
-    )
-    tm.model = em_fit(feats, ds.num_classes, init_means=init, seed=cfg.seed)
-    tm.gmm_mapping = component_class_mapping(tm.model, feats, ds.labels, train_idx)
-    return tm
-
-
 def train(cfg: TrainConfig, dataset: Dataset, checkpoint_dir=None) -> RunRecord:
     """Fit a model and report its metrics.
 
-    Gradient models run full-batch with early stopping on validation
-    micro-F1: the best-scoring parameters are kept and restored at the
-    end, and training stops once the best epoch is ``patience`` epochs
-    old. A non-finite loss or a numeric blow-up mid-epoch aborts with the
-    progress so far attached to the raised error.
+    The EM references are fitted once, with no epochs. Gradient models run
+    full-batch with early stopping on validation micro-F1: the
+    best-scoring parameters are kept and restored at the end, and training
+    stops once the best epoch is ``patience`` epochs old. A non-finite loss
+    or a numeric blow-up mid-epoch aborts with the progress so far attached
+    to the raised error.
     """
     start = time.perf_counter()
     ds = dataset
@@ -415,15 +363,28 @@ def train(cfg: TrainConfig, dataset: Dataset, checkpoint_dir=None) -> RunRecord:
     snapshot = dict(tm.config)
     snapshot["damping_used"] = tm.damping_used
 
-    if cfg.model in GMM_KINDS:
-        tm = _fit_gmm(cfg, tm, ds)
-        metrics = evaluate(tm, dataset)
-        record = RunRecord(
-            config=snapshot, seed=cfg.seed, epochs_run=0, losses=[], val_f1s=[],
-            wall_seconds=time.perf_counter() - start, **metrics,
-        )
-        return _maybe_checkpoint(record, tm, checkpoint_dir)
+    if isinstance(tm.model, EmReference):
+        tm.model.fit(ds.features, ds.labels, ds.mask_indices("train"), seed=cfg.seed)
+        losses, val_f1s = [], []
+    else:
+        losses, val_f1s = _descend(cfg, tm, ds, snapshot, start)
+    metrics = evaluate(tm, dataset)
+    record = RunRecord(
+        config=snapshot, seed=cfg.seed, epochs_run=len(losses), losses=losses,
+        val_f1s=val_f1s, wall_seconds=time.perf_counter() - start, **metrics,
+    )
+    if checkpoint_dir is not None:
+        from .checkpoint import save_checkpoint
 
+        path = Path(checkpoint_dir) / "checkpoint.json"
+        save_checkpoint(path, tm, ds.graph)
+        record.checkpoint_path = str(path)
+    return record
+
+
+def _descend(cfg: TrainConfig, tm: TrainedModel, ds: Dataset, snapshot, start):
+    """The epoch loop of ``train`` for gradient models; returns the losses
+    and validation F1 scores per epoch and leaves the best parameters set."""
     x = ds.features
     labels = ds.labels
     train_idx = ds.mask_indices("train")
@@ -433,10 +394,9 @@ def train(cfg: TrainConfig, dataset: Dataset, checkpoint_dir=None) -> RunRecord:
     unlabeled = np.flatnonzero(~ds.train_mask)
     loss_cfg = LossConfig(train_idx, unlabeled, unlabeled_weight=cfg.unlabeled_weight)
 
-    params = tm.model.params() + (tm.head.params() if tm.head is not None else [])
+    params = tm.model.params()
     if tm.head is not None and cfg.label_init_means:
-        z0 = tm.model.forward(x).z.data
-        init_means_from_labels(tm.head, z0, labels, train_idx)
+        init_means_from_labels(tm.head, tm.model.represent(x), labels, train_idx)
 
     run_rng = np.random.default_rng(cfg.seed)
     opt = AdamState(params, cfg.lr, weight_decay=cfg.weight_decay)
@@ -450,7 +410,7 @@ def train(cfg: TrainConfig, dataset: Dataset, checkpoint_dir=None) -> RunRecord:
     for epoch in range(cfg.epochs):
         ad.zero_grads(params)
         try:
-            loss = _epoch_loss(tm, x, labels, loss_cfg, run_rng)
+            loss = tm.model.loss(x, labels, loss_cfg, run_rng)
             value = loss.item()
             if not np.isfinite(value):
                 raise DomainError(f"loss is {value}")
@@ -458,7 +418,7 @@ def train(cfg: TrainConfig, dataset: Dataset, checkpoint_dir=None) -> RunRecord:
             clip_gradients(params, cfg.clip)
             adam_step(opt)
             losses.append(value)
-            f1 = _val_f1(tm, x, labels, val_idx)
+            f1 = micro_f1(tm.model.predict(x)[val_idx], labels[val_idx])
         except (DomainError, SingularMatrixError) as exc:
             record = RunRecord(
                 config=snapshot, seed=cfg.seed, epochs_run=len(losses), losses=losses,
@@ -480,21 +440,4 @@ def train(cfg: TrainConfig, dataset: Dataset, checkpoint_dir=None) -> RunRecord:
 
     for p, saved in zip(params, best_params):
         np.copyto(p.data, saved)
-    metrics = evaluate(tm, dataset)
-    record = RunRecord(
-        config=snapshot, seed=cfg.seed, epochs_run=len(losses), losses=losses,
-        val_f1s=val_f1s, wall_seconds=time.perf_counter() - start, **metrics,
-    )
-    return _maybe_checkpoint(record, tm, checkpoint_dir)
-
-
-def _maybe_checkpoint(record, tm, checkpoint_dir):
-    if checkpoint_dir is not None:
-        from pathlib import Path
-
-        from .checkpoint import save_checkpoint
-
-        path = Path(checkpoint_dir) / "checkpoint.json"
-        save_checkpoint(path, tm)
-        record.checkpoint_path = str(path)
-    return record
+    return losses, val_f1s

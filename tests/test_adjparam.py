@@ -119,7 +119,7 @@ def test_concrete_entries_in_unit_interval():
     source = adjparam.ConcreteAdjacency(g, dim=3, embed_dim=4, seed=13)
     x = np.random.default_rng(14).normal(size=(5, 3)) * 2.0
     for training in (False, True):
-        a, _ = source.realize(x, 0, training=training)
+        a, _ = source.realize(x, 0, training=training, rng=np.random.default_rng(0))
         off_diag = a.data - np.diag(np.diag(a.data))
         assert off_diag.min() >= 0.0 and off_diag.max() <= 1.0
         assert_allclose(np.diag(a.data), np.full(5, source.damping), atol=1e-15)
@@ -139,9 +139,16 @@ def test_concrete_omega_antisymmetric():
 def test_concrete_training_noise_is_seed_deterministic():
     make = lambda: adjparam.ConcreteAdjacency(PATH4, dim=2, embed_dim=3, seed=17)
     x = np.random.default_rng(18).normal(size=(4, 2))
-    a1 = [make().realize(x, 0, training=True)[0].data for _ in range(1)][0]
-    a2 = make().realize(x, 0, training=True)[0].data
+    a1 = make().realize(x, 0, training=True, rng=np.random.default_rng(19))[0].data
+    a2 = make().realize(x, 0, training=True, rng=np.random.default_rng(19))[0].data
     assert np.array_equal(a1, a2)
+
+
+def test_concrete_training_realize_needs_rng():
+    source = adjparam.ConcreteAdjacency(PATH4, dim=2, embed_dim=3, seed=17)
+    x = np.random.default_rng(18).normal(size=(4, 2))
+    with pytest.raises(DomainError, match="rng"):
+        source.realize(x, 0, training=True)
 
 
 def test_logabsdet_tensor_identity_and_diagonal():

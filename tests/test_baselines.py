@@ -10,7 +10,6 @@ from gcflow.baselines import (
     em_fit,
     gcn_forward,
     gcn_loss,
-    gcn_predict,
     gmm_classify,
     responsibilities,
 )
@@ -130,7 +129,7 @@ def test_gcn_predict_matches_argmax():
     rng = np.random.default_rng(7)
     x = rng.normal(size=(5, 3))
     model = GcnModel(ring_adjacency(5), [3, 4, 3], seed=8)
-    pred = gcn_predict(model, x)
+    pred = model.predict(x)
     assert np.array_equal(pred, gcn_forward(model, x).data.argmax(axis=1))
 
 

@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 from gcflow.autodiff import Tensor
-from gcflow.checkpoint import load_checkpoint, save_checkpoint
+from gcflow.checkpoint import FORMAT_TAG, load_checkpoint
 from gcflow.data import SbmConfig, generate_sbm
 from gcflow.errors import ConfigError, DivergedError, FormatError
 from gcflow.evalkit import micro_f1
+from gcflow import training
 from gcflow.graphs import make_graph
 from gcflow.training import (
+    MODEL_KINDS,
     AdamState,
     TrainConfig,
     adam_step,
@@ -210,6 +212,14 @@ def test_gmm_kinds_fit_without_epochs(sbm):
         assert np.isfinite(record.silhouette_truth)
 
 
+def test_gmm_ax_normalizes_the_adjacency_once(sbm, monkeypatch):
+    calls = []
+    real = training.normalize_row
+    monkeypatch.setattr(training, "normalize_row", lambda *a, **kw: calls.append(1) or real(*a, **kw))
+    train(TrainConfig(model="gmm-ax", seed=0), sbm)
+    assert len(calls) == 1
+
+
 def test_metrics_schema_is_complete(sbm):
     record = train(TrainConfig(model="gmm-x", seed=0), sbm)
     metrics = record.metrics_dict()
@@ -222,6 +232,23 @@ def test_metrics_schema_is_complete(sbm):
 
 
 # -- checkpoints --------------------------------------------------------
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_checkpoint_round_trip_every_kind(sbm, kind, tmp_path):
+    cfg = TrainConfig(model=kind, hidden=8, embed_dim=4, epochs=3, patience=3, seed=2)
+    record = train(cfg, sbm, checkpoint_dir=tmp_path)
+    tm = load_checkpoint(record.checkpoint_path, sbm.graph)
+    metrics = evaluate(tm, sbm)
+    assert metrics == {key: getattr(record, key) for key in metrics}
+    z = representation(tm, sbm)
+    again = load_checkpoint(record.checkpoint_path, sbm.graph)
+    assert representation(again, sbm).tobytes() == z.tobytes()
+    # same node count, other edges
+    other = generate_sbm(SbmConfig(seed=1)).graph
+    assert other.n == sbm.n and other.edges != sbm.graph.edges
+    with pytest.raises(FormatError, match="graph"):
+        load_checkpoint(record.checkpoint_path, other)
 
 
 def test_checkpoint_round_trip_flow(sbm, tmp_path):
@@ -272,6 +299,9 @@ def test_checkpoint_rejects_non_checkpoints(tmp_path, sbm):
     bad = tmp_path / "bad.json"
     bad.write_text("{\"format\": \"something-else\"}")
     with pytest.raises(FormatError):
+        load_checkpoint(bad, sbm.graph)
+    bad.write_text("{\"format\": \"gcflow-checkpoint-1\"}")
+    with pytest.raises(FormatError, match=f"gcflow-checkpoint-1.*{FORMAT_TAG}"):
         load_checkpoint(bad, sbm.graph)
     bad.write_text("not json at all")
     with pytest.raises(FormatError):
