@@ -366,20 +366,14 @@ def logsumexp_rows(a):
 
 def tsum(a, axis=None):
     a = as_tensor(a)
-    if axis is not None and (a.data.ndim != 2 or axis not in (0, 1)):
+    if axis is not None and not (0 <= axis < a.data.ndim):
         raise ShapeError(f"sum axis {axis} invalid for shape {a.shape}")
     value = a.data.sum() if axis is None else a.data.sum(axis=axis)
 
     def bw(out):
         def run():
-            if not a.requires_grad:
-                return
-            if axis is None:
-                a.grad += out.grad
-            elif axis == 0:
-                a.grad += out.grad[None, :]
-            else:
-                a.grad += out.grad[:, None]
+            if a.requires_grad:
+                a.grad += out.grad if axis is None else np.expand_dims(out.grad, axis)
 
         return run
 
@@ -451,33 +445,14 @@ def concat_cols(parts):
     return make_node(np.concatenate([p.data for p in parts], axis=1), tuple(parts), bw, "concat_cols")
 
 
-def stack_cols(vectors):
-    """Stack length-n vectors into the columns of an n x k matrix."""
-    vectors = [as_tensor(v) for v in vectors]
-    if not vectors or any(v.data.ndim != 1 for v in vectors):
-        raise ShapeError("stack_cols expects a non-empty list of vectors")
-    n = vectors[0].shape[0]
-    if any(v.shape[0] != n for v in vectors):
-        raise ShapeError("stack_cols: vector lengths differ")
-
-    def bw(out):
-        def run():
-            for k, v in enumerate(vectors):
-                if v.requires_grad:
-                    v.grad += out.grad[:, k]
-
-        return run
-
-    return make_node(np.stack([v.data for v in vectors], axis=1), tuple(vectors), bw, "stack_cols")
-
-
 # -- indexed access ----------------------------------------------------
 
 
 def gather_rows(a, indices):
+    """Rows of a matrix, or entries of a vector, at the given indices."""
     a = as_tensor(a)
     idx = np.asarray(indices, dtype=np.intp)
-    if a.data.ndim != 2 or (idx.size and (idx.min() < 0 or idx.max() >= a.shape[0])):
+    if a.data.ndim not in (1, 2) or (idx.size and (idx.min() < 0 or idx.max() >= a.shape[0])):
         raise ShapeError(f"gather_rows: indices out of range for shape {a.shape}")
 
     def bw(out):
@@ -487,7 +462,7 @@ def gather_rows(a, indices):
 
         return run
 
-    return make_node(a.data[idx, :], (a,), bw, "gather_rows")
+    return make_node(a.data[idx], (a,), bw, "gather_rows")
 
 
 def take_per_row(a, cols):

@@ -21,7 +21,7 @@ from .evalkit import PcaProjection
 from .graphs import fingerprint
 from .training import TrainConfig, TrainedModel, assemble_model
 
-FORMAT_TAG = "gcflow-checkpoint-2"
+FORMAT_TAG = "gcflow-checkpoint-3"
 
 
 def save_checkpoint(path, tm: TrainedModel, graph):

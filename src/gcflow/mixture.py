@@ -38,7 +38,7 @@ def spread_means(num_components, lo=MEAN_LO, hi=MEAN_HI):
 
 
 class MixtureHead:
-    """Per-component mean and log-std scalars, plus mixture weights.
+    """Component mean and log-std scalars, one (K,) tensor each, plus mixture weights.
 
     Weights are uniform and fixed unless ``learn_weights`` is set, in which
     case softmax-parameterized logits train with everything else.
@@ -57,8 +57,8 @@ class MixtureHead:
             log_stds = [0.0] * num_components
         if len(mean_scalars) != num_components or len(log_stds) != num_components:
             raise DomainError("need one mean scalar and one log-std per component")
-        self.means = [ad.Tensor(float(m), requires_grad=True) for m in mean_scalars]
-        self.log_stds = [ad.Tensor(float(s), requires_grad=True) for s in log_stds]
+        self.means = ad.Tensor(np.asarray(mean_scalars, dtype=np.float64), requires_grad=True)
+        self.log_stds = ad.Tensor(np.asarray(log_stds, dtype=np.float64), requires_grad=True)
         self.learn_weights = bool(learn_weights)
         self.weight_logits = ad.Tensor(np.zeros(num_components), requires_grad=self.learn_weights)
 
@@ -69,23 +69,26 @@ class MixtureHead:
         return ad.reshape(row - ad.reshape(ad.logsumexp_rows(row), (1, 1)), (self.num_components,))
 
     def params(self):
-        out = self.means + self.log_stds
+        out = [self.means, self.log_stds]
         if self.learn_weights:
             out.append(self.weight_logits)
         return out
 
 
 def component_logpdf_matrix(head: MixtureHead, z) -> ad.Tensor:
-    """n x K matrix of per-component Gaussian log-densities, differentiable."""
+    """n x K matrix of per-component Gaussian log-densities, differentiable.
+
+    The squared distances are summed over the last, contiguous axis of an
+    n x K x D difference, so each entry is summed in the same order as a
+    single-component n x D difference would be.
+    """
     z = ad.as_tensor(z)
     n, dim = z.shape
-    cols = []
-    for m, ls in zip(head.means, head.log_stds):
-        diff = z - m
-        sq = ad.tsum(diff * diff, axis=1)
-        inv_var = ad.exp(ls * -2.0)
-        cols.append(sq * inv_var * -0.5 - (0.5 * dim * LOG_2PI) - ls * float(dim))
-    return ad.stack_cols(cols)
+    k = head.num_components
+    diff = ad.reshape(z, (n, 1, dim)) - ad.reshape(head.means, (k, 1))
+    sq = ad.tsum(diff * diff, axis=2)
+    inv_var = ad.exp(head.log_stds * -2.0)
+    return sq * inv_var * -0.5 - (0.5 * dim * LOG_2PI) - head.log_stds * float(dim)
 
 
 def component_logpdf(head: MixtureHead, z, k) -> float:
@@ -94,8 +97,8 @@ def component_logpdf(head: MixtureHead, z, k) -> float:
         raise IndexError(f"component {k} out of range for K={head.num_components}")
     z = np.asarray(z, dtype=np.float64).reshape(-1)
     dim = z.size
-    m = head.means[k].item()
-    ls = head.log_stds[k].item()
+    m = head.means.data[k]
+    ls = head.log_stds.data[k]
     sq = float(((z - m) ** 2).sum())
     return -0.5 * np.exp(-2.0 * ls) * sq - 0.5 * dim * LOG_2PI - dim * ls
 
@@ -115,17 +118,27 @@ def share_rows(result) -> ad.Tensor:
     return result.flow_logdet + result.graph_logdet * (1.0 / n)
 
 
+def log_densities(head: MixtureHead, result):
+    """Per-node log-densities of a forward result, from one component matrix.
+
+    Returns the n x K joint log-density of each node with each class and
+    the length-n marginal log-density over classes. The loss, the
+    likelihood reports and the numeric checks all read these two.
+    """
+    comp_lw = component_logpdf_matrix(head, result.z) + head.log_weights()
+    share = share_rows(result)
+    joint = comp_lw + ad.reshape(share, (share.shape[0], 1))
+    return joint, ad.logsumexp_rows(comp_lw) + share
+
+
 def marginal_rows(head: MixtureHead, result) -> ad.Tensor:
     """Length-n tensor of per-node marginal log-densities."""
-    comp = component_logpdf_matrix(head, result.z)
-    return ad.logsumexp_rows(comp + head.log_weights()) + share_rows(result)
+    return log_densities(head, result)[1]
 
 
 def joint_matrix(head: MixtureHead, result) -> ad.Tensor:
     """n x K tensor of per-node, per-class joint log-densities."""
-    comp = component_logpdf_matrix(head, result.z)
-    n = result.flow_logdet.shape[0]
-    return comp + head.log_weights() + ad.reshape(share_rows(result), (n, 1))
+    return log_densities(head, result)[0]
 
 
 def log_marginal(model, head: MixtureHead, x, i) -> float:
@@ -180,20 +193,12 @@ def semi_supervised_loss(model, head: MixtureHead, x, labels, cfg: LossConfig,
     labels = np.asarray(labels, dtype=np.intp)
     if result is None:
         result = model.forward(x, training=training, rng=rng)
-    n = result.z.shape[0]
-    comp_lw = component_logpdf_matrix(head, result.z) + head.log_weights()
-    share = share_rows(result)
-    share_col = ad.reshape(share, (n, 1))
-
-    joint = comp_lw + share_col
+    joint, marginal = log_densities(head, result)
     picked = ad.take_per_row(ad.gather_rows(joint, cfg.labeled), labels[cfg.labeled])
     w = cfg.unlabeled_weight
     loss = ad.tsum(picked) * (-(1.0 - w) / cfg.labeled.size)
-
     if cfg.unlabeled.size:
-        marg = ad.logsumexp_rows(ad.gather_rows(comp_lw, cfg.unlabeled))
-        marg = marg + ad.tsum(ad.gather_rows(share_col, cfg.unlabeled), axis=1)
-        loss = loss + ad.tsum(marg) * (-w / cfg.unlabeled.size)
+        loss = loss + ad.tsum(ad.gather_rows(marginal, cfg.unlabeled)) * (-w / cfg.unlabeled.size)
     return loss
 
 
@@ -209,7 +214,7 @@ def init_means_from_labels(head: MixtureHead, z, labels, labeled):
     for k in range(head.num_components):
         mine = labeled[labels[labeled] == k]
         if mine.size:
-            head.means[k].data[...] = z[mine].mean()
+            head.means.data[k] = z[mine].mean()
 
 
 class FlowMixture:

@@ -161,6 +161,8 @@ class TrainConfig:
             raise ConfigError("flow depth settings must be at least 1")
         if self.mean_hi < self.mean_lo:
             raise ConfigError("component mean range is inverted")
+        if not self.damping >= 0.0:
+            raise ConfigError(f"damping must be non-negative, got {self.damping}")
 
     @property
     def resolved_hidden(self):

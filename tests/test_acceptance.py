@@ -16,63 +16,30 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.integrate import trapezoid
 
 from gcflow import cli
 from gcflow.adjparam import AttentionAdjacency, ConcreteAdjacency
-from gcflow.autodiff import grad_check
 from gcflow.data import SbmConfig, generate_sbm, load_dataset
-from gcflow.errors import SingularMatrixError
 from gcflow.evalkit import ari, micro_f1, nmi, silhouette
-from gcflow.flows import build_gcflow, jacobian_bruteforce
-from gcflow.graphs import make_graph, normalize_row, normalize_sym
-from gcflow.mixture import (
-    LossConfig,
-    MixtureHead,
-    joint_matrix,
-    marginal_rows,
-    semi_supervised_loss,
-)
+from gcflow.graphs import make_graph, normalize_row
 from gcflow.training import TrainConfig, train
+from gcflow.verify import (
+    density_mass,
+    determinant_error,
+    inverse_error,
+    loss_gradient_error,
+    marginalization_error,
+    random_graph,
+)
 
 
 def _line(num, ok, text):
     print(f"check {num}/9 {'pass' if ok else 'FAIL'}: {text}")
 
 
-def _random_graph(rng, n, max_cond=None):
-    # rejection-sample when a condition bound is given: the difference
-    # route loses cond(A)^stages digits, so near-singular draws would
-    # test the probe rather than the formula
-    while True:
-        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        keep = [p for p in pairs if rng.random() < 0.6]
-        g = make_graph(n, keep or [pairs[0]])
-        try:
-            adj = normalize_row(g)
-        except SingularMatrixError:
-            if max_cond is None:
-                return normalize_row(g, damping=1e-2)
-            continue
-        if max_cond is None or np.linalg.cond(adj.matrix) <= max_cond:
-            return adj
-
-
 def test_logdet_formula_matches_dense_jacobian():
-    rng = np.random.default_rng(101)
-    worst = 0.0
     start = time.time()
-    for trial in range(20):
-        n = int(rng.integers(3, 7))
-        dim = int(rng.choice([2, 4]))
-        stages = int(rng.integers(1, 4))
-        adj = _random_graph(rng, n, max_cond=30.0)
-        model = build_gcflow(stages, dim, hidden=6, net_layers=2, adjacency=adj, seed=trial)
-        x0 = rng.normal(size=(n, dim))
-        result = model.forward(x0)
-        analytic = float(result.flow_logdet.data.sum() + result.graph_logdet.data)
-        brute = jacobian_bruteforce(lambda arr: model.forward(arr).z, x0)
-        worst = max(worst, abs(analytic - brute))
+    worst = determinant_error(101, trials=20, sizes=(3, 7), dims=[2, 4], depths=(1, 4), max_cond=30.0)
     elapsed = time.time() - start
     ok = worst < 1e-5 and elapsed < 30.0
     _line(1, ok, f"stacked log-determinant matches the dense Jacobian on 20 random "
@@ -86,7 +53,6 @@ def test_loss_gradients_match_finite_differences():
     g = make_graph(n, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 3), (1, 4)])
     x = rng.normal(size=(n, dim))
     labels = np.array([0, 1, 2, -1, -1, -1])
-    lcfg = LossConfig(np.array([0, 1, 2]), np.array([3, 4, 5]))
     start = time.time()
     report = []
     ok = True
@@ -95,12 +61,7 @@ def test_loss_gradients_match_finite_differences():
         ("gcflow-p", AttentionAdjacency(g, dim, embed_dim=5, seed=3), 1e-3),
         ("gcflow-l", ConcreteAdjacency(g, dim, embed_dim=5, seed=4), 1e-3),
     ]:
-        model = build_gcflow(2, dim, hidden=6, net_layers=2, adjacency=adj, seed=11)
-        head = MixtureHead(3, dim)
-        err = grad_check(
-            lambda: semi_supervised_loss(model, head, x, labels, lcfg),
-            model.params() + head.params(),
-        )
+        err = loss_gradient_error(adj, x, labels, classes=3, hidden=6, seed=11)
         report.append(f"{tag} {err:.1e}")
         ok = ok and err < tol
     elapsed = time.time() - start
@@ -110,30 +71,14 @@ def test_loss_gradients_match_finite_differences():
 
 
 def test_inverse_undoes_forward():
-    rng = np.random.default_rng(23)
-    worst = 0.0
-    for trial in range(10):
-        n = int(rng.integers(4, 9))
-        dim = int(rng.choice([2, 3, 4]))
-        adj = None if trial % 3 == 0 else _random_graph(rng, n)
-        model = build_gcflow(2, dim, hidden=8, net_layers=2, adjacency=adj, seed=trial)
-        x = rng.normal(size=(n, dim))
-        back = model.inverse(model.forward(x).z.data).data
-        worst = max(worst, np.abs(back - x).max())
+    worst = inverse_error(23, trials=10, sizes=(4, 9), dims=[2, 3, 4])
     ok = worst < 1e-8
     _line(3, ok, f"inverse undoes forward on 10 random models (max abs err {worst:.1e})")
     assert ok
 
 
 def test_row_flow_density_integrates_to_one():
-    model = build_gcflow(2, 2, hidden=8, net_layers=2, adjacency=None, seed=5)
-    head = MixtureHead(3, 2, mean_scalars=[-1.0, 0.5, 2.0])
-    axis = np.linspace(-10.0, 10.0, 201)
-    xs, ys = np.meshgrid(axis, axis, indexing="ij")
-    grid = np.column_stack([xs.ravel(), ys.ravel()])
-    logp = marginal_rows(head, model.forward(grid)).data
-    density = np.exp(logp).reshape(axis.size, axis.size)
-    mass = float(trapezoid(trapezoid(density, axis, axis=1), axis))
+    mass = density_mass(hidden=8, points=201)
     ok = abs(mass - 1.0) < 0.01
     _line(4, ok, f"two-layer row-flow density integrates to {mass:.5f} on the grid")
     assert ok
@@ -141,24 +86,15 @@ def test_row_flow_density_integrates_to_one():
 
 def test_per_class_joints_marginalize_exactly():
     rng = np.random.default_rng(31)
-    worst = 0.0
-    nodes = 0
     fixtures = []
     for n, dim, k, seed in [(5, 2, 2, 0), (7, 3, 3, 1), (9, 4, 4, 2), (6, 4, 6, 3)]:
-        fixtures.append((_random_graph(rng, n), n, dim, k, seed))
+        fixtures.append((random_graph(rng, n), n, dim, k, seed))
     g = make_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (1, 3)])
     fixtures.append((None, 5, 3, 3, 4))
     fixtures.append((AttentionAdjacency(g, 3, embed_dim=4, seed=6), 5, 3, 3, 5))
     fixtures.append((ConcreteAdjacency(g, 3, embed_dim=4, seed=7), 5, 3, 3, 6))
-    for adj, n, dim, k, seed in fixtures:
-        model = build_gcflow(2, dim, hidden=6, net_layers=2, adjacency=adj, seed=seed)
-        head = MixtureHead(k, dim)
-        result = model.forward(rng.normal(size=(n, dim)))
-        joint = joint_matrix(head, result).data
-        marginal = marginal_rows(head, result).data
-        lse = np.logaddexp.reduce(joint, axis=1)
-        worst = max(worst, np.abs(lse - marginal).max())
-        nodes += n
+    worst = marginalization_error(rng, fixtures)
+    nodes = sum(f[1] for f in fixtures)
     ok = worst < 1e-12
     _line(5, ok, f"joints marginalize exactly on all {nodes} nodes of "
                  f"{len(fixtures)} fixtures (max abs err {worst:.1e})")

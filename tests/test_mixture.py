@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import trapezoid
 
@@ -54,8 +56,8 @@ def test_component_logpdf_matches_dense_covariance_oracle():
     head = mixture.MixtureHead(3, 4, mean_scalars=[-1.0, 0.5, 2.0], log_stds=[0.1, -0.2, 0.4])
     for k in range(3):
         z = rng.normal(size=4)
-        sigma = np.exp(head.log_stds[k].item())
-        want = dense_gaussian_logpdf(z, head.means[k].item() * np.ones(4), sigma**2 * np.eye(4))
+        sigma = np.exp(head.log_stds.data[k])
+        want = dense_gaussian_logpdf(z, head.means.data[k] * np.ones(4), sigma**2 * np.eye(4))
         assert_allclose(mixture.component_logpdf(head, z, k), want, atol=1e-10)
 
 
@@ -100,6 +102,51 @@ def test_component_matrix_agrees_with_scalar_op():
     for i in range(5):
         for k in range(3):
             assert_allclose(matrix[i, k], mixture.component_logpdf(head, z[i], k), atol=1e-12)
+
+
+@settings(derandomize=True, deadline=None)
+@given(
+    n=st.integers(1, 6),
+    dim=st.integers(1, 5),
+    means=st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=4),
+    log_stds=st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_component_matrix_matches_scalar_reference_on_random_heads(n, dim, means, log_stds, seed):
+    k = len(means)
+    head = mixture.MixtureHead(k, dim, mean_scalars=means, log_stds=log_stds[:k])
+    assert head.params() == [head.means, head.log_stds]
+    z = np.random.default_rng(seed).normal(scale=3.0, size=(n, dim))
+    matrix = mixture.component_logpdf_matrix(head, z).data
+    want = [[mixture.component_logpdf(head, z[i], c) for c in range(k)] for i in range(n)]
+    assert_allclose(matrix, want, rtol=0.0, atol=1e-12)
+
+
+@settings(derandomize=True, deadline=None)
+@given(
+    n=st.integers(2, 6),
+    dim=st.integers(1, 4),
+    means=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=3),
+    log_stds=st.lists(st.floats(-0.5, 0.5), min_size=3, max_size=3),
+    unlabeled_weight=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_loss_gradient_over_random_heads(n, dim, means, log_stds, unlabeled_weight, seed):
+    k = len(means)
+    rng = np.random.default_rng(seed)
+    head = mixture.MixtureHead(k, dim, mean_scalars=means, log_stds=log_stds[:k], learn_weights=True)
+    head.weight_logits.data[...] = rng.normal(size=k)
+    x = rng.normal(size=(n, dim))
+    labels = rng.integers(0, k, size=n)
+    labeled = rng.permutation(n)[: int(rng.integers(1, n + 1))]
+    cfg = mixture.LossConfig(labeled, np.setdiff1d(np.arange(n), labeled), unlabeled_weight)
+    model = flows.GcFlowModel([], adjacency=None)
+    assert head.params() == [head.means, head.log_stds, head.weight_logits]
+
+    def f():
+        return mixture.semi_supervised_loss(model, head, x, labels, cfg)
+
+    assert ad.grad_check(f, head.params()) < 1e-6
 
 
 def test_log_marginal_identity_model_reduces_to_mixture():
@@ -220,6 +267,8 @@ def test_loss_closed_form_single_node():
 
 
 def test_loss_zero_weight_is_mean_labeled_joint():
+    # w = 0 keeps only the labeled joints; w = 0.5 adds the unlabeled
+    # marginals, rebuilt here node by node from the scalar mixture density
     n, dim = 6, 2
     adj = ring_graph(n)
     model = flows.build_gcflow(1, dim, hidden=4, net_layers=2, adjacency=adj, seed=10)
@@ -227,12 +276,16 @@ def test_loss_zero_weight_is_mean_labeled_joint():
     rng = np.random.default_rng(11)
     x = rng.normal(size=(n, dim))
     labels = np.array([0, 1, 0, 1, 0, 1])
-    labeled = np.array([0, 1, 2])
-    cfg = mixture.LossConfig(labeled=labeled, unlabeled=np.array([3, 4, 5]), unlabeled_weight=0.0)
-    loss = mixture.semi_supervised_loss(model, head, x, labels, cfg)
-    joint = mixture.joint_matrix(head, model.forward(x)).data
-    want = -np.mean([joint[i, labels[i]] for i in labeled])
-    assert_allclose(loss.item(), want, atol=1e-12)
+    labeled, unlabeled = np.array([0, 1, 2]), np.array([3, 4, 5])
+    result = model.forward(x)
+    joint = mixture.joint_matrix(head, result).data
+    share = result.flow_logdet.data + result.graph_logdet.data / n
+    for w in (0.0, 0.5):
+        cfg = mixture.LossConfig(labeled=labeled, unlabeled=unlabeled, unlabeled_weight=w)
+        loss = mixture.semi_supervised_loss(model, head, x, labels, cfg)
+        want = -(1.0 - w) * np.mean([joint[i, labels[i]] for i in labeled])
+        want -= w * np.mean([mixture.mixture_logpdf(head, result.z.data[i]) + share[i] for i in unlabeled])
+        assert_allclose(loss.item(), want, atol=1e-12)
 
 
 def test_loss_gradient_matches_finite_differences():
@@ -296,8 +349,8 @@ def test_plain_flow_density_integrates_to_one():
 def test_init_means_from_labels():
     head = mixture.MixtureHead(3, 2)
     z = np.array([[1.0, 1.0], [5.0, 5.0], [1.0, 1.0], [9.0, 9.0]])
-    default_last = head.means[2].item()
+    default_last = head.means.data[2]
     mixture.init_means_from_labels(head, z, labels=[0, 1, 0, 1], labeled=[0, 1, 2])
-    assert_allclose(head.means[0].item(), 1.0)
-    assert_allclose(head.means[1].item(), 5.0)
-    assert head.means[2].item() == default_last
+    assert_allclose(head.means.data[0], 1.0)
+    assert_allclose(head.means.data[1], 5.0)
+    assert head.means.data[2] == default_last

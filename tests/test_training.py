@@ -121,6 +121,13 @@ def test_config_rejects_bad_scheme_and_depths():
         TrainConfig(num_flows=0)
 
 
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_config_rejects_negative_damping(kind):
+    for damping in (-0.5, float("nan")):
+        with pytest.raises(ConfigError, match="damping"):
+            TrainConfig(model=kind, damping=damping)
+
+
 def test_config_kind_defaults():
     gcn = TrainConfig(model="gcn")
     assert gcn.resolved_hidden == 128
@@ -300,9 +307,10 @@ def test_checkpoint_rejects_non_checkpoints(tmp_path, sbm):
     bad.write_text("{\"format\": \"something-else\"}")
     with pytest.raises(FormatError):
         load_checkpoint(bad, sbm.graph)
-    bad.write_text("{\"format\": \"gcflow-checkpoint-1\"}")
-    with pytest.raises(FormatError, match=f"gcflow-checkpoint-1.*{FORMAT_TAG}"):
-        load_checkpoint(bad, sbm.graph)
+    for tag in ("gcflow-checkpoint-1", "gcflow-checkpoint-2"):
+        bad.write_text(f"{{\"format\": \"{tag}\"}}")
+        with pytest.raises(FormatError, match=f"{tag}.*{FORMAT_TAG}"):
+            load_checkpoint(bad, sbm.graph)
     bad.write_text("not json at all")
     with pytest.raises(FormatError):
         load_checkpoint(bad, sbm.graph)
