@@ -23,7 +23,7 @@ import numpy as np
 from . import autodiff as ad
 from .errors import DomainError
 from .flows import Mlp
-from .graphs import Graph, logabsdet_tensor
+from .graphs import Graph
 
 DEFAULT_DAMPING = 1e-3
 DEFAULT_TEMPERATURE = 0.66
@@ -68,8 +68,10 @@ class AttentionAdjacency:
 
     def realize(self, x, stage, training=False, rng=None):
         scores = self.edge_scores(x)
-        # softmax per source row, stabilized by a constant per-row shift
-        row_max = np.zeros(self.n)
+        # softmax per source row, stabilized by a constant per-row shift: the
+        # row's own max, so its largest weight is exp(0) = 1 and the row sum
+        # cannot underflow to zero however negative the scores are
+        row_max = np.full(self.n, -np.inf)
         np.maximum.at(row_max, self.src, scores.data)
         weights = ad.exp(scores - ad.Tensor(row_max[self.src]))
         numer = ad.scatter_matrix(weights, self.src, self.dst, (self.n, self.n))
@@ -77,7 +79,7 @@ class AttentionAdjacency:
         a = numer / ad.reshape(denom, (self.n, 1))
         if self.damping:
             a = a + ad.Tensor(self.damping * np.eye(self.n))
-        return a, logabsdet_tensor(a)
+        return a
 
     def params(self):
         return self.embed_src.params() + self.embed_dst.params() + self.scorer.params()
@@ -140,7 +142,7 @@ class ConcreteAdjacency:
         a = ad.scatter_matrix(gates, self.src, self.dst, (self.n, self.n))
         if self.damping:
             a = a + ad.Tensor(self.damping * np.eye(self.n))
-        return a, logabsdet_tensor(a)
+        return a
 
     def params(self):
         return self.embed_a.params() + self.embed_b.params()

@@ -6,12 +6,22 @@ tape in reverse topological order, accumulating gradients additively into
 every tensor built with ``requires_grad=True``. Only first-order gradients
 of a scalar output are supported, which is all the training loops here need.
 
-All storage is float64. Gradients of parameters accumulate across backward
-calls until ``zero_grad`` (or ``zero_grads``) resets them; gradients of
-intermediate nodes are cleared at the start of each backward pass.
+All storage is float64. Gradient buffers are allocated lazily: a tensor
+holds none until a backward pass first accumulates into it, and reading
+``.grad`` before that returns (and keeps) zeros. Gradients of parameters
+accumulate across backward calls until ``zero_grad`` (or ``zero_grads``)
+resets them; intermediate nodes drop their buffers at the start of each
+backward pass.
+
+Inside ``with no_grad():`` operations compute their values only: results
+record no parents and no backward closure, so nothing is kept for a
+backward pass that will not come. Inference uses it.
 """
 
 from __future__ import annotations
+
+import contextlib
+import contextvars
 
 import numpy as np
 import scipy.sparse
@@ -19,6 +29,9 @@ import scipy.sparse
 from .errors import DomainError, ShapeError
 
 LRELU_SLOPE = 0.2
+
+# False inside ``no_grad``; a context variable, so threads and tasks each see their own
+_recording = contextvars.ContextVar("gcflow_autodiff_recording", default=True)
 
 
 def _unbroadcast(grad, shape):
@@ -35,11 +48,11 @@ def _unbroadcast(grad, shape):
 class Tensor:
     """A dense float64 array plus its gradient slot and tape linkage."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents", "_op")
+    __slots__ = ("data", "_grad", "requires_grad", "_backward", "_parents", "_op")
 
     def __init__(self, data, requires_grad=False):
         self.data = np.asarray(data, dtype=np.float64)
-        self.grad = np.zeros_like(self.data)
+        self._grad = None  # no buffer until a gradient arrives
         self.requires_grad = bool(requires_grad)
         self._backward = None
         self._parents = ()
@@ -59,8 +72,33 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.shape}, op={self._op}, requires_grad={self.requires_grad})"
 
+    @property
+    def grad(self):
+        """The accumulated gradient; zeros, allocated now, if none has arrived."""
+        if self._grad is None:
+            self._grad = np.zeros_like(self.data)
+        return self._grad
+
+    @grad.setter
+    def grad(self, value):
+        self._grad = value
+
+    def accumulate(self, g):
+        """Add ``g`` (broadcastable to this shape) to the gradient.
+
+        The first contribution is copied into a fresh buffer instead of being
+        added to zeros; the copy keeps later in-place updates from reaching
+        the array ``g`` came from.
+        """
+        if self._grad is None:
+            if np.shape(g) != self.data.shape:
+                g = np.broadcast_to(g, self.data.shape)
+            self._grad = np.array(g, dtype=np.float64)
+        else:
+            self._grad += g
+
     def zero_grad(self):
-        self.grad = np.zeros_like(self.data)
+        self._grad = None
 
     # -- tape ----------------------------------------------------------
 
@@ -84,17 +122,20 @@ class Tensor:
         """Populate gradients of every requires-grad tensor reachable from here.
 
         Only a scalar output may start a backward pass. Gradients of leaf
-        tensors accumulate additively across calls; intermediates are reset
-        each call so repeated backward passes double leaf gradients rather
-        than compounding them through the interior of the graph.
+        tensors accumulate additively across calls; intermediates drop their
+        buffers each call, so repeated backward passes double leaf gradients
+        rather than compounding them through the interior of the graph. A
+        buffer is allocated only when the first gradient reaches a tensor, so
+        tensors that receive none cost nothing. A result computed under
+        ``no_grad`` has no tape behind it and passes nothing back.
         """
         if self.data.size != 1:
             raise ShapeError(f"backward() requires a scalar output, got shape {self.shape}")
         order = self._topo()
         for node in order:
             if node._parents:
-                node.grad = np.zeros_like(node.data)
-        self.grad = self.grad + np.ones_like(self.data)
+                node._grad = None
+        self.accumulate(np.ones_like(self.data))
         for node in reversed(order):
             if node._backward is not None:
                 node._backward()
@@ -140,10 +181,21 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+@contextlib.contextmanager
+def no_grad():
+    """Compute values without recording a tape, restoring the previous mode on exit."""
+    token = _recording.set(False)
+    try:
+        yield
+    finally:
+        _recording.reset(token)
+
+
 def make_node(data, parents, backward_fn, op="custom") -> Tensor:
-    """Create an op-result tensor; recorded on the tape only when a parent needs grad."""
+    """Create an op-result tensor; recorded on the tape only when a parent
+    needs grad and no ``no_grad`` block is active."""
     out = Tensor(data)
-    if any(p.requires_grad for p in parents):
+    if _recording.get() and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward_fn(out)
@@ -160,9 +212,9 @@ def add(a, b):
     def bw(out):
         def run():
             if a.requires_grad:
-                a.grad += _unbroadcast(out.grad, a.shape)
+                a.accumulate(_unbroadcast(out.grad, a.shape))
             if b.requires_grad:
-                b.grad += _unbroadcast(out.grad, b.shape)
+                b.accumulate(_unbroadcast(out.grad, b.shape))
 
         return run
 
@@ -175,9 +227,9 @@ def sub(a, b):
     def bw(out):
         def run():
             if a.requires_grad:
-                a.grad += _unbroadcast(out.grad, a.shape)
+                a.accumulate(_unbroadcast(out.grad, a.shape))
             if b.requires_grad:
-                b.grad -= _unbroadcast(out.grad, b.shape)
+                b.accumulate(-_unbroadcast(out.grad, b.shape))
 
         return run
 
@@ -190,9 +242,9 @@ def mul(a, b):
     def bw(out):
         def run():
             if a.requires_grad:
-                a.grad += _unbroadcast(out.grad * b.data, a.shape)
+                a.accumulate(_unbroadcast(out.grad * b.data, a.shape))
             if b.requires_grad:
-                b.grad += _unbroadcast(out.grad * a.data, b.shape)
+                b.accumulate(_unbroadcast(out.grad * a.data, b.shape))
 
         return run
 
@@ -206,9 +258,9 @@ def div(a, b):
     def bw(out):
         def run():
             if a.requires_grad:
-                a.grad += _unbroadcast(out.grad / b.data, a.shape)
+                a.accumulate(_unbroadcast(out.grad / b.data, a.shape))
             if b.requires_grad:
-                b.grad += _unbroadcast(-out.grad * a.data / (b.data * b.data), b.shape)
+                b.accumulate(_unbroadcast(-out.grad * a.data / (b.data * b.data), b.shape))
 
         return run
 
@@ -226,9 +278,9 @@ def matmul(a, b):
     def bw(out):
         def run():
             if a.requires_grad:
-                a.grad += out.grad @ b.data.T
+                a.accumulate(out.grad @ b.data.T)
             if b.requires_grad:
-                b.grad += a.data.T @ out.grad
+                b.accumulate(a.data.T @ out.grad)
 
         return run
 
@@ -240,17 +292,16 @@ def left_matmul_const(matrix, x):
     x = as_tensor(x)
     if matrix.shape[1] != x.shape[0]:
         raise ShapeError(f"left_matmul_const: {matrix.shape} @ {x.shape}")
-    if scipy.sparse.issparse(matrix):
-        value = matrix @ x.data
-        mt = matrix.T.tocsr()
-    else:
-        value = np.asarray(matrix) @ x.data
-        mt = np.asarray(matrix).T
+    sparse = scipy.sparse.issparse(matrix)
+    if not sparse:
+        matrix = np.asarray(matrix)
+    value = matrix @ x.data
 
     def bw(out):
         def run():
             if x.requires_grad:
-                x.grad += mt @ out.grad
+                mt = matrix.T.tocsr() if sparse else matrix.T
+                x.accumulate(mt @ out.grad)
 
         return run
 
@@ -266,7 +317,7 @@ def _unary(a, value, local_grad_fn, op):
     def bw(out):
         def run():
             if a.requires_grad:
-                a.grad += local_grad_fn(out) * out.grad
+                a.accumulate(local_grad_fn(out) * out.grad)
 
         return run
 
@@ -335,7 +386,7 @@ def row_softmax(a):
         def run():
             if a.requires_grad:
                 inner = (out.grad * out.data).sum(axis=1, keepdims=True)
-                a.grad += out.data * (out.grad - inner)
+                a.accumulate(out.data * (out.grad - inner))
 
         return run
 
@@ -354,7 +405,7 @@ def logsumexp_rows(a):
         def run():
             if a.requires_grad:
                 soft = np.exp(a.data - value[:, None])
-                a.grad += soft * out.grad[:, None]
+                a.accumulate(soft * out.grad[:, None])
 
         return run
 
@@ -373,7 +424,7 @@ def tsum(a, axis=None):
     def bw(out):
         def run():
             if a.requires_grad:
-                a.grad += out.grad if axis is None else np.expand_dims(out.grad, axis)
+                a.accumulate(out.grad if axis is None else np.expand_dims(out.grad, axis))
 
         return run
 
@@ -387,7 +438,7 @@ def tmean(a):
     def bw(out):
         def run():
             if a.requires_grad:
-                a.grad += out.grad / n
+                a.accumulate(out.grad / n)
 
         return run
 
@@ -402,7 +453,7 @@ def reshape(a, shape):
     def bw(out):
         def run():
             if a.requires_grad:
-                a.grad += out.grad.reshape(a.shape)
+                a.accumulate(out.grad.reshape(a.shape))
 
         return run
 
@@ -438,7 +489,7 @@ def concat_cols(parts):
         def run():
             for p, j0, j1 in zip(parts, offsets[:-1], offsets[1:]):
                 if p.requires_grad:
-                    p.grad += out.grad[:, j0:j1]
+                    p.accumulate(out.grad[:, j0:j1])
 
         return run
 
@@ -498,7 +549,7 @@ def scatter_matrix(values, rows, cols, shape):
     def bw(out):
         def run():
             if values.requires_grad:
-                values.grad += out.grad[rows, cols]
+                values.accumulate(out.grad[rows, cols])
 
         return run
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ScaleError, ShapeError, SingularMatrixError
-from .graphs import NormalizedAdjacency, log_abs_det
+from .graphs import NormalizedAdjacency, log_abs_det, logabsdet_tensor
 
 
 def glorot(rng, fan_in, fan_out):
@@ -152,14 +152,15 @@ class ForwardResult:
 
     ``z``: latent features, n x D. ``flow_logdet``: length-n tensor of
     per-node coupling log-determinants. ``graph_logdet``: scalar tensor,
-    D times the summed adjacency log-determinants (zero for the identity).
+    D times the summed adjacency log-determinants (zero for the identity),
+    or None when the forward was asked to skip it (``logdet=False``).
     ``adjacencies``: the realized per-stage mixing matrices as plain arrays,
     needed to invert a model whose adjacency depends on its input.
     """
 
     z: ad.Tensor
     flow_logdet: ad.Tensor
-    graph_logdet: ad.Tensor
+    graph_logdet: ad.Tensor | None
     adjacencies: list
 
 
@@ -170,6 +171,10 @@ class GcFlowModel:
     case), a NormalizedAdjacency (fixed mixing shared by all stages), or a
     source object with ``realize(x, stage, training, rng)`` and ``params()``
     producing a per-stage matrix from the current features.
+
+    ``forward(..., logdet=False)`` skips the adjacency log-determinants,
+    which for a parameterized source cost one dense LU per stage. Only a
+    likelihood needs them; latents and class posteriors do not.
     """
 
     def __init__(self, flows, adjacency=None):
@@ -184,7 +189,7 @@ class GcFlowModel:
     def num_flows(self):
         return len(self.flows)
 
-    def forward(self, x, training=False, rng=None) -> ForwardResult:
+    def forward(self, x, training=False, rng=None, logdet=True) -> ForwardResult:
         x = ad.as_tensor(x)
         n, dim = x.shape
         if self.dim is not None and dim != self.dim:
@@ -192,7 +197,7 @@ class GcFlowModel:
         if isinstance(self.adjacency, NormalizedAdjacency) and self.adjacency.n != n:
             raise ShapeError(f"adjacency is {self.adjacency.n}x{self.adjacency.n}, features have {n} rows")
         flow_logdet = ad.Tensor(np.zeros(n))
-        graph_logdet = ad.Tensor(0.0)
+        graph_logdet = ad.Tensor(0.0) if logdet else None
         realized = []
         for stage, flow in enumerate(self.flows):
             if self.adjacency is None:
@@ -200,12 +205,14 @@ class GcFlowModel:
                 realized.append(None)
             elif isinstance(self.adjacency, NormalizedAdjacency):
                 mixed = ad.left_matmul_const(self.adjacency.sparse, x)
-                graph_logdet = graph_logdet + dim * self.adjacency.log_abs_det
+                if logdet:
+                    graph_logdet = graph_logdet + dim * self.adjacency.log_abs_det
                 realized.append(self.adjacency.matrix)
             else:
-                a, a_logdet = self.adjacency.realize(x, stage, training=training, rng=rng)
+                a = self.adjacency.realize(x, stage, training=training, rng=rng)
                 mixed = ad.matmul(a, x)
-                graph_logdet = graph_logdet + dim * a_logdet
+                if logdet:
+                    graph_logdet = graph_logdet + dim * logabsdet_tensor(a)
                 realized.append(a.data.copy())
             x, ld = flow.forward(mixed, training=training, rng=rng)
             flow_logdet = flow_logdet + ld

@@ -163,26 +163,29 @@ def logabsdet_tensor(a):
 
     The gradient of log|det A| with respect to A is the transposed inverse,
     so the matrix must be comfortably nonsingular; the same pivot check as
-    ``log_abs_det`` applies.
+    ``log_abs_det`` applies. The value comes from one LU factorization, and
+    only a backward pass turns those factors into the transposed inverse
+    (one triangular solve against the identity), so a forward that is never
+    differentiated pays for the factorization alone.
     """
     from . import autodiff as ad
 
     a = ad.as_tensor(a)
-    value = log_abs_det(a.data)
-    inv_t = np.linalg.inv(a.data).T
+    factors, value = _lu_checked(a.data)
 
     def bw(out):
         def run():
             if a.requires_grad:
-                a.grad += out.grad * inv_t
+                inv_t = scipy.linalg.lu_solve(factors, np.eye(a.shape[0]), trans=1, check_finite=False)
+                a.accumulate(out.grad * inv_t)
 
         return run
 
     return ad.make_node(np.float64(value), (a,), bw, "logabsdet")
 
 
-def log_abs_det(matrix):
-    """log|det M| through LU with partial pivoting.
+def _lu_checked(matrix):
+    """LU factors of a square matrix, as ``lu_factor`` returns them, and its log|det|.
 
     A pivot below SINGULAR_THRESHOLD times the largest entry magnitude means
     the matrix is numerically singular.
@@ -190,15 +193,22 @@ def log_abs_det(matrix):
     m = np.asarray(matrix, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ShapeError(f"log_abs_det needs a square matrix, got {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise DomainError("matrix has non-finite entries; its determinant is undefined")
     scale = np.abs(m).max()
     if scale == 0.0:
         raise SingularMatrixError("zero matrix is singular")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # scipy warns on exact singularity; the pivot check below handles it
-        lu, _ = scipy.linalg.lu_factor(m)
-    pivots = np.abs(np.diag(lu))
+        factors = scipy.linalg.lu_factor(m, check_finite=False)
+    pivots = np.abs(np.diag(factors[0]))
     if np.any(pivots < SINGULAR_THRESHOLD * scale):
         raise SingularMatrixError(
             f"matrix is numerically singular (pivot below {SINGULAR_THRESHOLD:g} of max entry)"
         )
-    return float(np.log(pivots).sum())
+    return factors, float(np.log(pivots).sum())
+
+
+def log_abs_det(matrix):
+    """log|det M| through LU with partial pivoting; see ``_lu_checked``."""
+    return _lu_checked(matrix)[1]

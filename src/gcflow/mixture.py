@@ -114,6 +114,8 @@ def mixture_logpdf(head: MixtureHead, z) -> float:
 
 def share_rows(result) -> ad.Tensor:
     """Per-node log-determinant: own coupling part plus adjacency share."""
+    if result.graph_logdet is None:
+        raise DomainError("forward result has no graph log-determinant (run with logdet=False)")
     n = result.flow_logdet.shape[0]
     return result.flow_logdet + result.graph_logdet * (1.0 / n)
 
@@ -157,9 +159,24 @@ def posterior_matrix(head: MixtureHead, z) -> np.ndarray:
     return ad.row_softmax(comp + head.log_weights()).data
 
 
+def _latents(model, x) -> np.ndarray:
+    """Latent features from a forward that records no tape and skips the
+    graph log-determinant, which neither latents nor posteriors need.
+
+    Without the log-det's factorization nothing else would notice a broken
+    mixing matrix, so non-finite latents raise ``DomainError``.
+    """
+    with ad.no_grad():
+        z = model.forward(x, logdet=False).z.data
+    if not np.all(np.isfinite(z)):
+        raise DomainError("forward pass produced non-finite latent features")
+    return z
+
+
 def predict(model, head: MixtureHead, x) -> np.ndarray:
     """Most probable component per node."""
-    return posterior_matrix(head, model.forward(x).z).argmax(axis=1)
+    with ad.no_grad():
+        return posterior_matrix(head, _latents(model, x)).argmax(axis=1)
 
 
 @dataclass
@@ -239,4 +256,4 @@ class FlowMixture:
 
     def represent(self, x) -> np.ndarray:
         """Latent features: the space the mixture clusters in."""
-        return self.flow.forward(x).z.data
+        return _latents(self.flow, x)

@@ -422,6 +422,8 @@ def _descend(cfg: TrainConfig, tm: TrainedModel, ds: Dataset, snapshot, start):
             losses.append(value)
             f1 = micro_f1(tm.model.predict(x)[val_idx], labels[val_idx])
         except (DomainError, SingularMatrixError) as exc:
+            if len(val_f1s) < len(losses):  # the step ran, its validation failed
+                val_f1s.append(float("nan"))
             record = RunRecord(
                 config=snapshot, seed=cfg.seed, epochs_run=len(losses), losses=losses,
                 val_f1s=val_f1s, test_micro_f1=float("nan"), silhouette_kmeans=float("nan"),

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from gcflow import adjparam, autodiff as ad, flows, graphs, mixture
@@ -28,7 +30,7 @@ def test_attention_singleton_neighbor_gets_weight_one():
     g = graphs.make_graph(2, [(0, 1)])
     source = adjparam.AttentionAdjacency(g, dim=3, embed_dim=4, damping=0.0, seed=0)
     x = np.random.default_rng(1).normal(size=(2, 3))
-    a, _ = source.realize(x, 0)
+    a = source.realize(x, 0)
     assert a.data[0, 1] == 1.0
     assert a.data[1, 0] == 1.0
     assert a.data[0, 0] == 0.0
@@ -38,7 +40,7 @@ def test_attention_equal_scores_give_uniform_neighborhoods():
     source = adjparam.AttentionAdjacency(PATH4, dim=2, embed_dim=4, damping=0.0, seed=2)
     for p in source.scorer.params():
         p.data[...] = 0.0
-    a, _ = source.realize(np.random.default_rng(3).normal(size=(4, 2)), 0)
+    a = source.realize(np.random.default_rng(3).normal(size=(4, 2)), 0)
     want = np.array(
         [
             [0.0, 1.0, 0.0, 0.0],
@@ -54,7 +56,7 @@ def test_attention_rows_stochastic_and_supported_on_edges():
     rng = np.random.default_rng(4)
     g = graphs.make_graph(6, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (4, 5), (1, 5)])
     source = adjparam.AttentionAdjacency(g, dim=3, embed_dim=5, damping=0.0, seed=5)
-    a, _ = source.realize(rng.normal(size=(6, 3)), 0)
+    a = source.realize(rng.normal(size=(6, 3)), 0)
     assert_allclose(a.data.sum(axis=1), np.ones(6), atol=1e-12)
     allowed = np.zeros((6, 6), dtype=bool)
     src, dst = adjparam.directed_edges(g)
@@ -65,9 +67,20 @@ def test_attention_rows_stochastic_and_supported_on_edges():
 def test_attention_isolated_node_survives_via_damping():
     g = graphs.make_graph(3, [(0, 1)])
     source = adjparam.AttentionAdjacency(g, dim=2, embed_dim=3, damping=1e-3, seed=6)
-    a, logdet = source.realize(np.random.default_rng(7).normal(size=(3, 2)), 0)
+    a = source.realize(np.random.default_rng(7).normal(size=(3, 2)), 0)
+    logdet = graphs.logabsdet_tensor(a)
     assert_allclose(a.data[2], [0.0, 0.0, 1e-3], atol=1e-15)
     assert np.isfinite(logdet.item())
+
+
+def test_attention_very_negative_scores_keep_rows_stochastic():
+    # every score near -5000: exp underflows unless the shift is the row's own max
+    source = adjparam.AttentionAdjacency(PATH4, dim=2, embed_dim=3, damping=1e-3, seed=3)
+    source.scorer.biases[0].data[...] = -5000.0
+    a = source.realize(np.random.default_rng(4).normal(size=(4, 2)), 0)
+    assert np.all(np.isfinite(a.data))
+    assert_allclose(a.data.sum(axis=1), np.full(4, 1.0 + 1e-3), rtol=0.0, atol=1e-12)
+    assert np.isfinite(graphs.logabsdet_tensor(a).item())
 
 
 def test_attention_logdet_gradient_matches_finite_differences():
@@ -76,7 +89,7 @@ def test_attention_logdet_gradient_matches_finite_differences():
     x = np.random.default_rng(9).normal(size=(5, 3))
 
     def f():
-        return source.realize(x, 0)[1]
+        return graphs.logabsdet_tensor(source.realize(x, 0))
 
     assert ad.grad_check(f, source.embed_src.params()) < 1e-5
     assert ad.grad_check(f, source.params()) < 1e-5
@@ -100,7 +113,7 @@ def test_concrete_stretch_arithmetic_removes_edge():
     # choose the uniform draw whose logistic noise yields a soft gate of 0.05
     eps = 1.0 / (1.0 + np.exp(-source.temperature * np.log(0.05 / 0.95)))
     x = np.random.default_rng(11).normal(size=(4, 2))
-    a, _ = source.realize(x, 0, training=True, rng=FixedNoise(eps))
+    a = source.realize(x, 0, training=True, rng=FixedNoise(eps))
     src, dst = adjparam.directed_edges(PATH4)
     assert np.all(a.data[src, dst] == 0.0)  # every edge gated away; diag damping remains
 
@@ -109,7 +122,7 @@ def test_concrete_low_temperature_saturates_to_one():
     source = adjparam.ConcreteAdjacency(PATH4, dim=2, embed_dim=3, temperature=1e-4, damping=0.0, seed=12)
     for p in source.params():
         p.data[...] = 0.0
-    a, _ = source.realize(np.zeros((4, 2)), 0, training=True, rng=FixedNoise(0.9))
+    a = source.realize(np.zeros((4, 2)), 0, training=True, rng=FixedNoise(0.9))
     src, dst = adjparam.directed_edges(PATH4)
     assert np.all(a.data[src, dst] == 1.0)
 
@@ -119,7 +132,7 @@ def test_concrete_entries_in_unit_interval():
     source = adjparam.ConcreteAdjacency(g, dim=3, embed_dim=4, seed=13)
     x = np.random.default_rng(14).normal(size=(5, 3)) * 2.0
     for training in (False, True):
-        a, _ = source.realize(x, 0, training=training, rng=np.random.default_rng(0))
+        a = source.realize(x, 0, training=training, rng=np.random.default_rng(0))
         off_diag = a.data - np.diag(np.diag(a.data))
         assert off_diag.min() >= 0.0 and off_diag.max() <= 1.0
         assert_allclose(np.diag(a.data), np.full(5, source.damping), atol=1e-15)
@@ -139,8 +152,8 @@ def test_concrete_omega_antisymmetric():
 def test_concrete_training_noise_is_seed_deterministic():
     make = lambda: adjparam.ConcreteAdjacency(PATH4, dim=2, embed_dim=3, seed=17)
     x = np.random.default_rng(18).normal(size=(4, 2))
-    a1 = make().realize(x, 0, training=True, rng=np.random.default_rng(19))[0].data
-    a2 = make().realize(x, 0, training=True, rng=np.random.default_rng(19))[0].data
+    a1 = make().realize(x, 0, training=True, rng=np.random.default_rng(19)).data
+    a2 = make().realize(x, 0, training=True, rng=np.random.default_rng(19)).data
     assert np.array_equal(a1, a2)
 
 
@@ -169,6 +182,36 @@ def test_logabsdet_tensor_gradient_matches_finite_differences():
     rng = np.random.default_rng(19)
     m = ad.Tensor(rng.normal(size=(4, 4)) + 2.0 * np.eye(4), requires_grad=True)
     assert ad.grad_check(lambda: graphs.logabsdet_tensor(m), [m]) < 1e-5
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(n=st.integers(1, 8), negative=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_logabsdet_tensor_matches_slogdet_and_inverse(n, negative, seed):
+    # nonsymmetric, well conditioned (entries of the random part are small
+    # against the diagonal), and with a flipped row when the sign should be negative
+    rng = np.random.default_rng(seed)
+    m = rng.normal(size=(n, n)) / np.sqrt(n) + 3.0 * np.eye(n)
+    if negative:
+        m[0] *= -1.0
+    sign, want = np.linalg.slogdet(m)
+    assert sign == (-1.0 if negative else 1.0)
+    a = ad.Tensor(m, requires_grad=True)
+    out = graphs.logabsdet_tensor(a)
+    assert abs(out.item() - want) <= 1e-12 * max(1.0, abs(want))
+    out.backward()
+    inv_t = np.linalg.inv(m).T
+    assert np.abs(a.grad - inv_t).max() <= 1e-12 * np.abs(inv_t).max()
+
+
+def test_logabsdet_tensor_forward_alone_builds_no_inverse(monkeypatch):
+    calls = []
+    real = graphs.scipy.linalg.lu_solve
+    monkeypatch.setattr(graphs.scipy.linalg, "lu_solve", lambda *a, **kw: calls.append(1) or real(*a, **kw))
+    a = ad.Tensor(np.diag([2.0, 3.0]), requires_grad=True)
+    out = graphs.logabsdet_tensor(a)
+    assert calls == []
+    out.backward()
+    assert calls == [1]
 
 
 def variant_model(source, dim, seed):

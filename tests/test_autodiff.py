@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.sparse
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from gcflow import autodiff as ad
@@ -212,3 +214,213 @@ def test_forward_is_deterministic():
     v2, g2 = run()
     assert v1 == v2
     assert np.array_equal(g1, g2)
+
+
+def test_untouched_grad_reads_zeros_and_assignment_sticks():
+    t = ad.Tensor(np.ones((2, 3)), requires_grad=True)
+    assert np.array_equal(t.grad, np.zeros((2, 3)))
+    t.grad[0, 0] = 4.0  # the zeros read above are the tensor's buffer
+    assert t.grad[0, 0] == 4.0
+    t.grad = np.full((2, 3), 2.0)
+    assert np.array_equal(t.grad, np.full((2, 3), 2.0))
+    t.zero_grad()
+    assert np.array_equal(t.grad, np.zeros((2, 3)))
+
+
+def test_first_gradient_is_copied_not_shared():
+    # both leaves receive the same upstream gradient; scaling one in place
+    # (as gradient clipping does) must leave the other alone
+    p = ad.Tensor(np.ones(3), requires_grad=True)
+    q = ad.Tensor(np.ones(3), requires_grad=True)
+    ad.tsum(p + q).backward()
+    p.grad *= 0.5
+    assert np.array_equal(q.grad, np.ones(3))
+    assert np.array_equal(p.grad, np.full(3, 0.5))
+
+
+def test_no_grad_records_no_tape():
+    x = ad.Tensor(np.arange(4.0).reshape(2, 2), requires_grad=True)
+    with ad.no_grad():
+        y = ad.tsum(ad.tanh(ad.matmul(x, x)))
+    assert not y.requires_grad and y._parents == () and y._backward is None
+    assert y.item() == ad.tsum(ad.tanh(ad.matmul(x, x))).item()
+    taped = ad.tsum(x * x)
+    assert taped.requires_grad
+    taped.backward()
+    assert_allclose(x.grad, 2.0 * x.data)
+
+
+def test_no_grad_restores_previous_state_after_exception():
+    x = ad.Tensor(np.ones(2), requires_grad=True)
+    with pytest.raises(DomainError):
+        with ad.no_grad():
+            ad.log(x * 0.0)
+    assert (x * 2.0).requires_grad
+    with ad.no_grad():
+        with pytest.raises(ShapeError):
+            with ad.no_grad():
+                ad.matmul(x, x)
+        assert not (x * 2.0).requires_grad  # the outer block is still in force
+    assert (x * 2.0).requires_grad
+
+
+# -- property tests: every op against central differences ---------------
+
+SEEDS = st.integers(0, 2**32 - 1)
+FD_SETTINGS = settings(derandomize=True, deadline=None, max_examples=40)
+
+
+@st.composite
+def broadcast_shapes(draw):
+    """Two shapes that broadcast together: full, row, column, vector or scalar."""
+    r, c = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    kinds = {"full": (r, c), "row": (1, c), "col": (r, 1), "vector": (c,), "scalar": ()}
+    pick = st.sampled_from(sorted(kinds))
+    return kinds[draw(pick)], kinds[draw(pick)]
+
+
+def weighted_sum(out, rng):
+    """A scalar that weights every output entry differently."""
+    return ad.tsum(ad.reshape(out * ad.Tensor(rng.normal(size=out.shape)), (out.data.size,)))
+
+
+def away_from(values, points, margin=1e-2):
+    """Push entries at least ``margin`` away from each kink in ``points``."""
+    for p in points:
+        near = np.abs(values - p) < margin
+        values[near] = p + np.where(values[near] >= p, margin, -margin)
+    return values
+
+
+@FD_SETTINGS
+@given(shapes=broadcast_shapes(), op=st.sampled_from(["add", "sub", "mul", "div"]), seed=SEEDS)
+def test_binary_ops_over_random_broadcasts(shapes, op, seed):
+    rng = np.random.default_rng(seed)
+    a = ad.Tensor(rng.normal(size=shapes[0]), requires_grad=True)
+    b = ad.Tensor(rng.normal(size=shapes[1]), requires_grad=True)
+    if op == "div":
+        b.data[...] = np.sign(b.data) * (np.abs(b.data) + 0.5)
+    fn = getattr(ad, op)
+    want = {"add": np.add, "sub": np.subtract, "mul": np.multiply, "div": np.divide}[op](a.data, b.data)
+    assert np.array_equal(fn(a, b).data, want)
+    assert ad.grad_check(lambda: weighted_sum(fn(a, b), np.random.default_rng(seed)), [a, b]) < 1e-6
+
+
+@FD_SETTINGS
+@given(
+    op=st.sampled_from(["exp", "log", "tanh", "sigmoid", "relu", "lrelu", "clamp"]),
+    shape=st.sampled_from([(), (3,), (2, 3), (4, 1), (2, 2, 2)]),
+    seed=SEEDS,
+)
+def test_unary_ops_over_random_shapes(op, shape, seed):
+    rng = np.random.default_rng(seed)
+    raw = rng.normal(scale=1.5, size=shape)
+    if op == "log":
+        raw = np.abs(raw) + 0.1
+    if op in ("relu", "lrelu", "clamp"):
+        raw = away_from(np.asarray(raw), (0.0, -0.5, 0.5))
+    x = ad.Tensor(raw, requires_grad=True)
+    fn = (lambda t: ad.clamp(t, -0.5, 0.5)) if op == "clamp" else getattr(ad, op)
+    assert ad.grad_check(lambda: weighted_sum(fn(x), np.random.default_rng(seed)), [x]) < 1e-6
+
+
+@FD_SETTINGS
+@given(m=st.integers(1, 4), k=st.integers(1, 4), n=st.integers(1, 4), seed=SEEDS)
+def test_matmul_over_random_shapes(m, k, n, seed):
+    rng = np.random.default_rng(seed)
+    a = ad.Tensor(rng.normal(size=(m, k)), requires_grad=True)
+    b = ad.Tensor(rng.normal(size=(k, n)), requires_grad=True)
+    assert ad.grad_check(lambda: weighted_sum(ad.matmul(a, b), np.random.default_rng(seed)), [a, b]) < 1e-6
+
+
+@FD_SETTINGS
+@given(
+    m=st.integers(1, 5), k=st.integers(1, 5), n=st.integers(1, 3),
+    density=st.floats(0.0, 1.0), sparse=st.booleans(), seed=SEEDS,
+)
+def test_left_matmul_const_over_random_shapes(m, k, n, density, sparse, seed):
+    rng = np.random.default_rng(seed)
+    dense = rng.normal(size=(m, k)) * (rng.random((m, k)) < density)
+    matrix = scipy.sparse.csr_matrix(dense) if sparse else dense
+    x = ad.Tensor(rng.normal(size=(k, n)), requires_grad=True)
+    assert_allclose(ad.left_matmul_const(matrix, x).data, dense @ x.data, rtol=0.0, atol=1e-12)
+
+    def f():
+        return weighted_sum(ad.left_matmul_const(matrix, x), np.random.default_rng(seed))
+
+    assert ad.grad_check(f, [x]) < 1e-6
+
+
+@FD_SETTINGS
+@given(r=st.integers(1, 4), c=st.integers(1, 5), op=st.sampled_from(["row_softmax", "logsumexp_rows"]),
+       seed=SEEDS)
+def test_softmax_family_over_random_shapes(r, c, op, seed):
+    rng = np.random.default_rng(seed)
+    x = ad.Tensor(rng.normal(scale=2.0, size=(r, c)), requires_grad=True)
+    fn = getattr(ad, op)
+    assert ad.grad_check(lambda: weighted_sum(fn(x), np.random.default_rng(seed)), [x]) < 1e-6
+
+
+@FD_SETTINGS
+@given(shape=st.lists(st.integers(1, 3), min_size=1, max_size=3), data=st.data(), seed=SEEDS)
+def test_reductions_and_reshape_over_random_shapes(shape, data, seed):
+    rng = np.random.default_rng(seed)
+    x = ad.Tensor(rng.normal(size=shape), requires_grad=True)
+    axis = data.draw(st.sampled_from([None] + list(range(len(shape)))))
+    flat = (x.data.size,)
+    cases = [
+        lambda: weighted_sum(ad.tsum(x, axis), np.random.default_rng(seed)),
+        lambda: ad.tmean(x * x),
+        lambda: weighted_sum(ad.reshape(x, flat[::-1] + (1,)), np.random.default_rng(seed)),
+    ]
+    for f in cases:
+        assert ad.grad_check(f, [x]) < 1e-6
+
+
+@FD_SETTINGS
+@given(rows=st.integers(1, 3), widths=st.lists(st.integers(0, 3), min_size=1, max_size=3),
+       data=st.data(), seed=SEEDS)
+def test_slice_and_concat_cols_over_random_widths(rows, widths, data, seed):
+    rng = np.random.default_rng(seed)
+    parts = [ad.Tensor(rng.normal(size=(rows, w)), requires_grad=True) for w in widths]
+    total = sum(widths)
+    j0 = data.draw(st.integers(0, total))
+    j1 = data.draw(st.integers(j0, total))
+
+    def f():
+        joined = ad.concat_cols(parts)
+        return weighted_sum(ad.concat_cols([joined, ad.slice_cols(joined, j0, j1)]), np.random.default_rng(seed))
+
+    assert ad.grad_check(f, parts) < 1e-6
+
+
+@FD_SETTINGS
+@given(n=st.integers(1, 4), width=st.sampled_from([None, 1, 3]), data=st.data(), seed=SEEDS)
+def test_gather_rows_with_repeated_indices(n, width, data, seed):
+    rng = np.random.default_rng(seed)
+    x = ad.Tensor(rng.normal(size=(n,) if width is None else (n, width)), requires_grad=True)
+    idx = data.draw(st.lists(st.integers(0, n - 1), min_size=0, max_size=7))
+    assert np.array_equal(ad.gather_rows(x, idx).data, x.data[np.asarray(idx, dtype=np.intp)])
+    assert ad.grad_check(lambda: weighted_sum(ad.gather_rows(x, idx), np.random.default_rng(seed)), [x]) < 1e-6
+
+
+@FD_SETTINGS
+@given(r=st.integers(1, 4), c=st.integers(1, 4), data=st.data(), seed=SEEDS)
+def test_take_per_row_and_scatter_matrix_with_duplicates(r, c, data, seed):
+    rng = np.random.default_rng(seed)
+    x = ad.Tensor(rng.normal(size=(r, c)), requires_grad=True)
+    cols = data.draw(st.lists(st.integers(0, c - 1), min_size=r, max_size=r))
+    assert ad.grad_check(lambda: weighted_sum(ad.take_per_row(x, cols), np.random.default_rng(seed)), [x]) < 1e-6
+
+    count = data.draw(st.integers(1, 8))
+    at_rows = data.draw(st.lists(st.integers(0, r - 1), min_size=count, max_size=count))
+    at_cols = data.draw(st.lists(st.integers(0, c - 1), min_size=count, max_size=count))
+    v = ad.Tensor(rng.normal(size=count), requires_grad=True)
+    want = np.zeros((r, c))
+    np.add.at(want, (np.asarray(at_rows), np.asarray(at_cols)), v.data)
+    assert np.array_equal(ad.scatter_matrix(v, at_rows, at_cols, (r, c)).data, want)
+
+    def f():
+        return weighted_sum(ad.scatter_matrix(v, at_rows, at_cols, (r, c)), np.random.default_rng(seed))
+
+    assert ad.grad_check(f, [v]) < 1e-6

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from gcflow import autodiff as ad
 from gcflow import graphs
 from gcflow.errors import DomainError, FormatError, ShapeError, SingularMatrixError
 
@@ -174,3 +175,13 @@ def test_load_edge_list_rejects_bad_lines(tmp_path):
     not_an_int.write_text("0\tx\n")
     with pytest.raises(FormatError):
         graphs.load_edge_list(not_an_int)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_log_abs_det_rejects_non_finite_entries(bad):
+    m = np.eye(3)
+    m[1, 2] = bad
+    with pytest.raises(DomainError, match="non-finite"):
+        graphs.log_abs_det(m)
+    with pytest.raises(DomainError, match="non-finite"):
+        graphs.logabsdet_tensor(ad.Tensor(m, requires_grad=True))

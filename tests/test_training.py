@@ -4,11 +4,12 @@ import pytest
 from gcflow.autodiff import Tensor
 from gcflow.checkpoint import FORMAT_TAG, load_checkpoint
 from gcflow.data import SbmConfig, generate_sbm
-from gcflow.errors import ConfigError, DivergedError, FormatError
+from gcflow.errors import ConfigError, DivergedError, DomainError, FormatError
 from gcflow.evalkit import micro_f1
-from gcflow import training
+from gcflow import flows, mixture, training
 from gcflow.graphs import make_graph
 from gcflow.training import (
+    FLOW_KINDS,
     MODEL_KINDS,
     AdamState,
     TrainConfig,
@@ -206,6 +207,65 @@ def test_divergence_raises_with_partial_record(sbm):
     assert record is not None
     assert record.epochs_run >= 1
     assert len(record.losses) == record.epochs_run
+
+
+@pytest.mark.parametrize("kind", FLOW_KINDS)
+def test_divergence_record_has_one_val_f1_per_loss(sbm, kind):
+    cfg = TrainConfig(model=kind, hidden=8, embed_dim=4, lr=1e8, epochs=10, patience=10, seed=0)
+    with pytest.raises(DivergedError) as err:
+        train(cfg, sbm)
+    record = err.value.record
+    assert record.epochs_run >= 1
+    assert len(record.losses) == len(record.val_f1s) == record.epochs_run
+
+
+def perturbed_flow_model(kind, ds, seed=1):
+    """A fresh flow model whose parameters are all moved off their initial values."""
+    cfg = TrainConfig(model=kind, hidden=8, embed_dim=4, seed=seed)
+    tm = training.assemble_model(cfg, ds.graph, ds.dim, ds.num_classes)
+    rng = np.random.default_rng(seed)
+    for p in tm.model.params():
+        p.data += 0.1 * rng.normal(size=p.data.shape)
+    return tm
+
+
+@pytest.mark.parametrize("kind", FLOW_KINDS)
+def test_inference_matches_the_taped_route(sbm, kind):
+    tm = perturbed_flow_model(kind, sbm)
+    taped = tm.model.flow.forward(sbm.features)
+    assert taped.z.requires_grad
+    assert tm.model.represent(sbm.features).tobytes() == taped.z.data.tobytes()
+    want = mixture.posterior_matrix(tm.head, taped.z).argmax(axis=1)
+    assert tm.model.predict(sbm.features).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["gcflow-p", "gcflow-l"])
+def test_inference_skips_the_graph_logdet(sbm, kind, monkeypatch):
+    calls = []
+    real = flows.logabsdet_tensor
+    monkeypatch.setattr(flows, "logabsdet_tensor", lambda a: calls.append(1) or real(a))
+    tm = perturbed_flow_model(kind, sbm)
+    x = sbm.features
+    tm.model.predict(x)
+    tm.model.represent(x)
+    assert calls == []
+    result = tm.model.flow.forward(x, logdet=False)
+    assert result.graph_logdet is None
+    with pytest.raises(DomainError, match="logdet=False"):
+        mixture.marginal_rows(tm.head, result)
+    loss_cfg = mixture.LossConfig(sbm.mask_indices("train"), np.flatnonzero(~sbm.train_mask))
+    tm.model.loss(x, sbm.labels, loss_cfg, np.random.default_rng(0))
+    assert len(calls) == tm.model.flow.num_flows
+
+
+@pytest.mark.parametrize("kind", FLOW_KINDS)
+def test_inference_rejects_non_finite_latents(sbm, kind):
+    tm = perturbed_flow_model(kind, sbm)
+    tm.model.flow.flows[-1].layers[-1].t_net.biases[-1].data[...] = np.nan
+    with pytest.raises(DomainError, match="non-finite"):
+        tm.model.predict(sbm.features)
+    with pytest.raises(DomainError, match="non-finite"):
+        tm.model.represent(sbm.features)
 
 
 def test_gmm_kinds_fit_without_epochs(sbm):
