@@ -10,10 +10,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, DomainError, ShapeError
 
-# cap on temporary elements per distance block (rows x n x D floats)
+# cap on the distances held per block (rows x n floats)
 DISTANCE_BUDGET = 4_000_000
 
 
@@ -41,10 +42,13 @@ def micro_f1(pred, truth, eval_set=None) -> float:
     return float((pred == truth).mean())
 
 
-def _pairwise_distances(a, b):
-    # direct differences, not the inner-product expansion: the latter loses
-    # ~1e-9 of precision, which the metric oracles notice
-    return np.sqrt(((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2))
+def _finite_points(points):
+    x = np.asarray(points, dtype=np.float64)
+    if x.ndim != 2:
+        raise ShapeError(f"need an n x D point matrix, got shape {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise DomainError("points have non-finite coordinates; distances are undefined")
+    return x
 
 
 def silhouette(points, assign) -> float:
@@ -52,13 +56,18 @@ def silhouette(points, assign) -> float:
 
     Per point: a = mean distance to its own cluster (excluding itself),
     b = smallest mean distance to any other cluster, score = (b-a)/max(a,b).
-    Points in singleton clusters score 0. Distances are accumulated
-    blockwise so the full n x n matrix never materializes.
+    Points in singleton clusters score 0, and so do points with a = b = 0.
+    Distances come from ``cdist`` (compiled direct differences, not the
+    inner-product expansion, which loses ~1e-9 of precision that the metric
+    oracles notice), one block of rows x n distances at a time, with at most
+    DISTANCE_BUDGET per block, so the full n x n matrix never materializes.
     """
-    x = np.asarray(points, dtype=np.float64)
+    x = _finite_points(points)
     raw = _labels_of(assign)
+    if raw.shape != x.shape[:1]:
+        raise ShapeError(f"need one label per point: {raw.shape} labels for {x.shape[0]} points")
     _, labels = np.unique(raw, return_inverse=True)
-    k = labels.max() + 1
+    k = labels.max() + 1 if labels.size else 0
     if k < 2:
         raise ConfigError("silhouette needs at least two clusters")
     n = x.shape[0]
@@ -67,10 +76,10 @@ def silhouette(points, assign) -> float:
     onehot[np.arange(n), labels] = 1.0
 
     scores = np.zeros(n)
-    block = max(1, DISTANCE_BUDGET // max(n * x.shape[1], 1))
+    block = max(1, DISTANCE_BUDGET // n)
     for start in range(0, n, block):
         stop = min(start + block, n)
-        sums = _pairwise_distances(x[start:stop], x) @ onehot
+        sums = cdist(x[start:stop], x) @ onehot
         rows = np.arange(start, stop)
         own = labels[rows]
         own_count = counts[own]
@@ -180,8 +189,10 @@ def kmeans(points, k, max_iters=1000, seed=0) -> ClusterAssignment:
     A cluster that loses all members is restarted at the point farthest
     from its current centroid assignment.
     """
-    x = np.asarray(points, dtype=np.float64)
+    x = _finite_points(points)
     n = x.shape[0]
+    if k < 1:
+        raise ConfigError(f"need at least one cluster, got k={k}")
     if n < k:
         raise ConfigError(f"cannot form {k} clusters from {n} points")
     if max_iters < 1:

@@ -168,3 +168,17 @@ def test_cluster_needs_valid_k(tmp_path, capsys):
     rc = main(["cluster", "--embedding", str(emb), "--k", "1"])
     assert rc == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_cluster_rejects_non_finite_embedding(tmp_path, capsys):
+    from gcflow.data import write_features
+
+    z = np.random.default_rng(1).normal(size=(10, 2))
+    z[4, 1] = np.nan
+    emb = tmp_path / "z.bin"
+    write_features(emb, z)
+    rc = main(["cluster", "--embedding", str(emb), "--k", "2"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert "non-finite" in captured.err
+    assert captured.out == ""

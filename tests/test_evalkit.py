@@ -2,10 +2,12 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from gcflow import evalkit
-from gcflow.errors import ConfigError, ShapeError
+from gcflow.errors import ConfigError, DomainError, ShapeError
 
 
 # -- independent oracles ------------------------------------------------
@@ -150,6 +152,8 @@ def test_silhouette_label_swap_invariant():
 def test_silhouette_single_cluster_rejected():
     with pytest.raises(ConfigError):
         evalkit.silhouette(np.zeros((3, 2)), [1, 1, 1])
+    with pytest.raises(ConfigError):
+        evalkit.silhouette(np.zeros((0, 2)), [])
 
 
 def test_silhouette_singleton_contributes_zero():
@@ -172,14 +176,81 @@ def test_silhouette_matches_loop_oracle_and_range():
         assert -1.0 <= got <= 1.0
 
 
-def test_silhouette_blockwise_equals_direct():
-    # n*n*D exceeds the block budget, so rows are processed in several blocks
+def test_silhouette_blockwise_equals_direct(monkeypatch):
+    # a budget of 70 rows x n distances splits the rows into four full
+    # blocks and a ragged last one of 20
     rng = np.random.default_rng(3)
     n, dim = 300, 45
     x = rng.normal(size=(n, dim))
     labels = rng.integers(0, 3, size=n)
-    assert evalkit.DISTANCE_BUDGET // (n * dim) < n
+    monkeypatch.setattr(evalkit, "DISTANCE_BUDGET", 70 * n)
+    block = evalkit.DISTANCE_BUDGET // n
+    assert 1 < block < n and n % block
+    rows = []
+    real = evalkit.cdist
+    monkeypatch.setattr(evalkit, "cdist", lambda a, b: rows.append(a.shape[0]) or real(a, b))
     assert_allclose(evalkit.silhouette(x, labels), silhouette_loops(x, labels), atol=1e-10)
+    assert rows == [70, 70, 70, 70, 20]
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(
+    n=st.integers(2, 30),
+    dim=st.integers(1, 5),
+    k=st.integers(2, 8),
+    distinct=st.integers(1, 30),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=6, dim=2, k=6, distinct=1, seed=0)  # every cluster a singleton, every point the same
+@example(n=8, dim=3, k=2, distinct=1, seed=1)  # a = b = 0 for every point
+def test_silhouette_matches_loop_oracle_property(n, dim, k, distinct, seed):
+    # points drawn from `distinct` locations, so small pools give duplicates
+    # (a = b = 0); k close to n gives singletons; label values are spread
+    # out and partly negative, so they are neither contiguous nor 0-based
+    rng = np.random.default_rng(seed)
+    k = min(k, n)
+    codes = rng.integers(0, k, size=n)
+    codes[:k] = np.arange(k)
+    labels = rng.choice(np.arange(-40, 40), size=k, replace=False)[codes] * 3
+    pool = rng.normal(size=(min(distinct, n), dim))
+    x = pool[rng.integers(0, pool.shape[0], size=n)]
+    got = evalkit.silhouette(x, labels)
+    assert abs(got - silhouette_loops(x, labels)) <= 1e-10
+    assert -1.0 <= got <= 1.0
+
+
+def test_silhouette_cdist_route_matches_broadcast_reference(monkeypatch):
+    rng = np.random.default_rng(18)
+    n, dim = 2400, 16
+    x = rng.normal(size=(n, dim))
+    labels = rng.integers(0, 3, size=n)
+    got = evalkit.silhouette(x, labels)
+    # the former route: an explicit rows x n x D difference temporary,
+    # squared and reduced; a small budget keeps that temporary near 30 MB
+    monkeypatch.setattr(
+        evalkit, "cdist", lambda a, b: np.sqrt(((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2))
+    )
+    monkeypatch.setattr(evalkit, "DISTANCE_BUDGET", 100 * n)
+    want = evalkit.silhouette(x, labels)
+    assert abs(got - want) <= 1e-12
+
+
+def test_silhouette_rejects_label_count_mismatch():
+    with pytest.raises(ShapeError):
+        evalkit.silhouette(np.zeros((6, 2)), [0, 1, 0])
+
+
+def test_silhouette_rejects_one_dimensional_points():
+    with pytest.raises(ShapeError):
+        evalkit.silhouette(np.array([0.0, 0.1, 5.0, 5.1]), [0, 0, 1, 1])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_silhouette_rejects_non_finite_points(bad):
+    x = np.random.default_rng(19).normal(size=(6, 2))
+    x[3, 1] = bad
+    with pytest.raises(DomainError):
+        evalkit.silhouette(x, [0, 0, 0, 1, 1, 1])
 
 
 # -- NMI ----------------------------------------------------------------
@@ -281,6 +352,25 @@ def test_kmeans_inertia_trace_non_increasing():
 def test_kmeans_rejects_too_many_clusters():
     with pytest.raises(ConfigError):
         evalkit.kmeans(np.zeros((2, 2)), 3)
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_kmeans_rejects_fewer_than_one_cluster(k):
+    with pytest.raises(ConfigError):
+        evalkit.kmeans(np.random.default_rng(20).normal(size=(5, 2)), k)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_kmeans_rejects_non_finite_points(bad):
+    x = np.random.default_rng(21).normal(size=(8, 2))
+    x[5, 0] = bad
+    with pytest.raises(DomainError):
+        evalkit.kmeans(x, 2)
+
+
+def test_kmeans_rejects_one_dimensional_points():
+    with pytest.raises(ShapeError):
+        evalkit.kmeans(np.array([0.0, 1.0, 5.0, 6.0]), 2)
 
 
 # -- PCA ----------------------------------------------------------------

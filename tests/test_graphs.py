@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from gcflow import autodiff as ad
@@ -153,6 +155,35 @@ def test_log_abs_det_rejects_singular_and_nonsquare():
         graphs.log_abs_det(np.zeros((2, 2)))
     with pytest.raises(ShapeError):
         graphs.log_abs_det(np.ones((2, 3)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(
+    n=st.integers(1, 12),
+    density=st.floats(0.0, 1.0),
+    epsilon=st.sampled_from([0.0, 1e-3, 0.1]),
+    norm=st.sampled_from([graphs.normalize_row, graphs.normalize_sym]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=3, density=1.0, epsilon=0.0, norm=graphs.normalize_row, seed=0)  # the triangle: singular
+@example(n=3, density=1.0, epsilon=0.0, norm=graphs.normalize_sym, seed=0)
+def test_normalized_log_abs_det_identity_on_random_graphs(n, density, epsilon, norm, seed):
+    # with D = deg + 1, both schemes are diagonal rescalings of A + I + eps*D
+    # (D^-1 on the left, or D^-1/2 on both sides), so their log|det| is
+    # log|det(A + I + eps*D)| - sum(log D_ii); a singular draw fails on both sides
+    rng = np.random.default_rng(seed)
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < density]
+    g = graphs.make_graph(n, edges)
+    a = graphs.adjacency_dense(g)
+    d = a.sum(axis=1) + 1.0
+    try:
+        want = graphs.log_abs_det(a + np.eye(n) + epsilon * np.diag(d)) - np.log(d).sum()
+    except SingularMatrixError:
+        with pytest.raises(SingularMatrixError):
+            norm(g, damping=epsilon)
+        return
+    got = norm(g, damping=epsilon).log_abs_det
+    assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
 
 def test_sparse_and_dense_views_agree():
