@@ -85,7 +85,6 @@ def cmd_train(args):
     dataset = load_dataset(args.data)
     cfg = build_train_config(args.config, args.set)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     record = train(cfg, dataset, checkpoint_dir=out)
     write_metrics(out / "metrics.json", record.metrics_dict())
     write_epoch_csv(out / "epochs.csv", record)

@@ -154,8 +154,10 @@ class ForwardResult:
     per-node coupling log-determinants. ``graph_logdet``: scalar tensor,
     D times the summed adjacency log-determinants (zero for the identity),
     or None when the forward was asked to skip it (``logdet=False``).
-    ``adjacencies``: the realized per-stage mixing matrices as plain arrays,
-    needed to invert a model whose adjacency depends on its input.
+    ``adjacencies``: per stage, what mixed the features: None for the
+    identity, the NormalizedAdjacency itself for fixed mixing, or the
+    realized matrix as a plain array for an input-dependent source, which a
+    model needs to be inverted.
     """
 
     z: ad.Tensor
@@ -207,7 +209,7 @@ class GcFlowModel:
                 mixed = ad.left_matmul_const(self.adjacency.sparse, x)
                 if logdet:
                     graph_logdet = graph_logdet + dim * self.adjacency.log_abs_det
-                realized.append(self.adjacency.matrix)
+                realized.append(self.adjacency)
             else:
                 a = self.adjacency.realize(x, stage, training=training, rng=rng)
                 mixed = ad.matmul(a, x)
@@ -225,7 +227,7 @@ class GcFlowModel:
         if adjacencies is None:
             if not (self.adjacency is None or isinstance(self.adjacency, NormalizedAdjacency)):
                 raise ShapeError("input-dependent adjacency: pass the realized matrices from forward")
-            adjacencies = [None if self.adjacency is None else self.adjacency.matrix] * self.num_flows
+            adjacencies = [self.adjacency] * self.num_flows
         if len(adjacencies) != self.num_flows:
             raise ShapeError(f"need one adjacency per stage, got {len(adjacencies)} for {self.num_flows}")
         x = ad.as_tensor(z)
@@ -243,6 +245,8 @@ class GcFlowModel:
 
 
 def _solve(a, b):
+    if isinstance(a, NormalizedAdjacency):
+        a = a.matrix
     try:
         return np.linalg.solve(np.asarray(a, dtype=np.float64), b)
     except np.linalg.LinAlgError:

@@ -3,9 +3,11 @@
 A graph's normalized adjacency is the mixing matrix applied to node features
 before each constituent flow. Both normalizations add self-loops first, so a
 stored edge list never contains them. The log absolute determinant of the
-normalized adjacency enters the model's likelihood, so singular matrices are
-rejected at construction; damping (adding a small multiple of the identity)
-is the supported remediation.
+normalized adjacency enters the model's likelihood, so ``normalize_row`` and
+``normalize_sym`` reject singular matrices; damping (adding a small multiple
+of the identity) is the supported remediation. The adjacency itself is a CSR
+matrix built from the edge list, and its log|det| is factored only when
+first read.
 """
 
 from __future__ import annotations
@@ -76,74 +78,117 @@ def load_edge_list(path):
     return pairs
 
 
-def adjacency_dense(g: Graph):
-    """Symmetric 0/1 adjacency matrix of the graph, without self-loops."""
-    a = np.zeros((g.n, g.n))
-    for i, j in g.edges:
-        a[i, j] = 1.0
-        a[j, i] = 1.0
-    return a
-
-
 class NormalizedAdjacency:
-    """A nonsingular mixing matrix with its cached log|det|.
+    """A nonsingular mixing matrix, held as CSR, with a lazy log|det|.
 
-    ``matrix`` is the dense view used for determinants and linear solves;
-    ``sparse`` is the CSR view used for fast products against feature
-    matrices. ``scheme`` records how the matrix was built ("row-normalized",
-    "symmetric", "identity", or "external") and ``damping`` the total
-    multiple of the identity added after normalization (0.0 when none).
-    Instances are immutable after construction.
+    ``sparse`` is the CSR matrix the model multiplies feature matrices by.
+    ``log_abs_det`` is factored densely (O(n³)) on first read and cached;
+    only a likelihood reads it, so inference never pays for it.
+    ``matrix`` densifies on demand, for linear solves and one-time mixing;
+    no per-forward path reads it. ``scheme`` records how the matrix was
+    built ("row-normalized", "symmetric", "identity", or "external") and
+    ``damping`` the total multiple of the identity added after
+    normalization (0.0 when none). Dense or sparse input is accepted; NaN or
+    infinite entries raise ``DomainError``.
     """
 
     def __init__(self, matrix, scheme, damping=0.0):
-        self.matrix = np.asarray(matrix, dtype=np.float64)
-        if self.matrix.ndim != 2 or self.matrix.shape[0] != self.matrix.shape[1]:
-            raise ShapeError(f"adjacency must be square, got {self.matrix.shape}")
+        if not scipy.sparse.issparse(matrix):
+            matrix = np.asarray(matrix, dtype=np.float64)
+            if matrix.ndim != 2:
+                raise ShapeError(f"adjacency must be square, got {matrix.shape}")
+        self.sparse = scipy.sparse.csr_matrix(matrix, dtype=np.float64)
+        if self.sparse.shape[0] != self.sparse.shape[1]:
+            raise ShapeError(f"adjacency must be square, got {self.sparse.shape}")
+        if not np.all(np.isfinite(self.sparse.data)):
+            raise DomainError(f"{scheme} adjacency has non-finite entries")
         self.scheme = scheme
         self.damping = float(damping)
-        self.log_abs_det = log_abs_det(self.matrix)
-        self.sparse = scipy.sparse.csr_matrix(self.matrix)
+        self._log_abs_det = None
 
     @property
     def n(self):
-        return self.matrix.shape[0]
+        return self.sparse.shape[0]
+
+    @property
+    def matrix(self):
+        return self.sparse.toarray()
+
+    @property
+    def log_abs_det(self):
+        if self._log_abs_det is None:
+            self._log_abs_det = log_abs_det(self.matrix)
+        return self._log_abs_det
 
     def __repr__(self):
         return f"NormalizedAdjacency(n={self.n}, scheme={self.scheme!r}, damping={self.damping})"
 
 
 def identity_adjacency(n) -> NormalizedAdjacency:
-    return NormalizedAdjacency(np.eye(n), scheme="identity")
+    return NormalizedAdjacency(scipy.sparse.identity(n, format="csr"), scheme="identity")
 
 
-def _finish(matrix, scheme, damping):
-    if damping:
-        if damping < 0.0:
-            raise DomainError(f"damping must be non-negative, got {damping}")
-        matrix = matrix + damping * np.eye(matrix.shape[0])
+def _checked(adj: NormalizedAdjacency, message):
+    """``adj`` once its log|det| has been read; a singular matrix raises ``message``."""
     try:
-        return NormalizedAdjacency(matrix, scheme=scheme, damping=damping)
+        adj.log_abs_det
     except SingularMatrixError:
-        hint = "increase damping" if damping else "pass a small damping value"
-        raise SingularMatrixError(f"{scheme} adjacency is singular; {hint}") from None
+        raise SingularMatrixError(message) from None
+    return adj
 
 
-def normalize_row(g: Graph, damping=0.0) -> NormalizedAdjacency:
+def _normalized(g: Graph, scheme, damping, check):
+    """CSR of the normalized A + I built from the edge list in one pass.
+
+    With d = degree + 1, entry (i, j) of A + I becomes 1/d_i (row scheme) or
+    (1·s_i)·s_j with s = 1/sqrt(d) (symmetric scheme), and ``damping`` is
+    added to the diagonal: the same float operations a dense build performs,
+    so the stored entries and the log|det| come out bit-identical to it.
+    """
+    damping = float(damping)
+    if not damping >= 0.0:
+        raise DomainError(f"damping must be non-negative, got {damping}")
+    edges = np.asarray(g.edges, dtype=np.intp).reshape(-1, 2)
+    loops = np.arange(g.n)
+    rows = np.concatenate([edges[:, 0], edges[:, 1], loops])
+    cols = np.concatenate([edges[:, 1], edges[:, 0], loops])
+    order = np.lexsort((cols, rows))
+    rows, cols = rows[order], cols[order]
+    counts = np.bincount(rows, minlength=g.n)
+    d = counts.astype(np.float64)
+    if scheme == "row-normalized":
+        values = 1.0 / d[rows]
+    else:
+        s = 1.0 / np.sqrt(d)
+        values = s[rows] * s[cols]
+    if damping:
+        values[rows == cols] += damping
+    indptr = np.concatenate([[0], np.cumsum(counts)])
+    adj = NormalizedAdjacency(
+        scipy.sparse.csr_matrix((values, cols, indptr), shape=(g.n, g.n)), scheme=scheme, damping=damping
+    )
+    if not check:
+        return adj
+    hint = "increase damping" if damping else "pass a small damping value"
+    return _checked(adj, f"{scheme} adjacency is singular; {hint}")
+
+
+def normalize_row(g: Graph, damping=0.0, check=True) -> NormalizedAdjacency:
     """Row-stochastic normalization (D+I)^-1 (A+I), plus optional damping.
 
     Some graphs (the triangle, for one) normalize to a singular matrix;
     ``damping`` adds that multiple of the identity to restore invertibility.
+    The result's log|det| is read here, so a singular matrix raises
+    ``SingularMatrixError``; ``check=False`` skips that factorization, for a
+    (graph, damping) pair already known to be nonsingular.
     """
-    a = adjacency_dense(g) + np.eye(g.n)
-    return _finish(a / a.sum(axis=1, keepdims=True), "row-normalized", float(damping))
+    return _normalized(g, "row-normalized", damping, check)
 
 
-def normalize_sym(g: Graph, damping=0.0) -> NormalizedAdjacency:
-    """Symmetric normalization D^-1/2 (A+I) D^-1/2 with self-loops in D."""
-    a = adjacency_dense(g) + np.eye(g.n)
-    inv_sqrt = 1.0 / np.sqrt(a.sum(axis=1))
-    return _finish(a * inv_sqrt[:, None] * inv_sqrt[None, :], "symmetric", float(damping))
+def normalize_sym(g: Graph, damping=0.0, check=True) -> NormalizedAdjacency:
+    """Symmetric normalization D^-1/2 (A+I) D^-1/2 with self-loops in D;
+    damping and ``check`` as for ``normalize_row``."""
+    return _normalized(g, "symmetric", damping, check)
 
 
 def damp(adj: NormalizedAdjacency, epsilon) -> NormalizedAdjacency:
@@ -151,11 +196,9 @@ def damp(adj: NormalizedAdjacency, epsilon) -> NormalizedAdjacency:
     epsilon = float(epsilon)
     if epsilon <= 0.0:
         raise DomainError(f"damping epsilon must be positive, got {epsilon}")
-    matrix = adj.matrix + epsilon * np.eye(adj.n)
-    try:
-        return NormalizedAdjacency(matrix, scheme=adj.scheme, damping=adj.damping + epsilon)
-    except SingularMatrixError:
-        raise SingularMatrixError(f"adjacency still singular after damping by {epsilon}") from None
+    matrix = adj.sparse + epsilon * scipy.sparse.identity(adj.n, format="csr")
+    damped = NormalizedAdjacency(matrix, scheme=adj.scheme, damping=adj.damping + epsilon)
+    return _checked(damped, f"adjacency still singular after damping by {epsilon}")
 
 
 def logabsdet_tensor(a):

@@ -231,9 +231,16 @@ class TrainedModel:
 # -- model assembly -----------------------------------------------------
 
 
-def build_adjacency(graph, scheme, damping=0.0):
-    """Normalize per the scheme; a singular result is retried with damping."""
+def build_adjacency(graph, scheme, damping=0.0, replay=False):
+    """Normalize per the scheme; a singular result is retried with damping.
+
+    ``replay`` rebuilds the adjacency a saved model trained with, at the
+    damping it used. Training already proved that pair nonsingular, so no
+    log-determinant is factored.
+    """
     fn = normalize_row if scheme == "row" else normalize_sym
+    if replay:
+        return fn(graph, damping=damping, check=False), float(damping)
     try:
         return fn(graph, damping=damping), float(damping)
     except SingularMatrixError:
@@ -253,14 +260,15 @@ def assemble_model(cfg: TrainConfig, graph, dim, classes, damping_used=None) -> 
 
     Deterministic in the config seed, so a checkpoint can rebuild the exact
     same skeleton; ``damping_used`` replays the damping a normalized
-    adjacency was built with.
+    adjacency was built with, without factoring it again.
     """
     kind = cfg.model
     damp = cfg.damping
     source = None
     if kind in ("gcn", "gcflow", "gmm-ax"):
         source, damp = build_adjacency(
-            graph, cfg.adjacency, damp if damping_used is None else damping_used
+            graph, cfg.adjacency, damp if damping_used is None else damping_used,
+            replay=damping_used is not None,
         )
     elif kind in ("gcflow-p", "gcflow-l"):
         damp = damp if damp > 0.0 else DEFAULT_DAMPING
@@ -354,9 +362,17 @@ def train(cfg: TrainConfig, dataset: Dataset, checkpoint_dir=None) -> RunRecord:
     best-scoring parameters are kept and restored at the end, and training
     stops once the best epoch is ``patience`` epochs old. A non-finite loss
     or a numeric blow-up mid-epoch aborts with the progress so far attached
-    to the raised error.
+    to the raised error. ``checkpoint_dir``, when given, is created (with
+    its parents) before training starts; a path that exists but is not a
+    directory raises ``ConfigError`` then, not after the last epoch.
     """
     start = time.perf_counter()
+    if checkpoint_dir is not None:
+        checkpoint_dir = Path(checkpoint_dir)
+        try:
+            checkpoint_dir.mkdir(parents=True, exist_ok=True)
+        except (FileExistsError, NotADirectoryError):
+            raise ConfigError(f"checkpoint directory {checkpoint_dir} is not a directory") from None
     ds = dataset
     if cfg.pca_dim is not None:
         ds = apply_pca_reduction(ds, cfg.pca_dim)
@@ -378,7 +394,7 @@ def train(cfg: TrainConfig, dataset: Dataset, checkpoint_dir=None) -> RunRecord:
     if checkpoint_dir is not None:
         from .checkpoint import save_checkpoint
 
-        path = Path(checkpoint_dir) / "checkpoint.json"
+        path = checkpoint_dir / "checkpoint.json"
         save_checkpoint(path, tm, ds.graph)
         record.checkpoint_path = str(path)
     return record

@@ -16,7 +16,8 @@ from gcflow.data import (
 )
 from gcflow.errors import ConfigError, DomainError, FormatError
 from gcflow.evalkit import micro_f1
-from gcflow.graphs import adjacency_dense, make_graph
+from gcflow.graphs import make_graph
+from oracles import adjacency_dense
 
 
 def tiny_dataset():

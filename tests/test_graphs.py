@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
@@ -10,6 +11,7 @@ from numpy.testing import assert_allclose
 from gcflow import autodiff as ad
 from gcflow import graphs
 from gcflow.errors import DomainError, FormatError, ShapeError, SingularMatrixError
+from oracles import adjacency_dense, count_factorizations, normalized_dense
 
 
 def det_leibniz(m):
@@ -95,7 +97,7 @@ def test_row_normalization_rows_sum_to_one():
     rng = np.random.default_rng(0)
     for n in (2, 5, 9):
         edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.4]
-        adj_matrix = graphs.adjacency_dense(graphs.make_graph(n, edges)) + np.eye(n)
+        adj_matrix = adjacency_dense(graphs.make_graph(n, edges)) + np.eye(n)
         rows = adj_matrix / adj_matrix.sum(axis=1, keepdims=True)
         assert_allclose(rows.sum(axis=1), np.ones(n), atol=1e-12)
 
@@ -174,7 +176,7 @@ def test_normalized_log_abs_det_identity_on_random_graphs(n, density, epsilon, n
     rng = np.random.default_rng(seed)
     edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < density]
     g = graphs.make_graph(n, edges)
-    a = graphs.adjacency_dense(g)
+    a = adjacency_dense(g)
     d = a.sum(axis=1) + 1.0
     try:
         want = graphs.log_abs_det(a + np.eye(n) + epsilon * np.diag(d)) - np.log(d).sum()
@@ -184,6 +186,72 @@ def test_normalized_log_abs_det_identity_on_random_graphs(n, density, epsilon, n
         return
     got = norm(g, damping=epsilon).log_abs_det
     assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+
+@settings(derandomize=True, deadline=None, max_examples=120)
+@given(
+    n=st.integers(1, 12),
+    isolated=st.integers(0, 3),
+    density=st.floats(0.0, 1.0),
+    epsilon=st.sampled_from([0.0, 1e-3, 0.1]),
+    scheme=st.sampled_from(["row", "sym"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=1, isolated=0, density=0.0, epsilon=0.0, scheme="row", seed=0)  # one node, no edges
+@example(n=4, isolated=2, density=0.0, epsilon=0.1, scheme="sym", seed=0)  # empty edge list
+@example(n=3, isolated=1, density=1.0, epsilon=0.0, scheme="row", seed=0)  # triangle: singular
+def test_csr_build_matches_dense_oracle_bit_for_bit(n, isolated, density, epsilon, scheme, seed):
+    # the last ``isolated`` nodes get no edges
+    rng = np.random.default_rng(seed)
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < density]
+    g = graphs.make_graph(n + isolated, edges)
+    norm = graphs.normalize_row if scheme == "row" else graphs.normalize_sym
+    oracle = normalized_dense(g, scheme, epsilon)
+    want = scipy.sparse.csr_matrix(oracle)
+    unchecked = norm(g, damping=epsilon, check=False)
+    got = unchecked.sparse
+    assert got.has_canonical_format
+    for field in ("indptr", "indices", "data"):
+        assert getattr(got, field).dtype == getattr(want, field).dtype
+        assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
+    assert unchecked.matrix.tobytes() == oracle.tobytes()
+    try:
+        want_logdet = graphs.log_abs_det(oracle)
+    except SingularMatrixError:
+        with pytest.raises(SingularMatrixError, match="damping"):
+            norm(g, damping=epsilon)
+        with pytest.raises(SingularMatrixError):
+            unchecked.log_abs_det
+        return
+    assert norm(g, damping=epsilon).log_abs_det == want_logdet
+    assert unchecked.log_abs_det == want_logdet
+
+
+def test_log_abs_det_is_factored_once_on_first_read(monkeypatch):
+    calls = count_factorizations(monkeypatch)
+    adj = graphs.normalize_row(path3(), check=False)
+    assert calls == []
+    first = adj.log_abs_det
+    assert adj.log_abs_det == first
+    assert len(calls) == 1
+    graphs.normalize_sym(path3())
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_external_adjacency_rejects_non_finite_entries_up_front(bad):
+    m = np.eye(3)
+    m[0, 2] = bad
+    with pytest.raises(DomainError, match="non-finite"):
+        graphs.NormalizedAdjacency(m, scheme="external")
+    with pytest.raises(DomainError, match="non-finite"):
+        graphs.NormalizedAdjacency(scipy.sparse.csr_matrix(m), scheme="external")
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (3,), (2, 2, 2)])
+def test_external_adjacency_must_be_square(shape):
+    with pytest.raises(ShapeError, match="square"):
+        graphs.NormalizedAdjacency(np.ones(shape), scheme="external")
 
 
 def test_sparse_and_dense_views_agree():

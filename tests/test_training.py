@@ -1,6 +1,10 @@
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from gcflow import graphs
 from gcflow.autodiff import Tensor
 from gcflow.checkpoint import FORMAT_TAG, load_checkpoint
 from gcflow.data import SbmConfig, generate_sbm
@@ -14,6 +18,7 @@ from gcflow.training import (
     AdamState,
     TrainConfig,
     adam_step,
+    assemble_model,
     build_adjacency,
     clip_gradients,
     evaluate,
@@ -22,6 +27,7 @@ from gcflow.training import (
     representation,
     train,
 )
+from oracles import count_factorizations
 
 
 @pytest.fixture(scope="module")
@@ -374,3 +380,62 @@ def test_checkpoint_rejects_non_checkpoints(tmp_path, sbm):
     bad.write_text("not json at all")
     with pytest.raises(FormatError):
         load_checkpoint(bad, sbm.graph)
+
+
+def test_train_creates_a_missing_checkpoint_dir(sbm, tmp_path):
+    out = tmp_path / "runs" / "first"
+    record = train(TrainConfig(model="gmm-x", seed=0), sbm, checkpoint_dir=out)
+    assert Path(record.checkpoint_path) == out / "checkpoint.json"
+    tm = load_checkpoint(record.checkpoint_path, sbm.graph)
+    assert evaluate(tm, sbm)["test_micro_f1"] == record.test_micro_f1
+
+
+def test_train_refuses_a_file_as_checkpoint_dir_before_training(sbm, tmp_path, monkeypatch):
+    def no_assembly(*args, **kwargs):
+        raise AssertionError("set-up went on past the checkpoint directory")
+
+    monkeypatch.setattr(training, "assemble_model", no_assembly)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    for path in (blocker, blocker / "below"):
+        with pytest.raises(ConfigError, match="not a directory"):
+            train(TrainConfig(model="gcn", epochs=5, seed=0), sbm, checkpoint_dir=path)
+
+
+@pytest.mark.parametrize("kind", ["gcn", "gcflow", "gmm-ax"])
+def test_inference_route_never_factors(sbm, kind, tmp_path, monkeypatch):
+    calls = count_factorizations(monkeypatch)
+    cfg = TrainConfig(model=kind, hidden=8, epochs=3, patience=3, seed=2)
+    record = train(cfg, sbm, checkpoint_dir=tmp_path)
+    # the nonsingularity check at assembly; the loss reads the cached value
+    assert calls == [(sbm.n, sbm.n)]
+    calls.clear()
+    tm = load_checkpoint(record.checkpoint_path, sbm.graph)
+    representation(tm, sbm)
+    predictions(tm, sbm)
+    assert evaluate(tm, sbm)["test_micro_f1"] == record.test_micro_f1
+    assert calls == []
+
+
+def test_replayed_adjacency_predicts_at_n_20000_in_sparse_memory(monkeypatch):
+    n, draws = 20_000, 120_000
+    rng = np.random.default_rng(0)
+    pairs = rng.integers(0, n, size=(draws, 2))
+    g = make_graph(n, pairs[pairs[:, 0] != pairs[:, 1]].tolist())
+    x = rng.normal(size=(n, 4))
+
+    # a dense n x n float64 matrix is 3.2 GB: fail before allocating one
+    def dense(self):
+        raise AssertionError("the replayed adjacency was densified")
+
+    monkeypatch.setattr(graphs.NormalizedAdjacency, "matrix", property(dense))
+    tracemalloc.start()
+    try:
+        tm = assemble_model(TrainConfig(model="gcflow", hidden=8, seed=0), g, 4, 3, damping_used=0.0)
+        pred = tm.model.predict(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert pred.shape == (n,)
+    assert peak < 100 * 2**20
+
