@@ -42,6 +42,8 @@ def directed_edges(graph: Graph):
 class AttentionAdjacency:
     """Row-stochastic edge reweighting from learned endpoint embeddings."""
 
+    draws_noise = False  # training and evaluation realize the same matrix
+
     def __init__(self, graph: Graph, dim, embed_dim=16, damping=DEFAULT_DAMPING, seed=0):
         if not graph.edges:
             raise DomainError("attention reweighting needs at least one edge")
@@ -50,6 +52,7 @@ class AttentionAdjacency:
         self.dim = int(dim)
         self.embed_dim = int(embed_dim)
         self.damping = float(damping)
+        self._damping_eye = ad.Tensor(self.damping * np.eye(self.n)) if self.damping else None
         self.seed = int(seed)
         self.src, self.dst = directed_edges(graph)
         self.embed_src = Mlp([dim, embed_dim], rng)
@@ -77,8 +80,8 @@ class AttentionAdjacency:
         numer = ad.scatter_matrix(weights, self.src, self.dst, (self.n, self.n))
         denom = ad.tsum(numer, axis=1) + ad.Tensor(self._lonely)
         a = numer / ad.reshape(denom, (self.n, 1))
-        if self.damping:
-            a = a + ad.Tensor(self.damping * np.eye(self.n))
+        if self._damping_eye is not None:
+            a = a + self._damping_eye
         return a
 
     def params(self):
@@ -95,6 +98,8 @@ class ConcreteAdjacency:
     lets gates reach exactly 0 (edge removed) or 1 (edge kept) with nonzero
     probability; the clamp passes gradient only in its interior.
     """
+
+    draws_noise = True  # training realize perturbs the gates
 
     def __init__(self, graph: Graph, dim, embed_dim=16, temperature=DEFAULT_TEMPERATURE,
                  stretch_lo=DEFAULT_STRETCH_LO, stretch_hi=DEFAULT_STRETCH_HI,
@@ -115,6 +120,7 @@ class ConcreteAdjacency:
         self.stretch_lo = float(stretch_lo)
         self.stretch_hi = float(stretch_hi)
         self.damping = float(damping)
+        self._damping_eye = ad.Tensor(self.damping * np.eye(self.n)) if self.damping else None
         self.seed = int(seed)
         self.src, self.dst = directed_edges(graph)
         self.embed_a = Mlp([dim, embed_dim], rng)
@@ -140,8 +146,8 @@ class ConcreteAdjacency:
         stretched = soft * (self.stretch_hi - self.stretch_lo) + self.stretch_lo
         gates = ad.clamp(stretched, 0.0, 1.0)
         a = ad.scatter_matrix(gates, self.src, self.dst, (self.n, self.n))
-        if self.damping:
-            a = a + ad.Tensor(self.damping * np.eye(self.n))
+        if self._damping_eye is not None:
+            a = a + self._damping_eye
         return a
 
     def params(self):

@@ -49,13 +49,29 @@ class GcnModel:
         """Cross-entropy over the labeled nodes of a training-mode forward."""
         return gcn_loss(gcn_forward(self, x, training=True, rng=rng), labels, loss_cfg.labeled)
 
+    @property
+    def draws_noise(self):
+        """Whether the training forward draws randomness: dropout does."""
+        return self.dropout > 0.0
+
+    def loss_and_predictions(self, x, labels, loss_cfg, rng):
+        """The training loss and the most probable class per node, from one
+        training forward; without dropout the predictions equal ``predict``'s."""
+        probs, _ = self.forward(x, training=True, rng=rng)
+        return gcn_loss(probs, labels, loss_cfg.labeled), probs.data.argmax(axis=1)
+
     def predict(self, x):
         """Most probable class per node."""
-        probs, _ = self.forward(x)
-        return probs.data.argmax(axis=1)
+        return self.predict_and_represent(x)[0]
 
     def represent(self, x):
-        return self.forward(x)[1]
+        return self.predict_and_represent(x)[1]
+
+    def predict_and_represent(self, x):
+        """``predict(x)`` and ``represent(x)`` from one forward, with no tape."""
+        with ad.no_grad():
+            probs, penultimate = self.forward(x)
+        return probs.data.argmax(axis=1), penultimate
 
     def forward(self, x, training=False, rng=None):
         """Class probabilities and the penultimate representation."""
@@ -234,8 +250,13 @@ class EmReference:
         self.mapping = component_class_mapping(self.gmm, feats, labels, labeled)
 
     def predict(self, x):
-        resp, _ = responsibilities(self.gmm, self.represent(x))
-        return self.mapping[resp.argmax(axis=1)]
+        return self.predict_and_represent(x)[0]
+
+    def predict_and_represent(self, x):
+        """``predict(x)`` and ``represent(x)``, mixing the features once."""
+        feats = self.represent(x)
+        resp, _ = responsibilities(self.gmm, feats)
+        return self.mapping[resp.argmax(axis=1)], feats
 
 
 def gmm_classify(gmm: EmGmm, x, labels, labeled):

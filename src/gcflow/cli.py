@@ -21,8 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from .data import SbmConfig, generate_sbm, load_dataset, read_features, save_dataset, write_features
-from .errors import ConfigError, FormatError, GcFlowError
-from .evalkit import kmeans, silhouette
+from .errors import ConfigError, DivergedError, FormatError, GcFlowError
+from .evalkit import kmeans, silhouette, silhouette_pair
 from . import evalkit
 from .training import TrainConfig, evaluate, representation, train
 
@@ -85,7 +85,14 @@ def cmd_train(args):
     dataset = load_dataset(args.data)
     cfg = build_train_config(args.config, args.set)
     out = Path(args.out)
-    record = train(cfg, dataset, checkpoint_dir=out)
+    try:
+        record = train(cfg, dataset, checkpoint_dir=out)
+    except DivergedError as exc:
+        # keep the epochs that ran; main reports the error and exits 1
+        if exc.record is not None:
+            write_metrics(out / "metrics.json", {**exc.record.metrics_dict(), "status": "diverged"})
+            write_epoch_csv(out / "epochs.csv", exc.record)
+        raise
     write_metrics(out / "metrics.json", record.metrics_dict())
     write_epoch_csv(out / "epochs.csv", record)
     print(f"trained {cfg.model} for {record.epochs_run} epochs: "
@@ -135,20 +142,17 @@ def cmd_cluster(args):
     if args.k < 2:
         raise ConfigError("clustering needs at least two clusters")
     assign = kmeans(points, args.k, seed=args.seed)
-    payload = {
-        "k": args.k,
-        "seed": args.seed,
-        "inertia": assign.inertia,
-        "silhouette_kmeans": silhouette(points, assign),
-    }
-    if args.labels:
+    payload = {"k": args.k, "seed": args.seed, "inertia": assign.inertia}
+    if not args.labels:
+        payload["silhouette_kmeans"] = silhouette(points, assign)
+    else:
         labels = np.loadtxt(args.labels, dtype=np.intp).reshape(-1)
         if labels.size != points.shape[0]:
             raise FormatError(
                 f"{args.labels} has {labels.size} labels for {points.shape[0]} points"
             )
         known = labels >= 0
-        payload["silhouette_truth"] = silhouette(points[known], labels[known])
+        payload["silhouette_kmeans"], payload["silhouette_truth"] = silhouette_pair(points, assign, labels)
         payload["nmi"] = evalkit.nmi(assign.labels[known], labels[known])
         payload["ari"] = evalkit.ari(assign.labels[known], labels[known])
     if args.out:

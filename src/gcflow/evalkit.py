@@ -51,7 +51,39 @@ def _finite_points(points):
     return x
 
 
-def silhouette(points, assign) -> float:
+def _cluster_codes(raw, n):
+    """0-based cluster codes, member counts and one-hot matrix of one labeling."""
+    raw = _labels_of(raw)
+    if raw.shape != (n,):
+        raise ShapeError(f"need one label per point: {raw.shape} labels for {n} points")
+    _, labels = np.unique(raw, return_inverse=True)
+    k = labels.max() + 1 if labels.size else 0
+    if k < 2:
+        raise ConfigError("silhouette needs at least two clusters")
+    counts = np.bincount(labels, minlength=k).astype(np.float64)
+    onehot = np.zeros((n, k))
+    onehot[np.arange(n), labels] = 1.0
+    return labels, counts, onehot
+
+
+def _widths(sums, labels, counts, rows):
+    """Silhouette widths of ``rows`` from their summed distances to each cluster."""
+    own = labels[rows]
+    own_count = counts[own]
+    at = np.arange(rows.size)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        a = sums[at, own] / (own_count - 1.0)
+        means = sums / counts[None, :]
+    means[at, own] = np.inf
+    b = means.min(axis=1)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        s = (b - a) / np.maximum(a, b)
+    s[own_count == 1.0] = 0.0
+    s[np.maximum(a, b) == 0.0] = 0.0
+    return s
+
+
+def silhouette(points, assign, *more):
     """Mean silhouette width under Euclidean distance.
 
     Per point: a = mean distance to its own cluster (excluding itself),
@@ -61,39 +93,40 @@ def silhouette(points, assign) -> float:
     inner-product expansion, which loses ~1e-9 of precision that the metric
     oracles notice), one block of rows x n distances at a time, with at most
     DISTANCE_BUDGET per block, so the full n x n matrix never materializes.
+
+    With one labeling the result is a float. Further labelings of the same
+    points (``more``) are scored from the same distance blocks, one
+    ``block @ onehot`` product each, and a tuple of floats comes back in
+    argument order; each equals what a call with that labeling alone returns.
     """
     x = _finite_points(points)
-    raw = _labels_of(assign)
-    if raw.shape != x.shape[:1]:
-        raise ShapeError(f"need one label per point: {raw.shape} labels for {x.shape[0]} points")
-    _, labels = np.unique(raw, return_inverse=True)
-    k = labels.max() + 1 if labels.size else 0
-    if k < 2:
-        raise ConfigError("silhouette needs at least two clusters")
     n = x.shape[0]
-    counts = np.bincount(labels, minlength=k).astype(np.float64)
-    onehot = np.zeros((n, k))
-    onehot[np.arange(n), labels] = 1.0
-
-    scores = np.zeros(n)
+    codings = [_cluster_codes(raw, n) for raw in (assign, *more)]
+    scores = np.zeros((len(codings), n))
     block = max(1, DISTANCE_BUDGET // n)
     for start in range(0, n, block):
         stop = min(start + block, n)
-        sums = cdist(x[start:stop], x) @ onehot
+        dist = cdist(x[start:stop], x)
         rows = np.arange(start, stop)
-        own = labels[rows]
-        own_count = counts[own]
-        with np.errstate(invalid="ignore", divide="ignore"):
-            a = sums[np.arange(rows.size), own] / (own_count - 1.0)
-            means = sums / counts[None, :]
-        means[np.arange(rows.size), own] = np.inf
-        b = means.min(axis=1)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            s = (b - a) / np.maximum(a, b)
-        s[own_count == 1.0] = 0.0
-        s[np.maximum(a, b) == 0.0] = 0.0
-        scores[rows] = s
-    return float(scores.mean())
+        for score, (labels, counts, onehot) in zip(scores, codings):
+            score[rows] = _widths(dist @ onehot, labels, counts, rows)
+        del dist  # before the next block is allocated, so one block is alive at a time
+    means = tuple(float(score.mean()) for score in scores)
+    return means if more else means[0]
+
+
+def silhouette_pair(points, assign, truth):
+    """Silhouettes of a clustering of all points and of the known classes
+    (``truth`` >= 0) of the points that have one.
+
+    With every class known, both come from one distance pass. Otherwise the
+    known points are a different point set, scored in a pass of their own.
+    """
+    truth = _labels_of(truth)
+    known = truth >= 0
+    if known.all():
+        return silhouette(points, assign, truth)
+    return silhouette(points, assign), silhouette(np.asarray(points)[known], truth[known])
 
 
 def _contingency(a, b):

@@ -13,6 +13,7 @@ first read.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import warnings
 from dataclasses import dataclass
 
@@ -52,10 +53,17 @@ def make_graph(n, edges) -> Graph:
     return Graph(n=int(n), edges=tuple(sorted(canonical)))
 
 
+def edge_array(g: Graph) -> np.ndarray:
+    """The edge list as an E x 2 integer array, read in one pass over the
+    chained pairs instead of one Python tuple at a time."""
+    flat = np.fromiter(itertools.chain.from_iterable(g.edges), dtype=np.intp, count=2 * len(g.edges))
+    return flat.reshape(-1, 2)
+
+
 def fingerprint(g: Graph) -> dict:
     """Node count plus SHA-256 of the canonical edge list, as little-endian
     int64 pairs; saved artifacts use it to refuse a graph they were not made for."""
-    edges = np.asarray(g.edges, dtype="<i8").reshape(-1, 2)
+    edges = edge_array(g).astype("<i8", copy=False)
     return {"n": g.n, "edges_sha256": hashlib.sha256(edges.tobytes()).hexdigest()}
 
 
@@ -148,7 +156,7 @@ def _normalized(g: Graph, scheme, damping, check):
     damping = float(damping)
     if not damping >= 0.0:
         raise DomainError(f"damping must be non-negative, got {damping}")
-    edges = np.asarray(g.edges, dtype=np.intp).reshape(-1, 2)
+    edges = edge_array(g)
     loops = np.arange(g.n)
     rows = np.concatenate([edges[:, 0], edges[:, 1], loops])
     cols = np.concatenate([edges[:, 1], edges[:, 0], loops])

@@ -159,6 +159,13 @@ def posterior_matrix(head: MixtureHead, z) -> np.ndarray:
     return ad.row_softmax(comp + head.log_weights()).data
 
 
+def _finite(z) -> np.ndarray:
+    """``z`` itself; non-finite latents raise ``DomainError``."""
+    if not np.all(np.isfinite(z)):
+        raise DomainError("forward pass produced non-finite latent features")
+    return z
+
+
 def _latents(model, x) -> np.ndarray:
     """Latent features from a forward that records no tape and skips the
     graph log-determinant, which neither latents nor posteriors need.
@@ -167,16 +174,18 @@ def _latents(model, x) -> np.ndarray:
     mixing matrix, so non-finite latents raise ``DomainError``.
     """
     with ad.no_grad():
-        z = model.forward(x, logdet=False).z.data
-    if not np.all(np.isfinite(z)):
-        raise DomainError("forward pass produced non-finite latent features")
-    return z
+        return _finite(model.forward(x, logdet=False).z.data)
+
+
+def _classify(head: MixtureHead, z) -> np.ndarray:
+    """Most probable component per row of a latent matrix."""
+    with ad.no_grad():
+        return posterior_matrix(head, z).argmax(axis=1)
 
 
 def predict(model, head: MixtureHead, x) -> np.ndarray:
     """Most probable component per node."""
-    with ad.no_grad():
-        return posterior_matrix(head, _latents(model, x)).argmax(axis=1)
+    return _classify(head, _latents(model, x))
 
 
 @dataclass
@@ -251,9 +260,29 @@ class FlowMixture:
     def loss(self, x, labels, loss_cfg: LossConfig, rng) -> ad.Tensor:
         return semi_supervised_loss(self.flow, self.head, x, labels, loss_cfg, training=True, rng=rng)
 
+    @property
+    def draws_noise(self):
+        """Whether the training forward draws randomness; see ``GcFlowModel.draws_noise``."""
+        return self.flow.draws_noise
+
+    def loss_and_predictions(self, x, labels, loss_cfg: LossConfig, rng):
+        """The training loss and the most probable component per node, from
+        one training forward. Without ``draws_noise`` that forward computes
+        the same latents as inference, so the predictions equal ``predict``'s.
+        Non-finite latents raise ``DomainError``.
+        """
+        result = self.flow.forward(x, training=True, rng=rng)
+        pred = _classify(self.head, _finite(result.z.data))
+        return semi_supervised_loss(self.flow, self.head, x, labels, loss_cfg, result=result), pred
+
     def predict(self, x) -> np.ndarray:
         return predict(self.flow, self.head, x)
 
     def represent(self, x) -> np.ndarray:
         """Latent features: the space the mixture clusters in."""
         return _latents(self.flow, x)
+
+    def predict_and_represent(self, x):
+        """``predict(x)`` and ``represent(x)`` from one forward."""
+        z = _latents(self.flow, x)
+        return _classify(self.head, z), z

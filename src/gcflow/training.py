@@ -5,8 +5,9 @@ the plain row-wise flow, the graph-convolutional flow with fixed or
 parameterized mixing, and the two EM-mixture references fitted on raw or
 pre-mixed features. ``assemble_model`` is the one place that reads the
 kind. It returns one model object per kind, and everything after it calls
-that object's ``params``, ``loss``, ``predict`` and ``represent`` (the EM
-references have ``fit`` in place of ``loss``). Everything stochastic draws
+that object's ``params``, ``loss``, ``predict`` and ``represent``, or their
+one-forward pairings ``loss_and_predictions`` and ``predict_and_represent``
+(the EM references have ``fit`` in place of the loss). Everything stochastic draws
 from a single generator seeded by the run seed, so a repeated run
 reproduces its metrics exactly.
 """
@@ -32,7 +33,7 @@ from .adjparam import (
 from .baselines import GCN_DROPOUT, GCN_HIDDEN, EmReference, GcnModel
 from .data import Dataset, apply_pca_reduction
 from .errors import ConfigError, DivergedError, DomainError, SingularMatrixError
-from .evalkit import PcaProjection, kmeans, micro_f1, pca_apply, silhouette
+from .evalkit import PcaProjection, kmeans, micro_f1, pca_apply, silhouette_pair
 from .flows import build_gcflow
 from .graphs import normalize_row, normalize_sym
 from .mixture import (
@@ -332,20 +333,24 @@ def predictions(tm: TrainedModel, ds: Dataset):
 
 
 def evaluate(tm: TrainedModel, ds: Dataset, seed=None):
-    """Classification and clustering metrics on the dataset's test split."""
+    """Classification and clustering metrics on the dataset's test split.
+
+    One forward yields both the predictions and the representation, and
+    with every label known one distance pass yields both silhouettes.
+    """
     if seed is None:
         seed = tm.config["seed"]
-    pred = predictions(tm, ds)
-    z = representation(tm, ds)
+    pred, z = tm.model.predict_and_represent(node_features(tm, ds))
     test = ds.mask_indices("test")
     if test.size == 0:
         raise ConfigError("dataset has an empty test split")
     km = kmeans(z, ds.num_classes, seed=seed)
     known = ds.labels >= 0
+    sil_kmeans, sil_truth = silhouette_pair(z, km, ds.labels)
     return {
         "test_micro_f1": micro_f1(pred[test], ds.labels[test]),
-        "silhouette_kmeans": silhouette(z, km),
-        "silhouette_truth": silhouette(z[known], ds.labels[known]),
+        "silhouette_kmeans": sil_kmeans,
+        "silhouette_truth": sil_truth,
         "nmi": evalkit.nmi(km.labels[known], ds.labels[known]),
         "ari": evalkit.ari(km.labels[known], ds.labels[known]),
     }
@@ -424,11 +429,16 @@ def _descend(cfg: TrainConfig, tm: TrainedModel, ds: Dataset, snapshot, start):
     best_loss = np.inf
     best_epoch = -1
     best_params = None
+    # without training noise the forward after a step is both this epoch's
+    # validation forward and the next epoch's loss forward
+    carry = not tm.model.draws_noise
+    carried = None
 
     for epoch in range(cfg.epochs):
         ad.zero_grads(params)
         try:
-            loss = tm.model.loss(x, labels, loss_cfg, run_rng)
+            loss = carried if carried is not None else tm.model.loss(x, labels, loss_cfg, run_rng)
+            carried = None
             value = loss.item()
             if not np.isfinite(value):
                 raise DomainError(f"loss is {value}")
@@ -436,7 +446,13 @@ def _descend(cfg: TrainConfig, tm: TrainedModel, ds: Dataset, snapshot, start):
             clip_gradients(params, cfg.clip)
             adam_step(opt)
             losses.append(value)
-            f1 = micro_f1(tm.model.predict(x)[val_idx], labels[val_idx])
+            loss = None  # drop this tape before the next one is built
+            pred = None
+            if carry and epoch + 1 < cfg.epochs:
+                carried, pred = _next_forward(tm.model, x, labels, loss_cfg, run_rng)
+            if pred is None:
+                pred = tm.model.predict(x)
+            f1 = micro_f1(pred[val_idx], labels[val_idx])
         except (DomainError, SingularMatrixError) as exc:
             if len(val_f1s) < len(losses):  # the step ran, its validation failed
                 val_f1s.append(float("nan"))
@@ -461,3 +477,14 @@ def _descend(cfg: TrainConfig, tm: TrainedModel, ds: Dataset, snapshot, start):
     for p, saved in zip(params, best_params):
         np.copyto(p.data, saved)
     return losses, val_f1s
+
+
+def _next_forward(model, x, labels, loss_cfg, rng):
+    """Next epoch's loss and this epoch's predictions from one forward, or
+    (None, None) when that forward breaks down: then ``predict`` scores the
+    epoch as it would have anyway, and the next epoch builds its loss afresh
+    and meets the failure, if it persists, where it always would have."""
+    try:
+        return model.loss_and_predictions(x, labels, loss_cfg, rng)
+    except (DomainError, SingularMatrixError):
+        return None, None

@@ -1,5 +1,6 @@
-"""Dense reference constructions the sparse graph code is checked against,
-and a counter of the dense factorizations it runs."""
+"""Reference implementations the optimized code is checked against: dense
+adjacency constructions, a counter of the dense factorizations the graph
+module runs, and the two-forward training loop and two-pass evaluate."""
 
 import numpy as np
 
@@ -42,3 +43,96 @@ def count_factorizations(monkeypatch):
 
     monkeypatch.setattr(graphs, "_lu_checked", counted)
     return calls
+
+
+# -- the two-forward training loop and two-pass evaluate ------------------
+
+
+def descend_two_forward(cfg, tm, ds, snapshot, start):
+    """Reference epoch loop: every epoch builds a fresh loss forward and
+    scores validation with a second, ``predict`` forward. Drop-in for
+    ``training._descend``."""
+    import time
+
+    from gcflow import autodiff as ad
+    from gcflow.errors import ConfigError, DivergedError, DomainError, SingularMatrixError
+    from gcflow.evalkit import micro_f1
+    from gcflow.mixture import LossConfig, init_means_from_labels
+    from gcflow.training import AdamState, RunRecord, adam_step, clip_gradients
+
+    x = ds.features
+    labels = ds.labels
+    train_idx = ds.mask_indices("train")
+    val_idx = ds.mask_indices("val")
+    if val_idx.size == 0:
+        raise ConfigError("early stopping needs a non-empty validation split")
+    unlabeled = np.flatnonzero(~ds.train_mask)
+    loss_cfg = LossConfig(train_idx, unlabeled, unlabeled_weight=cfg.unlabeled_weight)
+
+    params = tm.model.params()
+    if tm.head is not None and cfg.label_init_means:
+        init_means_from_labels(tm.head, tm.model.represent(x), labels, train_idx)
+
+    run_rng = np.random.default_rng(cfg.seed)
+    opt = AdamState(params, cfg.lr, weight_decay=cfg.weight_decay)
+    losses, val_f1s = [], []
+    best_f1, best_loss, best_epoch, best_params = -1.0, np.inf, -1, None
+
+    for epoch in range(cfg.epochs):
+        ad.zero_grads(params)
+        try:
+            loss = tm.model.loss(x, labels, loss_cfg, run_rng)
+            value = loss.item()
+            if not np.isfinite(value):
+                raise DomainError(f"loss is {value}")
+            loss.backward()
+            clip_gradients(params, cfg.clip)
+            adam_step(opt)
+            losses.append(value)
+            f1 = micro_f1(tm.model.predict(x)[val_idx], labels[val_idx])
+        except (DomainError, SingularMatrixError) as exc:
+            if len(val_f1s) < len(losses):
+                val_f1s.append(float("nan"))
+            record = RunRecord(
+                config=snapshot, seed=cfg.seed, epochs_run=len(losses), losses=losses,
+                val_f1s=val_f1s, test_micro_f1=float("nan"), silhouette_kmeans=float("nan"),
+                silhouette_truth=float("nan"), nmi=float("nan"), ari=float("nan"),
+                wall_seconds=time.perf_counter() - start,
+            )
+            raise DivergedError(f"training diverged at epoch {epoch}: {exc}", record=record) from None
+        val_f1s.append(f1)
+        if f1 > best_f1 or (f1 == best_f1 and value < best_loss):
+            best_f1, best_loss, best_epoch = f1, value, epoch
+            best_params = [p.data.copy() for p in params]
+        if epoch - best_epoch >= cfg.patience:
+            break
+
+    for p, saved in zip(params, best_params):
+        np.copyto(p.data, saved)
+    return losses, val_f1s
+
+
+def evaluate_two_pass(tm, ds, seed=None):
+    """Reference evaluate: a ``predict`` forward, a ``represent`` forward,
+    and one silhouette distance pass per labeling. Drop-in for
+    ``training.evaluate``."""
+    from gcflow import evalkit
+    from gcflow.errors import ConfigError
+    from gcflow.training import predictions, representation
+
+    if seed is None:
+        seed = tm.config["seed"]
+    pred = predictions(tm, ds)
+    z = representation(tm, ds)
+    test = ds.mask_indices("test")
+    if test.size == 0:
+        raise ConfigError("dataset has an empty test split")
+    km = evalkit.kmeans(z, ds.num_classes, seed=seed)
+    known = ds.labels >= 0
+    return {
+        "test_micro_f1": evalkit.micro_f1(pred[test], ds.labels[test]),
+        "silhouette_kmeans": evalkit.silhouette(z, km),
+        "silhouette_truth": evalkit.silhouette(z[known], ds.labels[known]),
+        "nmi": evalkit.nmi(km.labels[known], ds.labels[known]),
+        "ari": evalkit.ari(km.labels[known], ds.labels[known]),
+    }

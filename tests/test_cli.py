@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from gcflow import evalkit
 from gcflow.cli import build_train_config, main, read_config_file
 from gcflow.data import read_features
 from gcflow.errors import ConfigError, FormatError
@@ -108,6 +109,54 @@ def test_embed_then_cluster(synth_dir, trained_dir, tmp_path, capsys):
     for key in ("inertia", "silhouette_kmeans", "silhouette_truth", "nmi", "ari"):
         assert key in payload
     assert payload["k"] == 2
+
+
+def test_cluster_with_labels_prints_the_two_pass_scores(synth_dir, trained_dir, tmp_path, capsys):
+    emb = tmp_path / "z.bin"
+    assert main(["embed", "--checkpoint", str(trained_dir / "checkpoint.json"),
+                 "--data", str(synth_dir / "manifest.json"), "--out", str(emb)]) == 0
+    points = read_features(emb)
+    labels = np.loadtxt(synth_dir / "labels.csv", dtype=np.intp)
+    partial = tmp_path / "partial.csv"
+    hidden = labels.copy()
+    hidden[::5] = -1
+    np.savetxt(partial, hidden, fmt="%d")
+    for path, truth in ((synth_dir / "labels.csv", labels), (partial, hidden)):
+        capsys.readouterr()
+        assert main(["cluster", "--embedding", str(emb), "--k", "2", "--labels", str(path)]) == 0
+        printed = capsys.readouterr().out.strip().splitlines()[-1]
+        assign = evalkit.kmeans(points, 2, seed=0)
+        known = truth >= 0
+        want = {
+            "k": 2, "seed": 0, "inertia": assign.inertia,
+            "silhouette_kmeans": evalkit.silhouette(points, assign),
+            "silhouette_truth": evalkit.silhouette(points[known], truth[known]),
+            "nmi": evalkit.nmi(assign.labels[known], truth[known]),
+            "ari": evalkit.ari(assign.labels[known], truth[known]),
+        }
+        assert printed == json.dumps(want, sort_keys=True)
+
+
+@pytest.mark.parametrize("kind", ["gcflow", "gcflow-p"])
+def test_diverged_train_leaves_its_record(synth_dir, tmp_path, capsys, kind):
+    out = tmp_path / "run"
+    rc = main(["train", "--data", str(synth_dir / "manifest.json"), "--out", str(out),
+               "--set", f"model={kind}", "--set", "hidden=8", "--set", "embed_dim=4",
+               "--set", "epochs=5", "--set", "lr=1e8"])
+    assert rc == 1
+    assert "training diverged at epoch" in capsys.readouterr().err
+    metrics = json.loads((out / "metrics.json").read_text())
+    assert metrics["status"] == "diverged"
+    assert sorted(metrics) == sorted(
+        ["config", "seed", "epochs_run", "test_micro_f1", "silhouette_kmeans",
+         "silhouette_truth", "nmi", "ari", "wall_seconds", "status"]
+    )
+    assert metrics["config"]["model"] == kind
+    rows = (out / "epochs.csv").read_text().splitlines()
+    assert rows[0] == "epoch,loss,val_f1"
+    assert metrics["epochs_run"] >= 1
+    assert len(rows) == 1 + metrics["epochs_run"]
+    assert not (out / "checkpoint.json").exists()
 
 
 def test_unknown_flag_fails_with_usage(capsys):

@@ -219,6 +219,72 @@ def test_silhouette_matches_loop_oracle_property(n, dim, k, distinct, seed):
     assert -1.0 <= got <= 1.0
 
 
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(
+    n=st.integers(2, 30),
+    dim=st.integers(1, 4),
+    ks=st.lists(st.integers(2, 8), min_size=2, max_size=4),
+    distinct=st.integers(1, 30),
+    rows=st.integers(1, 7),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=6, dim=2, ks=[6, 2], distinct=1, rows=2, seed=0)  # singletons; a = b = 0 everywhere
+@example(n=9, dim=1, ks=[2, 9, 3], distinct=3, rows=4, seed=5)  # duplicates beside singletons
+def test_silhouette_of_several_labelings_equals_one_call_each(n, dim, ks, distinct, rows, seed):
+    # a budget of `rows` x n distances splits the points into several
+    # blocks; every labeling reads the same block of distances
+    rng = np.random.default_rng(seed)
+    pool = rng.normal(size=(min(distinct, n), dim))
+    x = pool[rng.integers(0, pool.shape[0], size=n)]
+    labelings = []
+    for k in ks:
+        k = min(k, n)
+        codes = rng.integers(0, k, size=n)
+        codes[:k] = rng.permutation(k)  # every cluster non-empty
+        labelings.append(codes * 7 - 11)
+    patched = pytest.MonkeyPatch()
+    patched.setattr(evalkit, "DISTANCE_BUDGET", rows * n)
+    try:
+        together = evalkit.silhouette(x, *labelings)
+        alone = [evalkit.silhouette(x, labels) for labels in labelings]
+    finally:
+        patched.undo()
+    assert isinstance(together, tuple)
+    assert [np.float64(v).tobytes() for v in together] == [np.float64(v).tobytes() for v in alone]
+
+
+def test_silhouette_of_several_labelings_takes_one_distance_pass(monkeypatch):
+    rng = np.random.default_rng(4)
+    n = 300
+    x = rng.normal(size=(n, 5))
+    first, second = rng.integers(0, 3, size=n), rng.integers(0, 4, size=n)
+    monkeypatch.setattr(evalkit, "DISTANCE_BUDGET", 70 * n)
+    rows = []
+    real = evalkit.cdist
+    monkeypatch.setattr(evalkit, "cdist", lambda a, b: rows.append(a.shape[0]) or real(a, b))
+    together = evalkit.silhouette(x, first, second)
+    assert rows == [70, 70, 70, 70, 20]
+    assert together == (evalkit.silhouette(x, first), evalkit.silhouette(x, second))
+
+
+def test_silhouette_pair_scores_known_classes_apart_when_some_are_unknown(monkeypatch):
+    rng = np.random.default_rng(6)
+    x = rng.normal(size=(40, 3))
+    assign = rng.integers(0, 3, size=40)
+    truth = rng.integers(0, 2, size=40)
+    passes = []
+    real = evalkit.cdist
+    monkeypatch.setattr(evalkit, "cdist", lambda a, b: passes.append(b.shape[0]) or real(a, b))
+    assert evalkit.silhouette_pair(x, assign, truth) == evalkit.silhouette(x, assign, truth)
+    assert passes == [40, 40]  # one pass for the pair, one for the check
+    truth[::4] = -1
+    passes.clear()
+    known = truth >= 0
+    assert evalkit.silhouette_pair(x, assign, truth) == (
+        evalkit.silhouette(x, assign), evalkit.silhouette(x[known], truth[known]))
+    assert passes == [40, 30, 40, 30]
+
+
 def test_silhouette_cdist_route_matches_broadcast_reference(monkeypatch):
     rng = np.random.default_rng(18)
     n, dim = 2400, 16

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -57,6 +58,23 @@ def test_make_graph_rejects_self_loop():
 def test_make_graph_rejects_out_of_range():
     with pytest.raises(DomainError):
         graphs.make_graph(3, [(0, 3)])
+
+
+@pytest.mark.parametrize("edges", [[], [(0, 1)], [(3, 1), (0, 2), (2, 3), (1, 0)]])
+def test_edge_array_and_fingerprint_match_the_tuple_conversion(edges):
+    g = graphs.make_graph(4, edges)
+    former = np.asarray(g.edges, dtype="<i8").reshape(-1, 2)
+    got = graphs.edge_array(g)
+    assert got.shape == former.shape and np.array_equal(got, former)
+    # the SHA-256 every saved checkpoint carries
+    assert graphs.fingerprint(g) == {"n": 4, "edges_sha256": hashlib.sha256(former.tobytes()).hexdigest()}
+
+
+def test_fingerprint_of_a_fixed_graph_is_pinned():
+    g = graphs.make_graph(3, [(0, 1), (1, 2)])
+    assert graphs.fingerprint(g)["edges_sha256"] == (
+        "7acccfef7a7e85ef7264470497c1a438a1f281c784c4df9658b37135ba552cc1"
+    )
 
 
 def test_edgeless_normalizations_are_identity():

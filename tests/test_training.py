@@ -1,4 +1,6 @@
+import json
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +10,7 @@ from gcflow import graphs
 from gcflow.autodiff import Tensor
 from gcflow.checkpoint import FORMAT_TAG, load_checkpoint
 from gcflow.data import SbmConfig, generate_sbm
-from gcflow.errors import ConfigError, DivergedError, DomainError, FormatError
+from gcflow.errors import ConfigError, DivergedError, DomainError, FormatError, SingularMatrixError
 from gcflow.evalkit import micro_f1
 from gcflow import flows, mixture, training
 from gcflow.graphs import make_graph
@@ -27,6 +29,7 @@ from gcflow.training import (
     representation,
     train,
 )
+import oracles
 from oracles import count_factorizations
 
 
@@ -223,6 +226,156 @@ def test_divergence_record_has_one_val_f1_per_loss(sbm, kind):
     record = err.value.record
     assert record.epochs_run >= 1
     assert len(record.losses) == len(record.val_f1s) == record.epochs_run
+
+
+# -- one forward per epoch: the two-forward loop is the reference ---------
+
+
+def run_route(monkeypatch, cfg, ds, descend, score):
+    """Train with the given epoch loop and evaluate; returns the comparable
+    outcome: status, message, losses and val F1s as bytes, metrics minus
+    the wall clock, and the parameters evaluate saw."""
+    seen = []
+
+    def scoring(tm, dataset, seed=None):
+        seen.extend(p.data.copy() for p in tm.model.params())
+        return score(tm, dataset, seed)
+
+    monkeypatch.setattr(training, "_descend", descend)
+    monkeypatch.setattr(training, "evaluate", scoring)
+    try:
+        record, status = train(cfg, ds), "ok"
+    except DivergedError as exc:
+        record, status = exc.record, str(exc)
+    metrics = record.metrics_dict()
+    del metrics["wall_seconds"]
+    return {
+        "status": status,
+        "losses": np.array(record.losses).tobytes(),
+        "val_f1s": np.array(record.val_f1s).tobytes(),
+        "metrics": json.dumps(metrics, sort_keys=True),
+        "params": [p.tobytes() for p in seen],
+    }
+
+
+def both_routes(monkeypatch, cfg, ds):
+    reference = run_route(monkeypatch, cfg, ds, oracles.descend_two_forward, oracles.evaluate_two_pass)
+    got = run_route(monkeypatch, cfg, ds, ONE_FORWARD_DESCEND, ONE_PASS_EVALUATE)
+    return reference, got
+
+
+ONE_FORWARD_DESCEND = training._descend
+ONE_PASS_EVALUATE = training.evaluate
+
+ROUTE_CASES = [dict(model=kind) for kind in MODEL_KINDS] + [
+    dict(model="gcflow", adjacency="sym"),
+    dict(model="gcflow", dropout=0.1),
+    dict(model="gcn", dropout=0.0, adjacency="sym"),
+]
+
+
+@pytest.mark.parametrize("case", ROUTE_CASES, ids=lambda c: "-".join(map(str, c.values())))
+def test_one_forward_loop_matches_the_two_forward_reference(sbm, monkeypatch, case):
+    # patience 3 of 12 epochs: most cases stop early, so the carried forward
+    # of the last epoch run is discarded at the break
+    cfg = TrainConfig(hidden=8, embed_dim=4, epochs=12, patience=3, seed=0, **case)
+    reference, got = both_routes(monkeypatch, cfg, sbm)
+    assert got == reference
+    assert reference["status"] == "ok"
+
+
+@pytest.mark.parametrize("kind", ["flowgmm", "gcflow", "gcflow-p"])
+def test_one_forward_loop_matches_the_reference_on_divergence(sbm, monkeypatch, kind):
+    cfg = TrainConfig(model=kind, hidden=8, embed_dim=4, dropout=0.0, lr=1e8, epochs=10, patience=10, seed=0)
+    reference, got = both_routes(monkeypatch, cfg, sbm)
+    assert got == reference
+    assert reference["status"].startswith("training diverged at epoch")
+
+
+def fail_logdet(monkeypatch, calls):
+    """Make the forward's ``logabsdet_tensor`` raise on the given call numbers."""
+    real = graphs.logabsdet_tensor
+    count = [0]
+
+    def maybe_singular(a):
+        count[0] += 1
+        if count[0] in calls:
+            raise SingularMatrixError("forced singular mixing matrix")
+        return real(a)
+
+    monkeypatch.setattr(flows, "logabsdet_tensor", maybe_singular)
+    return count
+
+
+def test_a_singular_carried_forward_falls_back_to_predict(sbm, monkeypatch):
+    # two stages, two log-dets per forward: calls 7-8 are the forward built
+    # after epoch 2's step; it fails once, and the reference never sees it
+    cfg = TrainConfig(model="gcflow-p", hidden=8, embed_dim=4, epochs=6, patience=6, seed=0)
+    reference = run_route(monkeypatch, cfg, sbm, oracles.descend_two_forward, oracles.evaluate_two_pass)
+    count = fail_logdet(monkeypatch, {7})
+    got = run_route(monkeypatch, cfg, sbm, ONE_FORWARD_DESCEND, ONE_PASS_EVALUATE)
+    assert got == reference
+    assert count[0] == 2 * 6 + 1  # two per loss forward, plus the failed call
+
+
+def test_a_lasting_singularity_diverges_as_the_reference_does(sbm, monkeypatch):
+    cfg = TrainConfig(model="gcflow-p", hidden=8, embed_dim=4, epochs=6, patience=6, seed=0)
+    fail_logdet(monkeypatch, set(range(7, 100)))
+    reference = run_route(monkeypatch, cfg, sbm, oracles.descend_two_forward, oracles.evaluate_two_pass)
+    fail_logdet(monkeypatch, set(range(7, 100)))
+    got = run_route(monkeypatch, cfg, sbm, ONE_FORWARD_DESCEND, ONE_PASS_EVALUATE)
+    assert got == reference
+    assert reference["status"] == "training diverged at epoch 3: forced singular mixing matrix"
+
+
+def test_gcflow_runs_one_forward_per_epoch_and_per_evaluate(sbm, monkeypatch):
+    calls = []
+    real = flows.GcFlowModel.forward
+    monkeypatch.setattr(flows.GcFlowModel, "forward", lambda self, *a, **kw: calls.append(1) or real(self, *a, **kw))
+    at_evaluate = []
+    real_evaluate = training.evaluate
+
+    def counted(tm, ds, seed=None):
+        at_evaluate.append(len(calls))
+        return real_evaluate(tm, ds, seed)
+
+    monkeypatch.setattr(training, "evaluate", counted)
+    epochs = 7
+    train(TrainConfig(model="gcflow", hidden=8, epochs=epochs, patience=epochs, seed=0), sbm)
+    # mean init, the first loss, one carried forward per later epoch, the last predict
+    assert at_evaluate == [1 + epochs + 1]
+    assert len(calls) == 1 + epochs + 1 + 1
+
+
+@pytest.mark.parametrize("case, noisy", [
+    (dict(model="gcflow"), False),
+    (dict(model="gcflow-p"), False),
+    (dict(model="flowgmm", dropout=0.1), True),
+    (dict(model="gcflow-l"), True),
+    (dict(model="gcn"), True),
+    (dict(model="gcn", dropout=0.0), False),
+])
+def test_models_report_whether_training_draws_noise(sbm, case, noisy):
+    tm = assemble_model(TrainConfig(hidden=8, embed_dim=4, **case), sbm.graph, sbm.dim, sbm.num_classes)
+    assert tm.model.draws_noise is noisy
+
+
+def partly_labelled(ds):
+    """The dataset with the labels of a third of its non-training nodes hidden."""
+    labels = ds.labels.copy()
+    hidden = np.flatnonzero(~ds.train_mask)[::3]
+    labels[hidden] = -1
+    return replace(ds, labels=labels)
+
+
+@pytest.mark.parametrize("kind", ["gcflow", "gcn", "gmm-ax"])
+def test_evaluate_matches_the_two_pass_reference(sbm, kind, tmp_path):
+    record = train(TrainConfig(model=kind, hidden=8, epochs=4, patience=4, seed=1), sbm, checkpoint_dir=tmp_path)
+    tm = load_checkpoint(record.checkpoint_path, sbm.graph)
+    for ds in (sbm, partly_labelled(sbm)):
+        got = evaluate(tm, ds)
+        assert json.dumps(got) == json.dumps(oracles.evaluate_two_pass(tm, ds))
+    assert got["silhouette_truth"] != record.silhouette_truth  # fewer points scored
 
 
 def perturbed_flow_model(kind, ds, seed=1):
