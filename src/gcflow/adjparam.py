@@ -49,11 +49,8 @@ class AttentionAdjacency:
             raise DomainError("attention reweighting needs at least one edge")
         rng = np.random.default_rng(seed)
         self.n = graph.n
-        self.dim = int(dim)
-        self.embed_dim = int(embed_dim)
         self.damping = float(damping)
         self._damping_eye = ad.Tensor(self.damping * np.eye(self.n)) if self.damping else None
-        self.seed = int(seed)
         self.src, self.dst = directed_edges(graph)
         self.embed_src = Mlp([dim, embed_dim], rng)
         self.embed_dst = Mlp([dim, embed_dim], rng)
@@ -114,14 +111,11 @@ class ConcreteAdjacency:
             raise DomainError("edge gating needs at least one edge")
         rng = np.random.default_rng(seed)
         self.n = graph.n
-        self.dim = int(dim)
-        self.embed_dim = int(embed_dim)
         self.temperature = float(temperature)
         self.stretch_lo = float(stretch_lo)
         self.stretch_hi = float(stretch_hi)
         self.damping = float(damping)
         self._damping_eye = ad.Tensor(self.damping * np.eye(self.n)) if self.damping else None
-        self.seed = int(seed)
         self.src, self.dst = directed_edges(graph)
         self.embed_a = Mlp([dim, embed_dim], rng)
         self.embed_b = Mlp([dim, embed_dim], rng)

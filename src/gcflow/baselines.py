@@ -47,7 +47,7 @@ class GcnModel:
 
     def loss(self, x, labels, loss_cfg, rng) -> Tensor:
         """Cross-entropy over the labeled nodes of a training-mode forward."""
-        return gcn_loss(gcn_forward(self, x, training=True, rng=rng), labels, loss_cfg.labeled)
+        return gcn_loss(self.forward(x, training=True, rng=rng)[0], labels, loss_cfg.labeled)
 
     @property
     def draws_noise(self):
@@ -91,11 +91,6 @@ class GcnModel:
             if idx < len(self.weights) - 1:
                 h = ad.relu(h)
         return ad.row_softmax(h), penultimate
-
-
-def gcn_forward(model: GcnModel, x, training=False, rng=None):
-    probs, _ = model.forward(x, training=training, rng=rng)
-    return probs
 
 
 def gcn_loss(probs, labels, labeled) -> Tensor:
@@ -222,7 +217,8 @@ def component_class_mapping(gmm: EmGmm, x, labels, labeled):
 
 class EmReference:
     """An EM mixture fitted on features, or on features pre-mixed by a fixed
-    normalized adjacency (``mixing``), with its components mapped to classes.
+    normalized adjacency (``mixing``, the CSR matrix), with its components
+    mapped to classes.
 
     It has no gradient parameters: ``fit`` takes the place of training.
     """
@@ -258,9 +254,3 @@ class EmReference:
         resp, _ = responsibilities(self.gmm, feats)
         return self.mapping[resp.argmax(axis=1)], feats
 
-
-def gmm_classify(gmm: EmGmm, x, labels, labeled):
-    """Hard component assignments mapped to classes by labeled majority."""
-    mapping = component_class_mapping(gmm, x, labels, labeled)
-    resp, _ = responsibilities(gmm, x)
-    return mapping[resp.argmax(axis=1)]

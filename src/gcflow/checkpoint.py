@@ -100,6 +100,6 @@ def load_checkpoint(path, graph) -> TrainedModel:
             gmm = payload["gmm"]
             tm.model.gmm = EmGmm(gmm["weights"], gmm["means"], gmm["covs"])
             tm.model.mapping = np.asarray(gmm["mapping"], dtype=np.intp)
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: malformed checkpoint ({exc})") from None
     return tm

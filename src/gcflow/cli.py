@@ -18,12 +18,11 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-import numpy as np
-
-from .data import SbmConfig, generate_sbm, load_dataset, read_features, save_dataset, write_features
+from .data import (
+    SbmConfig, generate_sbm, load_dataset, read_features, read_int_lines, save_dataset, write_features,
+)
 from .errors import ConfigError, DivergedError, FormatError, GcFlowError
-from .evalkit import kmeans, silhouette, silhouette_pair
-from . import evalkit
+from .evalkit import cluster_agreement, kmeans, silhouette
 from .training import TrainConfig, evaluate, representation, train
 
 
@@ -146,15 +145,12 @@ def cmd_cluster(args):
     if not args.labels:
         payload["silhouette_kmeans"] = silhouette(points, assign)
     else:
-        labels = np.loadtxt(args.labels, dtype=np.intp).reshape(-1)
+        labels = read_int_lines(args.labels)
         if labels.size != points.shape[0]:
             raise FormatError(
                 f"{args.labels} has {labels.size} labels for {points.shape[0]} points"
             )
-        known = labels >= 0
-        payload["silhouette_kmeans"], payload["silhouette_truth"] = silhouette_pair(points, assign, labels)
-        payload["nmi"] = evalkit.nmi(assign.labels[known], labels[known])
-        payload["ari"] = evalkit.ari(assign.labels[known], labels[known])
+        payload.update(cluster_agreement(points, assign, labels))
     if args.out:
         write_metrics(args.out, payload)
     print(json.dumps(payload, sort_keys=True))

@@ -113,7 +113,9 @@ def _load_feature_file(path):
         raise FormatError(f"{path}: cannot parse as CSV features ({exc})") from None
 
 
-def _load_int_lines(path):
+def read_int_lines(path):
+    """One integer per line; '#' starts a comment. A line that is not an
+    integer raises ``FormatError`` naming its path and line number."""
     values = []
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -168,11 +170,11 @@ def load_dataset(manifest_path) -> Dataset:
         graph = make_graph(n, load_edge_list(base / manifest["edges"]))
     except DomainError as exc:
         raise FormatError(f"edge list: {exc}") from None
-    labels = _load_int_lines(base / manifest["labels"])
+    labels = read_int_lines(base / manifest["labels"])
     if labels.shape[0] != n:
         raise FormatError(f"labels file has {labels.shape[0]} entries, expected {n}")
     masks = {
-        which: _mask_from_indices(_load_int_lines(base / manifest[which]), n, manifest[which])
+        which: _mask_from_indices(read_int_lines(base / manifest[which]), n, manifest[which])
         for which in ("train", "val", "test")
     }
     ds = Dataset(

@@ -23,8 +23,8 @@ def _labels_of(assign):
     return np.asarray(labels)
 
 
-def micro_f1(pred, truth, eval_set=None) -> float:
-    """Micro-averaged F1 over the evaluation set.
+def micro_f1(pred, truth) -> float:
+    """Micro-averaged F1 of predictions against the truth.
 
     With one label per node, micro precision and recall both equal
     accuracy, so this is the fraction of exact matches.
@@ -33,10 +33,6 @@ def micro_f1(pred, truth, eval_set=None) -> float:
     truth = np.asarray(truth)
     if pred.shape != truth.shape:
         raise ShapeError(f"prediction and truth lengths differ: {pred.shape} vs {truth.shape}")
-    if eval_set is not None:
-        eval_set = np.asarray(eval_set, dtype=np.intp)
-        pred = pred[eval_set]
-        truth = truth[eval_set]
     if pred.size == 0:
         raise ConfigError("evaluation set is empty")
     return float((pred == truth).mean())
@@ -115,18 +111,31 @@ def silhouette(points, assign, *more):
     return means if more else means[0]
 
 
-def silhouette_pair(points, assign, truth):
-    """Silhouettes of a clustering of all points and of the known classes
-    (``truth`` >= 0) of the points that have one.
+def cluster_agreement(points, assign, truth) -> dict:
+    """How well a clustering of all points fits them and the known classes
+    (``truth`` >= 0): its silhouette, the known classes' silhouette over the
+    points that have one, and its NMI and ARI against those classes.
 
-    With every class known, both come from one distance pass. Otherwise the
-    known points are a different point set, scored in a pass of their own.
+    With every class known, both silhouettes come from one distance pass.
+    Otherwise the known points are a different point set, scored in a pass
+    of their own.
     """
     truth = _labels_of(truth)
+    if truth.shape != (len(points),):
+        raise ShapeError(f"need one class per point: {truth.shape} classes for {len(points)} points")
     known = truth >= 0
     if known.all():
-        return silhouette(points, assign, truth)
-    return silhouette(points, assign), silhouette(np.asarray(points)[known], truth[known])
+        sil_assign, sil_truth = silhouette(points, assign, truth)
+    else:
+        sil_assign = silhouette(points, assign)
+        sil_truth = silhouette(np.asarray(points)[known], truth[known])
+    found = _labels_of(assign)[known]
+    return {
+        "silhouette_kmeans": sil_assign,
+        "silhouette_truth": sil_truth,
+        "nmi": nmi(found, truth[known]),
+        "ari": ari(found, truth[known]),
+    }
 
 
 def _contingency(a, b):

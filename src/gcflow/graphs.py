@@ -92,12 +92,12 @@ class NormalizedAdjacency:
     ``sparse`` is the CSR matrix the model multiplies feature matrices by.
     ``log_abs_det`` is factored densely (O(n³)) on first read and cached;
     only a likelihood reads it, so inference never pays for it.
-    ``matrix`` densifies on demand, for linear solves and one-time mixing;
-    no per-forward path reads it. ``scheme`` records how the matrix was
-    built ("row-normalized", "symmetric", "identity", or "external") and
-    ``damping`` the total multiple of the identity added after
-    normalization (0.0 when none). Dense or sparse input is accepted; NaN or
-    infinite entries raise ``DomainError``.
+    ``matrix`` densifies on demand, for the log|det| and linear solves; no
+    per-forward path reads it. ``scheme`` records how the matrix was built
+    ("row-normalized", "symmetric", or "external") and ``damping`` the total
+    multiple of the identity added after normalization (0.0 when none).
+    Dense or sparse input is accepted; NaN or infinite entries raise
+    ``DomainError``.
     """
 
     def __init__(self, matrix, scheme, damping=0.0):
@@ -132,19 +132,6 @@ class NormalizedAdjacency:
         return f"NormalizedAdjacency(n={self.n}, scheme={self.scheme!r}, damping={self.damping})"
 
 
-def identity_adjacency(n) -> NormalizedAdjacency:
-    return NormalizedAdjacency(scipy.sparse.identity(n, format="csr"), scheme="identity")
-
-
-def _checked(adj: NormalizedAdjacency, message):
-    """``adj`` once its log|det| has been read; a singular matrix raises ``message``."""
-    try:
-        adj.log_abs_det
-    except SingularMatrixError:
-        raise SingularMatrixError(message) from None
-    return adj
-
-
 def _normalized(g: Graph, scheme, damping, check):
     """CSR of the normalized A + I built from the edge list in one pass.
 
@@ -175,10 +162,13 @@ def _normalized(g: Graph, scheme, damping, check):
     adj = NormalizedAdjacency(
         scipy.sparse.csr_matrix((values, cols, indptr), shape=(g.n, g.n)), scheme=scheme, damping=damping
     )
-    if not check:
-        return adj
-    hint = "increase damping" if damping else "pass a small damping value"
-    return _checked(adj, f"{scheme} adjacency is singular; {hint}")
+    if check:
+        try:
+            adj.log_abs_det
+        except SingularMatrixError:
+            hint = "increase damping" if damping else "pass a small damping value"
+            raise SingularMatrixError(f"{scheme} adjacency is singular; {hint}") from None
+    return adj
 
 
 def normalize_row(g: Graph, damping=0.0, check=True) -> NormalizedAdjacency:
@@ -197,16 +187,6 @@ def normalize_sym(g: Graph, damping=0.0, check=True) -> NormalizedAdjacency:
     """Symmetric normalization D^-1/2 (A+I) D^-1/2 with self-loops in D;
     damping and ``check`` as for ``normalize_row``."""
     return _normalized(g, "symmetric", damping, check)
-
-
-def damp(adj: NormalizedAdjacency, epsilon) -> NormalizedAdjacency:
-    """Add epsilon times the identity, restoring invertibility."""
-    epsilon = float(epsilon)
-    if epsilon <= 0.0:
-        raise DomainError(f"damping epsilon must be positive, got {epsilon}")
-    matrix = adj.sparse + epsilon * scipy.sparse.identity(adj.n, format="csr")
-    damped = NormalizedAdjacency(matrix, scheme=adj.scheme, damping=adj.damping + epsilon)
-    return _checked(damped, f"adjacency still singular after damping by {epsilon}")
 
 
 def logabsdet_tensor(a):

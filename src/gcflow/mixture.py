@@ -15,7 +15,7 @@ proper log-likelihoods; constants cost nothing under differentiation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -91,27 +91,6 @@ def component_logpdf_matrix(head: MixtureHead, z) -> ad.Tensor:
     return sq * inv_var * -0.5 - (0.5 * dim * LOG_2PI) - head.log_stds * float(dim)
 
 
-def component_logpdf(head: MixtureHead, z, k) -> float:
-    """Log-density of one latent vector under component k."""
-    if not (0 <= k < head.num_components):
-        raise IndexError(f"component {k} out of range for K={head.num_components}")
-    z = np.asarray(z, dtype=np.float64).reshape(-1)
-    dim = z.size
-    m = head.means.data[k]
-    ls = head.log_stds.data[k]
-    sq = float(((z - m) ** 2).sum())
-    return -0.5 * np.exp(-2.0 * ls) * sq - 0.5 * dim * LOG_2PI - dim * ls
-
-
-def mixture_logpdf(head: MixtureHead, z) -> float:
-    """Log-density of one latent vector under the whole mixture."""
-    lw = head.log_weights().data
-    comps = np.array([component_logpdf(head, z, k) for k in range(head.num_components)])
-    stacked = lw + comps
-    m = stacked.max()
-    return float(m + np.log(np.exp(stacked - m).sum()))
-
-
 def share_rows(result) -> ad.Tensor:
     """Per-node log-determinant: own coupling part plus adjacency share."""
     if result.graph_logdet is None:
@@ -131,26 +110,6 @@ def log_densities(head: MixtureHead, result):
     share = share_rows(result)
     joint = comp_lw + ad.reshape(share, (share.shape[0], 1))
     return joint, ad.logsumexp_rows(comp_lw) + share
-
-
-def marginal_rows(head: MixtureHead, result) -> ad.Tensor:
-    """Length-n tensor of per-node marginal log-densities."""
-    return log_densities(head, result)[1]
-
-
-def joint_matrix(head: MixtureHead, result) -> ad.Tensor:
-    """n x K tensor of per-node, per-class joint log-densities."""
-    return log_densities(head, result)[0]
-
-
-def log_marginal(model, head: MixtureHead, x, i) -> float:
-    return float(marginal_rows(head, model.forward(x)).data[i])
-
-
-def log_joint_labeled(model, head: MixtureHead, x, i, k) -> float:
-    if not (0 <= k < head.num_components):
-        raise IndexError(f"component {k} out of range for K={head.num_components}")
-    return float(joint_matrix(head, model.forward(x)).data[i, k])
 
 
 def posterior_matrix(head: MixtureHead, z) -> np.ndarray:

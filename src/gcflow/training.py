@@ -21,7 +21,6 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from . import evalkit
 from .adjparam import (
     DEFAULT_DAMPING,
     DEFAULT_STRETCH_HI,
@@ -33,7 +32,7 @@ from .adjparam import (
 from .baselines import GCN_DROPOUT, GCN_HIDDEN, EmReference, GcnModel
 from .data import Dataset, apply_pca_reduction
 from .errors import ConfigError, DivergedError, DomainError, SingularMatrixError
-from .evalkit import PcaProjection, kmeans, micro_f1, pca_apply, silhouette_pair
+from .evalkit import PcaProjection, cluster_agreement, kmeans, micro_f1, pca_apply
 from .flows import build_gcflow
 from .graphs import normalize_row, normalize_sym
 from .mixture import (
@@ -290,7 +289,7 @@ def assemble_model(cfg: TrainConfig, graph, dim, classes, damping_used=None) -> 
             source, [dim, cfg.resolved_hidden, classes], dropout=cfg.resolved_dropout, seed=cfg.seed
         )
     elif kind in GMM_KINDS:
-        model = EmReference(classes, mixing=None if source is None else source.matrix)
+        model = EmReference(classes, mixing=None if source is None else source.sparse)
     else:
         flow = build_gcflow(
             cfg.num_flows, dim, cfg.resolved_hidden, cfg.net_layers,
@@ -345,14 +344,9 @@ def evaluate(tm: TrainedModel, ds: Dataset, seed=None):
     if test.size == 0:
         raise ConfigError("dataset has an empty test split")
     km = kmeans(z, ds.num_classes, seed=seed)
-    known = ds.labels >= 0
-    sil_kmeans, sil_truth = silhouette_pair(z, km, ds.labels)
     return {
         "test_micro_f1": micro_f1(pred[test], ds.labels[test]),
-        "silhouette_kmeans": sil_kmeans,
-        "silhouette_truth": sil_truth,
-        "nmi": evalkit.nmi(km.labels[known], ds.labels[known]),
-        "ari": evalkit.ari(km.labels[known], ds.labels[known]),
+        **cluster_agreement(z, km, ds.labels),
     }
 
 

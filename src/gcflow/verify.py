@@ -19,7 +19,7 @@ from .data import SbmConfig, generate_sbm
 from .errors import SingularMatrixError
 from .flows import build_gcflow, jacobian_bruteforce
 from .graphs import make_graph, normalize_row
-from .mixture import LossConfig, MixtureHead, log_densities, marginal_rows, semi_supervised_loss
+from .mixture import LossConfig, MixtureHead, log_densities, semi_supervised_loss
 
 
 def random_graph(rng, n, max_cond=None):
@@ -106,7 +106,7 @@ def density_mass(hidden, points):
     axis = np.linspace(-10.0, 10.0, points)
     xs, ys = np.meshgrid(axis, axis, indexing="ij")
     grid = np.column_stack([xs.ravel(), ys.ravel()])
-    logp = marginal_rows(head, model.forward(grid)).data
+    logp = log_densities(head, model.forward(grid))[1].data
     density = np.exp(logp).reshape(axis.size, axis.size)
     return float(trapezoid(trapezoid(density, axis, axis=1), axis))
 

@@ -1,10 +1,14 @@
 """Reference implementations the optimized code is checked against: dense
-adjacency constructions, a counter of the dense factorizations the graph
-module runs, and the two-forward training loop and two-pass evaluate."""
+adjacency constructions and the identity mixing matrix, a counter of the
+dense factorizations the graph module runs, per-vector mixture densities,
+and the two-forward training loop and two-pass evaluate."""
 
 import numpy as np
+import scipy.sparse
 
 from gcflow import graphs
+
+LOG_2PI = float(np.log(2.0 * np.pi))
 
 
 def adjacency_dense(g):
@@ -31,6 +35,11 @@ def normalized_dense(g, scheme, damping=0.0):
     return m
 
 
+def identity_adjacency(n):
+    """The n x n identity as a mixing matrix: mixing with it changes nothing."""
+    return graphs.NormalizedAdjacency(scipy.sparse.identity(n, format="csr"), scheme="external")
+
+
 def count_factorizations(monkeypatch):
     """Record the shape of every LU the graph module runs; returns the
     list, which grows as factorizations happen."""
@@ -43,6 +52,29 @@ def count_factorizations(monkeypatch):
 
     monkeypatch.setattr(graphs, "_lu_checked", counted)
     return calls
+
+
+# -- per-vector mixture densities -----------------------------------------
+
+
+def component_logpdf(head, z, k):
+    """Log-density of one latent vector under component k of a mixture head,
+    from its scalars, one vector at a time."""
+    z = np.asarray(z, dtype=np.float64).reshape(-1)
+    dim = z.size
+    m = head.means.data[k]
+    ls = head.log_stds.data[k]
+    sq = float(((z - m) ** 2).sum())
+    return -0.5 * np.exp(-2.0 * ls) * sq - 0.5 * dim * LOG_2PI - dim * ls
+
+
+def mixture_logpdf(head, z):
+    """Log-density of one latent vector under the whole mixture."""
+    lw = head.log_weights().data
+    comps = np.array([component_logpdf(head, z, k) for k in range(head.num_components)])
+    stacked = lw + comps
+    m = stacked.max()
+    return float(m + np.log(np.exp(stacked - m).sum()))
 
 
 # -- the two-forward training loop and two-pass evaluate ------------------

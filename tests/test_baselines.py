@@ -5,12 +5,12 @@ from gcflow import autodiff as ad
 from gcflow.autodiff import Tensor, grad_check
 from gcflow.baselines import (
     EmGmm,
+    EmReference,
     GcnModel,
     _component_logpdfs,
+    component_class_mapping,
     em_fit,
-    gcn_forward,
     gcn_loss,
-    gmm_classify,
     responsibilities,
 )
 from gcflow.errors import (
@@ -21,7 +21,8 @@ from gcflow.errors import (
     SingularMatrixError,
 )
 from gcflow.evalkit import micro_f1
-from gcflow.graphs import identity_adjacency, make_graph, normalize_row
+from gcflow.graphs import make_graph, normalize_row
+from oracles import identity_adjacency
 
 
 def ring_adjacency(n):
@@ -39,7 +40,7 @@ def ring_adjacency(n):
 def test_gcn_rows_are_distributions():
     rng = np.random.default_rng(0)
     model = GcnModel(ring_adjacency(6), [3, 5, 4], seed=1)
-    probs = gcn_forward(model, rng.normal(size=(6, 3)))
+    probs = model.forward(rng.normal(size=(6, 3)))[0]
     assert probs.shape == (6, 4)
     assert np.all(probs.data > 0)
     assert np.allclose(probs.data.sum(axis=1), 1.0, atol=1e-12)
@@ -49,7 +50,7 @@ def test_gcn_zero_weights_predict_uniformly():
     model = GcnModel(ring_adjacency(5), [3, 4, 2], seed=0)
     for w in model.weights:
         w.data[:] = 0.0
-    probs = gcn_forward(model, np.random.default_rng(1).normal(size=(5, 3)))
+    probs = model.forward(np.random.default_rng(1).normal(size=(5, 3)))[0]
     assert np.allclose(probs.data, 0.5, atol=1e-15)
 
 
@@ -57,7 +58,7 @@ def test_single_layer_edgeless_gcn_is_plain_softmax():
     rng = np.random.default_rng(2)
     x = rng.normal(size=(4, 3))
     model = GcnModel(identity_adjacency(4), [3, 2], seed=3)
-    probs = gcn_forward(model, x)
+    probs = model.forward(x)[0]
 
     logits = x @ model.weights[0].data
     shifted = np.exp(logits - logits.max(axis=1, keepdims=True))
@@ -79,7 +80,7 @@ def test_gcn_penultimate_is_hidden_activation():
 def test_gcn_rejects_row_mismatch():
     model = GcnModel(ring_adjacency(5), [3, 2], seed=0)
     with pytest.raises(ShapeError):
-        gcn_forward(model, np.zeros((4, 3)))
+        model.forward(np.zeros((4, 3)))
 
 
 def test_gcn_dropout_needs_rng_and_perturbs_training_only():
@@ -87,11 +88,11 @@ def test_gcn_dropout_needs_rng_and_perturbs_training_only():
     x = rng.normal(size=(6, 3))
     model = GcnModel(ring_adjacency(6), [3, 5, 2], dropout=0.5, seed=5)
     with pytest.raises(DomainError):
-        gcn_forward(model, x, training=True)
-    eval_a = gcn_forward(model, x).data
-    eval_b = gcn_forward(model, x).data
+        model.forward(x, training=True)[0]
+    eval_a = model.forward(x)[0].data
+    eval_b = model.forward(x)[0].data
     assert np.array_equal(eval_a, eval_b)
-    trained = gcn_forward(model, x, training=True, rng=np.random.default_rng(0)).data
+    trained = model.forward(x, training=True, rng=np.random.default_rng(0))[0].data
     assert not np.array_equal(eval_a, trained)
 
 
@@ -120,7 +121,7 @@ def test_gcn_loss_gradient_matches_finite_differences():
     model = GcnModel(ring_adjacency(6), [3, 4, 2], seed=7)
 
     def loss_fn():
-        return gcn_loss(gcn_forward(model, x), labels, np.arange(6))
+        return gcn_loss(model.forward(x)[0], labels, np.arange(6))
 
     assert grad_check(loss_fn, model.params()) < 1e-6
 
@@ -130,7 +131,7 @@ def test_gcn_predict_matches_argmax():
     x = rng.normal(size=(5, 3))
     model = GcnModel(ring_adjacency(5), [3, 4, 3], seed=8)
     pred = model.predict(x)
-    assert np.array_equal(pred, gcn_forward(model, x).data.argmax(axis=1))
+    assert np.array_equal(pred, model.forward(x)[0].data.argmax(axis=1))
 
 
 # -- EM mixture ---------------------------------------------------------
@@ -218,6 +219,15 @@ def test_singular_covariance_is_reported():
     gmm = EmGmm([1.0], np.zeros((1, 2)), np.zeros((1, 2, 2)))
     with pytest.raises(DegenerateComponentError):
         responsibilities(gmm, np.zeros((4, 2)))
+
+
+def gmm_classify(gmm, x, labels, labeled):
+    """Predictions of an EM reference holding ``gmm``, its components mapped
+    to classes by the labeled majority."""
+    ref = EmReference(gmm.k)
+    ref.gmm = gmm
+    ref.mapping = component_class_mapping(gmm, x, labels, labeled)
+    return ref.predict(x)
 
 
 def test_gmm_classify_maps_components_to_classes():

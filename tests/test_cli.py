@@ -219,6 +219,20 @@ def test_cluster_needs_valid_k(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_cluster_rejects_a_malformed_labels_file(tmp_path, capsys):
+    from gcflow.data import write_features
+
+    emb = tmp_path / "z.bin"
+    write_features(emb, np.random.default_rng(2).normal(size=(3, 2)))
+    labels = tmp_path / "labels.csv"
+    labels.write_text("0\nx\n1\n")
+    rc = main(["cluster", "--embedding", str(emb), "--k", "2", "--labels", str(labels)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err == f"gcflow: error: {labels}:2: expected an integer\n"
+    assert captured.out == ""
+
+
 def test_cluster_rejects_non_finite_embedding(tmp_path, capsys):
     from gcflow.data import write_features
 

@@ -101,13 +101,13 @@ def test_micro_f1_trivials():
 def test_micro_f1_eval_subset():
     pred = np.array([0, 0, 1, 1])
     truth = np.array([0, 1, 1, 1])
-    assert evalkit.micro_f1(pred, truth, eval_set=[0, 2]) == 1.0
-    assert evalkit.micro_f1(pred, truth, eval_set=[1]) == 0.0
+    assert evalkit.micro_f1(pred[[0, 2]], truth[[0, 2]]) == 1.0
+    assert evalkit.micro_f1(pred[[1]], truth[[1]]) == 0.0
 
 
 def test_micro_f1_empty_eval_set_rejected():
     with pytest.raises(ConfigError):
-        evalkit.micro_f1(np.array([0]), np.array([0]), eval_set=[])
+        evalkit.micro_f1(np.array([0])[[]], np.array([0])[[]])
 
 
 def test_micro_f1_matches_confusion_oracle():
@@ -267,7 +267,7 @@ def test_silhouette_of_several_labelings_takes_one_distance_pass(monkeypatch):
     assert together == (evalkit.silhouette(x, first), evalkit.silhouette(x, second))
 
 
-def test_silhouette_pair_scores_known_classes_apart_when_some_are_unknown(monkeypatch):
+def test_cluster_agreement_scores_known_classes_apart_when_some_are_unknown(monkeypatch):
     rng = np.random.default_rng(6)
     x = rng.normal(size=(40, 3))
     assign = rng.integers(0, 3, size=40)
@@ -275,14 +275,29 @@ def test_silhouette_pair_scores_known_classes_apart_when_some_are_unknown(monkey
     passes = []
     real = evalkit.cdist
     monkeypatch.setattr(evalkit, "cdist", lambda a, b: passes.append(b.shape[0]) or real(a, b))
-    assert evalkit.silhouette_pair(x, assign, truth) == evalkit.silhouette(x, assign, truth)
-    assert passes == [40, 40]  # one pass for the pair, one for the check
+    got = evalkit.cluster_agreement(x, assign, truth)
+    assert (got["silhouette_kmeans"], got["silhouette_truth"]) == evalkit.silhouette(x, assign, truth)
+    assert passes == [40, 40]  # one pass for both silhouettes, one for the check
+    assert got["nmi"] == evalkit.nmi(assign, truth) and got["ari"] == evalkit.ari(assign, truth)
     truth[::4] = -1
     passes.clear()
     known = truth >= 0
-    assert evalkit.silhouette_pair(x, assign, truth) == (
-        evalkit.silhouette(x, assign), evalkit.silhouette(x[known], truth[known]))
-    assert passes == [40, 30, 40, 30]
+    got = evalkit.cluster_agreement(x, assign, truth)
+    assert passes == [40, 30]
+    assert got == {
+        "silhouette_kmeans": evalkit.silhouette(x, assign),
+        "silhouette_truth": evalkit.silhouette(x[known], truth[known]),
+        "nmi": evalkit.nmi(assign[known], truth[known]),
+        "ari": evalkit.ari(assign[known], truth[known]),
+    }
+
+
+def test_cluster_agreement_rejects_a_class_count_mismatch():
+    x = np.random.default_rng(7).normal(size=(10, 2))
+    assign = np.arange(10) % 2
+    for truth in (np.arange(8) % 2, np.array([0, 1, -1, 0, 1, 0, 1, 0])):
+        with pytest.raises(ShapeError, match="one class per point"):
+            evalkit.cluster_agreement(x, assign, truth)
 
 
 def test_silhouette_cdist_route_matches_broadcast_reference(monkeypatch):

@@ -5,6 +5,7 @@ from numpy.testing import assert_allclose
 from gcflow import autodiff as ad
 from gcflow import flows, graphs
 from gcflow.errors import ScaleError, ShapeError, SingularMatrixError
+from oracles import identity_adjacency
 
 
 def zero_all(params):
@@ -137,7 +138,7 @@ def test_empty_model_is_identity():
 def test_identity_adjacency_equals_no_adjacency():
     n, dim = 5, 4
     model_plain = flows.build_gcflow(2, dim, hidden=6, net_layers=2, seed=5)
-    model_eye = flows.GcFlowModel(model_plain.flows, adjacency=graphs.identity_adjacency(n))
+    model_eye = flows.GcFlowModel(model_plain.flows, adjacency=identity_adjacency(n))
     x = np.random.default_rng(6).normal(size=(n, dim))
     r1 = model_plain.forward(x)
     r2 = model_eye.forward(x)

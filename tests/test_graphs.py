@@ -121,8 +121,7 @@ def test_row_normalization_rows_sum_to_one():
 
 
 def test_damp_identity():
-    adj = graphs.identity_adjacency(4)
-    damped = graphs.damp(adj, 1e-3)
+    damped = graphs.normalize_row(graphs.make_graph(4, []), damping=1e-3)
     assert_allclose(damped.matrix, 1.001 * np.eye(4), atol=1e-15)
     assert_allclose(damped.log_abs_det, 4 * math.log(1.001), atol=1e-12)
     assert damped.damping == 1e-3
@@ -134,9 +133,11 @@ def test_damping_rescues_singular_triangle():
     assert_allclose(damped.log_abs_det, np.log(abs(det_leibniz(damped.matrix))), atol=1e-10)
 
 
-def test_damp_rejects_zero_epsilon():
-    with pytest.raises(DomainError):
-        graphs.damp(graphs.identity_adjacency(2), 0.0)
+def test_normalize_rejects_negative_or_nan_damping():
+    for norm in (graphs.normalize_row, graphs.normalize_sym):
+        for damping in (-1e-3, float("nan")):
+            with pytest.raises(DomainError, match="damping"):
+                norm(path3(), damping=damping)
 
 
 def test_log_abs_det_trivials():

@@ -8,6 +8,7 @@ from scipy.integrate import trapezoid
 from gcflow import autodiff as ad
 from gcflow import flows, graphs, mixture
 from gcflow.errors import ConfigError, DomainError
+from oracles import component_logpdf, mixture_logpdf
 
 LOG_2PI = np.log(2.0 * np.pi)
 
@@ -28,6 +29,17 @@ def dense_gaussian_logpdf(z, mean, cov):
     )
 
 
+def component_row(head, z):
+    """Per-component log-densities of one latent vector, from the component matrix."""
+    return mixture.component_logpdf_matrix(head, np.reshape(z, (1, -1))).data[0]
+
+
+def mixture_row(head, z):
+    """Mixture log-density of one latent vector: the marginal of a flow with no layers."""
+    result = flows.GcFlowModel([], adjacency=None).forward(np.reshape(z, (1, -1)))
+    return mixture.log_densities(head, result)[1].data[0]
+
+
 def ring_graph(n, extra=(), damping=0.0):
     edges = [(i, (i + 1) % n) for i in range(n)] + list(extra)
     g = graphs.make_graph(n, edges)
@@ -39,7 +51,7 @@ def ring_graph(n, extra=(), damping=0.0):
 
 def test_component_logpdf_standard_normal_at_mode():
     head = standard_head()
-    assert_allclose(mixture.component_logpdf(head, np.zeros(2), 0), -LOG_2PI, atol=1e-12)
+    assert_allclose(component_row(head, np.zeros(2))[0], -LOG_2PI, atol=1e-12)
 
 
 def test_component_logpdf_sigma_doubling():
@@ -47,7 +59,7 @@ def test_component_logpdf_sigma_doubling():
     head = mixture.MixtureHead(1, dim, mean_scalars=[1.0], log_stds=[0.0])
     wide = mixture.MixtureHead(1, dim, mean_scalars=[1.0], log_stds=[np.log(2.0)])
     z = np.ones(dim)
-    drop = mixture.component_logpdf(head, z, 0) - mixture.component_logpdf(wide, z, 0)
+    drop = component_row(head, z)[0] - component_row(wide, z)[0]
     assert_allclose(drop, dim * np.log(2.0), atol=1e-12)
 
 
@@ -58,29 +70,19 @@ def test_component_logpdf_matches_dense_covariance_oracle():
         z = rng.normal(size=4)
         sigma = np.exp(head.log_stds.data[k])
         want = dense_gaussian_logpdf(z, head.means.data[k] * np.ones(4), sigma**2 * np.eye(4))
-        assert_allclose(mixture.component_logpdf(head, z, k), want, atol=1e-10)
-
-
-def test_component_logpdf_rejects_bad_index():
-    head = standard_head()
-    with pytest.raises(IndexError):
-        mixture.component_logpdf(head, np.zeros(2), 1)
-    with pytest.raises(IndexError):
-        mixture.component_logpdf(head, np.zeros(2), -1)
+        assert_allclose(component_row(head, z)[k], want, atol=1e-10)
 
 
 def test_mixture_logpdf_single_component():
     head = standard_head()
     z = np.array([0.3, -0.7])
-    assert_allclose(mixture.mixture_logpdf(head, z), mixture.component_logpdf(head, z, 0), atol=1e-12)
+    assert_allclose(mixture_row(head, z), component_row(head, z)[0], atol=1e-12)
 
 
 def test_mixture_logpdf_identical_components():
     head = mixture.MixtureHead(2, 2, mean_scalars=[1.0, 1.0], log_stds=[0.2, 0.2])
     z = np.array([0.5, 2.0])
-    assert_allclose(
-        mixture.mixture_logpdf(head, z), mixture.component_logpdf(head, z, 0), atol=1e-12
-    )
+    assert_allclose(mixture_row(head, z), component_row(head, z)[0], atol=1e-12)
 
 
 def test_mixture_logpdf_matches_direct_summation():
@@ -88,10 +90,8 @@ def test_mixture_logpdf_matches_direct_summation():
     head = mixture.MixtureHead(3, 2, mean_scalars=[-2.0, 0.0, 3.0], log_stds=[0.0, 0.3, -0.3])
     for _ in range(5):
         z = rng.normal(size=2)
-        direct = sum(
-            np.exp(mixture.component_logpdf(head, z, k)) / 3.0 for k in range(3)
-        )
-        assert_allclose(np.exp(mixture.mixture_logpdf(head, z)), direct, rtol=1e-12)
+        direct = sum(np.exp(component_row(head, z)) / 3.0)
+        assert_allclose(np.exp(mixture_row(head, z)), direct, rtol=1e-12)
 
 
 def test_component_matrix_agrees_with_scalar_op():
@@ -101,7 +101,7 @@ def test_component_matrix_agrees_with_scalar_op():
     matrix = mixture.component_logpdf_matrix(head, ad.Tensor(z)).data
     for i in range(5):
         for k in range(3):
-            assert_allclose(matrix[i, k], mixture.component_logpdf(head, z[i], k), atol=1e-12)
+            assert_allclose(matrix[i, k], component_logpdf(head, z[i], k), atol=1e-12)
 
 
 @settings(derandomize=True, deadline=None)
@@ -118,7 +118,7 @@ def test_component_matrix_matches_scalar_reference_on_random_heads(n, dim, means
     assert head.params() == [head.means, head.log_stds]
     z = np.random.default_rng(seed).normal(scale=3.0, size=(n, dim))
     matrix = mixture.component_logpdf_matrix(head, z).data
-    want = [[mixture.component_logpdf(head, z[i], c) for c in range(k)] for i in range(n)]
+    want = [[component_logpdf(head, z[i], c) for c in range(k)] for i in range(n)]
     assert_allclose(matrix, want, rtol=0.0, atol=1e-12)
 
 
@@ -153,10 +153,9 @@ def test_log_marginal_identity_model_reduces_to_mixture():
     model = flows.GcFlowModel([], adjacency=None)
     head = mixture.MixtureHead(2, 2, mean_scalars=[0.0, 1.0])
     x = np.array([[0.2, -0.4], [1.1, 0.9], [3.0, -2.0]])
+    marginal = mixture.log_densities(head, model.forward(x))[1].data
     for i in range(3):
-        assert_allclose(
-            mixture.log_marginal(model, head, x, i), mixture.mixture_logpdf(head, x[i]), atol=1e-12
-        )
+        assert_allclose(marginal[i], mixture_logpdf(head, x[i]), atol=1e-12)
 
 
 def test_marginal_sum_matches_bruteforce_change_of_variables():
@@ -169,8 +168,8 @@ def test_marginal_sum_matches_bruteforce_change_of_variables():
     head = mixture.MixtureHead(2, dim, mean_scalars=[0.0, 1.5])
     x = np.random.default_rng(4).normal(size=(n, dim))
     result = model.forward(x)
-    total = mixture.marginal_rows(head, result).data.sum()
-    base = sum(mixture.mixture_logpdf(head, z) for z in result.z.data)
+    total = mixture.log_densities(head, result)[1].data.sum()
+    base = sum(mixture_logpdf(head, z) for z in result.z.data)
     brute_logdet = flows.jacobian_bruteforce(lambda a: model.forward(a).z, x)
     assert_allclose(total, base + brute_logdet, atol=1e-6)
 
@@ -184,10 +183,10 @@ def test_marginal_share_tracks_adjacency_determinant():
     doubled = graphs.NormalizedAdjacency(2.0 * m, scheme="external")
     head = mixture.MixtureHead(1, 1, mean_scalars=[0.0])
     x = rng.normal(size=(n, 1))
-    rows_base = mixture.marginal_rows(head, flows.GcFlowModel([flows.FlowStack([])], base).forward(x))
-    rows_doubled = mixture.marginal_rows(
+    rows_base = mixture.log_densities(head, flows.GcFlowModel([flows.FlowStack([])], base).forward(x))[1]
+    rows_doubled = mixture.log_densities(
         head, flows.GcFlowModel([flows.FlowStack([])], doubled).forward(0.5 * x)
-    )
+    )[1]
     # evaluate the doubled model at x/2 so both latents coincide: the whole
     # difference is the determinant share
     assert_allclose(rows_doubled.data - rows_base.data, np.full(n, np.log(2.0)), atol=1e-12)
@@ -200,17 +199,9 @@ def test_marginalization_identity_on_nontrivial_model():
     head = mixture.MixtureHead(k, dim)
     x = np.random.default_rng(7).normal(size=(n, dim))
     result = model.forward(x)
-    joint = mixture.joint_matrix(head, result).data
-    marginal = mixture.marginal_rows(head, result).data
+    joint, marginal = (t.data for t in mixture.log_densities(head, result))
     lse = np.log(np.exp(joint - joint.max(axis=1, keepdims=True)).sum(axis=1)) + joint.max(axis=1)
     assert np.abs(lse - marginal).max() < 1e-12
-
-
-def test_log_joint_rejects_bad_class():
-    model = flows.GcFlowModel([], adjacency=None)
-    head = standard_head()
-    with pytest.raises(IndexError):
-        mixture.log_joint_labeled(model, head, np.zeros((1, 2)), 0, 5)
 
 
 def test_posterior_symmetric_components_uniform():
@@ -278,13 +269,13 @@ def test_loss_zero_weight_is_mean_labeled_joint():
     labels = np.array([0, 1, 0, 1, 0, 1])
     labeled, unlabeled = np.array([0, 1, 2]), np.array([3, 4, 5])
     result = model.forward(x)
-    joint = mixture.joint_matrix(head, result).data
+    joint = mixture.log_densities(head, result)[0].data
     share = result.flow_logdet.data + result.graph_logdet.data / n
     for w in (0.0, 0.5):
         cfg = mixture.LossConfig(labeled=labeled, unlabeled=unlabeled, unlabeled_weight=w)
         loss = mixture.semi_supervised_loss(model, head, x, labels, cfg)
         want = -(1.0 - w) * np.mean([joint[i, labels[i]] for i in labeled])
-        want -= w * np.mean([mixture.mixture_logpdf(head, result.z.data[i]) + share[i] for i in unlabeled])
+        want -= w * np.mean([mixture_logpdf(head, result.z.data[i]) + share[i] for i in unlabeled])
         assert_allclose(loss.item(), want, atol=1e-12)
 
 
@@ -341,7 +332,7 @@ def test_plain_flow_density_integrates_to_one():
     grid_x, grid_y = np.meshgrid(xs, xs, indexing="ij")
     points = np.stack([grid_x.reshape(-1), grid_y.reshape(-1)], axis=1)
     result = model.forward(points)
-    density = np.exp(mixture.marginal_rows(head, result).data).reshape(400, 400)
+    density = np.exp(mixture.log_densities(head, result)[1].data).reshape(400, 400)
     integral = trapezoid(trapezoid(density, xs, axis=1), xs)
     assert abs(integral - 1.0) < 0.01
 

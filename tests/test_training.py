@@ -5,9 +5,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose
 
 from gcflow import graphs
 from gcflow.autodiff import Tensor
+from gcflow.baselines import EmReference
 from gcflow.checkpoint import FORMAT_TAG, load_checkpoint
 from gcflow.data import SbmConfig, generate_sbm
 from gcflow.errors import ConfigError, DivergedError, DomainError, FormatError, SingularMatrixError
@@ -411,7 +413,7 @@ def test_inference_skips_the_graph_logdet(sbm, kind, monkeypatch):
     result = tm.model.flow.forward(x, logdet=False)
     assert result.graph_logdet is None
     with pytest.raises(DomainError, match="logdet=False"):
-        mixture.marginal_rows(tm.head, result)
+        mixture.log_densities(tm.head, result)
     loss_cfg = mixture.LossConfig(sbm.mask_indices("train"), np.flatnonzero(~sbm.train_mask))
     tm.model.loss(x, sbm.labels, loss_cfg, np.random.default_rng(0))
     assert len(calls) == tm.model.flow.num_flows
@@ -444,6 +446,51 @@ def test_gmm_ax_normalizes_the_adjacency_once(sbm, monkeypatch):
     monkeypatch.setattr(training, "normalize_row", lambda *a, **kw: calls.append(1) or real(*a, **kw))
     train(TrainConfig(model="gmm-ax", seed=0), sbm)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("scheme", ["row", "sym"])
+def test_gmm_ax_mixes_through_the_csr_like_the_dense_product(sbm, scheme):
+    tm = assemble_model(TrainConfig(model="gmm-ax", adjacency=scheme, seed=0), sbm.graph, sbm.dim, sbm.num_classes)
+    dense = EmReference(sbm.num_classes, mixing=oracles.normalized_dense(sbm.graph, scheme, tm.damping_used))
+    for ref in (tm.model, dense):
+        ref.fit(sbm.features, sbm.labels, sbm.mask_indices("train"), seed=0)
+    # the two products sum each row in a different order, so the mixed
+    # features and the EM fit on them agree to rounding, not bit for bit
+    assert_allclose(tm.model.represent(sbm.features), dense.represent(sbm.features), rtol=1e-13, atol=1e-13)
+    for name in ("weights", "means", "covs"):
+        assert_allclose(getattr(tm.model.gmm, name), getattr(dense.gmm, name), rtol=1e-12, atol=1e-12)
+    assert np.array_equal(tm.model.mapping, dense.mapping)
+    assert np.array_equal(tm.model.predict(sbm.features), dense.predict(sbm.features))
+
+
+def test_gmm_ax_checkpoint_predicts_without_a_dense_matrix(tmp_path, monkeypatch):
+    ds = generate_sbm(SbmConfig(block_size=800, seed=0))
+    record = train(TrainConfig(model="gmm-ax", seed=0), ds, checkpoint_dir=tmp_path)
+
+    # the dense n x n float64 matrix alone is 46 MB at n = 2400
+    def dense(self):
+        raise AssertionError("the replayed adjacency was densified")
+
+    monkeypatch.setattr(graphs.NormalizedAdjacency, "matrix", property(dense))
+    tracemalloc.start()
+    try:
+        tm = load_checkpoint(record.checkpoint_path, ds.graph)
+        pred = predictions(tm, ds)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert pred.shape == (ds.n,)
+    assert peak < 16 * 2**20
+
+
+def test_checkpoint_rejects_non_numeric_values(sbm, tmp_path):
+    record = train(TrainConfig(model="gcn", hidden=8, epochs=1, seed=0), sbm, checkpoint_dir=tmp_path)
+    payload = json.loads(Path(record.checkpoint_path).read_text())
+    bad = tmp_path / "bad.json"
+    for key, value in (("dim", "x"), ("params", [[["a"]]] + payload["params"][1:])):
+        bad.write_text(json.dumps({**payload, key: value}))
+        with pytest.raises(FormatError, match="malformed checkpoint"):
+            load_checkpoint(bad, sbm.graph)
 
 
 def test_metrics_schema_is_complete(sbm):
