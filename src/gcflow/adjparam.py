@@ -5,9 +5,10 @@ Two constructions, both confined to the given edge set:
 * attention reweighting: each existing edge gets a positive weight from a
   small scorer over endpoint embeddings, and each node's weights are
   softmax-normalized over its neighborhood, so rows are stochastic;
-* near-binary edge selection: each existing edge gets a gate in [0,1]
-  sampled from a stretched, temperature-controlled logistic relaxation, so
-  training can softly remove edges while gradients still flow.
+* near-binary edge gating: each direction of an existing edge gets a gate
+  in [0,1] sampled from a stretched, temperature-controlled logistic
+  relaxation. The two directions share one antisymmetric score, so in
+  evaluation a gate can turn one direction off but never the whole edge.
 
 Neither construction adds edges. Both add a small multiple of the identity
 before determinant use, since rows of a softmax-normalized matrix sum to 1
@@ -23,7 +24,7 @@ import numpy as np
 from . import autodiff as ad
 from .errors import DomainError
 from .flows import Mlp
-from .graphs import Graph
+from .graphs import Graph, directed_edges
 
 DEFAULT_DAMPING = 1e-3
 DEFAULT_TEMPERATURE = 0.66
@@ -31,18 +32,8 @@ DEFAULT_STRETCH_LO = -0.1
 DEFAULT_STRETCH_HI = 1.1
 
 
-def directed_edges(graph: Graph):
-    """Both orientations of every stored edge, in deterministic order."""
-    pairs = sorted({(i, j) for i, j in graph.edges} | {(j, i) for i, j in graph.edges})
-    src = np.array([p[0] for p in pairs], dtype=np.intp)
-    dst = np.array([p[1] for p in pairs], dtype=np.intp)
-    return src, dst
-
-
 class AttentionAdjacency:
     """Row-stochastic edge reweighting from learned endpoint embeddings."""
-
-    draws_noise = False  # training and evaluation realize the same matrix
 
     def __init__(self, graph: Graph, dim, embed_dim=16, damping=DEFAULT_DAMPING, seed=0):
         if not graph.edges:
@@ -50,7 +41,7 @@ class AttentionAdjacency:
         rng = np.random.default_rng(seed)
         self.n = graph.n
         self.damping = float(damping)
-        self._damping_eye = ad.Tensor(self.damping * np.eye(self.n)) if self.damping else None
+        self._damping_eye = ad.Tensor(self.damping * np.eye(self.n))
         self.src, self.dst = directed_edges(graph)
         self.embed_src = Mlp([dim, embed_dim], rng)
         self.embed_dst = Mlp([dim, embed_dim], rng)
@@ -76,27 +67,25 @@ class AttentionAdjacency:
         weights = ad.exp(scores - ad.Tensor(row_max[self.src]))
         numer = ad.scatter_matrix(weights, self.src, self.dst, (self.n, self.n))
         denom = ad.tsum(numer, axis=1) + ad.Tensor(self._lonely)
-        a = numer / ad.reshape(denom, (self.n, 1))
-        if self._damping_eye is not None:
-            a = a + self._damping_eye
-        return a
+        return numer / ad.reshape(denom, (self.n, 1)) + self._damping_eye
 
     def params(self):
         return self.embed_src.params() + self.embed_dst.params() + self.scorer.params()
 
 
 class ConcreteAdjacency:
-    """Per-edge soft gates from a stretched logistic relaxation.
+    """Per-direction soft edge gates from a stretched logistic relaxation.
 
-    Each edge's keep-score is an antisymmetric function of its endpoint
-    embeddings squashed to (-1, 1). Training perturbs the score with
+    Each directed edge's keep-score is an antisymmetric function of its
+    endpoint embeddings squashed to (-1, 1). Training perturbs the score with
     logistic noise drawn from the caller's generator; evaluation uses the
     noise-free deterministic limit. Stretching past [0,1] and clamping back
-    lets gates reach exactly 0 (edge removed) or 1 (edge kept) with nonzero
-    probability; the clamp passes gradient only in its interior.
+    lets a gate reach exactly 0 or 1 with nonzero probability; the clamp
+    passes gradient only in its interior. In evaluation, with a stretch
+    symmetric about 1/2 (the default), an edge's two directed gates sum to
+    exactly 1: a gate of 0 in one direction means 1 in the other, so the
+    gates can orient an edge but never remove it.
     """
-
-    draws_noise = True  # training realize perturbs the gates
 
     def __init__(self, graph: Graph, dim, embed_dim=16, temperature=DEFAULT_TEMPERATURE,
                  stretch_lo=DEFAULT_STRETCH_LO, stretch_hi=DEFAULT_STRETCH_HI,
@@ -115,7 +104,7 @@ class ConcreteAdjacency:
         self.stretch_lo = float(stretch_lo)
         self.stretch_hi = float(stretch_hi)
         self.damping = float(damping)
-        self._damping_eye = ad.Tensor(self.damping * np.eye(self.n)) if self.damping else None
+        self._damping_eye = ad.Tensor(self.damping * np.eye(self.n))
         self.src, self.dst = directed_edges(graph)
         self.embed_a = Mlp([dim, embed_dim], rng)
         self.embed_b = Mlp([dim, embed_dim], rng)
@@ -139,10 +128,7 @@ class ConcreteAdjacency:
         soft = ad.sigmoid(logits * (1.0 / self.temperature))
         stretched = soft * (self.stretch_hi - self.stretch_lo) + self.stretch_lo
         gates = ad.clamp(stretched, 0.0, 1.0)
-        a = ad.scatter_matrix(gates, self.src, self.dst, (self.n, self.n))
-        if self._damping_eye is not None:
-            a = a + self._damping_eye
-        return a
+        return ad.scatter_matrix(gates, self.src, self.dst, (self.n, self.n)) + self._damping_eye
 
     def params(self):
         return self.embed_a.params() + self.embed_b.params()

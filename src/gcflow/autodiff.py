@@ -5,6 +5,9 @@ produces; the recorded graph is the tape. ``Tensor.backward`` replays the
 tape in reverse topological order, accumulating gradients additively into
 every tensor built with ``requires_grad=True``. Only first-order gradients
 of a scalar output are supported, which is all the training loops here need.
+A closure refers to its own output only weakly, so a tape has no reference
+cycles and is freed as soon as its last reference is dropped, not whenever
+the cyclic garbage collector next runs.
 
 All storage is float64. Gradient buffers are allocated lazily: a tensor
 holds none until a backward pass first accumulates into it, and reading
@@ -22,9 +25,9 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
+import weakref
 
 import numpy as np
-import scipy.sparse
 
 from .errors import DomainError, ShapeError
 
@@ -48,7 +51,7 @@ def _unbroadcast(grad, shape):
 class Tensor:
     """A dense float64 array plus its gradient slot and tape linkage."""
 
-    __slots__ = ("data", "_grad", "requires_grad", "_backward", "_parents", "_op")
+    __slots__ = ("data", "_grad", "requires_grad", "_backward", "_parents", "_op", "__weakref__")
 
     def __init__(self, data, requires_grad=False):
         self.data = np.asarray(data, dtype=np.float64)
@@ -150,9 +153,6 @@ class Tensor:
     def __sub__(self, other):
         return sub(self, other)
 
-    def __rsub__(self, other):
-        return sub(other, self)
-
     def __mul__(self, other):
         return mul(self, other)
 
@@ -161,20 +161,11 @@ class Tensor:
     def __truediv__(self, other):
         return div(self, other)
 
-    def __rtruediv__(self, other):
-        return div(other, self)
-
     def __neg__(self):
         return mul(self, -1.0)
 
     def __matmul__(self, other):
         return matmul(self, other)
-
-    def sum(self, axis=None):
-        return tsum(self, axis)
-
-    def mean(self):
-        return tmean(self)
 
 
 def as_tensor(x) -> Tensor:
@@ -198,7 +189,7 @@ def make_node(data, parents, backward_fn, op="custom") -> Tensor:
     if _recording.get() and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
-        out._backward = backward_fn(out)
+        out._backward = backward_fn(weakref.proxy(out))
         out._op = op
     return out
 
@@ -288,20 +279,16 @@ def matmul(a, b):
 
 
 def left_matmul_const(matrix, x):
-    """``matrix @ x`` where ``matrix`` is a constant (dense or scipy sparse)."""
+    """``matrix @ x`` where ``matrix`` is a constant scipy sparse matrix."""
     x = as_tensor(x)
     if matrix.shape[1] != x.shape[0]:
         raise ShapeError(f"left_matmul_const: {matrix.shape} @ {x.shape}")
-    sparse = scipy.sparse.issparse(matrix)
-    if not sparse:
-        matrix = np.asarray(matrix)
     value = matrix @ x.data
 
     def bw(out):
         def run():
             if x.requires_grad:
-                mt = matrix.T.tocsr() if sparse else matrix.T
-                x.accumulate(mt @ out.grad)
+                x.accumulate(matrix.T.tocsr() @ out.grad)
 
         return run
 
@@ -356,10 +343,10 @@ def relu(a):
     return _unary(a, np.maximum(a.data, 0.0), lambda out: (a.data > 0.0).astype(np.float64), "relu")
 
 
-def lrelu(a, slope=LRELU_SLOPE):
+def lrelu(a):
     a = as_tensor(a)
-    value = np.where(a.data > 0.0, a.data, slope * a.data)
-    return _unary(a, value, lambda out: np.where(a.data > 0.0, 1.0, slope), "lrelu")
+    value = np.where(a.data > 0.0, a.data, LRELU_SLOPE * a.data)
+    return _unary(a, value, lambda out: np.where(a.data > 0.0, 1.0, LRELU_SLOPE), "lrelu")
 
 
 def clamp(a, lo, hi):
@@ -429,20 +416,6 @@ def tsum(a, axis=None):
         return run
 
     return make_node(value, (a,), bw, "sum")
-
-
-def tmean(a):
-    a = as_tensor(a)
-    n = a.data.size
-
-    def bw(out):
-        def run():
-            if a.requires_grad:
-                a.accumulate(out.grad / n)
-
-        return run
-
-    return make_node(a.data.mean(), (a,), bw, "mean")
 
 
 def reshape(a, shape):

@@ -45,30 +45,19 @@ class GcnModel:
     def params(self):
         return list(self.weights)
 
-    def loss(self, x, labels, loss_cfg, rng) -> Tensor:
-        """Cross-entropy over the labeled nodes of a training-mode forward."""
-        return gcn_loss(self.forward(x, training=True, rng=rng)[0], labels, loss_cfg.labeled)
-
-    @property
-    def draws_noise(self):
-        """Whether the training forward draws randomness: dropout does."""
-        return self.dropout > 0.0
-
     def loss_and_predictions(self, x, labels, loss_cfg, rng):
-        """The training loss and the most probable class per node, from one
-        training forward; without dropout the predictions equal ``predict``'s."""
+        """Cross-entropy over the labeled nodes of one training forward, and
+        that forward's most probable class per node; without dropout these
+        equal ``predict_and_represent``'s."""
         probs, _ = self.forward(x, training=True, rng=rng)
         return gcn_loss(probs, labels, loss_cfg.labeled), probs.data.argmax(axis=1)
-
-    def predict(self, x):
-        """Most probable class per node."""
-        return self.predict_and_represent(x)[0]
 
     def represent(self, x):
         return self.predict_and_represent(x)[1]
 
     def predict_and_represent(self, x):
-        """``predict(x)`` and ``represent(x)`` from one forward, with no tape."""
+        """Most probable class per node and the penultimate representation,
+        from one forward with no tape."""
         with ad.no_grad():
             probs, penultimate = self.forward(x)
         return probs.data.argmax(axis=1), penultimate
@@ -154,16 +143,12 @@ def responsibilities(gmm: EmGmm, x):
     return shifted / norm, loglik
 
 
-def em_fit(x, k, init_means=None, max_iters=EM_MAX_ITERS, tol=EM_TOL, seed=0) -> EmGmm:
-    """Fit a k-component mixture by EM until the log-likelihood settles."""
+def em_fit(x, k, init_means) -> EmGmm:
+    """Fit a k-component mixture by EM from ``init_means`` until the log-likelihood settles."""
     x = np.asarray(x, dtype=np.float64)
     n, d = x.shape
     if k < 1 or k > n:
         raise ConfigError(f"cannot fit {k} components to {n} points")
-    if init_means is None:
-        from .evalkit import kmeans
-
-        init_means = kmeans(x, k, seed=seed).centroids
     init_means = np.asarray(init_means, dtype=np.float64)
     if init_means.shape != (k, d):
         raise ConfigError(f"init means must be {k}x{d}, got {init_means.shape}")
@@ -172,10 +157,10 @@ def em_fit(x, k, init_means=None, max_iters=EM_MAX_ITERS, tol=EM_TOL, seed=0) ->
     gmm = EmGmm(np.full(k, 1.0 / k), init_means, np.tile(base_cov, (k, 1, 1)))
 
     previous = -np.inf
-    for _ in range(max_iters):
+    for _ in range(EM_MAX_ITERS):
         resp, loglik = responsibilities(gmm, x)
         gmm.loglik_trace.append(loglik)
-        if abs(loglik - previous) < tol * max(1.0, abs(previous)):
+        if abs(loglik - previous) < EM_TOL * max(1.0, abs(previous)):
             gmm.converged = True
             break
         previous = loglik
@@ -236,20 +221,24 @@ class EmReference:
         """The features the mixture is fitted on."""
         return x if self.mixing is None else self.mixing @ x
 
-    def fit(self, x, labels, labeled, seed=0):
-        """EM from the labeled per-class feature means, then the class mapping."""
+    def fit(self, x, labels, labeled):
+        """EM from the labeled per-class feature means, then the class mapping.
+
+        A class with no labeled node has no mean to start from and raises
+        ``ConfigError``.
+        """
         feats = self.represent(x)
-        init = np.stack(
-            [feats[labeled[labels[labeled] == c]].mean(axis=0) for c in range(self.classes)]
-        )
-        self.gmm = em_fit(feats, self.classes, init_means=init, seed=seed)
+        init = []
+        for c in range(self.classes):
+            members = labeled[labels[labeled] == c]
+            if members.size == 0:
+                raise ConfigError(f"class {c} has no training node to start its EM component from")
+            init.append(feats[members].mean(axis=0))
+        self.gmm = em_fit(feats, self.classes, np.stack(init))
         self.mapping = component_class_mapping(self.gmm, feats, labels, labeled)
 
-    def predict(self, x):
-        return self.predict_and_represent(x)[0]
-
     def predict_and_represent(self, x):
-        """``predict(x)`` and ``represent(x)``, mixing the features once."""
+        """Mapped class per node and ``represent(x)``, mixing the features once."""
         feats = self.represent(x)
         resp, _ = responsibilities(self.gmm, feats)
         return self.mapping[resp.argmax(axis=1)], feats

@@ -98,8 +98,16 @@ def load_checkpoint(path, graph) -> TrainedModel:
             p.data[...] = arr
         if isinstance(tm.model, EmReference):
             gmm = payload["gmm"]
-            tm.model.gmm = EmGmm(gmm["weights"], gmm["means"], gmm["covs"])
-            tm.model.mapping = np.asarray(gmm["mapping"], dtype=np.intp)
+            fitted = EmGmm(gmm["weights"], gmm["means"], gmm["covs"])
+            mapping = np.asarray(gmm["mapping"], dtype=np.intp)
+            k, dim = tm.classes, tm.dim
+            want = [(k,), (k, dim), (k, dim, dim), (k,)]
+            shapes = [a.shape for a in (fitted.weights, fitted.means, fitted.covs, mapping)]
+            if shapes != want or np.any((mapping < 0) | (mapping >= k)):
+                raise FormatError(f"{path}: gmm weights, means, covs, mapping are {shapes} and map to "
+                                  f"{mapping.tolist()}; the model needs {want} and classes in [0, {k})")
+            tm.model.gmm, tm.model.mapping = fitted, mapping
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: malformed checkpoint ({exc})") from None
     return tm
+

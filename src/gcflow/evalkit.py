@@ -16,6 +16,7 @@ from .errors import ConfigError, DomainError, ShapeError
 
 # cap on the distances held per block (rows x n floats)
 DISTANCE_BUDGET = 4_000_000
+KMEANS_MAX_ITERS = 1000
 
 
 def _labels_of(assign):
@@ -224,10 +225,10 @@ def _plusplus_seed(x, k, rng):
     return centroids
 
 
-def kmeans(points, k, max_iters=1000, seed=0) -> ClusterAssignment:
+def kmeans(points, k, seed=0) -> ClusterAssignment:
     """Lloyd iterations from a distance-weighted random seeding.
 
-    Stops when assignments reach a fixpoint or after ``max_iters`` rounds.
+    Stops when assignments reach a fixpoint or after KMEANS_MAX_ITERS rounds.
     A cluster that loses all members is restarted at the point farthest
     from its current centroid assignment.
     """
@@ -237,13 +238,11 @@ def kmeans(points, k, max_iters=1000, seed=0) -> ClusterAssignment:
         raise ConfigError(f"need at least one cluster, got k={k}")
     if n < k:
         raise ConfigError(f"cannot form {k} clusters from {n} points")
-    if max_iters < 1:
-        raise ConfigError("need at least one iteration")
     rng = np.random.default_rng(seed)
     centroids = _plusplus_seed(x, k, rng)
     labels = None
     trace = []
-    for _ in range(max_iters):
+    for _ in range(KMEANS_MAX_ITERS):
         sq = ((x[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
         new_labels = sq.argmin(axis=1)
         for c in range(k):

@@ -191,14 +191,6 @@ class GcFlowModel:
     def num_flows(self):
         return len(self.flows)
 
-    @property
-    def draws_noise(self):
-        """Whether a training-mode forward draws from its rng: coupling
-        dropout, or a mixing source with ``draws_noise`` set. Without either,
-        training and inference forwards compute the same latents."""
-        nets = [net for flow in self.flows for layer in flow.layers for net in (layer.s_net, layer.t_net)]
-        return any(net.dropout > 0.0 for net in nets) or getattr(self.adjacency, "draws_noise", False)
-
     def forward(self, x, training=False, rng=None, logdet=True) -> ForwardResult:
         x = ad.as_tensor(x)
         n, dim = x.shape

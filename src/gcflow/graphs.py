@@ -60,6 +60,16 @@ def edge_array(g: Graph) -> np.ndarray:
     return flat.reshape(-1, 2)
 
 
+def directed_edges(g: Graph):
+    """Both orientations of every edge as (source, target) arrays, sorted
+    by source, then target."""
+    edges = edge_array(g)
+    src = np.concatenate([edges[:, 0], edges[:, 1]])
+    dst = np.concatenate([edges[:, 1], edges[:, 0]])
+    order = np.lexsort((dst, src))
+    return src[order], dst[order]
+
+
 def fingerprint(g: Graph) -> dict:
     """Node count plus SHA-256 of the canonical edge list, as little-endian
     int64 pairs; saved artifacts use it to refuse a graph they were not made for."""
@@ -143,12 +153,11 @@ def _normalized(g: Graph, scheme, damping, check):
     damping = float(damping)
     if not damping >= 0.0:
         raise DomainError(f"damping must be non-negative, got {damping}")
-    edges = edge_array(g)
+    src, dst = directed_edges(g)
     loops = np.arange(g.n)
-    rows = np.concatenate([edges[:, 0], edges[:, 1], loops])
-    cols = np.concatenate([edges[:, 1], edges[:, 0], loops])
-    order = np.lexsort((cols, rows))
-    rows, cols = rows[order], cols[order]
+    # each diagonal entry goes where (i, i) sorts among row i's edges
+    at = np.searchsorted(src * g.n + dst, loops * (g.n + 1))
+    rows, cols = np.insert(src, at, loops), np.insert(dst, at, loops)
     counts = np.bincount(rows, minlength=g.n)
     d = counts.astype(np.float64)
     if scheme == "row-normalized":

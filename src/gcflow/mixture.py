@@ -142,9 +142,10 @@ def _classify(head: MixtureHead, z) -> np.ndarray:
         return posterior_matrix(head, z).argmax(axis=1)
 
 
-def predict(model, head: MixtureHead, x) -> np.ndarray:
-    """Most probable component per node."""
-    return _classify(head, _latents(model, x))
+def predict(model, head: MixtureHead, x):
+    """Most probable component per node, and the latents it was read from."""
+    z = _latents(model, x)
+    return _classify(head, z), z
 
 
 @dataclass
@@ -166,18 +167,18 @@ class LossConfig:
             raise DomainError(f"unlabeled weight must lie in [0,1], got {self.unlabeled_weight}")
 
 
-def semi_supervised_loss(model, head: MixtureHead, x, labels, cfg: LossConfig,
-                         training=False, rng=None, result=None) -> ad.Tensor:
+def semi_supervised_loss(model, head: MixtureHead, x, labels, cfg: LossConfig, result=None) -> ad.Tensor:
     """Negative weighted sum of labeled joint and unlabeled marginal terms.
 
     Labeled nodes contribute their joint log-density with the observed class,
     unlabeled nodes their marginal log-density; the two means are blended
     with weights (1 - w) and w and negated for minimization. With no
-    unlabeled nodes the second term is dropped.
+    unlabeled nodes the second term is dropped. The densities are read from
+    ``result``, or from an evaluation-mode forward when none is given.
     """
     labels = np.asarray(labels, dtype=np.intp)
     if result is None:
-        result = model.forward(x, training=training, rng=rng)
+        result = model.forward(x)
     joint, marginal = log_densities(head, result)
     picked = ad.take_per_row(ad.gather_rows(joint, cfg.labeled), labels[cfg.labeled])
     w = cfg.unlabeled_weight
@@ -216,32 +217,20 @@ class FlowMixture:
     def params(self):
         return self.flow.params() + self.head.params()
 
-    def loss(self, x, labels, loss_cfg: LossConfig, rng) -> ad.Tensor:
-        return semi_supervised_loss(self.flow, self.head, x, labels, loss_cfg, training=True, rng=rng)
-
-    @property
-    def draws_noise(self):
-        """Whether the training forward draws randomness; see ``GcFlowModel.draws_noise``."""
-        return self.flow.draws_noise
-
     def loss_and_predictions(self, x, labels, loss_cfg: LossConfig, rng):
         """The training loss and the most probable component per node, from
-        one training forward. Without ``draws_noise`` that forward computes
-        the same latents as inference, so the predictions equal ``predict``'s.
-        Non-finite latents raise ``DomainError``.
+        one training forward. A forward that draws no noise computes the
+        same latents as inference, so its predictions equal
+        ``predict_and_represent``'s. Non-finite latents raise ``DomainError``.
         """
         result = self.flow.forward(x, training=True, rng=rng)
         pred = _classify(self.head, _finite(result.z.data))
         return semi_supervised_loss(self.flow, self.head, x, labels, loss_cfg, result=result), pred
-
-    def predict(self, x) -> np.ndarray:
-        return predict(self.flow, self.head, x)
 
     def represent(self, x) -> np.ndarray:
         """Latent features: the space the mixture clusters in."""
         return _latents(self.flow, x)
 
     def predict_and_represent(self, x):
-        """``predict(x)`` and ``represent(x)`` from one forward."""
-        z = _latents(self.flow, x)
-        return _classify(self.head, z), z
+        """Most probable component per node and the latents, from one forward."""
+        return predict(self.flow, self.head, x)

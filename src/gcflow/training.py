@@ -5,11 +5,11 @@ the plain row-wise flow, the graph-convolutional flow with fixed or
 parameterized mixing, and the two EM-mixture references fitted on raw or
 pre-mixed features. ``assemble_model`` is the one place that reads the
 kind. It returns one model object per kind, and everything after it calls
-that object's ``params``, ``loss``, ``predict`` and ``represent``, or their
-one-forward pairings ``loss_and_predictions`` and ``predict_and_represent``
-(the EM references have ``fit`` in place of the loss). Everything stochastic draws
-from a single generator seeded by the run seed, so a repeated run
-reproduces its metrics exactly.
+that object's ``params``, ``loss_and_predictions`` (the training loss and
+the predictions of one training forward), ``predict_and_represent`` and
+``represent``; the EM references have ``fit`` in place of the loss.
+Everything stochastic draws from a single generator seeded by the run seed,
+so a repeated run reproduces its metrics exactly.
 """
 
 from __future__ import annotations
@@ -63,16 +63,12 @@ GMM_KINDS = ("gmm-x", "gmm-ax")
 class AdamState:
     """Adam moments for a fixed parameter list, with decoupled weight decay."""
 
-    def __init__(self, params, lr, weight_decay=0.0,
-                 beta1=ADAM_BETA1, beta2=ADAM_BETA2, eps=ADAM_EPS):
+    def __init__(self, params, lr, weight_decay=0.0):
         if lr <= 0.0:
             raise ConfigError(f"learning rate must be positive, got {lr}")
         self.params = list(params)
         self.lr = float(lr)
         self.weight_decay = float(weight_decay)
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.steps = 0
         self.m = [np.zeros_like(p.data, dtype=np.float64) for p in self.params]
         self.v = [np.zeros_like(p.data, dtype=np.float64) for p in self.params]
@@ -86,18 +82,18 @@ def adam_step(state: AdamState):
     """
     state.steps += 1
     t = state.steps
-    correct1 = 1.0 - state.beta1 ** t
-    correct2 = 1.0 - state.beta2 ** t
+    correct1 = 1.0 - ADAM_BETA1 ** t
+    correct2 = 1.0 - ADAM_BETA2 ** t
     for p, m, v in zip(state.params, state.m, state.v):
         g = p.grad
         if state.weight_decay:
             p.data -= state.lr * state.weight_decay * p.data
-        np.copyto(m, state.beta1 * m + (1.0 - state.beta1) * g)
-        np.copyto(v, state.beta2 * v + (1.0 - state.beta2) * g * g)
-        p.data -= state.lr * (m / correct1) / (np.sqrt(v / correct2) + state.eps)
+        np.copyto(m, ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g)
+        np.copyto(v, ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g * g)
+        p.data -= state.lr * (m / correct1) / (np.sqrt(v / correct2) + ADAM_EPS)
 
 
-def clip_gradients(params, threshold=CLIP_NORM):
+def clip_gradients(params, threshold):
     """Scale all gradients so their joint L2 norm is at most the threshold.
 
     Returns the norm measured before clipping.
@@ -328,22 +324,21 @@ def representation(tm: TrainedModel, ds: Dataset):
 
 
 def predictions(tm: TrainedModel, ds: Dataset):
-    return tm.model.predict(node_features(tm, ds))
+    return tm.model.predict_and_represent(node_features(tm, ds))[0]
 
 
-def evaluate(tm: TrainedModel, ds: Dataset, seed=None):
+def evaluate(tm: TrainedModel, ds: Dataset):
     """Classification and clustering metrics on the dataset's test split.
 
     One forward yields both the predictions and the representation, and
     with every label known one distance pass yields both silhouettes.
+    k-means is seeded with the run seed.
     """
-    if seed is None:
-        seed = tm.config["seed"]
     pred, z = tm.model.predict_and_represent(node_features(tm, ds))
     test = ds.mask_indices("test")
     if test.size == 0:
         raise ConfigError("dataset has an empty test split")
-    km = kmeans(z, ds.num_classes, seed=seed)
+    km = kmeans(z, ds.num_classes, seed=tm.config["seed"])
     return {
         "test_micro_f1": micro_f1(pred[test], ds.labels[test]),
         **cluster_agreement(z, km, ds.labels),
@@ -381,7 +376,7 @@ def train(cfg: TrainConfig, dataset: Dataset, checkpoint_dir=None) -> RunRecord:
     snapshot["damping_used"] = tm.damping_used
 
     if isinstance(tm.model, EmReference):
-        tm.model.fit(ds.features, ds.labels, ds.mask_indices("train"), seed=cfg.seed)
+        tm.model.fit(ds.features, ds.labels, ds.mask_indices("train"))
         losses, val_f1s = [], []
     else:
         losses, val_f1s = _descend(cfg, tm, ds, snapshot, start)
@@ -423,16 +418,21 @@ def _descend(cfg: TrainConfig, tm: TrainedModel, ds: Dataset, snapshot, start):
     best_loss = np.inf
     best_epoch = -1
     best_params = None
-    # without training noise the forward after a step is both this epoch's
-    # validation forward and the next epoch's loss forward
-    carry = not tm.model.draws_noise
+    # a loss forward that leaves the run generator as it was drew no noise
+    # and computed what inference does, so the forward after a step can be
+    # both this epoch's validation forward and the next epoch's loss forward
     carried = None
 
     for epoch in range(cfg.epochs):
         ad.zero_grads(params)
         try:
-            loss = carried if carried is not None else tm.model.loss(x, labels, loss_cfg, run_rng)
-            carried = None
+            # the previous tape is freed only here, after the next forward was
+            # built beside it, so its memory is reused rather than re-faulted
+            loss, carried = carried, None
+            if loss is None:
+                before = run_rng.bit_generator.state
+                loss = tm.model.loss_and_predictions(x, labels, loss_cfg, run_rng)[0]
+                carry = run_rng.bit_generator.state == before
             value = loss.item()
             if not np.isfinite(value):
                 raise DomainError(f"loss is {value}")
@@ -440,12 +440,17 @@ def _descend(cfg: TrainConfig, tm: TrainedModel, ds: Dataset, snapshot, start):
             clip_gradients(params, cfg.clip)
             adam_step(opt)
             losses.append(value)
-            loss = None  # drop this tape before the next one is built
             pred = None
             if carry and epoch + 1 < cfg.epochs:
-                carried, pred = _next_forward(tm.model, x, labels, loss_cfg, run_rng)
+                # a carried forward that breaks down is dropped: an inference
+                # forward scores the epoch, and the next epoch builds its loss
+                # afresh and meets the failure, if it persists, where it would
+                try:
+                    carried, pred = tm.model.loss_and_predictions(x, labels, loss_cfg, run_rng)
+                except (DomainError, SingularMatrixError):
+                    pass
             if pred is None:
-                pred = tm.model.predict(x)
+                pred = tm.model.predict_and_represent(x)[0]
             f1 = micro_f1(pred[val_idx], labels[val_idx])
         except (DomainError, SingularMatrixError) as exc:
             if len(val_f1s) < len(losses):  # the step ran, its validation failed
@@ -471,14 +476,3 @@ def _descend(cfg: TrainConfig, tm: TrainedModel, ds: Dataset, snapshot, start):
     for p, saved in zip(params, best_params):
         np.copyto(p.data, saved)
     return losses, val_f1s
-
-
-def _next_forward(model, x, labels, loss_cfg, rng):
-    """Next epoch's loss and this epoch's predictions from one forward, or
-    (None, None) when that forward breaks down: then ``predict`` scores the
-    epoch as it would have anyway, and the next epoch builds its loss afresh
-    and meets the failure, if it persists, where it always would have."""
-    try:
-        return model.loss_and_predictions(x, labels, loss_cfg, rng)
-    except (DomainError, SingularMatrixError):
-        return None, None

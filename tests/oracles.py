@@ -82,7 +82,7 @@ def mixture_logpdf(head, z):
 
 def descend_two_forward(cfg, tm, ds, snapshot, start):
     """Reference epoch loop: every epoch builds a fresh loss forward and
-    scores validation with a second, ``predict`` forward. Drop-in for
+    scores validation with a second, inference forward. Drop-in for
     ``training._descend``."""
     import time
 
@@ -113,7 +113,7 @@ def descend_two_forward(cfg, tm, ds, snapshot, start):
     for epoch in range(cfg.epochs):
         ad.zero_grads(params)
         try:
-            loss = tm.model.loss(x, labels, loss_cfg, run_rng)
+            loss = tm.model.loss_and_predictions(x, labels, loss_cfg, run_rng)[0]
             value = loss.item()
             if not np.isfinite(value):
                 raise DomainError(f"loss is {value}")
@@ -121,7 +121,7 @@ def descend_two_forward(cfg, tm, ds, snapshot, start):
             clip_gradients(params, cfg.clip)
             adam_step(opt)
             losses.append(value)
-            f1 = micro_f1(tm.model.predict(x)[val_idx], labels[val_idx])
+            f1 = micro_f1(tm.model.predict_and_represent(x)[0][val_idx], labels[val_idx])
         except (DomainError, SingularMatrixError) as exc:
             if len(val_f1s) < len(losses):
                 val_f1s.append(float("nan"))
@@ -144,22 +144,20 @@ def descend_two_forward(cfg, tm, ds, snapshot, start):
     return losses, val_f1s
 
 
-def evaluate_two_pass(tm, ds, seed=None):
-    """Reference evaluate: a ``predict`` forward, a ``represent`` forward,
+def evaluate_two_pass(tm, ds):
+    """Reference evaluate: a ``predictions`` forward, a ``represent`` forward,
     and one silhouette distance pass per labeling. Drop-in for
     ``training.evaluate``."""
     from gcflow import evalkit
     from gcflow.errors import ConfigError
     from gcflow.training import predictions, representation
 
-    if seed is None:
-        seed = tm.config["seed"]
     pred = predictions(tm, ds)
     z = representation(tm, ds)
     test = ds.mask_indices("test")
     if test.size == 0:
         raise ConfigError("dataset has an empty test split")
-    km = evalkit.kmeans(z, ds.num_classes, seed=seed)
+    km = evalkit.kmeans(z, ds.num_classes, seed=tm.config["seed"])
     known = ds.labels >= 0
     return {
         "test_micro_f1": evalkit.micro_f1(pred[test], ds.labels[test]),

@@ -21,6 +21,7 @@ class FixedNoise:
 
 
 def test_directed_edges_cover_both_orientations():
+    assert adjparam.directed_edges is graphs.directed_edges
     src, dst = adjparam.directed_edges(PATH4)
     got = set(zip(src.tolist(), dst.tolist()))
     assert got == {(0, 1), (1, 0), (1, 2), (2, 1), (2, 3), (3, 2)}
@@ -147,6 +148,24 @@ def test_concrete_omega_antisymmetric():
     index = {(i, k): t for t, (i, k) in enumerate(zip(src, dst))}
     for (i, k), t in index.items():
         assert abs(logits[t] + logits[index[(k, i)]]) < 1e-15
+
+
+@pytest.mark.parametrize("temperature", [adjparam.DEFAULT_TEMPERATURE, 0.01])
+def test_concrete_eval_gates_orient_an_edge_but_never_remove_it(temperature):
+    # antisymmetric scores and the default stretch, symmetric about 1/2: an
+    # edge's two directed gates sum to 1, and a closed gate means the other is open
+    g = graphs.make_graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5), (1, 4)])
+    source = adjparam.ConcreteAdjacency(g, dim=3, embed_dim=4, temperature=temperature, seed=20)
+    rng = np.random.default_rng(21)
+    for p in source.params():
+        p.data += rng.normal(size=p.data.shape)
+    a = source.realize(rng.normal(size=(6, 3)) * 3.0, 0).data
+    src, dst = adjparam.directed_edges(g)
+    assert_allclose(a[src, dst] + a[dst, src], 1.0, rtol=0.0, atol=1e-15)
+    closed = a[src, dst] == 0.0
+    assert np.all(a[dst, src][closed] == 1.0)
+    if temperature < 0.1:  # cold gates saturate
+        assert closed.any()
 
 
 def test_concrete_training_noise_is_seed_deterministic():

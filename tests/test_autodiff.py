@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 import scipy.sparse
@@ -44,6 +47,20 @@ def test_backward_twice_accumulates_on_leaves():
     assert_allclose(x.grad, 24.0)
 
 
+def test_a_dropped_tape_is_freed_without_the_cyclic_collector():
+    x = ad.Tensor(np.arange(3.0), requires_grad=True)
+    loss = ad.tsum(ad.exp(x) * x)
+    loss.backward()
+    nodes = [weakref.ref(loss), weakref.ref(loss._parents[0])]
+    gc.disable()
+    try:
+        del loss
+        assert [ref() for ref in nodes] == [None, None]
+    finally:
+        gc.enable()
+    assert_allclose(x.grad, np.exp(x.data) * (x.data + 1.0))
+
+
 def test_backward_requires_scalar():
     x = ad.Tensor(np.ones((2, 2)), requires_grad=True)
     with pytest.raises(ShapeError):
@@ -83,12 +100,6 @@ def test_logsumexp_matches_numpy():
     assert_allclose(got, want, atol=1e-12)
 
 
-def test_mean_gradient():
-    x = ad.Tensor(np.arange(6, dtype=float).reshape(2, 3), requires_grad=True)
-    ad.tmean(x).backward()
-    assert_allclose(x.grad, np.full((2, 3), 1.0 / 6.0))
-
-
 def test_sum_axis_gradients():
     x = ad.Tensor(np.arange(6, dtype=float).reshape(2, 3), requires_grad=True)
     ad.tsum(ad.tsum(x, axis=0) * ad.Tensor([1.0, 2.0, 3.0])).backward()
@@ -112,7 +123,7 @@ def test_left_matmul_const_sparse_and_dense_agree():
     rng = np.random.default_rng(2)
     a = rng.random((4, 4)) * (rng.random((4, 4)) < 0.5)
     x = ad.Tensor(rng.normal(size=(4, 3)), requires_grad=True)
-    dense = ad.left_matmul_const(a, x)
+    dense = ad.matmul(ad.Tensor(a), x)
     x2 = ad.Tensor(x.data.copy(), requires_grad=True)
     sparse = ad.left_matmul_const(scipy.sparse.csr_matrix(a), x2)
     assert_allclose(dense.data, sparse.data, atol=1e-14)
@@ -184,7 +195,7 @@ def test_grad_check_composite_graph():
 
     def f():
         h = ad.tanh(ad.matmul(x, w) + b)
-        return ad.tsum(ad.row_softmax(h) * h) + ad.tmean(ad.sigmoid(h))
+        return ad.tsum(ad.row_softmax(h) * h) + ad.tsum(ad.sigmoid(h)) * (1.0 / h.data.size)
 
     assert ad.grad_check(f, [w, b]) < 1e-6
 
@@ -336,12 +347,12 @@ def test_matmul_over_random_shapes(m, k, n, seed):
 @FD_SETTINGS
 @given(
     m=st.integers(1, 5), k=st.integers(1, 5), n=st.integers(1, 3),
-    density=st.floats(0.0, 1.0), sparse=st.booleans(), seed=SEEDS,
+    density=st.floats(0.0, 1.0), seed=SEEDS,
 )
-def test_left_matmul_const_over_random_shapes(m, k, n, density, sparse, seed):
+def test_left_matmul_const_over_random_shapes(m, k, n, density, seed):
     rng = np.random.default_rng(seed)
     dense = rng.normal(size=(m, k)) * (rng.random((m, k)) < density)
-    matrix = scipy.sparse.csr_matrix(dense) if sparse else dense
+    matrix = scipy.sparse.csr_matrix(dense)
     x = ad.Tensor(rng.normal(size=(k, n)), requires_grad=True)
     assert_allclose(ad.left_matmul_const(matrix, x).data, dense @ x.data, rtol=0.0, atol=1e-12)
 
@@ -370,7 +381,7 @@ def test_reductions_and_reshape_over_random_shapes(shape, data, seed):
     flat = (x.data.size,)
     cases = [
         lambda: weighted_sum(ad.tsum(x, axis), np.random.default_rng(seed)),
-        lambda: ad.tmean(x * x),
+        lambda: ad.tsum(x * x) * (1.0 / x.data.size),
         lambda: weighted_sum(ad.reshape(x, flat[::-1] + (1,)), np.random.default_rng(seed)),
     ]
     for f in cases:

@@ -20,7 +20,7 @@ from gcflow.errors import (
     ShapeError,
     SingularMatrixError,
 )
-from gcflow.evalkit import micro_f1
+from gcflow.evalkit import kmeans, micro_f1
 from gcflow.graphs import make_graph, normalize_row
 from oracles import identity_adjacency
 
@@ -130,7 +130,7 @@ def test_gcn_predict_matches_argmax():
     rng = np.random.default_rng(7)
     x = rng.normal(size=(5, 3))
     model = GcnModel(ring_adjacency(5), [3, 4, 3], seed=8)
-    pred = model.predict(x)
+    pred, _ = model.predict_and_represent(x)
     assert np.array_equal(pred, model.forward(x)[0].data.argmax(axis=1))
 
 
@@ -169,10 +169,15 @@ def test_responsibilities_rows_sum_to_one():
     assert np.isfinite(loglik)
 
 
+def kmeans_means(x, k, seed):
+    """k-means centroids to start EM from."""
+    return kmeans(x, k, seed=seed).centroids
+
+
 def test_em_loglik_trace_is_monotone():
     rng = np.random.default_rng(10)
     x = np.concatenate([rng.normal(size=(40, 2)), rng.normal(size=(40, 2)) + 4.0])
-    gmm = em_fit(x, 2, seed=0)
+    gmm = em_fit(x, 2, kmeans_means(x, 2, seed=0))
     trace = np.array(gmm.loglik_trace)
     assert trace.size >= 2
     assert np.all(np.diff(trace) > -1e-7)
@@ -184,7 +189,7 @@ def test_em_recovers_separated_blob_means():
     x = np.concatenate(
         [rng.normal(scale=0.5, size=(200, 1)), rng.normal(scale=0.5, size=(200, 1)) + 10.0]
     )
-    gmm = em_fit(x, 2, seed=1)
+    gmm = em_fit(x, 2, kmeans_means(x, 2, seed=1))
     found = np.sort(gmm.means.ravel())
     assert abs(found[0] - 0.0) < 0.1
     assert abs(found[1] - 10.0) < 0.1
@@ -193,7 +198,7 @@ def test_em_recovers_separated_blob_means():
 
 def test_em_exact_fit_on_k_distinct_points():
     x = np.array([[0.0, 0.0], [10.0, 0.0], [0.0, 10.0]])
-    gmm = em_fit(x, 3, init_means=x + 0.01, seed=2)
+    gmm = em_fit(x, 3, x + 0.01)
     order = np.argsort(gmm.means[:, 0] + 100 * gmm.means[:, 1])
     assert np.allclose(gmm.means[order], x[np.argsort(x[:, 0] + 100 * x[:, 1])], atol=1e-3)
 
@@ -201,8 +206,8 @@ def test_em_exact_fit_on_k_distinct_points():
 def test_em_is_seed_deterministic():
     rng = np.random.default_rng(12)
     x = rng.normal(size=(60, 3))
-    a = em_fit(x, 3, seed=5)
-    b = em_fit(x, 3, seed=5)
+    a = em_fit(x, 3, kmeans_means(x, 3, seed=5))
+    b = em_fit(x, 3, kmeans_means(x, 3, seed=5))
     assert a.means.tobytes() == b.means.tobytes()
     assert a.loglik_trace == b.loglik_trace
 
@@ -210,9 +215,9 @@ def test_em_is_seed_deterministic():
 def test_em_rejects_bad_component_counts():
     x = np.zeros((3, 2))
     with pytest.raises(ConfigError):
-        em_fit(x, 4)
+        em_fit(x, 4, np.zeros((4, 2)))
     with pytest.raises(ConfigError):
-        em_fit(x, 2, init_means=np.zeros((3, 2)))
+        em_fit(x, 2, np.zeros((3, 2)))
 
 
 def test_singular_covariance_is_reported():
@@ -227,14 +232,14 @@ def gmm_classify(gmm, x, labels, labeled):
     ref = EmReference(gmm.k)
     ref.gmm = gmm
     ref.mapping = component_class_mapping(gmm, x, labels, labeled)
-    return ref.predict(x)
+    return ref.predict_and_represent(x)[0]
 
 
 def test_gmm_classify_maps_components_to_classes():
     rng = np.random.default_rng(13)
     x = np.concatenate([rng.normal(size=(50, 2)), rng.normal(size=(50, 2)) + 8.0])
     truth = np.concatenate([np.zeros(50, dtype=int), np.ones(50, dtype=int)])
-    gmm = em_fit(x, 2, seed=3)
+    gmm = em_fit(x, 2, kmeans_means(x, 2, seed=3))
     labeled = np.array([0, 1, 2, 50, 51, 52])
     pred = gmm_classify(gmm, x, truth, labeled)
     assert micro_f1(pred, truth) == 1.0
@@ -245,7 +250,7 @@ def test_gmm_classify_label_permutation_follows_votes():
     rng = np.random.default_rng(14)
     x = np.concatenate([rng.normal(size=(30, 1)), rng.normal(size=(30, 1)) + 9.0])
     truth = np.concatenate([np.ones(30, dtype=int), np.zeros(30, dtype=int)])
-    gmm = em_fit(x, 2, seed=4)
+    gmm = em_fit(x, 2, kmeans_means(x, 2, seed=4))
     pred = gmm_classify(gmm, x, truth, np.array([0, 1, 30, 31]))
     assert micro_f1(pred, truth) == 1.0
 
@@ -253,7 +258,7 @@ def test_gmm_classify_label_permutation_follows_votes():
 def test_gmm_classify_single_component_uses_majority():
     x = np.random.default_rng(15).normal(size=(10, 2))
     truth = np.array([0, 0, 0, 1, 1, 1, 1, 0, 0, 0])
-    gmm = em_fit(x, 1, seed=0)
+    gmm = em_fit(x, 1, kmeans_means(x, 1, seed=0))
     pred = gmm_classify(gmm, x, truth, np.arange(10))
     assert np.all(pred == 0)
 

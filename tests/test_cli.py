@@ -1,11 +1,12 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from gcflow import evalkit
 from gcflow.cli import build_train_config, main, read_config_file
-from gcflow.data import read_features
+from gcflow.data import SbmConfig, generate_sbm, read_features, save_dataset
 from gcflow.errors import ConfigError, FormatError
 
 
@@ -157,6 +158,15 @@ def test_diverged_train_leaves_its_record(synth_dir, tmp_path, capsys, kind):
     assert metrics["epochs_run"] >= 1
     assert len(rows) == 1 + metrics["epochs_run"]
     assert not (out / "checkpoint.json").exists()
+
+
+def test_em_train_without_a_class_in_the_training_split_fails(tmp_path, capsys):
+    ds = generate_sbm(SbmConfig(seed=0))
+    manifest = save_dataset(replace(ds, train_mask=ds.train_mask & (ds.labels != 2)), tmp_path / "ds")
+    rc = main(["train", "--data", manifest, "--out", str(tmp_path / "run"), "--set", "model=gmm-x"])
+    assert rc == 1
+    assert "class 2 has no training node" in capsys.readouterr().err
+    assert not (tmp_path / "run" / "metrics.json").exists()
 
 
 def test_unknown_flag_fails_with_usage(capsys):

@@ -45,7 +45,7 @@ class StubSource:
         self.n = n
 
     def realize(self, x, stage, training=False, rng=None):
-        scale = ad.Tensor(1.0) + ad.tmean(x) * 0.1
+        scale = ad.Tensor(1.0) + ad.tsum(x) * (0.1 / x.data.size)
         a = ad.Tensor(np.eye(self.n)) * scale
         return a
 

@@ -246,6 +246,19 @@ def test_csr_build_matches_dense_oracle_bit_for_bit(n, isolated, density, epsilo
     assert unchecked.log_abs_det == want_logdet
 
 
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(n=st.integers(1, 30), density=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+@example(n=3, density=0.0, seed=0)  # no edges
+def test_directed_edges_match_the_sorted_set_of_both_orientations(n, density, seed):
+    rng = np.random.default_rng(seed)
+    g = graphs.make_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < density])
+    pairs = sorted({(i, j) for i, j in g.edges} | {(j, i) for i, j in g.edges})
+    src, dst = graphs.directed_edges(g)
+    assert src.dtype == dst.dtype == np.intp
+    assert src.tobytes() == np.array([p[0] for p in pairs], dtype=np.intp).tobytes()
+    assert dst.tobytes() == np.array([p[1] for p in pairs], dtype=np.intp).tobytes()
+
+
 def test_log_abs_det_is_factored_once_on_first_read(monkeypatch):
     calls = count_factorizations(monkeypatch)
     adj = graphs.normalize_row(path3(), check=False)

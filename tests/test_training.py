@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from gcflow import autodiff as ad
 from gcflow import graphs
 from gcflow.autodiff import Tensor
-from gcflow.baselines import EmReference
+from gcflow.baselines import EmReference, GcnModel
 from gcflow.checkpoint import FORMAT_TAG, load_checkpoint
 from gcflow.data import SbmConfig, generate_sbm
 from gcflow.errors import ConfigError, DivergedError, DomainError, FormatError, SingularMatrixError
@@ -239,9 +240,9 @@ def run_route(monkeypatch, cfg, ds, descend, score):
     the wall clock, and the parameters evaluate saw."""
     seen = []
 
-    def scoring(tm, dataset, seed=None):
+    def scoring(tm, dataset):
         seen.extend(p.data.copy() for p in tm.model.params())
-        return score(tm, dataset, seed)
+        return score(tm, dataset)
 
     monkeypatch.setattr(training, "_descend", descend)
     monkeypatch.setattr(training, "evaluate", scoring)
@@ -337,9 +338,9 @@ def test_gcflow_runs_one_forward_per_epoch_and_per_evaluate(sbm, monkeypatch):
     at_evaluate = []
     real_evaluate = training.evaluate
 
-    def counted(tm, ds, seed=None):
+    def counted(tm, ds):
         at_evaluate.append(len(calls))
-        return real_evaluate(tm, ds, seed)
+        return real_evaluate(tm, ds)
 
     monkeypatch.setattr(training, "evaluate", counted)
     epochs = 7
@@ -357,9 +358,23 @@ def test_gcflow_runs_one_forward_per_epoch_and_per_evaluate(sbm, monkeypatch):
     (dict(model="gcn"), True),
     (dict(model="gcn", dropout=0.0), False),
 ])
-def test_models_report_whether_training_draws_noise(sbm, case, noisy):
-    tm = assemble_model(TrainConfig(hidden=8, embed_dim=4, **case), sbm.graph, sbm.dim, sbm.num_classes)
-    assert tm.model.draws_noise is noisy
+def test_models_report_whether_training_draws_noise(sbm, monkeypatch, case, noisy):
+    # the forwards per epoch show it: a loss forward that draws no noise is
+    # carried on as the validation forward and the next loss, a noisy one
+    # needs its own validation forward
+    forwards = []
+    for cls in (flows.GcFlowModel, GcnModel):
+        real = cls.forward
+        monkeypatch.setattr(
+            cls, "forward", lambda self, *a, real=real, **kw: forwards.append(1) or real(self, *a, **kw)
+        )
+    marks = []
+    real_zero = ad.zero_grads
+    monkeypatch.setattr(ad, "zero_grads", lambda params: marks.append(len(forwards)) or real_zero(params))
+    epochs = 5
+    train(TrainConfig(hidden=8, embed_dim=4, epochs=epochs, patience=epochs, seed=0, **case), sbm)
+    # epoch 0 builds its loss afresh, so it runs two forwards either way
+    assert np.diff(marks).tolist() == [2] + [2 if noisy else 1] * (epochs - 2)
 
 
 def partly_labelled(ds):
@@ -397,7 +412,7 @@ def test_inference_matches_the_taped_route(sbm, kind):
     assert taped.z.requires_grad
     assert tm.model.represent(sbm.features).tobytes() == taped.z.data.tobytes()
     want = mixture.posterior_matrix(tm.head, taped.z).argmax(axis=1)
-    assert tm.model.predict(sbm.features).tobytes() == want.tobytes()
+    assert tm.model.predict_and_represent(sbm.features)[0].tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("kind", ["gcflow-p", "gcflow-l"])
@@ -407,7 +422,7 @@ def test_inference_skips_the_graph_logdet(sbm, kind, monkeypatch):
     monkeypatch.setattr(flows, "logabsdet_tensor", lambda a: calls.append(1) or real(a))
     tm = perturbed_flow_model(kind, sbm)
     x = sbm.features
-    tm.model.predict(x)
+    tm.model.predict_and_represent(x)
     tm.model.represent(x)
     assert calls == []
     result = tm.model.flow.forward(x, logdet=False)
@@ -415,7 +430,7 @@ def test_inference_skips_the_graph_logdet(sbm, kind, monkeypatch):
     with pytest.raises(DomainError, match="logdet=False"):
         mixture.log_densities(tm.head, result)
     loss_cfg = mixture.LossConfig(sbm.mask_indices("train"), np.flatnonzero(~sbm.train_mask))
-    tm.model.loss(x, sbm.labels, loss_cfg, np.random.default_rng(0))
+    tm.model.loss_and_predictions(x, sbm.labels, loss_cfg, np.random.default_rng(0))
     assert len(calls) == tm.model.flow.num_flows
 
 
@@ -424,7 +439,7 @@ def test_inference_rejects_non_finite_latents(sbm, kind):
     tm = perturbed_flow_model(kind, sbm)
     tm.model.flow.flows[-1].layers[-1].t_net.biases[-1].data[...] = np.nan
     with pytest.raises(DomainError, match="non-finite"):
-        tm.model.predict(sbm.features)
+        tm.model.predict_and_represent(sbm.features)
     with pytest.raises(DomainError, match="non-finite"):
         tm.model.represent(sbm.features)
 
@@ -453,14 +468,16 @@ def test_gmm_ax_mixes_through_the_csr_like_the_dense_product(sbm, scheme):
     tm = assemble_model(TrainConfig(model="gmm-ax", adjacency=scheme, seed=0), sbm.graph, sbm.dim, sbm.num_classes)
     dense = EmReference(sbm.num_classes, mixing=oracles.normalized_dense(sbm.graph, scheme, tm.damping_used))
     for ref in (tm.model, dense):
-        ref.fit(sbm.features, sbm.labels, sbm.mask_indices("train"), seed=0)
+        ref.fit(sbm.features, sbm.labels, sbm.mask_indices("train"))
     # the two products sum each row in a different order, so the mixed
     # features and the EM fit on them agree to rounding, not bit for bit
     assert_allclose(tm.model.represent(sbm.features), dense.represent(sbm.features), rtol=1e-13, atol=1e-13)
     for name in ("weights", "means", "covs"):
         assert_allclose(getattr(tm.model.gmm, name), getattr(dense.gmm, name), rtol=1e-12, atol=1e-12)
     assert np.array_equal(tm.model.mapping, dense.mapping)
-    assert np.array_equal(tm.model.predict(sbm.features), dense.predict(sbm.features))
+    assert np.array_equal(
+        tm.model.predict_and_represent(sbm.features)[0], dense.predict_and_represent(sbm.features)[0]
+    )
 
 
 def test_gmm_ax_checkpoint_predicts_without_a_dense_matrix(tmp_path, monkeypatch):
@@ -491,6 +508,30 @@ def test_checkpoint_rejects_non_numeric_values(sbm, tmp_path):
         bad.write_text(json.dumps({**payload, key: value}))
         with pytest.raises(FormatError, match="malformed checkpoint"):
             load_checkpoint(bad, sbm.graph)
+
+
+@pytest.mark.parametrize("key, value, match", [
+    ("means", [[0.0, 1.0]] * 3, r"\(3, 2\)"),
+    ("weights", [0.5, 0.5], r"\(2,\)"),
+    ("covs", np.eye(8)[None].repeat(2, axis=0).tolist(), r"\(2, 8, 8\)"),
+    ("mapping", [0, 7, 1], r"\[0, 7, 1\]"),
+    ("mapping", [0, 1], r"\(2,\)"),
+    ("mapping", [-1, 0, 1], r"\[-1, 0, 1\]"),
+], ids=["means", "weights", "covs", "mapping-class", "mapping-length", "mapping-negative"])
+def test_checkpoint_rejects_em_arrays_that_do_not_fit_the_model(sbm, tmp_path, key, value, match):
+    record = train(TrainConfig(model="gmm-x", seed=0), sbm, checkpoint_dir=tmp_path)
+    payload = json.loads(Path(record.checkpoint_path).read_text())
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**payload, "gmm": {**payload["gmm"], key: value}}))
+    with pytest.raises(FormatError, match=match):
+        load_checkpoint(bad, sbm.graph)
+
+
+@pytest.mark.parametrize("kind", ["gmm-x", "gmm-ax"])
+def test_em_fit_refuses_a_class_without_training_nodes(sbm, kind):
+    ds = replace(sbm, train_mask=sbm.train_mask & (sbm.labels != 2))
+    with pytest.raises(ConfigError, match="class 2 has no training node"):
+        train(TrainConfig(model=kind, seed=0), ds)
 
 
 def test_metrics_schema_is_complete(sbm):
@@ -632,7 +673,7 @@ def test_replayed_adjacency_predicts_at_n_20000_in_sparse_memory(monkeypatch):
     tracemalloc.start()
     try:
         tm = assemble_model(TrainConfig(model="gcflow", hidden=8, seed=0), g, 4, 3, damping_used=0.0)
-        pred = tm.model.predict(x)
+        pred = tm.model.predict_and_represent(x)[0]
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
