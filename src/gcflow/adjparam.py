@@ -10,16 +10,18 @@ Two constructions, both confined to the given edge set:
   relaxation. The two directions share one antisymmetric score, so in
   evaluation a gate can turn one direction off but never the whole edge.
 
-Neither construction adds edges. Both add a small multiple of the identity
-before determinant use, since rows of a softmax-normalized matrix sum to 1
-and exact singularity is otherwise common. Embedding weights are shared
-across stages; the matrices still differ per stage because each stage feeds
-its own features in.
+Neither construction adds edges: ``realize`` returns one value per entry
+of the CSR ``pattern``, the directed edges in ``directed_edges`` order. The
+model mixes with that matrix plus ``damping`` times the identity, since rows
+of a softmax-normalized matrix sum to 1 and exact singularity is otherwise
+common. Embedding weights are shared across stages; the values still differ
+per stage because each stage feeds its own features in.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse
 
 from . import autodiff as ad
 from .errors import DomainError
@@ -41,14 +43,12 @@ class AttentionAdjacency:
         rng = np.random.default_rng(seed)
         self.n = graph.n
         self.damping = float(damping)
-        self._damping_eye = ad.Tensor(self.damping * np.eye(self.n))
         self.src, self.dst = directed_edges(graph)
+        self.pattern = scipy.sparse.csr_matrix(
+            (np.ones(self.src.size), (self.src, self.dst)), shape=(self.n, self.n))
         self.embed_src = Mlp([dim, embed_dim], rng)
         self.embed_dst = Mlp([dim, embed_dim], rng)
         self.scorer = Mlp([2 * embed_dim, 1], rng)
-        # isolated nodes produce an all-zero row; damping supplies their diagonal
-        degree = np.bincount(self.src, minlength=self.n)
-        self._lonely = (degree == 0).astype(np.float64)
 
     def edge_scores(self, x) -> ad.Tensor:
         x = ad.as_tensor(x)
@@ -65,9 +65,9 @@ class AttentionAdjacency:
         row_max = np.full(self.n, -np.inf)
         np.maximum.at(row_max, self.src, scores.data)
         weights = ad.exp(scores - ad.Tensor(row_max[self.src]))
-        numer = ad.scatter_matrix(weights, self.src, self.dst, (self.n, self.n))
-        denom = ad.tsum(numer, axis=1) + ad.Tensor(self._lonely)
-        return numer / ad.reshape(denom, (self.n, 1)) + self._damping_eye
+        # an isolated node has no entry, so no row sum of zero is ever read
+        row_sums = ad.sparse_matmul(self.pattern, weights, np.ones((self.n, 1)))
+        return weights / ad.reshape(ad.gather_rows(row_sums, self.src), (self.src.size,))
 
     def params(self):
         return self.embed_src.params() + self.embed_dst.params() + self.scorer.params()
@@ -104,8 +104,9 @@ class ConcreteAdjacency:
         self.stretch_lo = float(stretch_lo)
         self.stretch_hi = float(stretch_hi)
         self.damping = float(damping)
-        self._damping_eye = ad.Tensor(self.damping * np.eye(self.n))
         self.src, self.dst = directed_edges(graph)
+        self.pattern = scipy.sparse.csr_matrix(
+            (np.ones(self.src.size), (self.src, self.dst)), shape=(self.n, self.n))
         self.embed_a = Mlp([dim, embed_dim], rng)
         self.embed_b = Mlp([dim, embed_dim], rng)
 
@@ -127,8 +128,7 @@ class ConcreteAdjacency:
             logits = logits + ad.Tensor(np.log(eps) - np.log1p(-eps))
         soft = ad.sigmoid(logits * (1.0 / self.temperature))
         stretched = soft * (self.stretch_hi - self.stretch_lo) + self.stretch_lo
-        gates = ad.clamp(stretched, 0.0, 1.0)
-        return ad.scatter_matrix(gates, self.src, self.dst, (self.n, self.n)) + self._damping_eye
+        return ad.clamp(stretched, 0.0, 1.0)
 
     def params(self):
         return self.embed_a.params() + self.embed_b.params()

@@ -28,6 +28,7 @@ import contextvars
 import weakref
 
 import numpy as np
+import scipy.sparse
 
 from .errors import DomainError, ShapeError
 
@@ -278,21 +279,27 @@ def matmul(a, b):
     return make_node(a.data @ b.data, (a, b), bw, "matmul")
 
 
-def left_matmul_const(matrix, x):
-    """``matrix @ x`` where ``matrix`` is a constant scipy sparse matrix."""
-    x = as_tensor(x)
-    if matrix.shape[1] != x.shape[0]:
-        raise ShapeError(f"left_matmul_const: {matrix.shape} @ {x.shape}")
-    value = matrix @ x.data
+def sparse_matmul(pattern, values, x):
+    """``A @ x``, where A has the CSR structure of ``pattern`` (whose own
+    stored entries are ignored) and the stored entries ``values``. Entry
+    (i, j) gets the gradient row i of ``out.grad`` · row j of ``x``; ``x``
+    gets Aᵀ ``out.grad``."""
+    values, x = as_tensor(values), as_tensor(x)
+    if values.shape != (pattern.nnz,) or pattern.shape[1] != x.shape[0]:
+        raise ShapeError(f"sparse_matmul: {pattern.shape} matrix of {pattern.nnz} entries given "
+                         f"{values.shape} values, times {x.shape} features")
+    a = scipy.sparse.csr_matrix((values.data, pattern.indices, pattern.indptr), shape=pattern.shape)
 
     def bw(out):
         def run():
+            if values.requires_grad:
+                values.accumulate(np.einsum("ij,ij->i", out.grad[a.tocoo().row], x.data[a.indices]))
             if x.requires_grad:
-                x.accumulate(matrix.T.tocsr() @ out.grad)
+                x.accumulate(a.T.tocsr() @ out.grad)
 
         return run
 
-    return make_node(value, (x,), bw, "const_matmul")
+    return make_node(a @ x.data, (values, x), bw, "sparse_matmul")
 
 
 # -- elementwise unary -------------------------------------------------
@@ -334,7 +341,9 @@ def tanh(a):
 
 def sigmoid(a):
     a = as_tensor(a)
-    value = 1.0 / (1.0 + np.exp(-a.data))
+    # exp overflows to inf below about -709, and 1 / inf is the 0 wanted there
+    with np.errstate(over="ignore"):
+        value = 1.0 / (1.0 + np.exp(-a.data))
     return _unary(a, value, lambda out: out.data * (1.0 - out.data), "sigmoid")
 
 
@@ -507,26 +516,6 @@ def take_per_row(a, cols):
         return run
 
     return make_node(a.data[rows, cols], (a,), bw, "take_per_row")
-
-
-def scatter_matrix(values, rows, cols, shape):
-    """Place a vector of values at (rows[i], cols[i]) in a zero matrix."""
-    values = as_tensor(values)
-    rows = np.asarray(rows, dtype=np.intp)
-    cols = np.asarray(cols, dtype=np.intp)
-    if values.data.ndim != 1 or rows.shape != values.shape or cols.shape != values.shape:
-        raise ShapeError("scatter_matrix: values, rows, cols must be equal-length vectors")
-    base = np.zeros(shape)
-    np.add.at(base, (rows, cols), values.data)
-
-    def bw(out):
-        def run():
-            if values.requires_grad:
-                values.accumulate(out.grad[rows, cols])
-
-        return run
-
-    return make_node(base, (values,), bw, "scatter_matrix")
 
 
 # -- gradient utilities ------------------------------------------------

@@ -65,8 +65,6 @@ class GcnModel:
     def forward(self, x, training=False, rng=None):
         """Class probabilities and the penultimate representation."""
         h = ad.as_tensor(x)
-        if h.shape[0] != self.adjacency.n:
-            raise ad.ShapeError(f"feature rows {h.shape[0]} != graph nodes {self.adjacency.n}")
         penultimate = h.data
         for idx, w in enumerate(self.weights):
             if idx == len(self.weights) - 1:
@@ -76,7 +74,7 @@ class GcnModel:
                     raise DomainError("training-mode forward needs an rng for dropout")
                 keep = rng.random(h.shape) >= self.dropout
                 h = h * Tensor(keep / (1.0 - self.dropout))
-            h = ad.left_matmul_const(self.adjacency.sparse, h) @ w
+            h = ad.sparse_matmul(self.adjacency.sparse, self.adjacency.sparse.data, h) @ w
             if idx < len(self.weights) - 1:
                 h = ad.relu(h)
         return ad.row_softmax(h), penultimate

@@ -60,8 +60,11 @@ def save_checkpoint(path, tm: TrainedModel, graph):
 def load_checkpoint(path, graph) -> TrainedModel:
     """Rebuild a trained model against the graph it was trained on.
 
-    Refuses, with ``FormatError``, any other checkpoint format and any
-    graph whose node count or edge list differs from the saved one.
+    Refuses, with ``FormatError``, any other checkpoint format, any graph
+    whose node count or edge list differs from the saved one, and saved
+    values that do not fit the model; for an EM reference, those are also
+    weights that are not a probability vector, covariances that are not
+    symmetric positive definite, and a mapping that is not integer classes.
     """
     with open(path) as fh:
         try:
@@ -99,15 +102,23 @@ def load_checkpoint(path, graph) -> TrainedModel:
         if isinstance(tm.model, EmReference):
             gmm = payload["gmm"]
             fitted = EmGmm(gmm["weights"], gmm["means"], gmm["covs"])
-            mapping = np.asarray(gmm["mapping"], dtype=np.intp)
+            mapping = np.asarray(gmm["mapping"])
             k, dim = tm.classes, tm.dim
             want = [(k,), (k, dim), (k, dim, dim), (k,)]
             shapes = [a.shape for a in (fitted.weights, fitted.means, fitted.covs, mapping)]
-            if shapes != want or np.any((mapping < 0) | (mapping >= k)):
+            if shapes != want or mapping.dtype.kind not in "iu" or np.any((mapping < 0) | (mapping >= k)):
                 raise FormatError(f"{path}: gmm weights, means, covs, mapping are {shapes} and map to "
-                                  f"{mapping.tolist()}; the model needs {want} and classes in [0, {k})")
-            tm.model.gmm, tm.model.mapping = fitted, mapping
-    except (KeyError, TypeError, ValueError) as exc:
+                                  f"{mapping.tolist()}; the model needs {want} and integers in [0, {k})")
+            w, covs = fitted.weights, fitted.covs
+            # symmetric to rounding: a fitted covariance can be off by an ulp
+            if not (np.all(np.isfinite(w)) and np.all(w >= 0.0) and abs(w.sum() - 1.0) <= 1e-9
+                    and np.all(np.isfinite(covs))
+                    and np.abs(covs - covs.transpose(0, 2, 1)).max() <= 1e-12 * np.abs(covs).max()):
+                raise FormatError(f"{path}: gmm weights {w.tolist()} are not a probability vector, "
+                                  "or the covariances are not finite and symmetric")
+            np.linalg.cholesky(covs)  # LinAlgError unless every covariance is positive definite
+            tm.model.gmm, tm.model.mapping = fitted, mapping.astype(np.intp)
+    except (KeyError, TypeError, ValueError) as exc:  # LinAlgError is a ValueError
         raise FormatError(f"{path}: malformed checkpoint ({exc})") from None
     return tm
 

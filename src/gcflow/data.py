@@ -14,6 +14,7 @@ on.
 from __future__ import annotations
 
 import json
+import numbers
 import struct
 from dataclasses import dataclass, replace
 
@@ -157,9 +158,10 @@ def load_dataset(manifest_path) -> Dataset:
     if missing:
         raise FormatError(f"{manifest_path}: missing keys {missing}")
     base = manifest_path.parent
-    n = int(manifest["n"])
-    dim = int(manifest["dim"])
-    classes = int(manifest["classes"])
+    sizes = [manifest[key] for key in ("n", "dim", "classes")]
+    if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in sizes):
+        raise FormatError(f"{manifest_path}: n, dim and classes must be integers, got {sizes}")
+    n, dim, classes = sizes
 
     features = _load_feature_file(base / manifest["features"])
     if features.shape != (n, dim):

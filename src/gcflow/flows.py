@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse
 
 from . import autodiff as ad
 from .errors import ScaleError, ShapeError, SingularMatrixError
@@ -154,10 +155,9 @@ class ForwardResult:
     per-node coupling log-determinants. ``graph_logdet``: scalar tensor,
     D times the summed adjacency log-determinants (zero for the identity),
     or None when the forward was asked to skip it (``logdet=False``).
-    ``adjacencies``: per stage, what mixed the features: None for the
-    identity, the NormalizedAdjacency itself for fixed mixing, or the
-    realized matrix as a plain array for an input-dependent source, which a
-    model needs to be inverted.
+    ``adjacencies``: per stage, the sparse matrix that mixed the features
+    (None for the identity), which a model whose mixing depends on its
+    input needs to be inverted.
     """
 
     z: ad.Tensor
@@ -171,8 +171,10 @@ class GcFlowModel:
 
     ``adjacency`` is one of: None (identity mixing, the plain-flow special
     case), a NormalizedAdjacency (fixed mixing shared by all stages), or a
-    source object with ``realize(x, stage, training, rng)`` and ``params()``
-    producing a per-stage matrix from the current features.
+    source object whose ``realize(x, stage, training, rng)`` produces, from
+    the current features, the per-stage stored entries of its CSR
+    ``pattern``; the stage mixes with that matrix plus ``damping`` times
+    the identity. A source also has ``params()``.
 
     ``forward(..., logdet=False)`` skips the adjacency log-determinants,
     which for a parameterized source cost one dense LU per stage. Only a
@@ -196,8 +198,6 @@ class GcFlowModel:
         n, dim = x.shape
         if self.dim is not None and dim != self.dim:
             raise ShapeError(f"model expects {self.dim} features, got {dim}")
-        if isinstance(self.adjacency, NormalizedAdjacency) and self.adjacency.n != n:
-            raise ShapeError(f"adjacency is {self.adjacency.n}x{self.adjacency.n}, features have {n} rows")
         flow_logdet = ad.Tensor(np.zeros(n))
         graph_logdet = ad.Tensor(0.0) if logdet else None
         realized = []
@@ -206,16 +206,19 @@ class GcFlowModel:
                 mixed = x
                 realized.append(None)
             elif isinstance(self.adjacency, NormalizedAdjacency):
-                mixed = ad.left_matmul_const(self.adjacency.sparse, x)
+                a = self.adjacency.sparse
+                mixed = ad.sparse_matmul(a, a.data, x)
                 if logdet:
                     graph_logdet = graph_logdet + dim * self.adjacency.log_abs_det
-                realized.append(self.adjacency)
+                realized.append(a)
             else:
-                a = self.adjacency.realize(x, stage, training=training, rng=rng)
-                mixed = ad.matmul(a, x)
+                pattern, damping = self.adjacency.pattern, self.adjacency.damping
+                values = self.adjacency.realize(x, stage, training=training, rng=rng)
+                mixed = ad.sparse_matmul(pattern, values, x) + x * damping
                 if logdet:
-                    graph_logdet = graph_logdet + dim * logabsdet_tensor(a)
-                realized.append(a.data)
+                    graph_logdet = graph_logdet + dim * logabsdet_tensor(pattern, values, damping)
+                a = scipy.sparse.csr_matrix((values.data, pattern.indices, pattern.indptr), shape=(n, n))
+                realized.append(a + damping * scipy.sparse.identity(n, format="csr"))
             x, ld = flow.forward(mixed, training=training, rng=rng)
             flow_logdet = flow_logdet + ld
         return ForwardResult(z=x, flow_logdet=flow_logdet, graph_logdet=graph_logdet, adjacencies=realized)
@@ -227,14 +230,17 @@ class GcFlowModel:
         if adjacencies is None:
             if not (self.adjacency is None or isinstance(self.adjacency, NormalizedAdjacency)):
                 raise ShapeError("input-dependent adjacency: pass the realized matrices from forward")
-            adjacencies = [self.adjacency] * self.num_flows
+            adjacencies = [None if self.adjacency is None else self.adjacency.sparse] * self.num_flows
         if len(adjacencies) != self.num_flows:
             raise ShapeError(f"need one adjacency per stage, got {len(adjacencies)} for {self.num_flows}")
         x = ad.as_tensor(z)
         for flow, a in zip(reversed(self.flows), reversed(list(adjacencies))):
             x = flow.inverse(x)
             if a is not None:
-                x = ad.Tensor(_solve(a, x.data))
+                try:
+                    x = ad.Tensor(np.linalg.solve(a.toarray(), x.data))
+                except np.linalg.LinAlgError:
+                    raise SingularMatrixError("singular mixing matrix: cannot invert the model") from None
         return x
 
     def params(self):
@@ -242,15 +248,6 @@ class GcFlowModel:
         if self.adjacency is not None and hasattr(self.adjacency, "params"):
             out += self.adjacency.params()
         return out
-
-
-def _solve(a, b):
-    if isinstance(a, NormalizedAdjacency):
-        a = a.matrix
-    try:
-        return np.linalg.solve(np.asarray(a, dtype=np.float64), b)
-    except np.linalg.LinAlgError:
-        raise SingularMatrixError("mixing matrix is singular, cannot invert the model") from None
 
 
 def build_gcflow(num_flows, dim, hidden, net_layers, couplings_per_flow=1, adjacency=None, seed=0, dropout=0.0):

@@ -21,6 +21,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
+from . import autodiff as ad
 from .errors import DomainError, FormatError, ShapeError, SingularMatrixError
 
 # pivot magnitudes below this fraction of the largest entry count as zero
@@ -62,7 +63,7 @@ def edge_array(g: Graph) -> np.ndarray:
 
 def directed_edges(g: Graph):
     """Both orientations of every edge as (source, target) arrays, sorted
-    by source, then target."""
+    by source, then target: the order of a canonical CSR matrix's entries."""
     edges = edge_array(g)
     src = np.concatenate([edges[:, 0], edges[:, 1]])
     dst = np.concatenate([edges[:, 1], edges[:, 0]])
@@ -101,11 +102,10 @@ class NormalizedAdjacency:
 
     ``sparse`` is the CSR matrix the model multiplies feature matrices by.
     ``log_abs_det`` is factored densely (O(n³)) on first read and cached;
-    only a likelihood reads it, so inference never pays for it.
-    ``matrix`` densifies on demand, for the log|det| and linear solves; no
-    per-forward path reads it. ``scheme`` records how the matrix was built
-    ("row-normalized", "symmetric", or "external") and ``damping`` the total
-    multiple of the identity added after normalization (0.0 when none).
+    only a likelihood reads it, so inference never pays for it. ``scheme``
+    records how the matrix was built ("row-normalized", "symmetric", or
+    "external") and ``damping`` the total multiple of the identity added
+    after normalization (0.0 when none).
     Dense or sparse input is accepted; NaN or infinite entries raise
     ``DomainError``.
     """
@@ -129,13 +129,9 @@ class NormalizedAdjacency:
         return self.sparse.shape[0]
 
     @property
-    def matrix(self):
-        return self.sparse.toarray()
-
-    @property
     def log_abs_det(self):
         if self._log_abs_det is None:
-            self._log_abs_det = log_abs_det(self.matrix)
+            self._log_abs_det = log_abs_det(self.sparse.toarray())
         return self._log_abs_det
 
     def __repr__(self):
@@ -153,13 +149,10 @@ def _normalized(g: Graph, scheme, damping, check):
     damping = float(damping)
     if not damping >= 0.0:
         raise DomainError(f"damping must be non-negative, got {damping}")
-    src, dst = directed_edges(g)
-    loops = np.arange(g.n)
-    # each diagonal entry goes where (i, i) sorts among row i's edges
-    at = np.searchsorted(src * g.n + dst, loops * (g.n + 1))
-    rows, cols = np.insert(src, at, loops), np.insert(dst, at, loops)
-    counts = np.bincount(rows, minlength=g.n)
-    d = counts.astype(np.float64)
+    edges, loops = edge_array(g), np.arange(g.n)
+    rows = np.concatenate([edges[:, 0], edges[:, 1], loops])
+    cols = np.concatenate([edges[:, 1], edges[:, 0], loops])
+    d = np.bincount(rows, minlength=g.n).astype(np.float64)
     if scheme == "row-normalized":
         values = 1.0 / d[rows]
     else:
@@ -167,10 +160,8 @@ def _normalized(g: Graph, scheme, damping, check):
         values = s[rows] * s[cols]
     if damping:
         values[rows == cols] += damping
-    indptr = np.concatenate([[0], np.cumsum(counts)])
-    adj = NormalizedAdjacency(
-        scipy.sparse.csr_matrix((values, cols, indptr), shape=(g.n, g.n)), scheme=scheme, damping=damping
-    )
+    matrix = scipy.sparse.csr_matrix((values, (rows, cols)), shape=(g.n, g.n))
+    adj = NormalizedAdjacency(matrix, scheme=scheme, damping=damping)
     if check:
         try:
             adj.log_abs_det
@@ -198,30 +189,29 @@ def normalize_sym(g: Graph, damping=0.0, check=True) -> NormalizedAdjacency:
     return _normalized(g, "symmetric", damping, check)
 
 
-def logabsdet_tensor(a):
-    """Differentiable log|det| of a square tensor.
+def logabsdet_tensor(pattern, values, damping=0.0):
+    """Differentiable log|det| of A + damping·I, A as in ``autodiff.sparse_matmul``.
 
-    The gradient of log|det A| with respect to A is the transposed inverse,
-    so the matrix must be comfortably nonsingular; the same pivot check as
-    ``log_abs_det`` applies. The value comes from one LU factorization, and
-    only a backward pass turns those factors into the transposed inverse
-    (one triangular solve against the identity), so a forward that is never
-    differentiated pays for the factorization alone.
+    The matrix is densified once, for one LU factorization, with the pivot
+    check of ``log_abs_det``. Only a backward pass solves for the transposed
+    inverse (the gradient of log|det|, one triangular solve against the
+    identity) and passes back its entries at the pattern's positions.
     """
-    from . import autodiff as ad
-
-    a = ad.as_tensor(a)
-    factors, value = _lu_checked(a.data)
+    values = ad.as_tensor(values)
+    a = scipy.sparse.csr_matrix((values.data, pattern.indices, pattern.indptr), shape=pattern.shape)
+    dense = a.toarray()
+    dense.flat[:: dense.shape[1] + 1] += damping
+    factors, value = _lu_checked(dense)
 
     def bw(out):
         def run():
-            if a.requires_grad:
+            if values.requires_grad:
                 inv_t = scipy.linalg.lu_solve(factors, np.eye(a.shape[0]), trans=1, check_finite=False)
-                a.accumulate(out.grad * inv_t)
+                values.accumulate(out.grad * inv_t[a.tocoo().row, a.indices])
 
         return run
 
-    return ad.make_node(np.float64(value), (a,), bw, "logabsdet")
+    return ad.make_node(np.float64(value), (values,), bw, "logabsdet")
 
 
 def _lu_checked(matrix):

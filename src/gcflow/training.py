@@ -14,8 +14,9 @@ so a repeated run reproduces its metrics exactly.
 
 from __future__ import annotations
 
+import numbers
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -110,6 +111,11 @@ def clip_gradients(params, threshold):
 
 # -- configuration and run record ---------------------------------------
 
+# what a TrainConfig field of each annotated type admits; only a bool field admits a bool
+_FIELD_TYPES = {"str": str, "bool": bool, "int": numbers.Integral, "float": numbers.Real}
+_INT_MINIMA = (("num_flows", 1), ("couplings", 1), ("net_layers", 1), ("hidden", 1), ("epochs", 1),
+               ("patience", 1), ("seed", 0), ("pca_dim", 1), ("embed_dim", 1))
+
 
 @dataclass
 class TrainConfig:
@@ -140,6 +146,16 @@ class TrainConfig:
     stretch_hi: float = DEFAULT_STRETCH_HI
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            kind, _, optional = f.type.partition(" | ")
+            admitted = isinstance(value, _FIELD_TYPES[kind]) and isinstance(value, bool) == (kind == "bool")
+            if not (admitted or (value is None and optional)):
+                raise ConfigError(f"config {f.name} must be {f.type}, got {value!r}")
+        for name, least in _INT_MINIMA:
+            value = getattr(self, name)
+            if value is not None and value < least:
+                raise ConfigError(f"config {name} must be at least {least}, got {value}")
         if self.model not in MODEL_KINDS:
             raise ConfigError(f"unknown model kind {self.model!r}, expected one of {MODEL_KINDS}")
         if self.model in FLOW_KINDS and not (0.0 < self.unlabeled_weight < 1.0):
@@ -149,12 +165,8 @@ class TrainConfig:
             )
         if self.adjacency not in ("row", "sym"):
             raise ConfigError(f"adjacency scheme must be 'row' or 'sym', got {self.adjacency!r}")
-        if self.epochs < 1 or self.patience < 1:
-            raise ConfigError("epochs and patience must both be at least 1")
         if self.lr <= 0.0 or self.clip <= 0.0:
             raise ConfigError("learning rate and clip threshold must be positive")
-        if self.num_flows < 1 or self.couplings < 1 or self.net_layers < 1:
-            raise ConfigError("flow depth settings must be at least 1")
         if self.mean_hi < self.mean_lo:
             raise ConfigError("component mean range is inverted")
         if not self.damping >= 0.0:

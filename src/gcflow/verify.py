@@ -40,7 +40,7 @@ def random_graph(rng, n, max_cond=None):
             if max_cond is None:
                 return normalize_row(g, damping=1e-2)
             continue
-        if max_cond is None or np.linalg.cond(adj.matrix) <= max_cond:
+        if max_cond is None or np.linalg.cond(adj.sparse.toarray()) <= max_cond:
             return adj
 
 

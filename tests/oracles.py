@@ -1,12 +1,14 @@
 """Reference implementations the optimized code is checked against: dense
 adjacency constructions and the identity mixing matrix, a counter of the
-dense factorizations the graph module runs, per-vector mixture densities,
-and the two-forward training loop and two-pass evaluate."""
+dense factorizations the graph module runs, the dense n x n mixing route of
+the parameterized sources, per-vector mixture densities, and the
+two-forward training loop and two-pass evaluate."""
 
 import numpy as np
 import scipy.sparse
 
 from gcflow import graphs
+from gcflow.errors import SingularMatrixError
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -52,6 +54,101 @@ def count_factorizations(monkeypatch):
 
     monkeypatch.setattr(graphs, "_lu_checked", counted)
     return calls
+
+
+def full_pattern(n):
+    """CSR structure with every one of the n x n entries stored, row by row:
+    its values are a dense matrix's ``ravel()``."""
+    return scipy.sparse.csr_matrix(np.ones((n, n)))
+
+
+# -- the dense mixing route of the parameterized sources ------------------
+
+
+def scatter_matrix(values, rows, cols, shape):
+    """Differentiable placement of ``values[i]`` at (rows[i], cols[i]) in a
+    zero matrix; duplicate positions add."""
+    from gcflow import autodiff as ad
+
+    values = ad.as_tensor(values)
+    rows = np.asarray(rows, dtype=np.intp)
+    cols = np.asarray(cols, dtype=np.intp)
+    base = np.zeros(shape)
+    np.add.at(base, (rows, cols), values.data)
+
+    def bw(out):
+        def run():
+            if values.requires_grad:
+                values.accumulate(out.grad[rows, cols])
+
+        return run
+
+    return ad.make_node(base, (values,), bw, "scatter_matrix")
+
+
+def logabsdet_dense(a):
+    """Differentiable log|det| of a dense square tensor; its gradient is the
+    transposed inverse, taken with ``np.linalg.inv``."""
+    from gcflow import autodiff as ad
+
+    a = ad.as_tensor(a)
+    sign, value = np.linalg.slogdet(a.data)
+    if sign == 0.0:
+        raise SingularMatrixError("singular matrix")
+
+    def bw(out):
+        def run():
+            if a.requires_grad:
+                a.accumulate(out.grad * np.linalg.inv(a.data).T)
+
+        return run
+
+    return ad.make_node(np.float64(value), (a,), bw, "logabsdet_dense")
+
+
+def attention_dense(source, x, training=False, rng=None):
+    """An ``AttentionAdjacency``'s mixing matrix built as an n x n tensor:
+    the shifted score exponentials scattered, divided by their dense row sums
+    (1 on an isolated node's empty row), plus damping times the identity.
+    Attention draws no noise, so ``training`` and ``rng`` are unused."""
+    from gcflow import autodiff as ad
+
+    scores = source.edge_scores(x)
+    row_max = np.full(source.n, -np.inf)
+    np.maximum.at(row_max, source.src, scores.data)
+    weights = ad.exp(scores - ad.Tensor(row_max[source.src]))
+    numer = scatter_matrix(weights, source.src, source.dst, (source.n, source.n))
+    lonely = (np.bincount(source.src, minlength=source.n) == 0).astype(np.float64)
+    denom = ad.tsum(numer, axis=1) + ad.Tensor(lonely)
+    return numer / ad.reshape(denom, (source.n, 1)) + ad.Tensor(source.damping * np.eye(source.n))
+
+
+def gates_dense(source, x, training=False, rng=None):
+    """A ``ConcreteAdjacency``'s mixing matrix built as an n x n tensor: its
+    edge gates scattered, plus damping times the identity."""
+    from gcflow import autodiff as ad
+
+    gates = source.realize(x, 0, training=training, rng=rng)
+    matrix = scatter_matrix(gates, source.src, source.dst, (source.n, source.n))
+    return matrix + ad.Tensor(source.damping * np.eye(source.n))
+
+
+def forward_dense(model, x, dense_mixing, training=False, rng=None):
+    """``GcFlowModel.forward`` for a parameterized source, with every stage
+    mixing through the dense n x n tensor ``dense_mixing(source, x)`` and its
+    log|det| from ``logabsdet_dense``; returns the latents, the per-node
+    coupling log-determinants and the graph log-determinant."""
+    from gcflow import autodiff as ad
+
+    x = ad.as_tensor(x)
+    flow_logdet = ad.Tensor(np.zeros(x.shape[0]))
+    graph_logdet = ad.Tensor(0.0)
+    for flow in model.flows:
+        a = dense_mixing(model.adjacency, x, training, rng)
+        graph_logdet = graph_logdet + x.shape[1] * logabsdet_dense(a)
+        x, ld = flow.forward(ad.matmul(a, x), training=training, rng=rng)
+        flow_logdet = flow_logdet + ld
+    return x, flow_logdet, graph_logdet
 
 
 # -- per-vector mixture densities -----------------------------------------

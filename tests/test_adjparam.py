@@ -1,13 +1,20 @@
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from gcflow import adjparam, autodiff as ad, flows, graphs, mixture
 from gcflow.errors import DomainError
+from oracles import attention_dense, forward_dense, full_pattern, gates_dense, logabsdet_dense, scatter_matrix
 
 PATH4 = graphs.make_graph(4, [(0, 1), (1, 2), (2, 3)])
+
+
+def reverse_edges(src, dst):
+    """Index of the edge (dst[k], src[k]) for each edge k of a symmetric edge list."""
+    return np.lexsort((src, dst))
 
 
 class FixedNoise:
@@ -31,17 +38,17 @@ def test_attention_singleton_neighbor_gets_weight_one():
     g = graphs.make_graph(2, [(0, 1)])
     source = adjparam.AttentionAdjacency(g, dim=3, embed_dim=4, damping=0.0, seed=0)
     x = np.random.default_rng(1).normal(size=(2, 3))
-    a = source.realize(x, 0)
-    assert a.data[0, 1] == 1.0
-    assert a.data[1, 0] == 1.0
-    assert a.data[0, 0] == 0.0
+    values = source.realize(x, 0)
+    # the entries are (0, 1) and (1, 0); nothing is stored on the diagonal
+    assert list(zip(source.src.tolist(), source.dst.tolist())) == [(0, 1), (1, 0)]
+    assert values.data.tolist() == [1.0, 1.0]
 
 
 def test_attention_equal_scores_give_uniform_neighborhoods():
     source = adjparam.AttentionAdjacency(PATH4, dim=2, embed_dim=4, damping=0.0, seed=2)
     for p in source.scorer.params():
         p.data[...] = 0.0
-    a = source.realize(np.random.default_rng(3).normal(size=(4, 2)), 0)
+    values = source.realize(np.random.default_rng(3).normal(size=(4, 2)), 0)
     want = np.array(
         [
             [0.0, 1.0, 0.0, 0.0],
@@ -50,38 +57,42 @@ def test_attention_equal_scores_give_uniform_neighborhoods():
             [0.0, 0.0, 1.0, 0.0],
         ]
     )
-    assert_allclose(a.data, want, atol=1e-15)
+    assert_allclose(values.data, want[source.src, source.dst], atol=1e-15)
 
 
 def test_attention_rows_stochastic_and_supported_on_edges():
     rng = np.random.default_rng(4)
     g = graphs.make_graph(6, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (4, 5), (1, 5)])
     source = adjparam.AttentionAdjacency(g, dim=3, embed_dim=5, damping=0.0, seed=5)
-    a = source.realize(rng.normal(size=(6, 3)), 0)
-    assert_allclose(a.data.sum(axis=1), np.ones(6), atol=1e-12)
-    allowed = np.zeros((6, 6), dtype=bool)
+    values = source.realize(rng.normal(size=(6, 3)), 0)
+    assert_allclose(np.bincount(source.src, weights=values.data), np.ones(6), atol=1e-12)
     src, dst = adjparam.directed_edges(g)
-    allowed[src, dst] = True
-    assert np.all(a.data[~allowed] == 0.0)
+    rows, cols = source.pattern.nonzero()
+    assert values.shape == src.shape
+    assert np.array_equal(rows, src) and np.array_equal(cols, dst)
 
 
 def test_attention_isolated_node_survives_via_damping():
     g = graphs.make_graph(3, [(0, 1)])
     source = adjparam.AttentionAdjacency(g, dim=2, embed_dim=3, damping=1e-3, seed=6)
-    a = source.realize(np.random.default_rng(7).normal(size=(3, 2)), 0)
-    logdet = graphs.logabsdet_tensor(a)
-    assert_allclose(a.data[2], [0.0, 0.0, 1e-3], atol=1e-15)
+    x = np.random.default_rng(7).normal(size=(3, 2))
+    values = source.realize(x, 0)
+    assert 2 not in source.src  # no entry in node 2's row: damping alone mixes it
+    mixed = ad.sparse_matmul(source.pattern, values, x) + ad.Tensor(x) * source.damping
+    assert_allclose(mixed.data[2], 1e-3 * x[2], atol=1e-15)
+    logdet = graphs.logabsdet_tensor(source.pattern, values, source.damping)
     assert np.isfinite(logdet.item())
+    assert_allclose(logdet.item(), logabsdet_dense(attention_dense(source, x)).item(), rtol=1e-12)
 
 
 def test_attention_very_negative_scores_keep_rows_stochastic():
     # every score near -5000: exp underflows unless the shift is the row's own max
     source = adjparam.AttentionAdjacency(PATH4, dim=2, embed_dim=3, damping=1e-3, seed=3)
     source.scorer.biases[0].data[...] = -5000.0
-    a = source.realize(np.random.default_rng(4).normal(size=(4, 2)), 0)
-    assert np.all(np.isfinite(a.data))
-    assert_allclose(a.data.sum(axis=1), np.full(4, 1.0 + 1e-3), rtol=0.0, atol=1e-12)
-    assert np.isfinite(graphs.logabsdet_tensor(a).item())
+    values = source.realize(np.random.default_rng(4).normal(size=(4, 2)), 0)
+    assert np.all(np.isfinite(values.data))
+    assert_allclose(np.bincount(source.src, weights=values.data), np.ones(4), rtol=0.0, atol=1e-12)
+    assert np.isfinite(graphs.logabsdet_tensor(source.pattern, values, source.damping).item())
 
 
 def test_attention_logdet_gradient_matches_finite_differences():
@@ -90,7 +101,7 @@ def test_attention_logdet_gradient_matches_finite_differences():
     x = np.random.default_rng(9).normal(size=(5, 3))
 
     def f():
-        return graphs.logabsdet_tensor(source.realize(x, 0))
+        return graphs.logabsdet_tensor(source.pattern, source.realize(x, 0), source.damping)
 
     assert ad.grad_check(f, source.embed_src.params()) < 1e-5
     assert ad.grad_check(f, source.params()) < 1e-5
@@ -114,18 +125,18 @@ def test_concrete_stretch_arithmetic_removes_edge():
     # choose the uniform draw whose logistic noise yields a soft gate of 0.05
     eps = 1.0 / (1.0 + np.exp(-source.temperature * np.log(0.05 / 0.95)))
     x = np.random.default_rng(11).normal(size=(4, 2))
-    a = source.realize(x, 0, training=True, rng=FixedNoise(eps))
-    src, dst = adjparam.directed_edges(PATH4)
-    assert np.all(a.data[src, dst] == 0.0)  # every edge gated away; diag damping remains
+    gates = source.realize(x, 0, training=True, rng=FixedNoise(eps))
+    assert gates.shape == (6,)
+    assert np.all(gates.data == 0.0)  # every edge gated away; the model's damping remains
 
 
 def test_concrete_low_temperature_saturates_to_one():
     source = adjparam.ConcreteAdjacency(PATH4, dim=2, embed_dim=3, temperature=1e-4, damping=0.0, seed=12)
     for p in source.params():
         p.data[...] = 0.0
-    a = source.realize(np.zeros((4, 2)), 0, training=True, rng=FixedNoise(0.9))
-    src, dst = adjparam.directed_edges(PATH4)
-    assert np.all(a.data[src, dst] == 1.0)
+    gates = source.realize(np.zeros((4, 2)), 0, training=True, rng=FixedNoise(0.9))
+    assert gates.shape == (6,)
+    assert np.all(gates.data == 1.0)
 
 
 def test_concrete_entries_in_unit_interval():
@@ -133,10 +144,10 @@ def test_concrete_entries_in_unit_interval():
     source = adjparam.ConcreteAdjacency(g, dim=3, embed_dim=4, seed=13)
     x = np.random.default_rng(14).normal(size=(5, 3)) * 2.0
     for training in (False, True):
-        a = source.realize(x, 0, training=training, rng=np.random.default_rng(0))
-        off_diag = a.data - np.diag(np.diag(a.data))
-        assert off_diag.min() >= 0.0 and off_diag.max() <= 1.0
-        assert_allclose(np.diag(a.data), np.full(5, source.damping), atol=1e-15)
+        gates = source.realize(x, 0, training=training, rng=np.random.default_rng(0))
+        assert gates.data.min() >= 0.0 and gates.data.max() <= 1.0
+    # no gate sits on the diagonal: the model adds the damping there
+    assert not np.any(source.src == source.dst)
 
 
 def test_concrete_omega_antisymmetric():
@@ -148,6 +159,7 @@ def test_concrete_omega_antisymmetric():
     index = {(i, k): t for t, (i, k) in enumerate(zip(src, dst))}
     for (i, k), t in index.items():
         assert abs(logits[t] + logits[index[(k, i)]]) < 1e-15
+    assert np.array_equal(reverse_edges(src, dst), [index[(k, i)] for i, k in zip(src, dst)])
 
 
 @pytest.mark.parametrize("temperature", [adjparam.DEFAULT_TEMPERATURE, 0.01])
@@ -159,11 +171,11 @@ def test_concrete_eval_gates_orient_an_edge_but_never_remove_it(temperature):
     rng = np.random.default_rng(21)
     for p in source.params():
         p.data += rng.normal(size=p.data.shape)
-    a = source.realize(rng.normal(size=(6, 3)) * 3.0, 0).data
-    src, dst = adjparam.directed_edges(g)
-    assert_allclose(a[src, dst] + a[dst, src], 1.0, rtol=0.0, atol=1e-15)
-    closed = a[src, dst] == 0.0
-    assert np.all(a[dst, src][closed] == 1.0)
+    gates = source.realize(rng.normal(size=(6, 3)) * 3.0, 0).data
+    back = gates[reverse_edges(source.src, source.dst)]
+    assert_allclose(gates + back, 1.0, rtol=0.0, atol=1e-15)
+    closed = gates == 0.0
+    assert np.all(back[closed] == 1.0)
     if temperature < 0.1:  # cold gates saturate
         assert closed.any()
 
@@ -184,23 +196,32 @@ def test_concrete_training_realize_needs_rng():
 
 
 def test_logabsdet_tensor_identity_and_diagonal():
-    eye = ad.Tensor(np.eye(3), requires_grad=True)
-    out = graphs.logabsdet_tensor(eye)
+    eye = ad.Tensor(np.eye(3).ravel(), requires_grad=True)
+    out = graphs.logabsdet_tensor(full_pattern(3), eye)
     assert out.item() == 0.0
     out.backward()
-    assert_allclose(eye.grad, np.eye(3), atol=1e-12)
+    assert_allclose(eye.grad.reshape(3, 3), np.eye(3), atol=1e-12)
 
-    diag = ad.Tensor(np.diag([2.0, 3.0]), requires_grad=True)
-    out = graphs.logabsdet_tensor(diag)
+    diag = ad.Tensor(np.diag([2.0, 3.0]).ravel(), requires_grad=True)
+    out = graphs.logabsdet_tensor(full_pattern(2), diag)
     assert_allclose(out.item(), np.log(6.0), atol=1e-12)
     out.backward()
-    assert_allclose(diag.grad, np.diag([0.5, 1.0 / 3.0]), atol=1e-12)
+    assert_allclose(diag.grad.reshape(2, 2), np.diag([0.5, 1.0 / 3.0]), atol=1e-12)
+
+    # the same diagonal as damping on an empty pattern, and as values on a diagonal one
+    empty = scipy.sparse.csr_matrix((3, 3))
+    assert_allclose(graphs.logabsdet_tensor(empty, np.zeros(0), 2.0).item(), 3 * np.log(2.0), atol=1e-12)
+    values = ad.Tensor([1.0, 2.0], requires_grad=True)
+    out = graphs.logabsdet_tensor(scipy.sparse.identity(2, format="csr"), values, 1.0)
+    assert_allclose(out.item(), np.log(6.0), atol=1e-12)
+    out.backward()
+    assert_allclose(values.grad, [0.5, 1.0 / 3.0], atol=1e-12)
 
 
 def test_logabsdet_tensor_gradient_matches_finite_differences():
     rng = np.random.default_rng(19)
-    m = ad.Tensor(rng.normal(size=(4, 4)) + 2.0 * np.eye(4), requires_grad=True)
-    assert ad.grad_check(lambda: graphs.logabsdet_tensor(m), [m]) < 1e-5
+    m = ad.Tensor((rng.normal(size=(4, 4)) + 2.0 * np.eye(4)).ravel(), requires_grad=True)
+    assert ad.grad_check(lambda: graphs.logabsdet_tensor(full_pattern(4), m), [m]) < 1e-5
 
 
 @settings(derandomize=True, deadline=None, max_examples=40)
@@ -214,20 +235,20 @@ def test_logabsdet_tensor_matches_slogdet_and_inverse(n, negative, seed):
         m[0] *= -1.0
     sign, want = np.linalg.slogdet(m)
     assert sign == (-1.0 if negative else 1.0)
-    a = ad.Tensor(m, requires_grad=True)
-    out = graphs.logabsdet_tensor(a)
+    a = ad.Tensor(m.ravel(), requires_grad=True)
+    out = graphs.logabsdet_tensor(full_pattern(n), a)
     assert abs(out.item() - want) <= 1e-12 * max(1.0, abs(want))
     out.backward()
     inv_t = np.linalg.inv(m).T
-    assert np.abs(a.grad - inv_t).max() <= 1e-12 * np.abs(inv_t).max()
+    assert np.abs(a.grad.reshape(n, n) - inv_t).max() <= 1e-12 * np.abs(inv_t).max()
 
 
 def test_logabsdet_tensor_forward_alone_builds_no_inverse(monkeypatch):
     calls = []
     real = graphs.scipy.linalg.lu_solve
     monkeypatch.setattr(graphs.scipy.linalg, "lu_solve", lambda *a, **kw: calls.append(1) or real(*a, **kw))
-    a = ad.Tensor(np.diag([2.0, 3.0]), requires_grad=True)
-    out = graphs.logabsdet_tensor(a)
+    a = ad.Tensor([2.0, 3.0], requires_grad=True)
+    out = graphs.logabsdet_tensor(scipy.sparse.identity(2, format="csr"), a)
     assert calls == []
     out.backward()
     assert calls == [1]
@@ -304,3 +325,75 @@ def test_variant_inverse_roundtrip_with_recorded_matrices():
     result = model.forward(x)
     back = model.inverse(result.z, adjacencies=result.adjacencies)
     assert np.abs(back.data - x).max() < 1e-8
+
+
+def relative_gap(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return np.abs(got - want).max(initial=0.0) / max(np.abs(want).max(initial=0.0), 1e-300)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(n=st.integers(1, 9), isolated=st.integers(0, 2), density=st.floats(0.0, 1.0),
+       damping=st.floats(1.5, 4.0), width=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_sparse_mixing_and_logdet_match_the_dense_oracle(n, isolated, density, damping, width, seed):
+    # off-diagonal values in (-1, 1) / degree against a damping above 1.5 keep
+    # the matrix diagonally dominant, so the oracle's inverse is well conditioned
+    rng = np.random.default_rng(seed)
+    g = graphs.make_graph(n + isolated, [(i, j) for i in range(n) for j in range(i + 1, n)
+                                         if rng.random() < density])
+    src, dst = graphs.directed_edges(g)
+    pattern = scipy.sparse.csr_matrix((np.ones(src.size), (src, dst)), shape=(g.n, g.n))
+    assert np.array_equal(pattern.indices, dst)
+    degree = np.maximum(np.bincount(src, minlength=g.n), 1)[src]
+    raw = rng.uniform(-1.0, 1.0, size=src.size) / degree
+    x_raw = rng.normal(size=(g.n, width))
+    weight = rng.normal(size=(g.n, width))
+
+    values, x = ad.Tensor(raw.copy(), requires_grad=True), ad.Tensor(x_raw.copy(), requires_grad=True)
+    mixed = ad.sparse_matmul(pattern, values, x)
+    logdet = graphs.logabsdet_tensor(pattern, values, damping)
+    (ad.tsum(mixed * ad.Tensor(weight)) + logdet).backward()
+
+    dense_values = ad.Tensor(raw.copy(), requires_grad=True)
+    dense_x = ad.Tensor(x_raw.copy(), requires_grad=True)
+    matrix = scatter_matrix(dense_values, src, dst, (g.n, g.n))
+    want_mixed = ad.matmul(matrix, dense_x)
+    want_logdet = logabsdet_dense(matrix + ad.Tensor(damping * np.eye(g.n)))
+    (ad.tsum(want_mixed * ad.Tensor(weight)) + want_logdet).backward()
+
+    assert relative_gap(mixed.data, want_mixed.data) <= 1e-12
+    assert relative_gap(logdet.data, want_logdet.data) <= 1e-12
+    assert relative_gap(values.grad, dense_values.grad) <= 1e-12
+    assert relative_gap(x.grad, dense_x.grad) <= 1e-12
+
+
+@pytest.mark.parametrize("source_cls, dense_mixing", [
+    (adjparam.AttentionAdjacency, attention_dense),
+    (adjparam.ConcreteAdjacency, gates_dense),
+])
+@pytest.mark.parametrize("training", [False, True])
+def test_model_forward_matches_the_dense_route(source_cls, dense_mixing, training):
+    g = graphs.make_graph(7, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (1, 3)])  # nodes 5, 6 isolated
+    source = source_cls(g, dim=3, embed_dim=4, seed=40)
+    model = variant_model(source, dim=3, seed=41)
+    rng = np.random.default_rng(42)
+    for p in model.params():
+        p.data += 0.3 * rng.normal(size=p.data.shape)
+    x = rng.normal(size=(7, 3))
+    weight = ad.Tensor(rng.normal(size=(7, 3)))
+
+    def scalar(z, flow_logdet, graph_logdet):
+        return ad.tsum(z * weight) + ad.tsum(flow_logdet) + graph_logdet
+
+    params = model.params()
+    ad.zero_grads(params)
+    result = model.forward(x, training=training, rng=np.random.default_rng(43))
+    got = scalar(result.z, result.flow_logdet, result.graph_logdet)
+    got.backward()
+    got_grads = [p.grad.copy() for p in params]
+    ad.zero_grads(params)
+    want = scalar(*forward_dense(model, x, dense_mixing, training=training, rng=np.random.default_rng(43)))
+    want.backward()
+    assert relative_gap(got.data, want.data) <= 1e-12
+    for p, g_got in zip(params, got_grads):
+        assert relative_gap(g_got, p.grad) <= 1e-12

@@ -1,4 +1,5 @@
 import gc
+import warnings
 import weakref
 
 import numpy as np
@@ -10,6 +11,7 @@ from numpy.testing import assert_allclose
 
 from gcflow import autodiff as ad
 from gcflow.errors import DomainError, ShapeError
+from oracles import scatter_matrix
 
 
 def test_matmul_identity():
@@ -119,17 +121,22 @@ def test_slice_then_concat_roundtrip():
     assert_allclose(x.grad, 2.0 * x.data)
 
 
-def test_left_matmul_const_sparse_and_dense_agree():
+def test_sparse_matmul_sparse_and_dense_agree():
     rng = np.random.default_rng(2)
     a = rng.random((4, 4)) * (rng.random((4, 4)) < 0.5)
+    pattern = scipy.sparse.csr_matrix(a)
     x = ad.Tensor(rng.normal(size=(4, 3)), requires_grad=True)
-    dense = ad.matmul(ad.Tensor(a), x)
+    matrix = ad.Tensor(a, requires_grad=True)
+    dense = ad.matmul(matrix, x)
     x2 = ad.Tensor(x.data.copy(), requires_grad=True)
-    sparse = ad.left_matmul_const(scipy.sparse.csr_matrix(a), x2)
+    values = ad.Tensor(pattern.data.copy(), requires_grad=True)
+    sparse = ad.sparse_matmul(pattern, values, x2)
     assert_allclose(dense.data, sparse.data, atol=1e-14)
     ad.tsum(dense * dense).backward()
     ad.tsum(sparse * sparse).backward()
     assert_allclose(x.grad, x2.grad, atol=1e-14)
+    rows, cols = pattern.nonzero()
+    assert_allclose(matrix.grad[rows, cols], values.grad, atol=1e-14)
 
 
 def test_gather_rows_repeated_index_accumulates():
@@ -148,11 +155,29 @@ def test_take_per_row():
 
 
 def test_scatter_matrix_duplicate_entries_add():
+    # the dense oracle, and the sparse op over a pattern that stores (0, 1) twice
     v = ad.Tensor([1.0, 2.0, 5.0], requires_grad=True)
-    m = ad.scatter_matrix(v, [0, 0, 1], [1, 1, 0], (2, 2))
+    m = scatter_matrix(v, [0, 0, 1], [1, 1, 0], (2, 2))
     assert_allclose(m.data, [[0.0, 3.0], [5.0, 0.0]])
     ad.tsum(m * ad.Tensor([[0.0, 10.0], [100.0, 0.0]])).backward()
     assert_allclose(v.grad, [10.0, 10.0, 100.0])
+
+    pattern = scipy.sparse.csr_matrix((np.ones(3), [1, 1, 0], [0, 2, 3]), shape=(2, 2))
+    v.zero_grad()
+    out = ad.sparse_matmul(pattern, v, np.eye(2))
+    assert_allclose(out.data, [[0.0, 3.0], [5.0, 0.0]])
+    ad.tsum(out * ad.Tensor([[0.0, 10.0], [100.0, 0.0]])).backward()
+    assert_allclose(v.grad, [10.0, 10.0, 100.0])
+
+
+def test_sigmoid_saturates_without_an_overflow_warning():
+    x = ad.Tensor([-1e4, -800.0, 0.0, 800.0, 1e4], requires_grad=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = ad.sigmoid(x)
+        ad.tsum(out).backward()
+    assert out.data.tolist() == [0.0, 0.0, 0.5, 1.0, 1.0]
+    assert x.grad.tolist() == [0.0, 0.0, 0.25, 0.0, 0.0]
 
 
 def test_clamp_gradient_mask():
@@ -349,17 +374,18 @@ def test_matmul_over_random_shapes(m, k, n, seed):
     m=st.integers(1, 5), k=st.integers(1, 5), n=st.integers(1, 3),
     density=st.floats(0.0, 1.0), seed=SEEDS,
 )
-def test_left_matmul_const_over_random_shapes(m, k, n, density, seed):
+def test_sparse_matmul_over_random_shapes(m, k, n, density, seed):
     rng = np.random.default_rng(seed)
     dense = rng.normal(size=(m, k)) * (rng.random((m, k)) < density)
-    matrix = scipy.sparse.csr_matrix(dense)
+    pattern = scipy.sparse.csr_matrix(dense)
+    values = ad.Tensor(pattern.data.copy(), requires_grad=True)
     x = ad.Tensor(rng.normal(size=(k, n)), requires_grad=True)
-    assert_allclose(ad.left_matmul_const(matrix, x).data, dense @ x.data, rtol=0.0, atol=1e-12)
+    assert_allclose(ad.sparse_matmul(pattern, values, x).data, dense @ x.data, rtol=0.0, atol=1e-12)
 
     def f():
-        return weighted_sum(ad.left_matmul_const(matrix, x), np.random.default_rng(seed))
+        return weighted_sum(ad.sparse_matmul(pattern, values, x), np.random.default_rng(seed))
 
-    assert ad.grad_check(f, [x]) < 1e-6
+    assert ad.grad_check(f, [values, x]) < 1e-6
 
 
 @FD_SETTINGS
@@ -429,9 +455,9 @@ def test_take_per_row_and_scatter_matrix_with_duplicates(r, c, data, seed):
     v = ad.Tensor(rng.normal(size=count), requires_grad=True)
     want = np.zeros((r, c))
     np.add.at(want, (np.asarray(at_rows), np.asarray(at_cols)), v.data)
-    assert np.array_equal(ad.scatter_matrix(v, at_rows, at_cols, (r, c)).data, want)
+    assert np.array_equal(scatter_matrix(v, at_rows, at_cols, (r, c)).data, want)
 
     def f():
-        return weighted_sum(ad.scatter_matrix(v, at_rows, at_cols, (r, c)), np.random.default_rng(seed))
+        return weighted_sum(scatter_matrix(v, at_rows, at_cols, (r, c)), np.random.default_rng(seed))
 
     assert ad.grad_check(f, [v]) < 1e-6

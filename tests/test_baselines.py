@@ -72,7 +72,7 @@ def test_gcn_penultimate_is_hidden_activation():
     adj = ring_adjacency(6)
     model = GcnModel(adj, [3, 5, 2], seed=4)
     _, penult = model.forward(x)
-    expected = np.maximum(adj.matrix @ x @ model.weights[0].data, 0.0)
+    expected = np.maximum(adj.sparse.toarray() @ x @ model.weights[0].data, 0.0)
     assert np.allclose(penult, expected, atol=1e-14)
     assert penult.shape == (6, 5)
 

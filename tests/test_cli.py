@@ -255,3 +255,25 @@ def test_cluster_rejects_non_finite_embedding(tmp_path, capsys):
     assert rc == 1
     assert "non-finite" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("override", ["epochs=abc", "epochs=2.5", 'lr="x"', "seed=-1", "hidden=-3"])
+def test_train_rejects_a_malformed_config_value(synth_dir, tmp_path, capsys, override):
+    rc = main(["train", "--data", str(synth_dir / "manifest.json"), "--out", str(tmp_path / "run"),
+               "--set", override])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("gcflow: error: config ")
+    assert override.split("=")[0] in err
+
+
+@pytest.mark.parametrize("key, value", [("n", "x"), ("dim", 8.5), ("classes", True)])
+def test_train_rejects_a_manifest_with_non_integer_sizes(synth_dir, tmp_path, capsys, key, value):
+    manifest = json.loads((synth_dir / "manifest.json").read_text())
+    bad = tmp_path / "manifest.json"
+    bad.write_text(json.dumps({**manifest, key: value}))
+    for name in ("features", "edges", "labels", "train", "val", "test"):
+        (tmp_path / manifest[name]).write_bytes((synth_dir / manifest[name]).read_bytes())
+    rc = main(["train", "--data", str(bad), "--out", str(tmp_path / "run")])
+    assert rc == 1
+    assert "gcflow: error:" in capsys.readouterr().err

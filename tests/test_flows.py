@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse
 from numpy.testing import assert_allclose
 
 from gcflow import autodiff as ad
@@ -39,15 +40,17 @@ def random_adjacency(n, seed):
 
 
 class StubSource:
-    """Input-dependent mixing for tests: A = (1 + mean(x)/10) * I."""
+    """Input-dependent mixing for tests: A = (1 + mean(x)/10) * I, the
+    values of a diagonal pattern."""
 
     def __init__(self, n):
         self.n = n
+        self.pattern = scipy.sparse.identity(n, format="csr")
+        self.damping = 0.0
 
     def realize(self, x, stage, training=False, rng=None):
         scale = ad.Tensor(1.0) + ad.tsum(x) * (0.1 / x.data.size)
-        a = ad.Tensor(np.eye(self.n)) * scale
-        return a
+        return ad.Tensor(np.ones(self.n)) * scale
 
     def params(self):
         return []
@@ -216,7 +219,7 @@ def test_inverse_with_singular_supplied_adjacency():
     model = flows.build_gcflow(1, 2, hidden=4, net_layers=2, seed=20)
     z = np.zeros((3, 2))
     with pytest.raises(SingularMatrixError):
-        model.inverse(z, adjacencies=[np.zeros((3, 3))])
+        model.inverse(z, adjacencies=[scipy.sparse.csr_matrix((3, 3))])
 
 
 def test_model_rejects_mismatched_rows():

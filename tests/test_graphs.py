@@ -12,7 +12,7 @@ from numpy.testing import assert_allclose
 from gcflow import autodiff as ad
 from gcflow import graphs
 from gcflow.errors import DomainError, FormatError, ShapeError, SingularMatrixError
-from oracles import adjacency_dense, count_factorizations, normalized_dense
+from oracles import adjacency_dense, count_factorizations, full_pattern, normalized_dense
 
 
 def det_leibniz(m):
@@ -81,7 +81,7 @@ def test_edgeless_normalizations_are_identity():
     g = graphs.make_graph(5, [])
     for norm in (graphs.normalize_row, graphs.normalize_sym):
         adj = norm(g)
-        assert np.array_equal(adj.matrix, np.eye(5))
+        assert np.array_equal(adj.sparse.toarray(), np.eye(5))
         assert adj.log_abs_det == 0.0
 
 
@@ -94,9 +94,9 @@ def test_normalize_row_path3():
             [0.0, 0.5, 0.5],
         ]
     )
-    assert_allclose(adj.matrix, want, atol=1e-15)
+    assert_allclose(adj.sparse.toarray(), want, atol=1e-15)
     assert_allclose(adj.log_abs_det, math.log(1.0 / 12.0), atol=1e-12)
-    assert_allclose(adj.log_abs_det, np.log(abs(det_cofactor_3x3(adj.matrix))), atol=1e-12)
+    assert_allclose(adj.log_abs_det, np.log(abs(det_cofactor_3x3(adj.sparse.toarray()))), atol=1e-12)
 
 
 def test_normalize_row_triangle_singular():
@@ -106,9 +106,9 @@ def test_normalize_row_triangle_singular():
 
 def test_normalize_sym_path3():
     adj = graphs.normalize_sym(path3())
-    assert_allclose(np.diag(adj.matrix), [0.5, 1.0 / 3.0, 0.5], atol=1e-15)
-    assert_allclose(adj.matrix, adj.matrix.T, atol=1e-12)
-    assert_allclose(adj.log_abs_det, np.log(abs(det_cofactor_3x3(adj.matrix))), atol=1e-12)
+    assert_allclose(np.diag(adj.sparse.toarray()), [0.5, 1.0 / 3.0, 0.5], atol=1e-15)
+    assert_allclose(adj.sparse.toarray(), adj.sparse.toarray().T, atol=1e-12)
+    assert_allclose(adj.log_abs_det, np.log(abs(det_cofactor_3x3(adj.sparse.toarray()))), atol=1e-12)
 
 
 def test_row_normalization_rows_sum_to_one():
@@ -122,7 +122,7 @@ def test_row_normalization_rows_sum_to_one():
 
 def test_damp_identity():
     damped = graphs.normalize_row(graphs.make_graph(4, []), damping=1e-3)
-    assert_allclose(damped.matrix, 1.001 * np.eye(4), atol=1e-15)
+    assert_allclose(damped.sparse.toarray(), 1.001 * np.eye(4), atol=1e-15)
     assert_allclose(damped.log_abs_det, 4 * math.log(1.001), atol=1e-12)
     assert damped.damping == 1e-3
 
@@ -130,7 +130,7 @@ def test_damp_identity():
 def test_damping_rescues_singular_triangle():
     damped = graphs.normalize_row(triangle(), damping=1e-3)
     assert damped.damping == 1e-3
-    assert_allclose(damped.log_abs_det, np.log(abs(det_leibniz(damped.matrix))), atol=1e-10)
+    assert_allclose(damped.log_abs_det, np.log(abs(det_leibniz(damped.sparse.toarray()))), atol=1e-10)
 
 
 def test_normalize_rejects_negative_or_nan_damping():
@@ -233,7 +233,7 @@ def test_csr_build_matches_dense_oracle_bit_for_bit(n, isolated, density, epsilo
     for field in ("indptr", "indices", "data"):
         assert getattr(got, field).dtype == getattr(want, field).dtype
         assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
-    assert unchecked.matrix.tobytes() == oracle.tobytes()
+    assert unchecked.sparse.toarray().tobytes() == oracle.tobytes()
     try:
         want_logdet = graphs.log_abs_det(oracle)
     except SingularMatrixError:
@@ -287,8 +287,9 @@ def test_external_adjacency_must_be_square(shape):
 
 
 def test_sparse_and_dense_views_agree():
-    adj = graphs.normalize_row(path3())
-    assert_allclose(adj.sparse.toarray(), adj.matrix, atol=0)
+    for scheme, norm in (("row", graphs.normalize_row), ("sym", graphs.normalize_sym)):
+        adj = norm(path3())
+        assert_allclose(adj.sparse.toarray(), normalized_dense(path3(), scheme), atol=0)
 
 
 def test_load_edge_list(tmp_path):
@@ -315,4 +316,4 @@ def test_log_abs_det_rejects_non_finite_entries(bad):
     with pytest.raises(DomainError, match="non-finite"):
         graphs.log_abs_det(m)
     with pytest.raises(DomainError, match="non-finite"):
-        graphs.logabsdet_tensor(ad.Tensor(m, requires_grad=True))
+        graphs.logabsdet_tensor(full_pattern(3), ad.Tensor(m.ravel(), requires_grad=True))

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse
 from numpy.testing import assert_allclose
 
 from gcflow import autodiff as ad
@@ -139,6 +140,17 @@ def test_config_rejects_negative_damping(kind):
     for damping in (-0.5, float("nan")):
         with pytest.raises(ConfigError, match="damping"):
             TrainConfig(model=kind, damping=damping)
+
+
+def test_config_checks_value_types_and_ranges():
+    # numpy numbers pass as ints and floats; a bool is refused anywhere but a bool field
+    cfg = TrainConfig(epochs=np.int64(3), hidden=np.int32(4), lr=np.float32(0.01), damping=0)
+    assert cfg.epochs == 3 and cfg.resolved_hidden == 4
+    for key, value in [("epochs", "abc"), ("epochs", 2.5), ("epochs", True), ("lr", "x"), ("lr", None),
+                       ("dropout", "0.1"), ("learn_weights", 1), ("adjacency", 3), ("seed", -1),
+                       ("hidden", -3), ("pca_dim", 0), ("embed_dim", 0), ("patience", 0)]:
+        with pytest.raises(ConfigError, match=f"config {key} must be"):
+            TrainConfig(**{key: value})
 
 
 def test_config_kind_defaults():
@@ -300,11 +312,11 @@ def fail_logdet(monkeypatch, calls):
     real = graphs.logabsdet_tensor
     count = [0]
 
-    def maybe_singular(a):
+    def maybe_singular(*args):
         count[0] += 1
         if count[0] in calls:
             raise SingularMatrixError("forced singular mixing matrix")
-        return real(a)
+        return real(*args)
 
     monkeypatch.setattr(flows, "logabsdet_tensor", maybe_singular)
     return count
@@ -405,6 +417,39 @@ def perturbed_flow_model(kind, ds, seed=1):
     return tm
 
 
+@pytest.fixture(scope="module")
+def sparse_sbm():
+    # n = 2100 and about 8.6k edges: one n x n float64 array is 35 MB, the edges are kilobytes
+    return generate_sbm(SbmConfig(block_size=700, p_intra=0.01, q_inter=0.001, seed=0))
+
+
+@pytest.mark.parametrize("kind", ["gcflow-p", "gcflow-l"])
+def test_no_n_by_n_tensor_rides_the_tape(sparse_sbm, kind):
+    ds = sparse_sbm
+    tm = perturbed_flow_model(kind, ds)
+    loss_cfg = mixture.LossConfig(ds.mask_indices("train"), np.flatnonzero(~ds.train_mask))
+    loss, _ = tm.model.loss_and_predictions(ds.features, ds.labels, loss_cfg, np.random.default_rng(0))
+    tape = loss._topo()
+    assert len(tape) > 100
+    assert [t._op for t in tape if t.shape == (ds.n, ds.n)] == []
+    loss.backward()
+    assert all(np.isfinite(p.grad).all() for p in tm.model.params())
+
+
+@pytest.mark.parametrize("kind", ["gcflow-p", "gcflow-l"])
+def test_parameterized_inference_runs_in_edge_memory(sparse_sbm, kind):
+    ds = sparse_sbm
+    tm = perturbed_flow_model(kind, ds)
+    tracemalloc.start()
+    try:
+        pred, z = tm.model.predict_and_represent(ds.features)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert pred.shape == (ds.n,) and z.shape == (ds.n, ds.dim)
+    assert peak < ds.n * ds.n * 8  # below a single dense n x n float64 matrix
+
+
 @pytest.mark.parametrize("kind", FLOW_KINDS)
 def test_inference_matches_the_taped_route(sbm, kind):
     tm = perturbed_flow_model(kind, sbm)
@@ -419,7 +464,7 @@ def test_inference_matches_the_taped_route(sbm, kind):
 def test_inference_skips_the_graph_logdet(sbm, kind, monkeypatch):
     calls = []
     real = flows.logabsdet_tensor
-    monkeypatch.setattr(flows, "logabsdet_tensor", lambda a: calls.append(1) or real(a))
+    monkeypatch.setattr(flows, "logabsdet_tensor", lambda *args: calls.append(1) or real(*args))
     tm = perturbed_flow_model(kind, sbm)
     x = sbm.features
     tm.model.predict_and_represent(x)
@@ -480,15 +525,21 @@ def test_gmm_ax_mixes_through_the_csr_like_the_dense_product(sbm, scheme):
     )
 
 
+def forbid_densifying(monkeypatch):
+    """Make densifying any CSR matrix, the adjacency included, fail."""
+
+    def dense(self, *args, **kwargs):
+        raise AssertionError("the replayed adjacency was densified")
+
+    monkeypatch.setattr(scipy.sparse.csr_matrix, "toarray", dense)
+
+
 def test_gmm_ax_checkpoint_predicts_without_a_dense_matrix(tmp_path, monkeypatch):
     ds = generate_sbm(SbmConfig(block_size=800, seed=0))
     record = train(TrainConfig(model="gmm-ax", seed=0), ds, checkpoint_dir=tmp_path)
 
     # the dense n x n float64 matrix alone is 46 MB at n = 2400
-    def dense(self):
-        raise AssertionError("the replayed adjacency was densified")
-
-    monkeypatch.setattr(graphs.NormalizedAdjacency, "matrix", property(dense))
+    forbid_densifying(monkeypatch)
     tracemalloc.start()
     try:
         tm = load_checkpoint(record.checkpoint_path, ds.graph)
@@ -525,6 +576,43 @@ def test_checkpoint_rejects_em_arrays_that_do_not_fit_the_model(sbm, tmp_path, k
     bad.write_text(json.dumps({**payload, "gmm": {**payload["gmm"], key: value}}))
     with pytest.raises(FormatError, match=match):
         load_checkpoint(bad, sbm.graph)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("weights", [2.0, -0.5, -0.5]),
+    ("weights", [0.5, 0.3, 0.1]),
+    ("weights", [float("nan"), 0.5, 0.5]),
+    ("covs", "asymmetric"),
+    ("covs", "indefinite"),
+    ("covs", "non-finite"),
+    ("mapping", [0.0, 1.7, 2.9]),
+], ids=["weights-negative", "weights-sum", "weights-nan", "covs-asymmetric", "covs-indefinite",
+        "covs-inf", "mapping-float"])
+def test_checkpoint_rejects_em_values_that_are_not_a_mixture(sbm, tmp_path, key, value):
+    record = train(TrainConfig(model="gmm-x", seed=0), sbm, checkpoint_dir=tmp_path)
+    payload = json.loads(Path(record.checkpoint_path).read_text())
+    if key == "covs":
+        covs = np.array(payload["gmm"]["covs"])
+        if value == "asymmetric":
+            covs[1, 0, 1] += 1e-3
+        elif value == "indefinite":
+            covs[2] -= 10.0 * np.eye(covs.shape[1])  # symmetric, a negative eigenvalue
+        else:
+            covs[0, 3, 3] = np.inf
+        value = covs.tolist()
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**payload, "gmm": {**payload["gmm"], key: value}}))
+    with pytest.raises(FormatError):
+        load_checkpoint(bad, sbm.graph)
+
+
+def test_em_checkpoint_covariances_load_when_symmetric_only_to_rounding(sbm, tmp_path):
+    record = train(TrainConfig(model="gmm-x", seed=0), sbm, checkpoint_dir=tmp_path)
+    covs = np.array(json.loads(Path(record.checkpoint_path).read_text())["gmm"]["covs"])
+    asymmetry = np.abs(covs - covs.transpose(0, 2, 1)).max()
+    assert 0.0 < asymmetry < 1e-15  # EM's weighted outer products are not exactly symmetric
+    tm = load_checkpoint(record.checkpoint_path, sbm.graph)
+    assert evaluate(tm, sbm)["test_micro_f1"] == record.test_micro_f1
 
 
 @pytest.mark.parametrize("kind", ["gmm-x", "gmm-ax"])
@@ -666,10 +754,7 @@ def test_replayed_adjacency_predicts_at_n_20000_in_sparse_memory(monkeypatch):
     x = rng.normal(size=(n, 4))
 
     # a dense n x n float64 matrix is 3.2 GB: fail before allocating one
-    def dense(self):
-        raise AssertionError("the replayed adjacency was densified")
-
-    monkeypatch.setattr(graphs.NormalizedAdjacency, "matrix", property(dense))
+    forbid_densifying(monkeypatch)
     tracemalloc.start()
     try:
         tm = assemble_model(TrainConfig(model="gcflow", hidden=8, seed=0), g, 4, 3, damping_used=0.0)
