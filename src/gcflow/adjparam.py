@@ -11,11 +11,12 @@ Two constructions, both confined to the given edge set:
   evaluation a gate can turn one direction off but never the whole edge.
 
 Neither construction adds edges: ``realize`` returns one value per entry
-of the CSR ``pattern``, the directed edges in ``directed_edges`` order. The
-model mixes with that matrix plus ``damping`` times the identity, since rows
-of a softmax-normalized matrix sum to 1 and exact singularity is otherwise
-common. Embedding weights are shared across stages; the values still differ
-per stage because each stage feeds its own features in.
+of the CSR ``pattern``, the directed edges in ``directed_edges`` order.
+``EdgeSource.mix``, called by every model stage, mixes with that matrix plus
+``damping`` times the identity (rows of a softmax-normalized matrix sum to 1
+and exact singularity is otherwise common) and returns its log|det|.
+Embedding weights are shared across stages; the values still differ per
+stage because each stage feeds its own features in.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import scipy.sparse
 from . import autodiff as ad
 from .errors import DomainError
 from .flows import Mlp
-from .graphs import Graph, directed_edges
+from .graphs import Graph, directed_edges, logabsdet_tensor
 
 DEFAULT_DAMPING = 1e-3
 DEFAULT_TEMPERATURE = 0.66
@@ -34,18 +35,33 @@ DEFAULT_STRETCH_LO = -0.1
 DEFAULT_STRETCH_HI = 1.1
 
 
-class AttentionAdjacency:
-    """Row-stochastic edge reweighting from learned endpoint embeddings."""
+class EdgeSource:
+    """What both learned sources share: the directed edges, their CSR
+    ``pattern``, the damping, and ``mix``. A subclass defines ``realize``."""
 
-    def __init__(self, graph: Graph, dim, embed_dim=16, damping=DEFAULT_DAMPING, seed=0):
+    def __init__(self, graph: Graph, damping, needs_edges):
         if not graph.edges:
-            raise DomainError("attention reweighting needs at least one edge")
-        rng = np.random.default_rng(seed)
+            raise DomainError(needs_edges)
         self.n = graph.n
         self.damping = float(damping)
         self.src, self.dst = directed_edges(graph)
         self.pattern = scipy.sparse.csr_matrix(
             (np.ones(self.src.size), (self.src, self.dst)), shape=(self.n, self.n))
+
+    def mix(self, x, training=False, rng=None, logdet=True):
+        """Mix ``x`` by ``realize``'s matrix plus damping times the identity;
+        also its differentiable log|det| when ``logdet``, else None."""
+        values = self.realize(x, training=training, rng=rng)
+        mixed = ad.sparse_matmul(self.pattern, values, x) + x * self.damping
+        return mixed, (logabsdet_tensor(self.pattern, values, self.damping) if logdet else None)
+
+
+class AttentionAdjacency(EdgeSource):
+    """Row-stochastic edge reweighting from learned endpoint embeddings."""
+
+    def __init__(self, graph: Graph, dim, embed_dim=16, damping=DEFAULT_DAMPING, seed=0):
+        super().__init__(graph, damping, "attention reweighting needs at least one edge")
+        rng = np.random.default_rng(seed)
         self.embed_src = Mlp([dim, embed_dim], rng)
         self.embed_dst = Mlp([dim, embed_dim], rng)
         self.scorer = Mlp([2 * embed_dim, 1], rng)
@@ -57,7 +73,7 @@ class AttentionAdjacency:
         paired = ad.concat_cols([ad.gather_rows(h, self.src), ad.gather_rows(g, self.dst)])
         return ad.lrelu(ad.reshape(self.scorer(paired), (self.src.size,)))
 
-    def realize(self, x, stage, training=False, rng=None):
+    def realize(self, x, training=False, rng=None):
         scores = self.edge_scores(x)
         # softmax per source row, stabilized by a constant per-row shift: the
         # row's own max, so its largest weight is exp(0) = 1 and the row sum
@@ -73,7 +89,7 @@ class AttentionAdjacency:
         return self.embed_src.params() + self.embed_dst.params() + self.scorer.params()
 
 
-class ConcreteAdjacency:
+class ConcreteAdjacency(EdgeSource):
     """Per-direction soft edge gates from a stretched logistic relaxation.
 
     Each directed edge's keep-score is an antisymmetric function of its
@@ -96,17 +112,11 @@ class ConcreteAdjacency:
             raise DomainError(f"stretch lower bound must be negative, got {stretch_lo}")
         if stretch_hi <= 1.0:
             raise DomainError(f"stretch upper bound must exceed 1, got {stretch_hi}")
-        if not graph.edges:
-            raise DomainError("edge gating needs at least one edge")
+        super().__init__(graph, damping, "edge gating needs at least one edge")
         rng = np.random.default_rng(seed)
-        self.n = graph.n
         self.temperature = float(temperature)
         self.stretch_lo = float(stretch_lo)
         self.stretch_hi = float(stretch_hi)
-        self.damping = float(damping)
-        self.src, self.dst = directed_edges(graph)
-        self.pattern = scipy.sparse.csr_matrix(
-            (np.ones(self.src.size), (self.src, self.dst)), shape=(self.n, self.n))
         self.embed_a = Mlp([dim, embed_dim], rng)
         self.embed_b = Mlp([dim, embed_dim], rng)
 
@@ -119,7 +129,7 @@ class ConcreteAdjacency:
         backward = ad.gather_rows(tb, self.src) * ad.gather_rows(ta, self.dst)
         return ad.tanh(ad.tsum(forward - backward, axis=1))
 
-    def realize(self, x, stage, training=False, rng=None):
+    def realize(self, x, training=False, rng=None):
         logits = self.edge_logits(x)
         if training:
             if rng is None:

@@ -19,11 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
+import scipy.linalg
 
 from . import autodiff as ad
-from .errors import ScaleError, ShapeError, SingularMatrixError
-from .graphs import NormalizedAdjacency, log_abs_det, logabsdet_tensor
+from .errors import ScaleError, ShapeError
+from .graphs import NormalizedAdjacency, _lu_checked, log_abs_det
 
 
 def glorot(rng, fan_in, fan_out):
@@ -153,31 +153,27 @@ class ForwardResult:
 
     ``z``: latent features, n x D. ``flow_logdet``: length-n tensor of
     per-node coupling log-determinants. ``graph_logdet``: scalar tensor,
-    D times the summed adjacency log-determinants (zero for the identity),
-    or None when the forward was asked to skip it (``logdet=False``).
-    ``adjacencies``: per stage, the sparse matrix that mixed the features
-    (None for the identity), which a model whose mixing depends on its
-    input needs to be inverted.
+    D times the summed stage log-determinants that ``mix`` returned (zero
+    for the identity), or None when the forward was asked to skip them
+    (``logdet=False``).
     """
 
     z: ad.Tensor
     flow_logdet: ad.Tensor
     graph_logdet: ad.Tensor | None
-    adjacencies: list
 
 
 class GcFlowModel:
     """Alternating graph mixing and coupling flows.
 
-    ``adjacency`` is one of: None (identity mixing, the plain-flow special
-    case), a NormalizedAdjacency (fixed mixing shared by all stages), or a
-    source object whose ``realize(x, stage, training, rng)`` produces, from
-    the current features, the per-stage stored entries of its CSR
-    ``pattern``; the stage mixes with that matrix plus ``damping`` times
-    the identity. A source also has ``params()``.
+    ``adjacency`` is None (identity mixing, the plain-flow special case), a
+    NormalizedAdjacency (fixed mixing) or a learned ``adjparam`` source, which
+    also has ``params()``. Each stage calls ``mix(x, training, rng, logdet)``,
+    which returns the mixed features and the stage's log|det| (None when
+    ``logdet`` is False), and then applies that stage's flow.
 
     ``forward(..., logdet=False)`` skips the adjacency log-determinants,
-    which for a parameterized source cost one dense LU per stage. Only a
+    which for a learned source cost one dense LU per stage. Only a
     likelihood needs them; latents and class posteriors do not.
     """
 
@@ -200,47 +196,30 @@ class GcFlowModel:
             raise ShapeError(f"model expects {self.dim} features, got {dim}")
         flow_logdet = ad.Tensor(np.zeros(n))
         graph_logdet = ad.Tensor(0.0) if logdet else None
-        realized = []
-        for stage, flow in enumerate(self.flows):
-            if self.adjacency is None:
-                mixed = x
-                realized.append(None)
-            elif isinstance(self.adjacency, NormalizedAdjacency):
-                a = self.adjacency.sparse
-                mixed = ad.sparse_matmul(a, a.data, x)
+        for flow in self.flows:
+            if self.adjacency is not None:
+                x, stage_logdet = self.adjacency.mix(x, training=training, rng=rng, logdet=logdet)
                 if logdet:
-                    graph_logdet = graph_logdet + dim * self.adjacency.log_abs_det
-                realized.append(a)
-            else:
-                pattern, damping = self.adjacency.pattern, self.adjacency.damping
-                values = self.adjacency.realize(x, stage, training=training, rng=rng)
-                mixed = ad.sparse_matmul(pattern, values, x) + x * damping
-                if logdet:
-                    graph_logdet = graph_logdet + dim * logabsdet_tensor(pattern, values, damping)
-                a = scipy.sparse.csr_matrix((values.data, pattern.indices, pattern.indptr), shape=(n, n))
-                realized.append(a + damping * scipy.sparse.identity(n, format="csr"))
-            x, ld = flow.forward(mixed, training=training, rng=rng)
+                    graph_logdet = graph_logdet + dim * stage_logdet
+            x, ld = flow.forward(x, training=training, rng=rng)
             flow_logdet = flow_logdet + ld
-        return ForwardResult(z=x, flow_logdet=flow_logdet, graph_logdet=graph_logdet, adjacencies=realized)
+        return ForwardResult(z=x, flow_logdet=flow_logdet, graph_logdet=graph_logdet)
 
-    def inverse(self, z, adjacencies=None):
-        """Undo forward. A model whose mixing depends on its input cannot
-        recompute the matrices it used, so pass the ``adjacencies`` recorded
-        by the forward result in that case."""
-        if adjacencies is None:
-            if not (self.adjacency is None or isinstance(self.adjacency, NormalizedAdjacency)):
-                raise ShapeError("input-dependent adjacency: pass the realized matrices from forward")
-            adjacencies = [None if self.adjacency is None else self.adjacency.sparse] * self.num_flows
-        if len(adjacencies) != self.num_flows:
-            raise ShapeError(f"need one adjacency per stage, got {len(adjacencies)} for {self.num_flows}")
+    def inverse(self, z):
+        """Undo forward for identity or fixed mixing; a learned source's stage
+        matrices depend on stage inputs ``z`` does not give back (``ShapeError``).
+        One checked LU of the fixed matrix serves every stage's solve."""
+        if self.adjacency is None:
+            factors = None
+        elif isinstance(self.adjacency, NormalizedAdjacency):
+            factors = _lu_checked(self.adjacency.sparse.toarray())[0]
+        else:
+            raise ShapeError("input-dependent adjacency: the stage matrices cannot be recomputed from z")
         x = ad.as_tensor(z)
-        for flow, a in zip(reversed(self.flows), reversed(list(adjacencies))):
+        for flow in reversed(self.flows):
             x = flow.inverse(x)
-            if a is not None:
-                try:
-                    x = ad.Tensor(np.linalg.solve(a.toarray(), x.data))
-                except np.linalg.LinAlgError:
-                    raise SingularMatrixError("singular mixing matrix: cannot invert the model") from None
+            if factors is not None:
+                x = ad.Tensor(scipy.linalg.lu_solve(factors, x.data, check_finite=False))
         return x
 
     def params(self):

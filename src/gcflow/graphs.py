@@ -100,7 +100,7 @@ def load_edge_list(path):
 class NormalizedAdjacency:
     """A nonsingular mixing matrix, held as CSR, with a lazy log|det|.
 
-    ``sparse`` is the CSR matrix the model multiplies feature matrices by.
+    ``sparse`` is the CSR matrix that ``mix`` multiplies feature matrices by.
     ``log_abs_det`` is factored densely (O(n³)) on first read and cached;
     only a likelihood reads it, so inference never pays for it. ``scheme``
     records how the matrix was built ("row-normalized", "symmetric", or
@@ -133,6 +133,11 @@ class NormalizedAdjacency:
         if self._log_abs_det is None:
             self._log_abs_det = log_abs_det(self.sparse.toarray())
         return self._log_abs_det
+
+    def mix(self, x, training=False, rng=None, logdet=True):
+        """The matrix times ``x``, and its cached log|det| when ``logdet``,
+        else None; fixed mixing draws no noise, so ``training``/``rng`` go unused."""
+        return ad.sparse_matmul(self.sparse, self.sparse.data, x), (self.log_abs_det if logdet else None)
 
     def __repr__(self):
         return f"NormalizedAdjacency(n={self.n}, scheme={self.scheme!r}, damping={self.damping})"

@@ -113,6 +113,8 @@ def clip_gradients(params, threshold):
 
 # what a TrainConfig field of each annotated type admits; only a bool field admits a bool
 _FIELD_TYPES = {"str": str, "bool": bool, "int": numbers.Integral, "float": numbers.Real}
+# what an admitted value is stored as, so that asdict(config) is plain JSON even for numpy scalars
+_PLAIN_TYPES = {"str": str, "bool": bool, "int": int, "float": float}
 _INT_MINIMA = (("num_flows", 1), ("couplings", 1), ("net_layers", 1), ("hidden", 1), ("epochs", 1),
                ("patience", 1), ("seed", 0), ("pca_dim", 1), ("embed_dim", 1))
 
@@ -152,6 +154,8 @@ class TrainConfig:
             admitted = isinstance(value, _FIELD_TYPES[kind]) and isinstance(value, bool) == (kind == "bool")
             if not (admitted or (value is None and optional)):
                 raise ConfigError(f"config {f.name} must be {f.type}, got {value!r}")
+            if value is not None:
+                setattr(self, f.name, _PLAIN_TYPES[kind](value))
         for name, least in _INT_MINIMA:
             value = getattr(self, name)
             if value is not None and value < least:

@@ -1,8 +1,8 @@
 """Reference implementations the optimized code is checked against: dense
 adjacency constructions and the identity mixing matrix, a counter of the
 dense factorizations the graph module runs, the dense n x n mixing route of
-the parameterized sources, per-vector mixture densities, and the
-two-forward training loop and two-pass evaluate."""
+the parameterized sources and their stage-replaying inverse, per-vector
+mixture densities, and the two-forward training loop and two-pass evaluate."""
 
 import numpy as np
 import scipy.sparse
@@ -128,7 +128,7 @@ def gates_dense(source, x, training=False, rng=None):
     edge gates scattered, plus damping times the identity."""
     from gcflow import autodiff as ad
 
-    gates = source.realize(x, 0, training=training, rng=rng)
+    gates = source.realize(x, training=training, rng=rng)
     matrix = scatter_matrix(gates, source.src, source.dst, (source.n, source.n))
     return matrix + ad.Tensor(source.damping * np.eye(source.n))
 
@@ -149,6 +149,36 @@ def forward_dense(model, x, dense_mixing, training=False, rng=None):
         x, ld = flow.forward(ad.matmul(a, x), training=training, rng=rng)
         flow_logdet = flow_logdet + ld
     return x, flow_logdet, graph_logdet
+
+
+def stage_matrices(model, x, training=False, rng=None):
+    """Replay ``GcFlowModel.forward`` for a learned source stage by stage and
+    return each stage's mixing matrix, A + damping·I as CSR, with A built from
+    ``realize``'s values on the source's pattern. Each stage mixes as
+    ``EdgeSource.mix`` does, so every stage sees the forward's own input."""
+    from gcflow import autodiff as ad
+
+    source, x = model.adjacency, ad.as_tensor(x)
+    pattern, damping = source.pattern, source.damping
+    matrices = []
+    for flow in model.flows:
+        values = source.realize(x, training=training, rng=rng)
+        a = scipy.sparse.csr_matrix((values.data, pattern.indices, pattern.indptr), shape=pattern.shape)
+        matrices.append(a + damping * scipy.sparse.identity(pattern.shape[0], format="csr"))
+        x, _ = flow.forward(ad.sparse_matmul(pattern, values, x) + x * damping, training=training, rng=rng)
+    return matrices
+
+
+def inverse_replayed(model, x, z, training=False, rng=None):
+    """Undo ``model.forward(x)`` from its latents ``z`` for a learned source:
+    each stage inverts its flow, then solves with the matrix
+    ``stage_matrices`` rebuilds from the forward's input ``x``."""
+    from gcflow import autodiff as ad
+
+    y = ad.as_tensor(z)
+    for flow, a in zip(reversed(model.flows), reversed(stage_matrices(model, x, training, rng))):
+        y = ad.Tensor(np.linalg.solve(a.toarray(), flow.inverse(y).data))
+    return y
 
 
 # -- per-vector mixture densities -----------------------------------------

@@ -6,8 +6,9 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from gcflow import adjparam, autodiff as ad, flows, graphs, mixture
-from gcflow.errors import DomainError
-from oracles import attention_dense, forward_dense, full_pattern, gates_dense, logabsdet_dense, scatter_matrix
+from gcflow.errors import DomainError, ShapeError
+from oracles import (attention_dense, forward_dense, full_pattern, gates_dense, inverse_replayed,
+                     logabsdet_dense, scatter_matrix, stage_matrices)
 
 PATH4 = graphs.make_graph(4, [(0, 1), (1, 2), (2, 3)])
 
@@ -38,7 +39,7 @@ def test_attention_singleton_neighbor_gets_weight_one():
     g = graphs.make_graph(2, [(0, 1)])
     source = adjparam.AttentionAdjacency(g, dim=3, embed_dim=4, damping=0.0, seed=0)
     x = np.random.default_rng(1).normal(size=(2, 3))
-    values = source.realize(x, 0)
+    values = source.realize(x)
     # the entries are (0, 1) and (1, 0); nothing is stored on the diagonal
     assert list(zip(source.src.tolist(), source.dst.tolist())) == [(0, 1), (1, 0)]
     assert values.data.tolist() == [1.0, 1.0]
@@ -48,7 +49,7 @@ def test_attention_equal_scores_give_uniform_neighborhoods():
     source = adjparam.AttentionAdjacency(PATH4, dim=2, embed_dim=4, damping=0.0, seed=2)
     for p in source.scorer.params():
         p.data[...] = 0.0
-    values = source.realize(np.random.default_rng(3).normal(size=(4, 2)), 0)
+    values = source.realize(np.random.default_rng(3).normal(size=(4, 2)))
     want = np.array(
         [
             [0.0, 1.0, 0.0, 0.0],
@@ -64,7 +65,7 @@ def test_attention_rows_stochastic_and_supported_on_edges():
     rng = np.random.default_rng(4)
     g = graphs.make_graph(6, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (4, 5), (1, 5)])
     source = adjparam.AttentionAdjacency(g, dim=3, embed_dim=5, damping=0.0, seed=5)
-    values = source.realize(rng.normal(size=(6, 3)), 0)
+    values = source.realize(rng.normal(size=(6, 3)))
     assert_allclose(np.bincount(source.src, weights=values.data), np.ones(6), atol=1e-12)
     src, dst = adjparam.directed_edges(g)
     rows, cols = source.pattern.nonzero()
@@ -76,7 +77,7 @@ def test_attention_isolated_node_survives_via_damping():
     g = graphs.make_graph(3, [(0, 1)])
     source = adjparam.AttentionAdjacency(g, dim=2, embed_dim=3, damping=1e-3, seed=6)
     x = np.random.default_rng(7).normal(size=(3, 2))
-    values = source.realize(x, 0)
+    values = source.realize(x)
     assert 2 not in source.src  # no entry in node 2's row: damping alone mixes it
     mixed = ad.sparse_matmul(source.pattern, values, x) + ad.Tensor(x) * source.damping
     assert_allclose(mixed.data[2], 1e-3 * x[2], atol=1e-15)
@@ -89,7 +90,7 @@ def test_attention_very_negative_scores_keep_rows_stochastic():
     # every score near -5000: exp underflows unless the shift is the row's own max
     source = adjparam.AttentionAdjacency(PATH4, dim=2, embed_dim=3, damping=1e-3, seed=3)
     source.scorer.biases[0].data[...] = -5000.0
-    values = source.realize(np.random.default_rng(4).normal(size=(4, 2)), 0)
+    values = source.realize(np.random.default_rng(4).normal(size=(4, 2)))
     assert np.all(np.isfinite(values.data))
     assert_allclose(np.bincount(source.src, weights=values.data), np.ones(4), rtol=0.0, atol=1e-12)
     assert np.isfinite(graphs.logabsdet_tensor(source.pattern, values, source.damping).item())
@@ -101,7 +102,7 @@ def test_attention_logdet_gradient_matches_finite_differences():
     x = np.random.default_rng(9).normal(size=(5, 3))
 
     def f():
-        return graphs.logabsdet_tensor(source.pattern, source.realize(x, 0), source.damping)
+        return graphs.logabsdet_tensor(source.pattern, source.realize(x), source.damping)
 
     assert ad.grad_check(f, source.embed_src.params()) < 1e-5
     assert ad.grad_check(f, source.params()) < 1e-5
@@ -125,7 +126,7 @@ def test_concrete_stretch_arithmetic_removes_edge():
     # choose the uniform draw whose logistic noise yields a soft gate of 0.05
     eps = 1.0 / (1.0 + np.exp(-source.temperature * np.log(0.05 / 0.95)))
     x = np.random.default_rng(11).normal(size=(4, 2))
-    gates = source.realize(x, 0, training=True, rng=FixedNoise(eps))
+    gates = source.realize(x, training=True, rng=FixedNoise(eps))
     assert gates.shape == (6,)
     assert np.all(gates.data == 0.0)  # every edge gated away; the model's damping remains
 
@@ -134,7 +135,7 @@ def test_concrete_low_temperature_saturates_to_one():
     source = adjparam.ConcreteAdjacency(PATH4, dim=2, embed_dim=3, temperature=1e-4, damping=0.0, seed=12)
     for p in source.params():
         p.data[...] = 0.0
-    gates = source.realize(np.zeros((4, 2)), 0, training=True, rng=FixedNoise(0.9))
+    gates = source.realize(np.zeros((4, 2)), training=True, rng=FixedNoise(0.9))
     assert gates.shape == (6,)
     assert np.all(gates.data == 1.0)
 
@@ -144,7 +145,7 @@ def test_concrete_entries_in_unit_interval():
     source = adjparam.ConcreteAdjacency(g, dim=3, embed_dim=4, seed=13)
     x = np.random.default_rng(14).normal(size=(5, 3)) * 2.0
     for training in (False, True):
-        gates = source.realize(x, 0, training=training, rng=np.random.default_rng(0))
+        gates = source.realize(x, training=training, rng=np.random.default_rng(0))
         assert gates.data.min() >= 0.0 and gates.data.max() <= 1.0
     # no gate sits on the diagonal: the model adds the damping there
     assert not np.any(source.src == source.dst)
@@ -171,7 +172,7 @@ def test_concrete_eval_gates_orient_an_edge_but_never_remove_it(temperature):
     rng = np.random.default_rng(21)
     for p in source.params():
         p.data += rng.normal(size=p.data.shape)
-    gates = source.realize(rng.normal(size=(6, 3)) * 3.0, 0).data
+    gates = source.realize(rng.normal(size=(6, 3)) * 3.0).data
     back = gates[reverse_edges(source.src, source.dst)]
     assert_allclose(gates + back, 1.0, rtol=0.0, atol=1e-15)
     closed = gates == 0.0
@@ -183,8 +184,8 @@ def test_concrete_eval_gates_orient_an_edge_but_never_remove_it(temperature):
 def test_concrete_training_noise_is_seed_deterministic():
     make = lambda: adjparam.ConcreteAdjacency(PATH4, dim=2, embed_dim=3, seed=17)
     x = np.random.default_rng(18).normal(size=(4, 2))
-    a1 = make().realize(x, 0, training=True, rng=np.random.default_rng(19)).data
-    a2 = make().realize(x, 0, training=True, rng=np.random.default_rng(19)).data
+    a1 = make().realize(x, training=True, rng=np.random.default_rng(19)).data
+    a2 = make().realize(x, training=True, rng=np.random.default_rng(19)).data
     assert np.array_equal(a1, a2)
 
 
@@ -192,7 +193,7 @@ def test_concrete_training_realize_needs_rng():
     source = adjparam.ConcreteAdjacency(PATH4, dim=2, embed_dim=3, seed=17)
     x = np.random.default_rng(18).normal(size=(4, 2))
     with pytest.raises(DomainError, match="rng"):
-        source.realize(x, 0, training=True)
+        source.realize(x, training=True)
 
 
 def test_logabsdet_tensor_identity_and_diagonal():
@@ -269,14 +270,14 @@ def test_constant_source_reduces_to_fixed_adjacency():
     head = mixture.MixtureHead(2, 3, mean_scalars=[0.0, 1.0])
 
     model = variant_model(source, dim=3, seed=22)
-    result = model.forward(x)
+    matrices = stage_matrices(model, x)
 
     # same flows driven by the frozen realized matrix: attention embeddings
     # read the stage input, and with two stages those inputs differ, so pin
     # a single-stage model where both routes see the same matrix
     single = flows.GcFlowModel(model.flows[:1], adjacency=source)
     r_var = single.forward(x)
-    fixed = graphs.NormalizedAdjacency(r_var.adjacencies[0], scheme="external")
+    fixed = graphs.NormalizedAdjacency(matrices[0], scheme="external")
     r_fixed = flows.GcFlowModel(model.flows[:1], adjacency=fixed).forward(x)
     assert_allclose(r_var.z.data, r_fixed.z.data, atol=1e-12)
     assert_allclose(
@@ -284,7 +285,7 @@ def test_constant_source_reduces_to_fixed_adjacency():
         mixture.log_densities(head, r_fixed)[1].data,
         atol=1e-10,
     )
-    assert len(result.adjacencies) == 2
+    assert len(matrices) == 2
 
 
 def test_variant_loss_gradient_matches_finite_differences():
@@ -323,8 +324,17 @@ def test_variant_inverse_roundtrip_with_recorded_matrices():
     model = variant_model(source, dim=2, seed=31)
     x = np.random.default_rng(32).normal(size=(4, 2))
     result = model.forward(x)
-    back = model.inverse(result.z, adjacencies=result.adjacencies)
+    back = inverse_replayed(model, x, result.z)
     assert np.abs(back.data - x).max() < 1e-8
+
+
+@pytest.mark.parametrize("source_cls", [adjparam.AttentionAdjacency, adjparam.ConcreteAdjacency])
+def test_learned_source_model_refuses_inverse(source_cls):
+    # the stage matrices depend on the stage inputs, which z does not give back
+    model = variant_model(source_cls(PATH4, dim=2, embed_dim=3, seed=33), dim=2, seed=34)
+    z = model.forward(np.random.default_rng(35).normal(size=(4, 2))).z
+    with pytest.raises(ShapeError, match="input-dependent"):
+        model.inverse(z)
 
 
 def relative_gap(got, want):

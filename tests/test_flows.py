@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
-import scipy.sparse
 from numpy.testing import assert_allclose
 
+from gcflow import adjparam, flows, graphs, mixture
 from gcflow import autodiff as ad
-from gcflow import flows, graphs
 from gcflow.errors import ScaleError, ShapeError, SingularMatrixError
-from oracles import identity_adjacency
+from oracles import identity_adjacency, inverse_replayed, stage_matrices
 
 
 def zero_all(params):
@@ -39,21 +38,21 @@ def random_adjacency(n, seed):
         return graphs.normalize_row(g, damping=1e-2)
 
 
-class StubSource:
-    """Input-dependent mixing for tests: A = (1 + mean(x)/10) * I, the
-    values of a diagonal pattern."""
+class MixStub:
+    """A mixing object with only ``mix`` and ``params``: input-dependent
+    mixing by A = exp(w) * (1 + mean(x)/10) * I, whose log|det| is n times
+    the log of that scale."""
 
     def __init__(self, n):
         self.n = n
-        self.pattern = scipy.sparse.identity(n, format="csr")
-        self.damping = 0.0
+        self.w = ad.Tensor(0.2, requires_grad=True)
 
-    def realize(self, x, stage, training=False, rng=None):
-        scale = ad.Tensor(1.0) + ad.tsum(x) * (0.1 / x.data.size)
-        return ad.Tensor(np.ones(self.n)) * scale
+    def mix(self, x, training=False, rng=None, logdet=True):
+        scale = ad.exp(self.w) * (ad.Tensor(1.0) + ad.tsum(x) * (0.1 / x.data.size))
+        return x * scale, (ad.log(scale) * self.n if logdet else None)
 
     def params(self):
-        return []
+        return [self.w]
 
 
 def test_tanh_saturation_is_exact():
@@ -203,23 +202,57 @@ def test_model_inverse_roundtrip():
     assert np.abs(back.data - x).max() < 1e-8
 
 
-def test_input_dependent_source_roundtrip():
+def test_mix_only_source_drives_forward_logdet_and_gradients():
     n, dim = 4, 3
-    model = flows.build_gcflow(2, dim, hidden=5, net_layers=2, adjacency=StubSource(n), seed=18)
+    stub = MixStub(n)
+    model = flows.build_gcflow(2, dim, hidden=5, net_layers=2, adjacency=stub, seed=18)
+    for flow in model.flows:
+        for layer in flow.layers:
+            layer.s_scale.data[...] = 0.3
     x = np.random.default_rng(19).normal(size=(n, dim))
     result = model.forward(x)
-    assert len(result.adjacencies) == 2
-    with pytest.raises(ShapeError):
-        model.inverse(result.z)
-    back = model.inverse(result.z, adjacencies=result.adjacencies)
+
+    h, want_logdet = x, 0.0
+    for flow in model.flows:
+        scale = np.exp(stub.w.item()) * (1.0 + h.mean() / 10.0)
+        want_logdet += dim * n * np.log(scale)
+        h = flow.forward(ad.Tensor(scale * h))[0].data
+    assert_allclose(result.z.data, h, atol=1e-12)
+    assert_allclose(result.graph_logdet.item(), want_logdet, atol=1e-12)
+    assert model.forward(x, logdet=False).graph_logdet is None
+    assert any(p is stub.w for p in model.params())
+
+    head = mixture.MixtureHead(2, dim, mean_scalars=[0.0, 1.0])
+    cfg = mixture.LossConfig(labeled=np.array([0, 1]), unlabeled=np.array([2, 3]))
+    labels = np.array([0, 1, 0, 1])
+    params = model.params() + head.params()
+    assert ad.grad_check(lambda: mixture.semi_supervised_loss(model, head, x, labels, cfg), params) < 1e-5
+
+
+def test_input_dependent_source_roundtrip():
+    # gate noise is drawn in training mode: the reference inverse replays
+    # the forward with a generator seeded alike to rebuild each stage matrix
+    n, dim = 4, 3
+    g = graphs.make_graph(n, [(0, 1), (1, 2), (2, 3), (0, 3)])
+    source = adjparam.ConcreteAdjacency(g, dim, embed_dim=3, damping=1.0, seed=18)
+    model = flows.build_gcflow(2, dim, hidden=5, net_layers=2, adjacency=source, seed=18)
+    x = np.random.default_rng(19).normal(size=(n, dim))
+    result = model.forward(x, training=True, rng=np.random.default_rng(24))
+    assert len(stage_matrices(model, x, training=True, rng=np.random.default_rng(24))) == 2
+    for adjacency in (source, MixStub(n)):
+        with pytest.raises(ShapeError):
+            flows.GcFlowModel(model.flows, adjacency=adjacency).inverse(result.z)
+    back = inverse_replayed(model, x, result.z, training=True, rng=np.random.default_rng(24))
     assert np.abs(back.data - x).max() < 1e-8
 
 
 def test_inverse_with_singular_supplied_adjacency():
-    model = flows.build_gcflow(1, 2, hidden=4, net_layers=2, seed=20)
-    z = np.zeros((3, 2))
+    # the triangle row-normalizes to the all-1/3 matrix, of rank one
+    triangle = graphs.make_graph(3, [(0, 1), (1, 2), (0, 2)])
+    adj = graphs.normalize_row(triangle, check=False)
+    model = flows.build_gcflow(1, 2, hidden=4, net_layers=2, adjacency=adj, seed=20)
     with pytest.raises(SingularMatrixError):
-        model.inverse(z, adjacencies=[scipy.sparse.csr_matrix((3, 3))])
+        model.inverse(np.zeros((3, 2)))
 
 
 def test_model_rejects_mismatched_rows():

@@ -16,7 +16,7 @@ from gcflow.checkpoint import FORMAT_TAG, load_checkpoint
 from gcflow.data import SbmConfig, generate_sbm
 from gcflow.errors import ConfigError, DivergedError, DomainError, FormatError, SingularMatrixError
 from gcflow.evalkit import micro_f1
-from gcflow import flows, mixture, training
+from gcflow import adjparam, flows, mixture, training
 from gcflow.graphs import make_graph
 from gcflow.training import (
     FLOW_KINDS,
@@ -318,7 +318,7 @@ def fail_logdet(monkeypatch, calls):
             raise SingularMatrixError("forced singular mixing matrix")
         return real(*args)
 
-    monkeypatch.setattr(flows, "logabsdet_tensor", maybe_singular)
+    monkeypatch.setattr(adjparam, "logabsdet_tensor", maybe_singular)
     return count
 
 
@@ -463,8 +463,8 @@ def test_inference_matches_the_taped_route(sbm, kind):
 @pytest.mark.parametrize("kind", ["gcflow-p", "gcflow-l"])
 def test_inference_skips_the_graph_logdet(sbm, kind, monkeypatch):
     calls = []
-    real = flows.logabsdet_tensor
-    monkeypatch.setattr(flows, "logabsdet_tensor", lambda *args: calls.append(1) or real(*args))
+    real = adjparam.logabsdet_tensor
+    monkeypatch.setattr(adjparam, "logabsdet_tensor", lambda *args: calls.append(1) or real(*args))
     tm = perturbed_flow_model(kind, sbm)
     x = sbm.features
     tm.model.predict_and_represent(x)
@@ -651,6 +651,21 @@ def test_checkpoint_round_trip_every_kind(sbm, kind, tmp_path):
     assert other.n == sbm.n and other.edges != sbm.graph.edges
     with pytest.raises(FormatError, match="graph"):
         load_checkpoint(record.checkpoint_path, other)
+
+
+def test_checkpoint_of_a_config_with_numpy_scalars_matches_the_plain_one(sbm, tmp_path):
+    plain = dict(model="gmm-x", seed=0, epochs=3, lr=0.01, damping=0.0, learn_weights=False)
+    scalars = dict(plain, seed=np.int64(0), epochs=np.int32(3), lr=np.float64(0.01), damping=np.float32(0.0))
+    paths = []
+    for name, values in (("plain", plain), ("numpy", scalars)):
+        cfg = TrainConfig(**values)
+        assert all(type(getattr(cfg, key)) is type(value) for key, value in plain.items())
+        (tmp_path / name).mkdir()
+        paths.append(Path(train(cfg, sbm, checkpoint_dir=tmp_path / name).checkpoint_path))
+    saved = [json.loads(path.read_text())["config"] for path in paths]
+    assert json.dumps(saved[1], sort_keys=True) == json.dumps(saved[0], sort_keys=True)
+    assert paths[1].read_bytes() == paths[0].read_bytes()
+    assert load_checkpoint(paths[1], sbm.graph).config == saved[0]
 
 
 def test_checkpoint_round_trip_flow(sbm, tmp_path):
