@@ -1,13 +1,16 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-Every operation records its inputs and a backward closure on the value it
-produces; the recorded graph is the tape. ``Tensor.backward`` replays the
-tape in reverse topological order, accumulating gradients additively into
-every tensor built with ``requires_grad=True``. Only first-order gradients
-of a scalar output are supported, which is all the training loops here need.
-A closure refers to its own output only weakly, so a tape has no reference
-cycles and is freed as soon as its last reference is dropped, not whenever
-the cyclic garbage collector next runs.
+An operation computes its value and hands ``make_node`` its inputs with one
+vector-Jacobian function per input: the output's gradient in, that input's
+share of the gradient, in the input's shape, out. The recorded graph is the
+tape. ``make_node`` alone turns these into a backward step: it calls only
+the functions of inputs that need grad, accumulates what they return, and
+refers to the output only weakly, so a tape has no reference cycles and is
+freed as soon as its last reference is dropped, not whenever the cyclic
+garbage collector next runs. ``Tensor.backward`` replays the tape in reverse
+topological order, accumulating gradients additively into every tensor built
+with ``requires_grad=True``. Only first-order gradients of a scalar output
+are supported, which is all the training loops here need.
 
 All storage is float64. Gradient buffers are allocated lazily: a tensor
 holds none until a backward pass first accumulates into it, and reading
@@ -17,7 +20,7 @@ resets them; intermediate nodes drop their buffers at the start of each
 backward pass.
 
 Inside ``with no_grad():`` operations compute their values only: results
-record no parents and no backward closure, so nothing is kept for a
+record no parents and no backward step, so nothing is kept for a
 backward pass that will not come. Inference uses it.
 """
 
@@ -183,16 +186,38 @@ def no_grad():
         _recording.reset(token)
 
 
-def make_node(data, parents, backward_fn, op="custom") -> Tensor:
-    """Create an op-result tensor; recorded on the tape only when a parent
-    needs grad and no ``no_grad`` block is active."""
+def make_node(data, parents, vjps, op="custom") -> Tensor:
+    """Create an op-result tensor from its value, its parents and one
+    vector-Jacobian function per parent; recorded on the tape only when a
+    parent needs grad and no ``no_grad`` block is active."""
     out = Tensor(data)
     if _recording.get() and any(p.requires_grad for p in parents):
+        parents = tuple(parents)
         out.requires_grad = True
-        out._parents = tuple(parents)
-        out._backward = backward_fn(weakref.proxy(out))
+        out._parents = parents
         out._op = op
+        ref = weakref.ref(out)
+
+        def backward():
+            g = ref().grad
+            for parent, vjp in zip(parents, vjps):
+                if parent.requires_grad:
+                    parent.accumulate(vjp(g))
+
+        out._backward = backward
     return out
+
+
+def _scatter_add(shape, index, g):
+    """Zeros of ``shape`` with ``g`` added at ``index``, a tuple of slices or
+    index arrays; entries the arrays repeat add up. Slices repeat nothing,
+    so they skip ``np.add.at``, whose generic path for them is ~7x slower."""
+    full = np.zeros(shape)
+    if all(isinstance(i, slice) for i in index):
+        full[index] += g
+    else:
+        np.add.at(full, index, g)
+    return full
 
 
 # -- binary elementwise (broadcasting) ---------------------------------
@@ -200,63 +225,29 @@ def make_node(data, parents, backward_fn, op="custom") -> Tensor:
 
 def add(a, b):
     a, b = as_tensor(a), as_tensor(b)
-
-    def bw(out):
-        def run():
-            if a.requires_grad:
-                a.accumulate(_unbroadcast(out.grad, a.shape))
-            if b.requires_grad:
-                b.accumulate(_unbroadcast(out.grad, b.shape))
-
-        return run
-
-    return make_node(a.data + b.data, (a, b), bw, "add")
+    return make_node(a.data + b.data, (a, b), (lambda g: _unbroadcast(g, a.shape),
+                                               lambda g: _unbroadcast(g, b.shape)), "add")
 
 
 def sub(a, b):
     a, b = as_tensor(a), as_tensor(b)
-
-    def bw(out):
-        def run():
-            if a.requires_grad:
-                a.accumulate(_unbroadcast(out.grad, a.shape))
-            if b.requires_grad:
-                b.accumulate(-_unbroadcast(out.grad, b.shape))
-
-        return run
-
-    return make_node(a.data - b.data, (a, b), bw, "sub")
+    return make_node(a.data - b.data, (a, b), (lambda g: _unbroadcast(g, a.shape),
+                                               lambda g: -_unbroadcast(g, b.shape)), "sub")
 
 
 def mul(a, b):
     a, b = as_tensor(a), as_tensor(b)
-
-    def bw(out):
-        def run():
-            if a.requires_grad:
-                a.accumulate(_unbroadcast(out.grad * b.data, a.shape))
-            if b.requires_grad:
-                b.accumulate(_unbroadcast(out.grad * a.data, b.shape))
-
-        return run
-
-    return make_node(a.data * b.data, (a, b), bw, "mul")
+    return make_node(a.data * b.data, (a, b), (lambda g: _unbroadcast(g * b.data, a.shape),
+                                               lambda g: _unbroadcast(g * a.data, b.shape)), "mul")
 
 
 def div(a, b):
     """Elementwise quotient; the caller guarantees a nonzero denominator."""
     a, b = as_tensor(a), as_tensor(b)
-
-    def bw(out):
-        def run():
-            if a.requires_grad:
-                a.accumulate(_unbroadcast(out.grad / b.data, a.shape))
-            if b.requires_grad:
-                b.accumulate(_unbroadcast(-out.grad * a.data / (b.data * b.data), b.shape))
-
-        return run
-
-    return make_node(a.data / b.data, (a, b), bw, "div")
+    return make_node(a.data / b.data, (a, b), (
+        lambda g: _unbroadcast(g / b.data, a.shape),
+        lambda g: _unbroadcast(-g * a.data / (b.data * b.data), b.shape),
+    ), "div")
 
 
 # -- matrix products ---------------------------------------------------
@@ -266,56 +257,31 @@ def matmul(a, b):
     a, b = as_tensor(a), as_tensor(b)
     if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: incompatible shapes {a.shape} @ {b.shape}")
-
-    def bw(out):
-        def run():
-            if a.requires_grad:
-                a.accumulate(out.grad @ b.data.T)
-            if b.requires_grad:
-                b.accumulate(a.data.T @ out.grad)
-
-        return run
-
-    return make_node(a.data @ b.data, (a, b), bw, "matmul")
+    return make_node(a.data @ b.data, (a, b), (lambda g: g @ b.data.T, lambda g: a.data.T @ g), "matmul")
 
 
 def sparse_matmul(pattern, values, x):
     """``A @ x``, where A has the CSR structure of ``pattern`` (whose own
-    stored entries are ignored) and the stored entries ``values``. Entry
-    (i, j) gets the gradient row i of ``out.grad`` · row j of ``x``; ``x``
-    gets Aᵀ ``out.grad``."""
+    stored entries are ignored) and the stored entries ``values``. For the
+    output gradient G, entry (i, j) gets row i of G · row j of ``x``, and
+    ``x`` gets Aᵀ G."""
     values, x = as_tensor(values), as_tensor(x)
     if values.shape != (pattern.nnz,) or pattern.shape[1] != x.shape[0]:
         raise ShapeError(f"sparse_matmul: {pattern.shape} matrix of {pattern.nnz} entries given "
                          f"{values.shape} values, times {x.shape} features")
     a = scipy.sparse.csr_matrix((values.data, pattern.indices, pattern.indptr), shape=pattern.shape)
-
-    def bw(out):
-        def run():
-            if values.requires_grad:
-                values.accumulate(np.einsum("ij,ij->i", out.grad[a.tocoo().row], x.data[a.indices]))
-            if x.requires_grad:
-                x.accumulate(a.T.tocsr() @ out.grad)
-
-        return run
-
-    return make_node(a @ x.data, (values, x), bw, "sparse_matmul")
+    return make_node(a @ x.data, (values, x), (
+        lambda g: np.einsum("ij,ij->i", g[a.tocoo().row], x.data[a.indices]),
+        lambda g: a.T.tocsr() @ g,
+    ), "sparse_matmul")
 
 
 # -- elementwise unary -------------------------------------------------
 
 
-def _unary(a, value, local_grad_fn, op):
-    a = as_tensor(a)
-
-    def bw(out):
-        def run():
-            if a.requires_grad:
-                a.accumulate(local_grad_fn(out) * out.grad)
-
-        return run
-
-    return make_node(value, (a,), bw, op)
+def _unary(a, value, local_grad, op):
+    """An elementwise op whose derivative is ``local_grad(value)``."""
+    return make_node(value, (a,), (lambda g: local_grad(value) * g,), op)
 
 
 def exp(a):
@@ -324,19 +290,19 @@ def exp(a):
         value = np.exp(a.data)
     if not np.all(np.isfinite(value)):
         raise DomainError("exp overflow")
-    return _unary(a, value, lambda out: out.data, "exp")
+    return _unary(a, value, lambda y: y, "exp")
 
 
 def log(a):
     a = as_tensor(a)
     if np.any(a.data <= 0.0):
         raise DomainError("log of non-positive value")
-    return _unary(a, np.log(a.data), lambda out: 1.0 / a.data, "log")
+    return _unary(a, np.log(a.data), lambda y: 1.0 / a.data, "log")
 
 
 def tanh(a):
     a = as_tensor(a)
-    return _unary(a, np.tanh(a.data), lambda out: 1.0 - out.data * out.data, "tanh")
+    return _unary(a, np.tanh(a.data), lambda y: 1.0 - y * y, "tanh")
 
 
 def sigmoid(a):
@@ -344,18 +310,18 @@ def sigmoid(a):
     # exp overflows to inf below about -709, and 1 / inf is the 0 wanted there
     with np.errstate(over="ignore"):
         value = 1.0 / (1.0 + np.exp(-a.data))
-    return _unary(a, value, lambda out: out.data * (1.0 - out.data), "sigmoid")
+    return _unary(a, value, lambda y: y * (1.0 - y), "sigmoid")
 
 
 def relu(a):
     a = as_tensor(a)
-    return _unary(a, np.maximum(a.data, 0.0), lambda out: (a.data > 0.0).astype(np.float64), "relu")
+    return _unary(a, np.maximum(a.data, 0.0), lambda y: (a.data > 0.0).astype(np.float64), "relu")
 
 
 def lrelu(a):
     a = as_tensor(a)
     value = np.where(a.data > 0.0, a.data, LRELU_SLOPE * a.data)
-    return _unary(a, value, lambda out: np.where(a.data > 0.0, 1.0, LRELU_SLOPE), "lrelu")
+    return _unary(a, value, lambda y: np.where(a.data > 0.0, 1.0, LRELU_SLOPE), "lrelu")
 
 
 def clamp(a, lo, hi):
@@ -363,7 +329,7 @@ def clamp(a, lo, hi):
     a = as_tensor(a)
     value = np.clip(a.data, lo, hi)
     mask = (a.data > lo) & (a.data < hi)
-    return _unary(a, value, lambda out: mask.astype(np.float64), "clamp")
+    return _unary(a, value, lambda y: mask.astype(np.float64), "clamp")
 
 
 # -- softmax family ----------------------------------------------------
@@ -377,16 +343,8 @@ def row_softmax(a):
     shifted = a.data - a.data.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     value = e / e.sum(axis=1, keepdims=True)
-
-    def bw(out):
-        def run():
-            if a.requires_grad:
-                inner = (out.grad * out.data).sum(axis=1, keepdims=True)
-                a.accumulate(out.data * (out.grad - inner))
-
-        return run
-
-    return make_node(value, (a,), bw, "row_softmax")
+    return make_node(value, (a,), (lambda g: value * (g - (g * value).sum(axis=1, keepdims=True)),),
+                     "row_softmax")
 
 
 def logsumexp_rows(a):
@@ -396,16 +354,8 @@ def logsumexp_rows(a):
         raise ShapeError(f"logsumexp_rows expects a matrix, got shape {a.shape}")
     m = a.data.max(axis=1, keepdims=True)
     value = (m + np.log(np.exp(a.data - m).sum(axis=1, keepdims=True))).reshape(-1)
-
-    def bw(out):
-        def run():
-            if a.requires_grad:
-                soft = np.exp(a.data - value[:, None])
-                a.accumulate(soft * out.grad[:, None])
-
-        return run
-
-    return make_node(value, (a,), bw, "logsumexp_rows")
+    return make_node(value, (a,), (lambda g: np.exp(a.data - value[:, None]) * g[:, None],),
+                     "logsumexp_rows")
 
 
 # -- reductions and reshapes -------------------------------------------
@@ -416,45 +366,22 @@ def tsum(a, axis=None):
     if axis is not None and not (0 <= axis < a.data.ndim):
         raise ShapeError(f"sum axis {axis} invalid for shape {a.shape}")
     value = a.data.sum() if axis is None else a.data.sum(axis=axis)
-
-    def bw(out):
-        def run():
-            if a.requires_grad:
-                a.accumulate(out.grad if axis is None else np.expand_dims(out.grad, axis))
-
-        return run
-
-    return make_node(value, (a,), bw, "sum")
+    return make_node(value, (a,), (lambda g: g if axis is None else np.expand_dims(g, axis),), "sum")
 
 
 def reshape(a, shape):
     a = as_tensor(a)
     if int(np.prod(shape)) != a.data.size:
         raise ShapeError(f"cannot reshape {a.shape} to {shape}")
-
-    def bw(out):
-        def run():
-            if a.requires_grad:
-                a.accumulate(out.grad.reshape(a.shape))
-
-        return run
-
-    return make_node(a.data.reshape(shape), (a,), bw, "reshape")
+    return make_node(a.data.reshape(shape), (a,), (lambda g: g.reshape(a.shape),), "reshape")
 
 
 def slice_cols(a, j0, j1):
     a = as_tensor(a)
     if a.data.ndim != 2 or not (0 <= j0 <= j1 <= a.shape[1]):
         raise ShapeError(f"column slice [{j0}:{j1}] invalid for shape {a.shape}")
-
-    def bw(out):
-        def run():
-            if a.requires_grad:
-                a.grad[:, j0:j1] += out.grad
-
-        return run
-
-    return make_node(a.data[:, j0:j1].copy(), (a,), bw, "slice_cols")
+    return make_node(a.data[:, j0:j1].copy(), (a,),
+                     (lambda g: _scatter_add(a.shape, (slice(None), slice(j0, j1)), g),), "slice_cols")
 
 
 def concat_cols(parts):
@@ -464,18 +391,9 @@ def concat_cols(parts):
     rows = parts[0].shape[0]
     if any(p.shape[0] != rows for p in parts):
         raise ShapeError("concat_cols: row counts differ")
-    widths = [p.shape[1] for p in parts]
-    offsets = np.concatenate([[0], np.cumsum(widths)])
-
-    def bw(out):
-        def run():
-            for p, j0, j1 in zip(parts, offsets[:-1], offsets[1:]):
-                if p.requires_grad:
-                    p.accumulate(out.grad[:, j0:j1])
-
-        return run
-
-    return make_node(np.concatenate([p.data for p in parts], axis=1), tuple(parts), bw, "concat_cols")
+    offsets = np.concatenate([[0], np.cumsum([p.shape[1] for p in parts])])
+    vjps = [lambda g, j0=j0, j1=j1: g[:, j0:j1] for j0, j1 in zip(offsets[:-1], offsets[1:])]
+    return make_node(np.concatenate([p.data for p in parts], axis=1), parts, vjps, "concat_cols")
 
 
 # -- indexed access ----------------------------------------------------
@@ -487,15 +405,7 @@ def gather_rows(a, indices):
     idx = np.asarray(indices, dtype=np.intp)
     if a.data.ndim not in (1, 2) or (idx.size and (idx.min() < 0 or idx.max() >= a.shape[0])):
         raise ShapeError(f"gather_rows: indices out of range for shape {a.shape}")
-
-    def bw(out):
-        def run():
-            if a.requires_grad:
-                np.add.at(a.grad, idx, out.grad)
-
-        return run
-
-    return make_node(a.data[idx], (a,), bw, "gather_rows")
+    return make_node(a.data[idx], (a,), (lambda g: _scatter_add(a.shape, (idx,), g),), "gather_rows")
 
 
 def take_per_row(a, cols):
@@ -507,15 +417,8 @@ def take_per_row(a, cols):
     if cols.size and (cols.min() < 0 or cols.max() >= a.shape[1]):
         raise ShapeError("take_per_row: column index out of range")
     rows = np.arange(a.shape[0])
-
-    def bw(out):
-        def run():
-            if a.requires_grad:
-                np.add.at(a.grad, (rows, cols), out.grad)
-
-        return run
-
-    return make_node(a.data[rows, cols], (a,), bw, "take_per_row")
+    return make_node(a.data[rows, cols], (a,), (lambda g: _scatter_add(a.shape, (rows, cols), g),),
+                     "take_per_row")
 
 
 # -- gradient utilities ------------------------------------------------

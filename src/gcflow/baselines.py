@@ -74,7 +74,7 @@ class GcnModel:
                     raise DomainError("training-mode forward needs an rng for dropout")
                 keep = rng.random(h.shape) >= self.dropout
                 h = h * Tensor(keep / (1.0 - self.dropout))
-            h = ad.sparse_matmul(self.adjacency.sparse, self.adjacency.sparse.data, h) @ w
+            h = self.adjacency.mix(h, logdet=False)[0] @ w
             if idx < len(self.weights) - 1:
                 h = ad.relu(h)
         return ad.row_softmax(h), penultimate

@@ -207,16 +207,10 @@ def logabsdet_tensor(pattern, values, damping=0.0):
     dense = a.toarray()
     dense.flat[:: dense.shape[1] + 1] += damping
     factors, value = _lu_checked(dense)
-
-    def bw(out):
-        def run():
-            if values.requires_grad:
-                inv_t = scipy.linalg.lu_solve(factors, np.eye(a.shape[0]), trans=1, check_finite=False)
-                values.accumulate(out.grad * inv_t[a.tocoo().row, a.indices])
-
-        return run
-
-    return ad.make_node(np.float64(value), (values,), bw, "logabsdet")
+    return ad.make_node(np.float64(value), (values,), (
+        lambda g: g * scipy.linalg.lu_solve(factors, np.eye(a.shape[0]), trans=1,
+                                            check_finite=False)[a.tocoo().row, a.indices],
+    ), "logabsdet")
 
 
 def _lu_checked(matrix):

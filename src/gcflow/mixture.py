@@ -167,18 +167,16 @@ class LossConfig:
             raise DomainError(f"unlabeled weight must lie in [0,1], got {self.unlabeled_weight}")
 
 
-def semi_supervised_loss(model, head: MixtureHead, x, labels, cfg: LossConfig, result=None) -> ad.Tensor:
+def semi_supervised_loss(head: MixtureHead, result, labels, cfg: LossConfig) -> ad.Tensor:
     """Negative weighted sum of labeled joint and unlabeled marginal terms.
 
     Labeled nodes contribute their joint log-density with the observed class,
     unlabeled nodes their marginal log-density; the two means are blended
     with weights (1 - w) and w and negated for minimization. With no
     unlabeled nodes the second term is dropped. The densities are read from
-    ``result``, or from an evaluation-mode forward when none is given.
+    ``result``, the flow forward the caller ran.
     """
     labels = np.asarray(labels, dtype=np.intp)
-    if result is None:
-        result = model.forward(x)
     joint, marginal = log_densities(head, result)
     picked = ad.take_per_row(ad.gather_rows(joint, cfg.labeled), labels[cfg.labeled])
     w = cfg.unlabeled_weight
@@ -225,7 +223,7 @@ class FlowMixture:
         """
         result = self.flow.forward(x, training=True, rng=rng)
         pred = _classify(self.head, _finite(result.z.data))
-        return semi_supervised_loss(self.flow, self.head, x, labels, loss_cfg, result=result), pred
+        return semi_supervised_loss(self.head, result, labels, loss_cfg), pred
 
     def represent(self, x) -> np.ndarray:
         """Latent features: the space the mixture clusters in."""

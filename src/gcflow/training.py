@@ -175,6 +175,10 @@ class TrainConfig:
             raise ConfigError("component mean range is inverted")
         if not self.damping >= 0.0:
             raise ConfigError(f"damping must be non-negative, got {self.damping}")
+        if self.dropout is not None and not 0.0 <= self.dropout < 1.0:
+            raise ConfigError(f"config dropout must be in [0, 1), got {self.dropout}")
+        if not self.weight_decay >= 0.0:
+            raise ConfigError(f"config weight_decay must be non-negative, got {self.weight_decay}")
 
     @property
     def resolved_hidden(self):

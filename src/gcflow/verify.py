@@ -78,7 +78,7 @@ def loss_gradient_error(adjacency, x, labels, classes, hidden, seed):
     head = MixtureHead(classes, x.shape[1])
     cfg = LossConfig(np.flatnonzero(labels >= 0), np.flatnonzero(labels < 0))
     return grad_check(
-        lambda: semi_supervised_loss(model, head, x, labels, cfg), model.params() + head.params()
+        lambda: semi_supervised_loss(head, model.forward(x), labels, cfg), model.params() + head.params()
     )
 
 

@@ -75,15 +75,7 @@ def scatter_matrix(values, rows, cols, shape):
     cols = np.asarray(cols, dtype=np.intp)
     base = np.zeros(shape)
     np.add.at(base, (rows, cols), values.data)
-
-    def bw(out):
-        def run():
-            if values.requires_grad:
-                values.accumulate(out.grad[rows, cols])
-
-        return run
-
-    return ad.make_node(base, (values,), bw, "scatter_matrix")
+    return ad.make_node(base, (values,), (lambda g: g[rows, cols],), "scatter_matrix")
 
 
 def logabsdet_dense(a):
@@ -95,15 +87,7 @@ def logabsdet_dense(a):
     sign, value = np.linalg.slogdet(a.data)
     if sign == 0.0:
         raise SingularMatrixError("singular matrix")
-
-    def bw(out):
-        def run():
-            if a.requires_grad:
-                a.accumulate(out.grad * np.linalg.inv(a.data).T)
-
-        return run
-
-    return ad.make_node(np.float64(value), (a,), bw, "logabsdet_dense")
+    return ad.make_node(np.float64(value), (a,), (lambda g: g * np.linalg.inv(a.data).T,), "logabsdet_dense")
 
 
 def attention_dense(source, x, training=False, rng=None):

@@ -301,7 +301,7 @@ def test_variant_loss_gradient_matches_finite_differences():
         assert any(p is q for p in params for q in source.params())
 
         def f():
-            return mixture.semi_supervised_loss(model, head, x, labels, cfg)
+            return mixture.semi_supervised_loss(head, model.forward(x), labels, cfg)
 
         assert ad.grad_check(f, params) < 1e-5
 

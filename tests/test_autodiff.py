@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from gcflow import autodiff as ad
+from gcflow import autodiff as ad, graphs
 from gcflow.errors import DomainError, ShapeError
-from oracles import scatter_matrix
+from oracles import full_pattern, scatter_matrix
 
 
 def test_matmul_identity():
@@ -49,18 +49,62 @@ def test_backward_twice_accumulates_on_leaves():
     assert_allclose(x.grad, 24.0)
 
 
-def test_a_dropped_tape_is_freed_without_the_cyclic_collector():
-    x = ad.Tensor(np.arange(3.0), requires_grad=True)
-    loss = ad.tsum(ad.exp(x) * x)
+# every op that records a node, applied to a positive, nonsingular 3 x 3 tensor
+RECORDING_OPS = {
+    "add": lambda x: x + x,
+    "sub": lambda x: x - 1.0,
+    "mul": lambda x: x * x,
+    "div": lambda x: ad.div(1.0, x),
+    "matmul": lambda x: x @ x,
+    "sparse_matmul": lambda x: ad.sparse_matmul(full_pattern(3), ad.reshape(x, (9,)), x),
+    "exp": ad.exp,
+    "log": ad.log,
+    "tanh": ad.tanh,
+    "sigmoid": ad.sigmoid,
+    "relu": ad.relu,
+    "lrelu": ad.lrelu,
+    "clamp": lambda x: ad.clamp(x, 0.0, 1.0),
+    "row_softmax": ad.row_softmax,
+    "logsumexp_rows": ad.logsumexp_rows,
+    "sum": lambda x: ad.tsum(x, 0),
+    "reshape": lambda x: ad.reshape(x, (9,)),
+    "slice_cols": lambda x: ad.slice_cols(x, 0, 2),
+    "concat_cols": lambda x: ad.concat_cols([x, x]),
+    "gather_rows": lambda x: ad.gather_rows(x, [0, 0, 2]),
+    "take_per_row": lambda x: ad.take_per_row(x, [0, 1, 2]),
+    "logabsdet_tensor": lambda x: graphs.logabsdet_tensor(full_pattern(3), ad.reshape(x, (9,))),
+}
+
+
+@pytest.mark.parametrize("op", sorted(RECORDING_OPS))
+def test_a_dropped_tape_is_freed_without_the_cyclic_collector(op):
+    x = ad.Tensor(np.arange(9.0).reshape(3, 3) / 10.0 + 2.0 * np.eye(3), requires_grad=True)
+    out = RECORDING_OPS[op](x)
+    loss = ad.tsum(out * out)
     loss.backward()
-    nodes = [weakref.ref(loss), weakref.ref(loss._parents[0])]
+    grad = x.grad.copy()
+    nodes = [weakref.ref(node) for node in loss._topo() if node._parents]
+    assert any(node() is out for node in nodes)
     gc.disable()
     try:
-        del loss
-        assert [ref() for ref in nodes] == [None, None]
+        del loss, out
+        assert [ref() for ref in nodes] == [None] * len(nodes)
     finally:
         gc.enable()
-    assert_allclose(x.grad, np.exp(x.data) * (x.data + 1.0))
+    assert np.array_equal(x.grad, grad)
+
+
+def test_a_parent_that_needs_no_grad_never_has_its_vjp_called():
+    x = ad.Tensor(np.ones(2), requires_grad=True)
+    c = ad.Tensor(np.full(2, 3.0))
+
+    def refuse(g):
+        raise AssertionError("vector-Jacobian function of a constant called")
+
+    out = ad.make_node(x.data * c.data, (x, c), (lambda g: g * c.data, refuse))
+    ad.tsum(out).backward()
+    assert_allclose(x.grad, [3.0, 3.0])
+    assert c._grad is None
 
 
 def test_backward_requires_scalar():

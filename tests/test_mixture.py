@@ -144,7 +144,7 @@ def test_loss_gradient_over_random_heads(n, dim, means, log_stds, unlabeled_weig
     assert head.params() == [head.means, head.log_stds, head.weight_logits]
 
     def f():
-        return mixture.semi_supervised_loss(model, head, x, labels, cfg)
+        return mixture.semi_supervised_loss(head, model.forward(x), labels, cfg)
 
     assert ad.grad_check(f, head.params()) < 1e-6
 
@@ -251,9 +251,9 @@ def test_loss_closed_form_single_node():
     x = np.zeros((1, 2))
     cfg = mixture.LossConfig(labeled=[0], unlabeled=[], unlabeled_weight=0.0)
     model = flows.GcFlowModel([], adjacency=None)
-    loss1 = mixture.semi_supervised_loss(model, standard_head(1), x, [0], cfg)
+    loss1 = mixture.semi_supervised_loss(standard_head(1), model.forward(x), [0], cfg)
     assert_allclose(loss1.item(), LOG_2PI, atol=1e-10)
-    loss3 = mixture.semi_supervised_loss(model, standard_head(3), x, [0], cfg)
+    loss3 = mixture.semi_supervised_loss(standard_head(3), model.forward(x), [0], cfg)
     assert_allclose(loss3.item(), LOG_2PI + np.log(3.0), atol=1e-10)
 
 
@@ -273,7 +273,7 @@ def test_loss_zero_weight_is_mean_labeled_joint():
     share = result.flow_logdet.data + result.graph_logdet.data / n
     for w in (0.0, 0.5):
         cfg = mixture.LossConfig(labeled=labeled, unlabeled=unlabeled, unlabeled_weight=w)
-        loss = mixture.semi_supervised_loss(model, head, x, labels, cfg)
+        loss = mixture.semi_supervised_loss(head, model.forward(x), labels, cfg)
         want = -(1.0 - w) * np.mean([joint[i, labels[i]] for i in labeled])
         want -= w * np.mean([mixture_logpdf(head, result.z.data[i]) + share[i] for i in unlabeled])
         assert_allclose(loss.item(), want, atol=1e-12)
@@ -293,7 +293,7 @@ def test_loss_gradient_matches_finite_differences():
     params = model.params() + head.params()
 
     def f():
-        return mixture.semi_supervised_loss(model, head, x, labels, cfg)
+        return mixture.semi_supervised_loss(head, model.forward(x), labels, cfg)
 
     assert ad.grad_check(f, params) < 1e-6
 
@@ -314,7 +314,7 @@ def test_loss_descends_under_small_gradient_steps():
     losses = []
     for _ in range(10):
         ad.zero_grads(params)
-        loss = mixture.semi_supervised_loss(model, head, x, labels, cfg)
+        loss = mixture.semi_supervised_loss(head, model.forward(x), labels, cfg)
         loss.backward()
         losses.append(loss.item())
         for p in params:

@@ -148,7 +148,9 @@ def test_config_checks_value_types_and_ranges():
     assert cfg.epochs == 3 and cfg.resolved_hidden == 4
     for key, value in [("epochs", "abc"), ("epochs", 2.5), ("epochs", True), ("lr", "x"), ("lr", None),
                        ("dropout", "0.1"), ("learn_weights", 1), ("adjacency", 3), ("seed", -1),
-                       ("hidden", -3), ("pca_dim", 0), ("embed_dim", 0), ("patience", 0)]:
+                       ("hidden", -3), ("pca_dim", 0), ("embed_dim", 0), ("patience", 0),
+                       ("dropout", 1.0), ("dropout", -0.2), ("dropout", float("nan")),
+                       ("weight_decay", -5.0), ("weight_decay", float("nan"))]:
         with pytest.raises(ConfigError, match=f"config {key} must be"):
             TrainConfig(**{key: value})
 
