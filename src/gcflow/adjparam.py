@@ -6,9 +6,10 @@ Two constructions, both confined to the given edge set:
   small scorer over endpoint embeddings, and each node's weights are
   softmax-normalized over its neighborhood, so rows are stochastic;
 * near-binary edge gating: each direction of an existing edge gets a gate
-  in [0,1] sampled from a stretched, temperature-controlled logistic
-  relaxation. The two directions share one antisymmetric score, so in
-  evaluation a gate can turn one direction off but never the whole edge.
+  in [0,1] sampled from a hard-concrete relaxation (a temperature-controlled
+  logistic stretched to (-0.1, 1.1) and clamped back). The two directions
+  share one antisymmetric score, so in evaluation an edge's two gates sum to
+  1: a gate can turn one direction off but never the whole edge.
 
 Neither construction adds edges: ``realize`` returns one value per entry
 of the CSR ``pattern``, the directed edges in ``directed_edges`` order.
@@ -31,8 +32,9 @@ from .graphs import Graph, directed_edges, logabsdet_tensor
 
 DEFAULT_DAMPING = 1e-3
 DEFAULT_TEMPERATURE = 0.66
-DEFAULT_STRETCH_LO = -0.1
-DEFAULT_STRETCH_HI = 1.1
+# the hard-concrete stretch, symmetric about 1/2
+STRETCH_LO = -0.1
+STRETCH_HI = 1.1
 
 
 class EdgeSource:
@@ -97,26 +99,18 @@ class ConcreteAdjacency(EdgeSource):
     logistic noise drawn from the caller's generator; evaluation uses the
     noise-free deterministic limit. Stretching past [0,1] and clamping back
     lets a gate reach exactly 0 or 1 with nonzero probability; the clamp
-    passes gradient only in its interior. In evaluation, with a stretch
-    symmetric about 1/2 (the default), an edge's two directed gates sum to
-    exactly 1: a gate of 0 in one direction means 1 in the other, so the
-    gates can orient an edge but never remove it.
+    passes gradient only in its interior. In evaluation an edge's two
+    directed gates sum to exactly 1: a gate of 0 in one direction means 1 in
+    the other, so the gates can orient an edge but never remove it.
     """
 
     def __init__(self, graph: Graph, dim, embed_dim=16, temperature=DEFAULT_TEMPERATURE,
-                 stretch_lo=DEFAULT_STRETCH_LO, stretch_hi=DEFAULT_STRETCH_HI,
                  damping=DEFAULT_DAMPING, seed=0):
-        if temperature <= 0.0:
+        if not temperature > 0.0:
             raise DomainError(f"temperature must be positive, got {temperature}")
-        if stretch_lo >= 0.0:
-            raise DomainError(f"stretch lower bound must be negative, got {stretch_lo}")
-        if stretch_hi <= 1.0:
-            raise DomainError(f"stretch upper bound must exceed 1, got {stretch_hi}")
         super().__init__(graph, damping, "edge gating needs at least one edge")
         rng = np.random.default_rng(seed)
         self.temperature = float(temperature)
-        self.stretch_lo = float(stretch_lo)
-        self.stretch_hi = float(stretch_hi)
         self.embed_a = Mlp([dim, embed_dim], rng)
         self.embed_b = Mlp([dim, embed_dim], rng)
 
@@ -137,7 +131,7 @@ class ConcreteAdjacency(EdgeSource):
             eps = rng.uniform(size=self.src.size)
             logits = logits + ad.Tensor(np.log(eps) - np.log1p(-eps))
         soft = ad.sigmoid(logits * (1.0 / self.temperature))
-        stretched = soft * (self.stretch_hi - self.stretch_lo) + self.stretch_lo
+        stretched = soft * (STRETCH_HI - STRETCH_LO) + STRETCH_LO
         return ad.clamp(stretched, 0.0, 1.0)
 
     def params(self):

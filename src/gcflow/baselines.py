@@ -200,15 +200,14 @@ def component_class_mapping(gmm: EmGmm, x, labels, labeled):
 
 class EmReference:
     """An EM mixture fitted on features, or on features pre-mixed by a fixed
-    normalized adjacency (``mixing``, the CSR matrix), with its components
-    mapped to classes.
+    normalized ``adjacency``, with its components mapped to classes.
 
     It has no gradient parameters: ``fit`` takes the place of training.
     """
 
-    def __init__(self, classes, mixing=None):
+    def __init__(self, classes, adjacency=None):
         self.classes = int(classes)
-        self.mixing = mixing
+        self.adjacency = adjacency
         self.gmm: EmGmm | None = None
         self.mapping: np.ndarray | None = None
 
@@ -217,7 +216,7 @@ class EmReference:
 
     def represent(self, x):
         """The features the mixture is fitted on."""
-        return x if self.mixing is None else self.mixing @ x
+        return x if self.adjacency is None else self.adjacency.mix(x, logdet=False)[0].data
 
     def fit(self, x, labels, labeled):
         """EM from the labeled per-class feature means, then the class mapping.

@@ -21,14 +21,13 @@ from .evalkit import PcaProjection
 from .graphs import fingerprint
 from .training import TrainConfig, TrainedModel, assemble_model
 
-FORMAT_TAG = "gcflow-checkpoint-3"
+FORMAT_TAG = "gcflow-checkpoint-4"
 
 
 def save_checkpoint(path, tm: TrainedModel, graph):
     """Write ``tm``, trained on ``graph``, to ``path``."""
     payload = {
         "format": FORMAT_TAG,
-        "kind": tm.kind,
         "config": tm.config,
         "dim": tm.dim,
         "classes": tm.classes,

@@ -14,6 +14,7 @@ so a repeated run reproduces its metrics exactly.
 
 from __future__ import annotations
 
+import math
 import numbers
 import time
 from dataclasses import asdict, dataclass, fields
@@ -22,14 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .adjparam import (
-    DEFAULT_DAMPING,
-    DEFAULT_STRETCH_HI,
-    DEFAULT_STRETCH_LO,
-    DEFAULT_TEMPERATURE,
-    AttentionAdjacency,
-    ConcreteAdjacency,
-)
+from .adjparam import DEFAULT_DAMPING, DEFAULT_TEMPERATURE, AttentionAdjacency, ConcreteAdjacency
 from .baselines import GCN_DROPOUT, GCN_HIDDEN, EmReference, GcnModel
 from .data import Dataset, apply_pca_reduction
 from .errors import ConfigError, DivergedError, DomainError, SingularMatrixError
@@ -50,7 +44,6 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 CLIP_NORM = 50.0
-RESCUE_DAMPING = 1e-3
 FLOW_HIDDEN = 64
 
 MODEL_KINDS = ("gcn", "flowgmm", "gcflow", "gcflow-p", "gcflow-l", "gmm-x", "gmm-ax")
@@ -99,8 +92,6 @@ def clip_gradients(params, threshold):
 
     Returns the norm measured before clipping.
     """
-    if threshold <= 0.0:
-        raise ConfigError(f"clip threshold must be positive, got {threshold}")
     total = np.sqrt(sum(float((p.grad ** 2).sum()) for p in params))
     if total > threshold:
         scale = threshold / total
@@ -131,7 +122,6 @@ class TrainConfig:
     lr: float = 0.01
     weight_decay: float = 5e-4
     epochs: int = 400
-    clip: float = CLIP_NORM
     patience: int = 50
     seed: int = 0
     pca_dim: int | None = None
@@ -139,13 +129,10 @@ class TrainConfig:
     damping: float = 0.0
     learn_weights: bool = False
     label_init_means: bool = True
-    mean_lo: float = MEAN_LO  # smallest component-mean scalar at init
-    mean_hi: float = MEAN_HI
+    mean_hi: float = MEAN_HI  # largest component-mean scalar at init; the smallest is MEAN_LO
     log_std_init: float = 0.0
     embed_dim: int = 16
     temperature: float = DEFAULT_TEMPERATURE
-    stretch_lo: float = DEFAULT_STRETCH_LO
-    stretch_hi: float = DEFAULT_STRETCH_HI
 
     def __post_init__(self):
         for f in fields(self):
@@ -155,7 +142,10 @@ class TrainConfig:
             if not (admitted or (value is None and optional)):
                 raise ConfigError(f"config {f.name} must be {f.type}, got {value!r}")
             if value is not None:
-                setattr(self, f.name, _PLAIN_TYPES[kind](value))
+                value = _PLAIN_TYPES[kind](value)
+                if isinstance(value, float) and not math.isfinite(value):
+                    raise ConfigError(f"config {f.name} must be finite, got {value!r}")
+                setattr(self, f.name, value)
         for name, least in _INT_MINIMA:
             value = getattr(self, name)
             if value is not None and value < least:
@@ -169,15 +159,15 @@ class TrainConfig:
             )
         if self.adjacency not in ("row", "sym"):
             raise ConfigError(f"adjacency scheme must be 'row' or 'sym', got {self.adjacency!r}")
-        if self.lr <= 0.0 or self.clip <= 0.0:
-            raise ConfigError("learning rate and clip threshold must be positive")
-        if self.mean_hi < self.mean_lo:
-            raise ConfigError("component mean range is inverted")
-        if not self.damping >= 0.0:
+        if self.lr <= 0.0:
+            raise ConfigError(f"config lr must be positive, got {self.lr}")
+        if self.mean_hi < MEAN_LO:
+            raise ConfigError(f"config mean_hi must be at least {MEAN_LO}, got {self.mean_hi}")
+        if self.damping < 0.0:
             raise ConfigError(f"damping must be non-negative, got {self.damping}")
         if self.dropout is not None and not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"config dropout must be in [0, 1), got {self.dropout}")
-        if not self.weight_decay >= 0.0:
+        if self.weight_decay < 0.0:
             raise ConfigError(f"config weight_decay must be non-negative, got {self.weight_decay}")
 
     @property
@@ -230,7 +220,6 @@ class TrainedModel:
     ``model`` is the kind's model object, as built by ``assemble_model``.
     """
 
-    kind: str
     config: dict
     dim: int
     classes: int
@@ -260,7 +249,7 @@ def build_adjacency(graph, scheme, damping=0.0, replay=False):
     try:
         return fn(graph, damping=damping), float(damping)
     except SingularMatrixError:
-        eps = RESCUE_DAMPING if damping == 0.0 else 10.0 * damping
+        eps = DEFAULT_DAMPING if damping == 0.0 else 10.0 * damping
         return fn(graph, damping=eps), eps
 
 
@@ -292,20 +281,14 @@ def assemble_model(cfg: TrainConfig, graph, dim, classes, damping_used=None) -> 
             source = AttentionAdjacency(graph, dim, embed_dim=cfg.embed_dim, damping=damp, seed=cfg.seed)
         else:
             source = ConcreteAdjacency(
-                graph, dim,
-                embed_dim=cfg.embed_dim,
-                temperature=cfg.temperature,
-                stretch_lo=cfg.stretch_lo,
-                stretch_hi=cfg.stretch_hi,
-                damping=damp,
-                seed=cfg.seed,
+                graph, dim, embed_dim=cfg.embed_dim, temperature=cfg.temperature, damping=damp, seed=cfg.seed
             )
     if kind == "gcn":
         model = GcnModel(
             source, [dim, cfg.resolved_hidden, classes], dropout=cfg.resolved_dropout, seed=cfg.seed
         )
     elif kind in GMM_KINDS:
-        model = EmReference(classes, mixing=None if source is None else source.sparse)
+        model = EmReference(classes, adjacency=source)
     else:
         flow = build_gcflow(
             cfg.num_flows, dim, cfg.resolved_hidden, cfg.net_layers,
@@ -314,14 +297,12 @@ def assemble_model(cfg: TrainConfig, graph, dim, classes, damping_used=None) -> 
         )
         head = MixtureHead(
             classes, dim,
-            mean_scalars=spread_means(classes, cfg.mean_lo, cfg.mean_hi),
+            mean_scalars=spread_means(classes, MEAN_LO, cfg.mean_hi),
             log_stds=[cfg.log_std_init] * classes,
             learn_weights=cfg.learn_weights,
         )
         model = FlowMixture(flow, head)
-    return TrainedModel(
-        kind=kind, config=asdict(cfg), dim=dim, classes=classes, model=model, damping_used=damp
-    )
+    return TrainedModel(config=asdict(cfg), dim=dim, classes=classes, model=model, damping_used=damp)
 
 
 # -- running a trained model --------------------------------------------
@@ -347,17 +328,25 @@ def predictions(tm: TrainedModel, ds: Dataset):
     return tm.model.predict_and_represent(node_features(tm, ds))[0]
 
 
+def _scored_indices(ds: Dataset, split):
+    """The nodes of a split that F1 is scored over: those with a known label."""
+    idx = ds.mask_indices(split)
+    idx = idx[ds.labels[idx] >= 0]
+    if idx.size == 0:
+        raise ConfigError(f"dataset's {split} split has no node with a known label")
+    return idx
+
+
 def evaluate(tm: TrainedModel, ds: Dataset):
     """Classification and clustering metrics on the dataset's test split.
 
-    One forward yields both the predictions and the representation, and
-    with every label known one distance pass yields both silhouettes.
-    k-means is seeded with the run seed.
+    F1 is scored over the test nodes with a known label. One forward yields
+    both the predictions and the representation, and with every label known
+    one distance pass yields both silhouettes. k-means is seeded with the
+    run seed.
     """
     pred, z = tm.model.predict_and_represent(node_features(tm, ds))
-    test = ds.mask_indices("test")
-    if test.size == 0:
-        raise ConfigError("dataset has an empty test split")
+    test = _scored_indices(ds, "test")
     km = kmeans(z, ds.num_classes, seed=tm.config["seed"])
     return {
         "test_micro_f1": micro_f1(pred[test], ds.labels[test]),
@@ -420,9 +409,7 @@ def _descend(cfg: TrainConfig, tm: TrainedModel, ds: Dataset, snapshot, start):
     x = ds.features
     labels = ds.labels
     train_idx = ds.mask_indices("train")
-    val_idx = ds.mask_indices("val")
-    if val_idx.size == 0:
-        raise ConfigError("early stopping needs a non-empty validation split")
+    val_idx = _scored_indices(ds, "val")
     unlabeled = np.flatnonzero(~ds.train_mask)
     loss_cfg = LossConfig(train_idx, unlabeled, unlabeled_weight=cfg.unlabeled_weight)
 
@@ -457,7 +444,7 @@ def _descend(cfg: TrainConfig, tm: TrainedModel, ds: Dataset, snapshot, start):
             if not np.isfinite(value):
                 raise DomainError(f"loss is {value}")
             loss.backward()
-            clip_gradients(params, cfg.clip)
+            clip_gradients(params, CLIP_NORM)
             adam_step(opt)
             losses.append(value)
             pred = None

@@ -201,14 +201,15 @@ def descend_two_forward(cfg, tm, ds, snapshot, start):
     from gcflow.errors import ConfigError, DivergedError, DomainError, SingularMatrixError
     from gcflow.evalkit import micro_f1
     from gcflow.mixture import LossConfig, init_means_from_labels
-    from gcflow.training import AdamState, RunRecord, adam_step, clip_gradients
+    from gcflow.training import CLIP_NORM, AdamState, RunRecord, adam_step, clip_gradients
 
     x = ds.features
     labels = ds.labels
     train_idx = ds.mask_indices("train")
     val_idx = ds.mask_indices("val")
+    val_idx = val_idx[labels[val_idx] >= 0]
     if val_idx.size == 0:
-        raise ConfigError("early stopping needs a non-empty validation split")
+        raise ConfigError("dataset's val split has no node with a known label")
     unlabeled = np.flatnonzero(~ds.train_mask)
     loss_cfg = LossConfig(train_idx, unlabeled, unlabeled_weight=cfg.unlabeled_weight)
 
@@ -229,7 +230,7 @@ def descend_two_forward(cfg, tm, ds, snapshot, start):
             if not np.isfinite(value):
                 raise DomainError(f"loss is {value}")
             loss.backward()
-            clip_gradients(params, cfg.clip)
+            clip_gradients(params, CLIP_NORM)
             adam_step(opt)
             losses.append(value)
             f1 = micro_f1(tm.model.predict_and_represent(x)[0][val_idx], labels[val_idx])
@@ -265,11 +266,12 @@ def evaluate_two_pass(tm, ds):
 
     pred = predictions(tm, ds)
     z = representation(tm, ds)
-    test = ds.mask_indices("test")
-    if test.size == 0:
-        raise ConfigError("dataset has an empty test split")
-    km = evalkit.kmeans(z, ds.num_classes, seed=tm.config["seed"])
     known = ds.labels >= 0
+    test = ds.mask_indices("test")
+    test = test[known[test]]
+    if test.size == 0:
+        raise ConfigError("dataset's test split has no node with a known label")
+    km = evalkit.kmeans(z, ds.num_classes, seed=tm.config["seed"])
     return {
         "test_micro_f1": evalkit.micro_f1(pred[test], ds.labels[test]),
         "silhouette_kmeans": evalkit.silhouette(z, km),

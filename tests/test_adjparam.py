@@ -109,12 +109,9 @@ def test_attention_logdet_gradient_matches_finite_differences():
 
 
 def test_concrete_parameter_validation():
-    with pytest.raises(DomainError):
-        adjparam.ConcreteAdjacency(PATH4, dim=2, temperature=0.0)
-    with pytest.raises(DomainError):
-        adjparam.ConcreteAdjacency(PATH4, dim=2, stretch_lo=0.1)
-    with pytest.raises(DomainError):
-        adjparam.ConcreteAdjacency(PATH4, dim=2, stretch_hi=0.9)
+    for temperature in (0.0, -1.0, float("nan")):
+        with pytest.raises(DomainError, match="temperature"):
+            adjparam.ConcreteAdjacency(PATH4, dim=2, temperature=temperature)
 
 
 def test_concrete_stretch_arithmetic_removes_edge():
@@ -165,8 +162,8 @@ def test_concrete_omega_antisymmetric():
 
 @pytest.mark.parametrize("temperature", [adjparam.DEFAULT_TEMPERATURE, 0.01])
 def test_concrete_eval_gates_orient_an_edge_but_never_remove_it(temperature):
-    # antisymmetric scores and the default stretch, symmetric about 1/2: an
-    # edge's two directed gates sum to 1, and a closed gate means the other is open
+    # antisymmetric scores and a stretch symmetric about 1/2: an edge's two
+    # directed gates sum to 1, and a closed gate means the other is open
     g = graphs.make_graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5), (1, 4)])
     source = adjparam.ConcreteAdjacency(g, dim=3, embed_dim=4, temperature=temperature, seed=20)
     rng = np.random.default_rng(21)

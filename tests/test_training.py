@@ -150,7 +150,10 @@ def test_config_checks_value_types_and_ranges():
                        ("dropout", "0.1"), ("learn_weights", 1), ("adjacency", 3), ("seed", -1),
                        ("hidden", -3), ("pca_dim", 0), ("embed_dim", 0), ("patience", 0),
                        ("dropout", 1.0), ("dropout", -0.2), ("dropout", float("nan")),
-                       ("weight_decay", -5.0), ("weight_decay", float("nan"))]:
+                       ("weight_decay", -5.0), ("weight_decay", float("nan")), ("lr", float("nan")),
+                       ("lr", float("inf")), ("lr", -0.1), ("mean_hi", float("nan")), ("mean_hi", 0.2),
+                       ("log_std_init", float("inf")), ("temperature", float("nan")),
+                       ("unlabeled_weight", -float("inf"))]:
         with pytest.raises(ConfigError, match=f"config {key} must be"):
             TrainConfig(**{key: value})
 
@@ -409,6 +412,24 @@ def test_evaluate_matches_the_two_pass_reference(sbm, kind, tmp_path):
     assert got["silhouette_truth"] != record.silhouette_truth  # fewer points scored
 
 
+def test_test_f1_is_scored_over_the_known_labels_only(sbm, tmp_path):
+    record = train(TrainConfig(model="gcflow", hidden=8, epochs=4, patience=4, seed=1), sbm, checkpoint_dir=tmp_path)
+    tm = load_checkpoint(record.checkpoint_path, sbm.graph)
+    ds = partly_labelled(sbm)
+    test = ds.mask_indices("test")
+    known = test[ds.labels[test] >= 0]
+    assert 0 < known.size < test.size
+    assert evaluate(tm, ds)["test_micro_f1"] == micro_f1(predictions(tm, ds)[known], ds.labels[known])
+
+
+@pytest.mark.parametrize("split, kind", [("val", "gcflow"), ("test", "gmm-x")])
+def test_a_split_without_a_known_label_is_refused(sbm, split, kind):
+    labels = sbm.labels.copy()
+    labels[getattr(sbm, f"{split}_mask")] = -1
+    with pytest.raises(ConfigError, match=f"{split} split has no node with a known label"):
+        train(TrainConfig(model=kind, hidden=8, epochs=2), replace(sbm, labels=labels))
+
+
 def perturbed_flow_model(kind, ds, seed=1):
     """A fresh flow model whose parameters are all moved off their initial values."""
     cfg = TrainConfig(model=kind, hidden=8, embed_dim=4, seed=seed)
@@ -513,18 +534,17 @@ def test_gmm_ax_normalizes_the_adjacency_once(sbm, monkeypatch):
 @pytest.mark.parametrize("scheme", ["row", "sym"])
 def test_gmm_ax_mixes_through_the_csr_like_the_dense_product(sbm, scheme):
     tm = assemble_model(TrainConfig(model="gmm-ax", adjacency=scheme, seed=0), sbm.graph, sbm.dim, sbm.num_classes)
-    dense = EmReference(sbm.num_classes, mixing=oracles.normalized_dense(sbm.graph, scheme, tm.damping_used))
-    for ref in (tm.model, dense):
-        ref.fit(sbm.features, sbm.labels, sbm.mask_indices("train"))
+    mixed = oracles.normalized_dense(sbm.graph, scheme, tm.damping_used) @ sbm.features
+    dense = EmReference(sbm.num_classes)
+    tm.model.fit(sbm.features, sbm.labels, sbm.mask_indices("train"))
+    dense.fit(mixed, sbm.labels, sbm.mask_indices("train"))
     # the two products sum each row in a different order, so the mixed
     # features and the EM fit on them agree to rounding, not bit for bit
-    assert_allclose(tm.model.represent(sbm.features), dense.represent(sbm.features), rtol=1e-13, atol=1e-13)
+    assert_allclose(tm.model.represent(sbm.features), mixed, rtol=1e-13, atol=1e-13)
     for name in ("weights", "means", "covs"):
         assert_allclose(getattr(tm.model.gmm, name), getattr(dense.gmm, name), rtol=1e-12, atol=1e-12)
     assert np.array_equal(tm.model.mapping, dense.mapping)
-    assert np.array_equal(
-        tm.model.predict_and_represent(sbm.features)[0], dense.predict_and_represent(sbm.features)[0]
-    )
+    assert np.array_equal(tm.model.predict_and_represent(sbm.features)[0], dense.predict_and_represent(mixed)[0])
 
 
 def forbid_densifying(monkeypatch):
@@ -719,7 +739,7 @@ def test_checkpoint_rejects_non_checkpoints(tmp_path, sbm):
     bad.write_text("{\"format\": \"something-else\"}")
     with pytest.raises(FormatError):
         load_checkpoint(bad, sbm.graph)
-    for tag in ("gcflow-checkpoint-1", "gcflow-checkpoint-2"):
+    for tag in ("gcflow-checkpoint-1", "gcflow-checkpoint-2", "gcflow-checkpoint-3"):
         bad.write_text(f"{{\"format\": \"{tag}\"}}")
         with pytest.raises(FormatError, match=f"{tag}.*{FORMAT_TAG}"):
             load_checkpoint(bad, sbm.graph)
