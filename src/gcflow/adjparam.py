@@ -42,7 +42,7 @@ class EdgeSource:
     ``pattern``, the damping, and ``mix``. A subclass defines ``realize``."""
 
     def __init__(self, graph: Graph, damping, needs_edges):
-        if not graph.edges:
+        if len(graph.edges) == 0:
             raise DomainError(needs_edges)
         self.n = graph.n
         self.damping = float(damping)

@@ -12,6 +12,7 @@ saved values overwrite the fresh initialization.
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 
 import numpy as np
 
@@ -33,16 +34,10 @@ def save_checkpoint(path, tm: TrainedModel, graph):
         "classes": tm.classes,
         "damping_used": tm.damping_used,
         "graph": fingerprint(graph),
-        "pca": None,
+        "pca": None if tm.pca is None else {key: value.tolist() for key, value in vars(tm.pca).items()},
         "params": [p.data.tolist() for p in tm.model.params()],
         "gmm": None,
     }
-    if tm.pca is not None:
-        payload["pca"] = {
-            "mean": tm.pca.mean.tolist(),
-            "directions": tm.pca.directions.tolist(),
-            "explained": tm.pca.explained.tolist(),
-        }
     if isinstance(tm.model, EmReference):
         payload["gmm"] = {
             "weights": tm.model.gmm.weights.tolist(),
@@ -83,11 +78,8 @@ def load_checkpoint(path, graph) -> TrainedModel:
             damping_used=payload["damping_used"],
         )
         if payload["pca"] is not None:
-            tm.pca = PcaProjection(
-                mean=np.asarray(payload["pca"]["mean"], dtype=np.float64),
-                directions=np.asarray(payload["pca"]["directions"], dtype=np.float64),
-                explained=np.asarray(payload["pca"]["explained"], dtype=np.float64),
-            )
+            tm.pca = PcaProjection(*(np.asarray(payload["pca"][f.name], dtype=np.float64)
+                                     for f in fields(PcaProjection)))
         params = tm.model.params()
         if len(payload["params"]) != len(params):
             raise FormatError(

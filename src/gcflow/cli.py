@@ -19,11 +19,15 @@ from dataclasses import fields
 from pathlib import Path
 
 from .data import (
-    SbmConfig, generate_sbm, load_dataset, read_features, read_int_lines, save_dataset, write_features,
+    SbmConfig, data_lines, generate_sbm, load_dataset, read_features, read_int_lines, save_dataset,
+    write_features,
 )
 from .errors import ConfigError, DivergedError, FormatError, GcFlowError
 from .evalkit import cluster_agreement, kmeans, silhouette
 from .training import TrainConfig, evaluate, representation, train
+
+# gen-synth takes a flag per SbmConfig field, named after it but for these two
+SBM_FLAGS = {"p_intra": "p", "q_inter": "q"}
 
 
 def _parse_value(raw):
@@ -34,17 +38,13 @@ def _parse_value(raw):
 
 
 def read_config_file(path):
-    """Flat key=value lines; '#' starts a comment; values parse as JSON."""
+    """Flat key=value lines, as ``data.data_lines`` reads them; values parse as JSON."""
     values = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise FormatError(f"{path}:{lineno}: expected key=value")
-            key, _, value = line.partition("=")
-            values[key.strip()] = _parse_value(value.strip())
+    for lineno, line in data_lines(path):
+        if "=" not in line:
+            raise FormatError(f"{path}:{lineno}: expected key=value")
+        key, _, value = line.partition("=")
+        values[key.strip()] = _parse_value(value.strip())
     return values
 
 
@@ -158,16 +158,7 @@ def cmd_cluster(args):
 
 
 def cmd_gen_synth(args):
-    cfg = SbmConfig(
-        blocks=args.blocks,
-        block_size=args.block_size,
-        p_intra=args.p,
-        q_inter=args.q,
-        dim=args.dim,
-        separation=args.separation,
-        noise=args.noise,
-        seed=args.seed,
-    )
+    cfg = SbmConfig(**{f.name: getattr(args, SBM_FLAGS.get(f.name, f.name)) for f in fields(SbmConfig)})
     manifest = save_dataset(generate_sbm(cfg), args.out)
     print(manifest)
     return 0
@@ -215,14 +206,9 @@ def build_parser():
 
     p = sub.add_parser("gen-synth", help="write a synthetic block-model dataset")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--blocks", type=int, default=3)
-    p.add_argument("--block-size", type=int, default=100)
-    p.add_argument("--p", type=float, default=0.1)
-    p.add_argument("--q", type=float, default=0.01)
-    p.add_argument("--dim", type=int, default=8)
-    p.add_argument("--separation", type=float, default=3.0)
-    p.add_argument("--noise", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=0)
+    for f in fields(SbmConfig):
+        flag = SBM_FLAGS.get(f.name, f.name).replace("_", "-")
+        p.add_argument(f"--{flag}", type=type(f.default), default=f.default)
     p.set_defaults(fn=cmd_gen_synth)
 
     p = sub.add_parser("verify", help="run fast numeric self-checks")

@@ -21,8 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError, DomainError, FormatError
-from .evalkit import PcaProjection, pca_apply, pca_fit
-from .graphs import Graph, load_edge_list, make_graph
+from .graphs import Graph, make_graph
 
 FEATURE_MAGIC = b"GCFLOW1\x00"
 
@@ -40,7 +39,6 @@ class Dataset:
     val_mask: np.ndarray
     test_mask: np.ndarray
     num_classes: int
-    pca: PcaProjection | None = None
 
     @property
     def n(self):
@@ -114,20 +112,40 @@ def _load_feature_file(path):
         raise FormatError(f"{path}: cannot parse as CSV features ({exc})") from None
 
 
-def read_int_lines(path):
-    """One integer per line; '#' starts a comment. A line that is not an
-    integer raises ``FormatError`` naming its path and line number."""
-    values = []
+def data_lines(path):
+    """``(lineno, text)`` for each line of a text file that is not blank once
+    its '#' comment and surrounding whitespace are stripped."""
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            try:
-                values.append(int(line))
-            except ValueError:
-                raise FormatError(f"{path}:{lineno}: expected an integer") from None
+            if line:
+                yield lineno, line
+
+
+def read_int_lines(path):
+    """One integer per line, as ``data_lines`` reads them. A line that is not
+    an integer raises ``FormatError`` naming its path and line number."""
+    values = []
+    for lineno, line in data_lines(path):
+        try:
+            values.append(int(line))
+        except ValueError:
+            raise FormatError(f"{path}:{lineno}: expected an integer") from None
     return np.array(values, dtype=np.intp)
+
+
+def load_edge_list(path):
+    """Tab-separated node-id pairs ("i<TAB>j"), one per line, as ``data_lines`` reads them."""
+    pairs = []
+    for lineno, line in data_lines(path):
+        fields = line.split("\t")
+        if len(fields) != 2:
+            raise FormatError(f"{path}:{lineno}: expected two tab-separated node ids")
+        try:
+            pairs.append((int(fields[0]), int(fields[1])))
+        except ValueError:
+            raise FormatError(f"{path}:{lineno}: non-integer node id") from None
+    return pairs
 
 
 def _mask_from_indices(indices, n, path):
@@ -200,8 +218,7 @@ def save_dataset(ds: Dataset, directory) -> str:
     directory.mkdir(parents=True, exist_ok=True)
     write_features(directory / "features.bin", ds.features)
     with open(directory / "edges.tsv", "w") as fh:
-        for i, j in ds.graph.edges:
-            fh.write(f"{i}\t{j}\n")
+        fh.writelines(f"{i}\t{j}\n" for i, j in ds.graph.edges.tolist())
     with open(directory / "labels.csv", "w") as fh:
         fh.writelines(f"{int(label)}\n" for label in ds.labels)
     for which in ("train", "val", "test"):
@@ -269,7 +286,7 @@ def generate_sbm(cfg: SbmConfig) -> Dataset:
     draw = rng.random((n, n))
     upper = np.triu(draw < prob, k=1)
     src, dst = np.nonzero(upper)
-    graph = make_graph(n, list(zip(src.tolist(), dst.tolist())))
+    graph = make_graph(n, np.column_stack([src, dst]))
 
     direction = np.ones(cfg.dim) / np.sqrt(cfg.dim)
     features = labels[:, None] * cfg.separation * direction[None, :]
@@ -309,8 +326,3 @@ def make_split(ds: Dataset, per_class_train, per_class_val, seed) -> Dataset:
         test[order[per_class_train + per_class_val:]] = True
     return _check(replace(ds, train_mask=train, val_mask=val, test_mask=test))
 
-
-def apply_pca_reduction(ds: Dataset, r) -> Dataset:
-    """Replace features with their top-r principal coordinates."""
-    proj = pca_fit(ds.features, r)
-    return replace(ds, features=pca_apply(proj, ds.features), pca=proj)

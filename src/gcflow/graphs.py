@@ -13,7 +13,6 @@ first read.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import warnings
 from dataclasses import dataclass
 
@@ -22,51 +21,52 @@ import scipy.linalg
 import scipy.sparse
 
 from . import autodiff as ad
-from .errors import DomainError, FormatError, ShapeError, SingularMatrixError
+from .errors import DomainError, ShapeError, SingularMatrixError
 
 # pivot magnitudes below this fraction of the largest entry count as zero
 SINGULAR_THRESHOLD = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
     n: int
-    edges: tuple  # sorted (i, j) pairs with i < j
+    edges: np.ndarray  # read-only (E, 2) intp array of sorted pairs, i < j in each
 
 
 def make_graph(n, edges) -> Graph:
     """Validate and canonicalize an undirected edge list.
 
     Pairs are deduplicated regardless of orientation and stored with the
-    smaller endpoint first. Self-loops are rejected: normalization adds its
-    own, and a doubled diagonal would silently change the model.
+    smaller endpoint first, sorted. Self-loops are rejected: normalization
+    adds its own, and a doubled diagonal would silently change the model.
+    The first bad pair, in input order, is the one reported.
     """
     if n < 1:
         raise DomainError(f"graph needs at least one node, got n={n}")
-    canonical = set()
-    for i, j in edges:
-        i, j = int(i), int(j)
-        if i == j:
+    try:
+        pairs = np.asarray(edges, dtype=np.intp)
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError("edges must be (i, j) pairs of integer node ids") from None
+    if pairs.size and pairs.shape[1:] != (2,):
+        raise DomainError(f"edges must be (i, j) pairs of node ids, got an array of shape {pairs.shape}")
+    pairs = pairs.reshape(-1, 2)
+    loops = pairs[:, 0] == pairs[:, 1]
+    bad = np.flatnonzero(loops | ((pairs < 0) | (pairs >= n)).any(axis=1))
+    if bad.size:
+        i, j = pairs[bad[0]]
+        if loops[bad[0]]:
             raise DomainError(f"self-loop on node {i} not allowed")
-        if not (0 <= i < n and 0 <= j < n):
-            raise DomainError(f"edge ({i},{j}) out of range for n={n}")
-        canonical.add((min(i, j), max(i, j)))
-    return Graph(n=int(n), edges=tuple(sorted(canonical)))
-
-
-def edge_array(g: Graph) -> np.ndarray:
-    """The edge list as an E x 2 integer array, read in one pass over the
-    chained pairs instead of one Python tuple at a time."""
-    flat = np.fromiter(itertools.chain.from_iterable(g.edges), dtype=np.intp, count=2 * len(g.edges))
-    return flat.reshape(-1, 2)
+        raise DomainError(f"edge ({i},{j}) out of range for n={n}")
+    canonical = np.unique(np.sort(pairs, axis=1), axis=0)
+    canonical.flags.writeable = False
+    return Graph(n=int(n), edges=canonical)
 
 
 def directed_edges(g: Graph):
     """Both orientations of every edge as (source, target) arrays, sorted
     by source, then target: the order of a canonical CSR matrix's entries."""
-    edges = edge_array(g)
-    src = np.concatenate([edges[:, 0], edges[:, 1]])
-    dst = np.concatenate([edges[:, 1], edges[:, 0]])
+    src = np.concatenate([g.edges[:, 0], g.edges[:, 1]])
+    dst = np.concatenate([g.edges[:, 1], g.edges[:, 0]])
     order = np.lexsort((dst, src))
     return src[order], dst[order]
 
@@ -74,27 +74,8 @@ def directed_edges(g: Graph):
 def fingerprint(g: Graph) -> dict:
     """Node count plus SHA-256 of the canonical edge list, as little-endian
     int64 pairs; saved artifacts use it to refuse a graph they were not made for."""
-    edges = edge_array(g).astype("<i8", copy=False)
+    edges = g.edges.astype("<i8", copy=False)
     return {"n": g.n, "edges_sha256": hashlib.sha256(edges.tobytes()).hexdigest()}
-
-
-def load_edge_list(path):
-    """Read "i<TAB>j" pairs, one per line; '#' starts a comment."""
-    pairs = []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 2:
-                raise FormatError(f"{path}:{lineno}: expected two tab-separated node ids")
-            try:
-                i, j = int(fields[0]), int(fields[1])
-            except ValueError:
-                raise FormatError(f"{path}:{lineno}: non-integer node id") from None
-            pairs.append((i, j))
-    return pairs
 
 
 class NormalizedAdjacency:
@@ -154,7 +135,7 @@ def _normalized(g: Graph, scheme, damping, check):
     damping = float(damping)
     if not damping >= 0.0:
         raise DomainError(f"damping must be non-negative, got {damping}")
-    edges, loops = edge_array(g), np.arange(g.n)
+    edges, loops = g.edges, np.arange(g.n)
     rows = np.concatenate([edges[:, 0], edges[:, 1], loops])
     cols = np.concatenate([edges[:, 1], edges[:, 0], loops])
     d = np.bincount(rows, minlength=g.n).astype(np.float64)

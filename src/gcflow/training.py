@@ -25,9 +25,9 @@ import numpy as np
 from . import autodiff as ad
 from .adjparam import DEFAULT_DAMPING, DEFAULT_TEMPERATURE, AttentionAdjacency, ConcreteAdjacency
 from .baselines import GCN_DROPOUT, GCN_HIDDEN, EmReference, GcnModel
-from .data import Dataset, apply_pca_reduction
+from .data import Dataset
 from .errors import ConfigError, DivergedError, DomainError, SingularMatrixError
-from .evalkit import PcaProjection, cluster_agreement, kmeans, micro_f1, pca_apply
+from .evalkit import PcaProjection, cluster_agreement, kmeans, micro_f1, pca_apply, pca_fit
 from .flows import build_gcflow
 from .graphs import normalize_row, normalize_sym
 from .mixture import (
@@ -218,6 +218,8 @@ class TrainedModel:
     """A model with everything needed to run it on the dataset it came from.
 
     ``model`` is the kind's model object, as built by ``assemble_model``.
+    ``pca``, when set, projects the dataset's features wherever the model
+    reads them (``node_features``): in training, evaluation and embedding.
     """
 
     config: dict
@@ -309,9 +311,8 @@ def assemble_model(cfg: TrainConfig, graph, dim, classes, damping_used=None) -> 
 
 
 def node_features(tm: TrainedModel, ds: Dataset):
-    x = ds.features
-    if tm.pca is not None and x.shape[1] != tm.dim:
-        x = pca_apply(tm.pca, x)
+    """The dataset's features as the model reads them, through its projection if it has one."""
+    x = ds.features if tm.pca is None else pca_apply(tm.pca, ds.features)
     if x.shape[1] != tm.dim:
         raise ConfigError(f"model expects {tm.dim} features, dataset provides {x.shape[1]}")
     return x
@@ -376,19 +377,18 @@ def train(cfg: TrainConfig, dataset: Dataset, checkpoint_dir=None) -> RunRecord:
             checkpoint_dir.mkdir(parents=True, exist_ok=True)
         except (FileExistsError, NotADirectoryError):
             raise ConfigError(f"checkpoint directory {checkpoint_dir} is not a directory") from None
-    ds = dataset
-    if cfg.pca_dim is not None:
-        ds = apply_pca_reduction(ds, cfg.pca_dim)
-    tm = assemble_model(cfg, ds.graph, ds.dim, ds.num_classes)
-    tm.pca = ds.pca
+    # fitted before assembly, so a bad pca_dim fails before any factorization
+    pca = None if cfg.pca_dim is None else pca_fit(dataset.features, cfg.pca_dim)
+    tm = assemble_model(cfg, dataset.graph, cfg.pca_dim or dataset.dim, dataset.num_classes)
+    tm.pca = pca
     snapshot = dict(tm.config)
     snapshot["damping_used"] = tm.damping_used
 
     if isinstance(tm.model, EmReference):
-        tm.model.fit(ds.features, ds.labels, ds.mask_indices("train"))
+        tm.model.fit(node_features(tm, dataset), dataset.labels, dataset.mask_indices("train"))
         losses, val_f1s = [], []
     else:
-        losses, val_f1s = _descend(cfg, tm, ds, snapshot, start)
+        losses, val_f1s = _descend(cfg, tm, dataset, snapshot, start)
     metrics = evaluate(tm, dataset)
     record = RunRecord(
         config=snapshot, seed=cfg.seed, epochs_run=len(losses), losses=losses,
@@ -398,7 +398,7 @@ def train(cfg: TrainConfig, dataset: Dataset, checkpoint_dir=None) -> RunRecord:
         from .checkpoint import save_checkpoint
 
         path = checkpoint_dir / "checkpoint.json"
-        save_checkpoint(path, tm, ds.graph)
+        save_checkpoint(path, tm, dataset.graph)
         record.checkpoint_path = str(path)
     return record
 
@@ -406,7 +406,7 @@ def train(cfg: TrainConfig, dataset: Dataset, checkpoint_dir=None) -> RunRecord:
 def _descend(cfg: TrainConfig, tm: TrainedModel, ds: Dataset, snapshot, start):
     """The epoch loop of ``train`` for gradient models; returns the losses
     and validation F1 scores per epoch and leaves the best parameters set."""
-    x = ds.features
+    x = node_features(tm, ds)
     labels = ds.labels
     train_idx = ds.mask_indices("train")
     val_idx = _scored_indices(ds, "val")

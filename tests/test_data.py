@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -6,9 +7,10 @@ import pytest
 from gcflow.data import (
     Dataset,
     SbmConfig,
-    apply_pca_reduction,
+    data_lines,
     generate_sbm,
     load_dataset,
+    load_edge_list,
     make_split,
     read_features,
     save_dataset,
@@ -81,6 +83,33 @@ def test_feature_file_rejects_short_payload(tmp_path):
         read_features(path)
 
 
+# -- text files ---------------------------------------------------------
+
+
+def test_data_lines_skip_blanks_and_comments_and_keep_line_numbers(tmp_path):
+    p = tmp_path / "lines.txt"
+    p.write_text("# header\n\n  7  \n   # only a comment\n8 # trailing comment\n")
+    assert list(data_lines(p)) == [(3, "7"), (5, "8")]
+
+
+def test_load_edge_list(tmp_path):
+    p = tmp_path / "edges.tsv"
+    p.write_text("# header\n0\t1\n\n1\t2  # trailing comment\n")
+    assert load_edge_list(p) == [(0, 1), (1, 2)]
+
+
+def test_load_edge_list_rejects_bad_lines(tmp_path):
+    bad_field_count = tmp_path / "a.tsv"
+    bad_field_count.write_text("0\t1\t2\n")
+    message = f"^{re.escape(str(bad_field_count))}:1: expected two tab-separated node ids$"
+    with pytest.raises(FormatError, match=message):
+        load_edge_list(bad_field_count)
+    not_an_int = tmp_path / "b.tsv"
+    not_an_int.write_text("# ids\n0\tx\n")
+    with pytest.raises(FormatError, match=f"^{re.escape(str(not_an_int))}:2: non-integer node id$"):
+        load_edge_list(not_an_int)
+
+
 # -- manifest loading ---------------------------------------------------
 
 
@@ -88,7 +117,7 @@ def test_save_load_round_trip(tmp_path):
     ds = tiny_dataset()
     loaded = load_dataset(save_dataset(ds, tmp_path / "tiny"))
     assert loaded.features.tobytes() == ds.features.tobytes()
-    assert loaded.graph.edges == ds.graph.edges
+    assert np.array_equal(loaded.graph.edges, ds.graph.edges)
     assert np.array_equal(loaded.labels, ds.labels)
     for which in ("train", "val", "test"):
         assert np.array_equal(loaded.mask_indices(which), ds.mask_indices(which))
@@ -194,10 +223,10 @@ def test_sbm_seed_determinism():
     a = generate_sbm(SbmConfig(seed=4))
     b = generate_sbm(SbmConfig(seed=4))
     assert a.features.tobytes() == b.features.tobytes()
-    assert a.graph.edges == b.graph.edges
+    assert np.array_equal(a.graph.edges, b.graph.edges)
     assert np.array_equal(a.train_mask, b.train_mask)
     c = generate_sbm(SbmConfig(seed=5))
-    assert a.graph.edges != c.graph.edges
+    assert not np.array_equal(a.graph.edges, c.graph.edges)
 
 
 def test_sbm_edge_density_matches_probabilities():
@@ -256,7 +285,7 @@ def test_sbm_nearest_mean_classification_is_easy():
     assert micro_f1(pred, ds.labels[test]) > 0.9
 
 
-# -- splitting and reduction --------------------------------------------
+# -- splitting ----------------------------------------------------------
 
 
 def test_make_split_is_stratified_and_seeded():
@@ -281,22 +310,3 @@ def test_make_split_skips_unknown_labels():
     with pytest.raises(ConfigError):
         make_split(ds, 1, 0, seed=0)  # class 1 has one labeled node left, no room for test
 
-
-def test_pca_reduction_stores_projection_and_preserves_rank():
-    rng = np.random.default_rng(8)
-    ds = generate_sbm(SbmConfig(dim=6, seed=6))
-    reduced = apply_pca_reduction(ds, 6)
-    assert reduced.pca is not None
-    assert reduced.features.shape == (ds.n, 6)
-    # full-rank rotation preserves pairwise distances
-    idx = rng.choice(ds.n, size=20, replace=False)
-    before = np.linalg.norm(ds.features[idx][:, None] - ds.features[idx][None], axis=2)
-    after = np.linalg.norm(reduced.features[idx][:, None] - reduced.features[idx][None], axis=2)
-    assert np.allclose(before, after, atol=1e-9)
-
-
-def test_pca_reduction_is_idempotent():
-    ds = generate_sbm(SbmConfig(dim=8, seed=7))
-    once = apply_pca_reduction(ds, 4)
-    twice = apply_pca_reduction(once, 4)
-    assert np.allclose(once.features, twice.features, atol=1e-9)

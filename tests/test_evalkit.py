@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from gcflow import evalkit
+from gcflow.data import SbmConfig, generate_sbm
 from gcflow.errors import ConfigError, DomainError, ShapeError
 
 
@@ -499,6 +500,13 @@ def test_pca_full_rank_preserves_distances():
             d0 = np.linalg.norm(x[i] - x[j])
             d1 = np.linalg.norm(coords[i] - coords[j])
             assert abs(d0 - d1) < 1e-10
+
+
+def test_pca_reduction_is_idempotent():
+    x = generate_sbm(SbmConfig(dim=8, seed=7)).features
+    once = evalkit.pca_apply(evalkit.pca_fit(x, 4), x)
+    twice = evalkit.pca_apply(evalkit.pca_fit(once, 4), once)
+    assert np.allclose(once, twice, atol=1e-9)
 
 
 def test_pca_sign_convention_deterministic():

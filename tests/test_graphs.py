@@ -11,7 +11,7 @@ from numpy.testing import assert_allclose
 
 from gcflow import autodiff as ad
 from gcflow import graphs
-from gcflow.errors import DomainError, FormatError, ShapeError, SingularMatrixError
+from gcflow.errors import DomainError, ShapeError, SingularMatrixError
 from oracles import adjacency_dense, count_factorizations, full_pattern, normalized_dense
 
 
@@ -47,25 +47,39 @@ def triangle():
 
 def test_make_graph_canonicalizes():
     g = graphs.make_graph(4, [(2, 1), (1, 2), (3, 0)])
-    assert g.edges == ((0, 3), (1, 2))
+    assert np.array_equal(g.edges, [[0, 3], [1, 2]]) and not g.edges.flags.writeable
 
 
+def test_make_graph_refuses_what_is_not_pairs():
+    with pytest.raises(DomainError, match="pairs"):
+        graphs.make_graph(4, [(0, 1, 2), (1, 2, 3)])  # six ids are not three pairs
+    with pytest.raises(DomainError, match="pairs"):
+        graphs.make_graph(4, [(0, 1), (1, 2, 3)])
+    with pytest.raises(DomainError, match="pairs"):
+        graphs.make_graph(4, [(0, "x")])
+
+
+# the first bad pair in input order is reported, as a self-loop if it is one
 def test_make_graph_rejects_self_loop():
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"^self-loop on node 1 not allowed$"):
         graphs.make_graph(3, [(1, 1)])
+    with pytest.raises(DomainError, match=r"^self-loop on node 5 not allowed$"):
+        graphs.make_graph(3, [(0, 1), (5, 5), (0, 7)])
 
 
 def test_make_graph_rejects_out_of_range():
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"^edge \(0,3\) out of range for n=3$"):
         graphs.make_graph(3, [(0, 3)])
+    with pytest.raises(DomainError, match=r"^edge \(-1,2\) out of range for n=3$"):
+        graphs.make_graph(3, [(0, 1), (-1, 2), (2, 2)])
 
 
 @pytest.mark.parametrize("edges", [[], [(0, 1)], [(3, 1), (0, 2), (2, 3), (1, 0)]])
 def test_edge_array_and_fingerprint_match_the_tuple_conversion(edges):
     g = graphs.make_graph(4, edges)
-    former = np.asarray(g.edges, dtype="<i8").reshape(-1, 2)
-    got = graphs.edge_array(g)
-    assert got.shape == former.shape and np.array_equal(got, former)
+    # the sorted tuple of canonical tuples the edge list used to be held as
+    former = np.asarray(sorted({(min(i, j), max(i, j)) for i, j in edges}), dtype="<i8").reshape(-1, 2)
+    assert g.edges.shape == former.shape and g.edges.dtype == np.intp and np.array_equal(g.edges, former)
     # the SHA-256 every saved checkpoint carries
     assert graphs.fingerprint(g) == {"n": 4, "edges_sha256": hashlib.sha256(former.tobytes()).hexdigest()}
 
@@ -290,23 +304,6 @@ def test_sparse_and_dense_views_agree():
     for scheme, norm in (("row", graphs.normalize_row), ("sym", graphs.normalize_sym)):
         adj = norm(path3())
         assert_allclose(adj.sparse.toarray(), normalized_dense(path3(), scheme), atol=0)
-
-
-def test_load_edge_list(tmp_path):
-    p = tmp_path / "edges.tsv"
-    p.write_text("# header\n0\t1\n\n1\t2  # trailing comment\n")
-    assert graphs.load_edge_list(p) == [(0, 1), (1, 2)]
-
-
-def test_load_edge_list_rejects_bad_lines(tmp_path):
-    bad_field_count = tmp_path / "a.tsv"
-    bad_field_count.write_text("0\t1\t2\n")
-    with pytest.raises(FormatError):
-        graphs.load_edge_list(bad_field_count)
-    not_an_int = tmp_path / "b.tsv"
-    not_an_int.write_text("0\tx\n")
-    with pytest.raises(FormatError):
-        graphs.load_edge_list(not_an_int)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -15,7 +15,7 @@ from gcflow.baselines import EmReference, GcnModel
 from gcflow.checkpoint import FORMAT_TAG, load_checkpoint
 from gcflow.data import SbmConfig, generate_sbm
 from gcflow.errors import ConfigError, DivergedError, DomainError, FormatError, SingularMatrixError
-from gcflow.evalkit import micro_f1
+from gcflow.evalkit import micro_f1, pca_apply, pca_fit
 from gcflow import adjparam, flows, mixture, training
 from gcflow.graphs import make_graph
 from gcflow.training import (
@@ -577,7 +577,8 @@ def test_checkpoint_rejects_non_numeric_values(sbm, tmp_path):
     record = train(TrainConfig(model="gcn", hidden=8, epochs=1, seed=0), sbm, checkpoint_dir=tmp_path)
     payload = json.loads(Path(record.checkpoint_path).read_text())
     bad = tmp_path / "bad.json"
-    for key, value in (("dim", "x"), ("params", [[["a"]]] + payload["params"][1:])):
+    for key, value in (("dim", "x"), ("params", [[["a"]]] + payload["params"][1:]),
+                       ("pca", [[0.0]]), ("pca", {"mean": [0.0], "directions": [[1.0]]})):
         bad.write_text(json.dumps({**payload, key: value}))
         with pytest.raises(FormatError, match="malformed checkpoint"):
             load_checkpoint(bad, sbm.graph)
@@ -670,7 +671,7 @@ def test_checkpoint_round_trip_every_kind(sbm, kind, tmp_path):
     assert representation(again, sbm).tobytes() == z.tobytes()
     # same node count, other edges
     other = generate_sbm(SbmConfig(seed=1)).graph
-    assert other.n == sbm.n and other.edges != sbm.graph.edges
+    assert other.n == sbm.n and not np.array_equal(other.edges, sbm.graph.edges)
     with pytest.raises(FormatError, match="graph"):
         load_checkpoint(record.checkpoint_path, other)
 
@@ -729,9 +730,23 @@ def test_checkpoint_preserves_pca_projection(sbm, tmp_path):
     cfg = TrainConfig(model="gcflow", hidden=8, lr=1e-3, epochs=2, patience=5, seed=5, pca_dim=4)
     record = train(cfg, sbm, checkpoint_dir=tmp_path)
     tm = load_checkpoint(record.checkpoint_path, sbm.graph)
-    assert tm.pca is not None
+    fitted = pca_fit(sbm.features, 4)
+    assert all(getattr(tm.pca, key).tobytes() == getattr(fitted, key).tobytes()
+               for key in ("mean", "directions", "explained"))
     assert node_features(tm, sbm).shape == (sbm.n, 4)
     assert evaluate(tm, sbm)["test_micro_f1"] == record.test_micro_f1
+
+
+@pytest.mark.parametrize("kind", ["gcflow", "gmm-x"])
+def test_a_projection_as_wide_as_the_features_is_still_applied(sbm, kind, tmp_path):
+    # a full-width projection rotates the features; the model must read the
+    # rotated ones wherever it reads them, not guess from the column count
+    cfg = TrainConfig(model=kind, epochs=60, patience=5, pca_dim=sbm.dim)
+    record = train(cfg, sbm, checkpoint_dir=tmp_path)
+    tm = load_checkpoint(record.checkpoint_path, sbm.graph)
+    assert node_features(tm, sbm).tobytes() == pca_apply(tm.pca, sbm.features).tobytes()
+    assert evaluate(tm, sbm)["test_micro_f1"] == record.test_micro_f1
+    assert record.test_micro_f1 > 0.5  # chance is 1/3; raw features at evaluation read 0.333 and 0.367
 
 
 def test_checkpoint_rejects_non_checkpoints(tmp_path, sbm):
