@@ -67,6 +67,8 @@ class AttentionAdjacency(EdgeSource):
         self.embed_src = Mlp([dim, embed_dim], rng)
         self.embed_dst = Mlp([dim, embed_dim], rng)
         self.scorer = Mlp([2 * embed_dim, 1], rng)
+        # where each source's run of edges starts; ``src`` is sorted
+        self.row_starts = np.flatnonzero(np.diff(self.src, prepend=-1))
 
     def edge_scores(self, x) -> ad.Tensor:
         x = ad.as_tensor(x)
@@ -81,7 +83,7 @@ class AttentionAdjacency(EdgeSource):
         # row's own max, so its largest weight is exp(0) = 1 and the row sum
         # cannot underflow to zero however negative the scores are
         row_max = np.full(self.n, -np.inf)
-        np.maximum.at(row_max, self.src, scores.data)
+        row_max[self.src[self.row_starts]] = np.maximum.reduceat(scores.data, self.row_starts)
         weights = ad.exp(scores - ad.Tensor(row_max[self.src]))
         # an isolated node has no entry, so no row sum of zero is ever read
         row_sums = ad.sparse_matmul(self.pattern, weights, np.ones((self.n, 1)))

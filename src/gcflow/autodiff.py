@@ -14,7 +14,13 @@ are supported, which is all the training loops here need.
 
 All storage is float64. Gradient buffers are allocated lazily: a tensor
 holds none until a backward pass first accumulates into it, and reading
-``.grad`` before that returns (and keeps) zeros. Gradients of parameters
+``.grad`` before that returns (and keeps) zeros. A vector-Jacobian function
+returns either a new array or the output gradient itself or a view of it,
+never an array that something else keeps. So the first gradient to reach a
+tensor becomes its buffer without a copy when it is a new float64 array of
+the tensor's shape; the output gradient, a view or broadcast of any array,
+and a numpy scalar are copied, since a later in-place update of the buffer
+must not reach another tensor's gradient. Gradients of parameters
 accumulate across backward calls until ``zero_grad`` (or ``zero_grads``)
 resets them; intermediate nodes drop their buffers at the start of each
 backward pass.
@@ -49,7 +55,7 @@ def _unbroadcast(grad, shape):
     for axis, size in enumerate(shape):
         if size == 1 and g.shape[axis] != 1:
             g = g.sum(axis=axis, keepdims=True)
-    return g.reshape(shape)
+    return g if g.shape == shape else g.reshape(shape)
 
 
 class Tensor:
@@ -90,14 +96,19 @@ class Tensor:
     def grad(self, value):
         self._grad = value
 
-    def accumulate(self, g):
+    def accumulate(self, g, owned=False):
         """Add ``g`` (broadcastable to this shape) to the gradient.
 
-        The first contribution is copied into a fresh buffer instead of being
-        added to zeros; the copy keeps later in-place updates from reaching
+        The first contribution becomes the buffer instead of being added to
+        zeros. ``owned`` says that ``g`` is a new float64 array of this shape
+        that nothing else references, and it is then kept as it is; anything
+        else is copied, so later in-place updates of the buffer cannot reach
         the array ``g`` came from.
         """
         if self._grad is None:
+            if owned:
+                self._grad = g
+                return
             if np.shape(g) != self.data.shape:
                 g = np.broadcast_to(g, self.data.shape)
             self._grad = np.array(g, dtype=np.float64)
@@ -189,7 +200,8 @@ def no_grad():
 def make_node(data, parents, vjps, op="custom") -> Tensor:
     """Create an op-result tensor from its value, its parents and one
     vector-Jacobian function per parent; recorded on the tape only when a
-    parent needs grad and no ``no_grad`` block is active."""
+    parent needs grad and no ``no_grad`` block is active. A share that owns
+    its memory and is not the output gradient is handed over, not copied."""
     out = Tensor(data)
     if _recording.get() and any(p.requires_grad for p in parents):
         parents = tuple(parents)
@@ -202,7 +214,10 @@ def make_node(data, parents, vjps, op="custom") -> Tensor:
             g = ref().grad
             for parent, vjp in zip(parents, vjps):
                 if parent.requires_grad:
-                    parent.accumulate(vjp(g))
+                    share = vjp(g)
+                    parent.accumulate(share, owned=type(share) is np.ndarray and share.base is None
+                                      and share is not g and share.dtype == np.float64
+                                      and share.shape == parent.data.shape)
 
         out._backward = backward
     return out
@@ -210,14 +225,17 @@ def make_node(data, parents, vjps, op="custom") -> Tensor:
 
 def _scatter_add(shape, index, g):
     """Zeros of ``shape`` with ``g`` added at ``index``, a tuple of slices or
-    index arrays; entries the arrays repeat add up. Slices repeat nothing,
-    so they skip ``np.add.at``, whose generic path for them is ~7x slower."""
-    full = np.zeros(shape)
+    index arrays; entries the arrays repeat add up, in index order, as
+    ``np.add.at`` would add them. Index arrays go through one ``np.bincount``
+    over flat positions; slices repeat nothing and are added in place."""
     if all(isinstance(i, slice) for i in index):
+        full = np.zeros(shape)
         full[index] += g
-    else:
-        np.add.at(full, index, g)
-    return full
+        return full
+    size = int(np.prod(shape))
+    flat = np.arange(size).reshape(shape)[index]
+    return np.bincount(flat.reshape(-1), weights=np.reshape(g, -1), minlength=size
+                       ).astype(np.float64, copy=False).reshape(shape)
 
 
 # -- binary elementwise (broadcasting) ---------------------------------
@@ -260,6 +278,21 @@ def matmul(a, b):
     return make_node(a.data @ b.data, (a, b), (lambda g: g @ b.data.T, lambda g: a.data.T @ g), "matmul")
 
 
+def affine(x, w, b):
+    """``x @ w + b`` as one node, the bias broadcast over the rows: one
+    product and an in-place add, where ``matmul`` then ``add`` make two
+    nodes and two n x k arrays."""
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
+    if x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[0]:
+        raise ShapeError(f"affine: incompatible shapes {x.shape} @ {w.shape}")
+    if b.shape not in ((w.shape[1],), (1, w.shape[1])):
+        raise ShapeError(f"affine: bias of shape {b.shape} for {w.shape[1]} outputs")
+    out = x.data @ w.data
+    out += b.data
+    return make_node(out, (x, w, b), (lambda g: g @ w.data.T, lambda g: x.data.T @ g,
+                                      lambda g: _unbroadcast(g, b.shape)), "affine")
+
+
 def sparse_matmul(pattern, values, x):
     """``A @ x``, where A has the CSR structure of ``pattern`` (whose own
     stored entries are ignored) and the stored entries ``values``. For the
@@ -300,9 +333,18 @@ def log(a):
     return _unary(a, np.log(a.data), lambda y: 1.0 / a.data, "log")
 
 
+def _tanh_vjp(y, g):
+    """(1 - y*y) * g, the same arithmetic in the same order, in one buffer."""
+    t = np.multiply(y, y, out=np.empty_like(y))
+    np.subtract(1.0, t, out=t)
+    t *= g
+    return t
+
+
 def tanh(a):
     a = as_tensor(a)
-    return _unary(a, np.tanh(a.data), lambda y: 1.0 - y * y, "tanh")
+    value = np.tanh(a.data)
+    return make_node(value, (a,), (lambda g: _tanh_vjp(value, g),), "tanh")
 
 
 def sigmoid(a):

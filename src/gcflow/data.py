@@ -246,6 +246,10 @@ def save_dataset(ds: Dataset, directory) -> str:
 # -- synthetic block model ----------------------------------------------
 
 
+# uniforms per row block of generate_sbm's draw
+SBM_BLOCK_CELLS = 1 << 20
+
+
 @dataclass
 class SbmConfig:
     blocks: int = 3
@@ -282,11 +286,16 @@ def generate_sbm(cfg: SbmConfig) -> Dataset:
     n = cfg.blocks * cfg.block_size
     labels = np.repeat(np.arange(cfg.blocks), cfg.block_size)
 
-    prob = np.where(labels[:, None] == labels[None, :], cfg.p_intra, cfg.q_inter)
-    draw = rng.random((n, n))
-    upper = np.triu(draw < prob, k=1)
-    src, dst = np.nonzero(upper)
-    graph = make_graph(n, np.column_stack([src, dst]))
+    # the n x n uniforms are drawn a block of rows at a time: the same values
+    # and generator state as one (n, n) draw, in O(rows * n) memory
+    rows = max(1, SBM_BLOCK_CELLS // n)
+    pairs = []
+    for r0 in range(0, n, rows):
+        block = labels[r0:r0 + rows]
+        prob = np.where(block[:, None] == labels[None, :], cfg.p_intra, cfg.q_inter)
+        src, dst = np.nonzero(np.triu(rng.random((block.size, n)) < prob, k=1 + r0))
+        pairs.append(np.column_stack([src + r0, dst]))
+    graph = make_graph(n, np.concatenate(pairs))
 
     direction = np.ones(cfg.dim) / np.sqrt(cfg.dim)
     features = labels[:, None] * cfg.separation * direction[None, :]

@@ -142,9 +142,8 @@ def cluster_agreement(points, assign, truth) -> dict:
 def _contingency(a, b):
     _, ai = np.unique(a, return_inverse=True)
     _, bi = np.unique(b, return_inverse=True)
-    table = np.zeros((ai.max() + 1, bi.max() + 1))
-    np.add.at(table, (ai, bi), 1.0)
-    return table
+    rows, cols = ai.max() + 1, bi.max() + 1
+    return np.bincount(ai * cols + bi, minlength=rows * cols).reshape(rows, cols).astype(np.float64)
 
 
 def _entropy(counts, n):

@@ -54,7 +54,7 @@ class Mlp:
     def __call__(self, x, training=False, rng=None):
         last = len(self.weights) - 1
         for k, (w, b) in enumerate(zip(self.weights, self.biases)):
-            x = ad.matmul(x, w) + b
+            x = ad.affine(x, w, b)
             if k < last:
                 x = ad.tanh(x)
                 if training and self.dropout > 0.0:

@@ -1,8 +1,10 @@
 """Reference implementations the optimized code is checked against: dense
 adjacency constructions and the identity mixing matrix, a counter of the
 dense factorizations the graph module runs, the dense n x n mixing route of
-the parameterized sources and their stage-replaying inverse, per-vector
-mixture densities, and the two-forward training loop and two-pass evaluate."""
+the parameterized sources and their stage-replaying inverse, an MLP built
+from unfused ops, per-vector mixture densities, the block-model sampler's
+single full-matrix draw, and the two-forward training loop and two-pass
+evaluate."""
 
 import numpy as np
 import scipy.sparse
@@ -165,6 +167,27 @@ def inverse_replayed(model, x, z, training=False, rng=None):
     return y
 
 
+# -- an MLP built from unfused ops -----------------------------------------
+
+
+def mlp_unfused(mlp, x, training=False, rng=None):
+    """``mlp`` applied as a product, a broadcast bias add and a tanh whose
+    backward is ``(1 - y*y) * g``, each its own node, with the same dropout
+    draws as ``Mlp.__call__``."""
+    from gcflow import autodiff as ad
+
+    last = len(mlp.weights) - 1
+    for k, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
+        x = ad.matmul(x, w) + b
+        if k < last:
+            y = np.tanh(x.data)
+            x = ad.make_node(y, (x,), (lambda g, y=y: (1.0 - y * y) * g,), "tanh")
+            if training and mlp.dropout > 0.0:
+                keep = rng.random(x.shape) >= mlp.dropout
+                x = x * ad.Tensor(keep / (1.0 - mlp.dropout))
+    return x
+
+
 # -- per-vector mixture densities -----------------------------------------
 
 
@@ -186,6 +209,31 @@ def mixture_logpdf(head, z):
     stacked = lw + comps
     m = stacked.max()
     return float(m + np.log(np.exp(stacked - m).sum()))
+
+
+# -- the block-model sampler's single full-matrix draw --------------------
+
+
+def sbm_full_draw(cfg):
+    """``generate_sbm`` drawing all n x n uniforms at once: one dense
+    probability matrix, one ``rng.random((n, n))`` and its strict upper
+    triangle."""
+    from gcflow import data
+
+    rng = np.random.default_rng(cfg.seed)
+    n = cfg.blocks * cfg.block_size
+    labels = np.repeat(np.arange(cfg.blocks), cfg.block_size)
+    prob = np.where(labels[:, None] == labels[None, :], cfg.p_intra, cfg.q_inter)
+    src, dst = np.nonzero(np.triu(rng.random((n, n)) < prob, k=1))
+    graph = data.make_graph(n, np.column_stack([src, dst]))
+    direction = np.ones(cfg.dim) / np.sqrt(cfg.dim)
+    features = labels[:, None] * cfg.separation * direction[None, :]
+    features = features + cfg.noise * rng.normal(size=(n, cfg.dim))
+    empty = np.zeros(n, dtype=bool)
+    ds = data.Dataset(name=f"sbm{cfg.blocks}x{cfg.block_size}s{cfg.seed}", graph=graph, features=features,
+                      labels=labels, train_mask=empty, val_mask=empty, test_mask=empty,
+                      num_classes=cfg.blocks)
+    return data.make_split(ds, data.TRAIN_PER_CLASS, data.VAL_PER_CLASS, seed=cfg.seed)
 
 
 # -- the two-forward training loop and two-pass evaluate ------------------

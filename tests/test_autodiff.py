@@ -29,6 +29,10 @@ def test_matmul_hand_case():
 def test_matmul_shape_mismatch():
     with pytest.raises(ShapeError):
         ad.matmul(ad.Tensor(np.ones((2, 3))), ad.Tensor(np.ones((2, 3))))
+    with pytest.raises(ShapeError):
+        ad.affine(np.ones((2, 3)), np.ones((2, 3)), np.zeros(3))
+    with pytest.raises(ShapeError):
+        ad.affine(np.ones((2, 3)), np.ones((3, 4)), np.zeros((2, 4)))
 
 
 def test_backward_square():
@@ -56,6 +60,7 @@ RECORDING_OPS = {
     "mul": lambda x: x * x,
     "div": lambda x: ad.div(1.0, x),
     "matmul": lambda x: x @ x,
+    "affine": lambda x: ad.affine(x, x, ad.tsum(x, 0)),
     "sparse_matmul": lambda x: ad.sparse_matmul(full_pattern(3), ad.reshape(x, (9,)), x),
     "exp": ad.exp,
     "log": ad.log,
@@ -92,6 +97,22 @@ def test_a_dropped_tape_is_freed_without_the_cyclic_collector(op):
     finally:
         gc.enable()
     assert np.array_equal(x.grad, grad)
+
+
+@pytest.mark.parametrize("op", sorted(RECORDING_OPS))
+def test_no_gradient_buffer_shares_memory(op):
+    # a buffer adopted from a vector-Jacobian function must be its own: an
+    # in-place update (a later accumulate, clipping) reaches no other array
+    x = ad.Tensor(np.arange(9.0).reshape(3, 3) / 10.0 + 2.0 * np.eye(3), requires_grad=True)
+    out = RECORDING_OPS[op](x)
+    loss = ad.tsum(out * out)
+    loss.backward()
+    tensors = loss._topo()
+    grads = [t._grad for t in tensors if t._grad is not None]
+    assert len(grads) >= 3
+    for i, grad in enumerate(grads):
+        assert not any(np.shares_memory(grad, other) for other in grads[i + 1:])
+        assert not any(np.shares_memory(grad, t.data) for t in tensors)
 
 
 def test_a_parent_that_needs_no_grad_never_has_its_vjp_called():
@@ -414,6 +435,17 @@ def test_matmul_over_random_shapes(m, k, n, seed):
 
 
 @FD_SETTINGS
+@given(m=st.integers(1, 4), k=st.integers(1, 4), n=st.integers(1, 4), row=st.booleans(), seed=SEEDS)
+def test_affine_over_random_shapes(m, k, n, row, seed):
+    rng = np.random.default_rng(seed)
+    x = ad.Tensor(rng.normal(size=(m, k)), requires_grad=True)
+    w = ad.Tensor(rng.normal(size=(k, n)), requires_grad=True)
+    b = ad.Tensor(rng.normal(size=(1, n) if row else (n,)), requires_grad=True)
+    assert np.array_equal(ad.affine(x, w, b).data, x.data @ w.data + b.data)
+    assert ad.grad_check(lambda: weighted_sum(ad.affine(x, w, b), np.random.default_rng(seed)), [x, w, b]) < 1e-6
+
+
+@FD_SETTINGS
 @given(
     m=st.integers(1, 5), k=st.integers(1, 5), n=st.integers(1, 3),
     density=st.floats(0.0, 1.0), seed=SEEDS,
@@ -482,6 +514,12 @@ def test_gather_rows_with_repeated_indices(n, width, data, seed):
     x = ad.Tensor(rng.normal(size=(n,) if width is None else (n, width)), requires_grad=True)
     idx = data.draw(st.lists(st.integers(0, n - 1), min_size=0, max_size=7))
     assert np.array_equal(ad.gather_rows(x, idx).data, x.data[np.asarray(idx, dtype=np.intp)])
+    # repeated rows add up in index order, as np.add.at adds them
+    g = rng.normal(size=(len(idx),) + x.shape[1:])
+    ad.tsum(ad.gather_rows(x, idx) * ad.Tensor(g)).backward()
+    want = np.zeros(x.shape)
+    np.add.at(want, np.asarray(idx, dtype=np.intp), g)
+    assert np.array_equal(x.grad, want)
     assert ad.grad_check(lambda: weighted_sum(ad.gather_rows(x, idx), np.random.default_rng(seed)), [x]) < 1e-6
 
 

@@ -1,9 +1,11 @@
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from gcflow import data
 from gcflow.data import (
     Dataset,
     SbmConfig,
@@ -19,7 +21,7 @@ from gcflow.data import (
 from gcflow.errors import ConfigError, DomainError, FormatError
 from gcflow.evalkit import micro_f1
 from gcflow.graphs import make_graph
-from oracles import adjacency_dense
+from oracles import adjacency_dense, sbm_full_draw
 
 
 def tiny_dataset():
@@ -227,6 +229,34 @@ def test_sbm_seed_determinism():
     assert np.array_equal(a.train_mask, b.train_mask)
     c = generate_sbm(SbmConfig(seed=5))
     assert not np.array_equal(a.graph.edges, c.graph.edges)
+
+
+@pytest.mark.parametrize("blocks, block_size, seed, cells", [
+    (3, 100, 0, None), (2, 70, 3, 1000), (4, 60, 7, 99), (3, 55, 11, 1),
+])
+def test_sbm_row_blocks_equal_one_full_draw(monkeypatch, blocks, block_size, seed, cells):
+    # ``cells`` shrinks the row blocks: uneven blocks, and one row per block
+    if cells is not None:
+        monkeypatch.setattr(data, "SBM_BLOCK_CELLS", cells)
+    cfg = SbmConfig(blocks=blocks, block_size=block_size, p_intra=0.3, q_inter=0.05, seed=seed)
+    got, want = generate_sbm(cfg), sbm_full_draw(cfg)
+    assert np.array_equal(got.graph.edges, want.graph.edges)
+    # the features are drawn after the graph, so equal features mean equal generator states
+    assert got.features.tobytes() == want.features.tobytes()
+    for mask in ("train_mask", "val_mask", "test_mask"):
+        assert np.array_equal(getattr(got, mask), getattr(want, mask))
+
+
+def test_sbm_memory_does_not_grow_with_the_square_of_n():
+    # one full (n, n) draw peaks at about 170 MB here; a row block holds about 2**20 uniforms
+    cfg = SbmConfig(blocks=3, block_size=1000, p_intra=0.01, q_inter=0.001, seed=0)
+    tracemalloc.start()
+    try:
+        generate_sbm(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6
 
 
 def test_sbm_edge_density_matches_probabilities():

@@ -5,7 +5,7 @@ from numpy.testing import assert_allclose
 from gcflow import adjparam, flows, graphs, mixture
 from gcflow import autodiff as ad
 from gcflow.errors import ScaleError, ShapeError, SingularMatrixError
-from oracles import identity_adjacency, inverse_replayed, stage_matrices
+from oracles import identity_adjacency, inverse_replayed, mlp_unfused, stage_matrices
 
 
 def zero_all(params):
@@ -57,6 +57,21 @@ class MixStub:
 
 def test_tanh_saturation_is_exact():
     assert np.tanh(20.0) == 1.0
+
+
+@pytest.mark.parametrize("dropout", [0.0, 0.3])
+def test_mlp_affine_layers_equal_the_unfused_ops_bit_for_bit(dropout):
+    rng = np.random.default_rng(5)
+    mlp = flows.Mlp([6, 9, 9, 4], rng, dropout=dropout)
+    x = ad.Tensor(rng.normal(size=(13, 6)), requires_grad=True)
+    weights = ad.Tensor(rng.normal(size=(13, 4)))
+    runs = []
+    for net in (mlp, lambda t, **kw: mlp_unfused(mlp, t, **kw)):
+        ad.zero_grads(mlp.params() + [x])
+        out = net(x, training=True, rng=np.random.default_rng(1))
+        ad.tsum(out * weights).backward()
+        runs.append([out.data] + [p.grad.copy() for p in mlp.params() + [x]])
+    assert all(np.array_equal(a, b) for a, b in zip(*runs))
 
 
 def test_identity_layer_is_identity():
