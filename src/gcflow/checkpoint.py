@@ -63,7 +63,7 @@ def load_checkpoint(path, graph) -> TrainedModel:
     with open(path) as fh:
         try:
             payload = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # undecodable bytes or malformed JSON
             raise FormatError(f"{path}: invalid JSON ({exc})") from None
     tag = payload.get("format") if isinstance(payload, dict) else None
     if tag != FORMAT_TAG:

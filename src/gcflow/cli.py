@@ -225,10 +225,7 @@ def main(argv=None):
         return exc.code if exc.code is not None else 0
     try:
         return args.fn(args)
-    except GcFlowError as exc:
-        print(f"gcflow: error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+    except (GcFlowError, OSError) as exc:
         print(f"gcflow: error: {exc}", file=sys.stderr)
         return 1
 

@@ -114,12 +114,16 @@ def _load_feature_file(path):
 
 def data_lines(path):
     """``(lineno, text)`` for each line of a text file that is not blank once
-    its '#' comment and surrounding whitespace are stripped."""
+    its '#' comment and surrounding whitespace are stripped. A file that is
+    not text raises ``FormatError`` naming its path."""
     with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if line:
-                yield lineno, line
+        try:
+            for lineno, raw in enumerate(fh, 1):
+                line = raw.split("#", 1)[0].strip()
+                if line:
+                    yield lineno, line
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: not a text file ({exc})") from None
 
 
 def read_int_lines(path):
@@ -170,7 +174,7 @@ def load_dataset(manifest_path) -> Dataset:
     with open(manifest_path) as fh:
         try:
             manifest = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # undecodable bytes or malformed JSON
             raise FormatError(f"{manifest_path}: invalid JSON ({exc})") from None
     missing = [k for k in MANIFEST_KEYS if k not in manifest]
     if missing:

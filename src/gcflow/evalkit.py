@@ -229,7 +229,9 @@ def kmeans(points, k, seed=0) -> ClusterAssignment:
 
     Stops when assignments reach a fixpoint or after KMEANS_MAX_ITERS rounds.
     A cluster that loses all members is restarted at the point farthest
-    from its current centroid assignment.
+    from its current centroid assignment. When that point sits on its
+    centroid, every point does, so there are fewer than k distinct points
+    and ``ConfigError`` is raised.
     """
     x = _finite_points(points)
     n = x.shape[0]
@@ -247,6 +249,9 @@ def kmeans(points, k, seed=0) -> ClusterAssignment:
         for c in range(k):
             if not np.any(new_labels == c):
                 farthest = sq[np.arange(n), new_labels].argmax()
+                if sq[farthest, new_labels[farthest]] == 0.0:
+                    distinct = len(np.unique(x, axis=0))
+                    raise ConfigError(f"cannot form {k} clusters from {distinct} distinct points")
                 centroids[c] = x[farthest]
                 sq[:, c] = ((x - centroids[c]) ** 2).sum(axis=1)
                 new_labels = sq.argmin(axis=1)

@@ -3,11 +3,12 @@
 One entry point, ``train``, covers every model kind: the graph classifier,
 the plain row-wise flow, the graph-convolutional flow with fixed or
 parameterized mixing, and the two EM-mixture references fitted on raw or
-pre-mixed features. ``assemble_model`` is the one place that reads the
-kind. It returns one model object per kind, and everything after it calls
-that object's ``params``, ``loss_and_predictions`` (the training loss and
-the predictions of one training forward), ``predict_and_represent`` and
-``represent``; the EM references have ``fit`` in place of the loss.
+pre-mixed features. Each kind is one ``KINDS`` entry, the one place that
+reads the kind, and ``assemble_model`` builds its model object. Everything
+after that calls the object's ``params``, ``loss_and_predictions`` (the
+training loss and the predictions of one training forward),
+``predict_and_represent`` and ``represent``; the EM references have ``fit``
+in place of the loss.
 Everything stochastic draws from a single generator seeded by the run seed,
 so a repeated run reproduces its metrics exactly.
 """
@@ -17,6 +18,7 @@ from __future__ import annotations
 import math
 import numbers
 import time
+from collections import namedtuple
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -45,10 +47,6 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 CLIP_NORM = 50.0
 FLOW_HIDDEN = 64
-
-MODEL_KINDS = ("gcn", "flowgmm", "gcflow", "gcflow-p", "gcflow-l", "gmm-x", "gmm-ax")
-FLOW_KINDS = ("flowgmm", "gcflow", "gcflow-p", "gcflow-l")
-GMM_KINDS = ("gmm-x", "gmm-ax")
 
 
 # -- optimizer ----------------------------------------------------------
@@ -137,12 +135,12 @@ class TrainConfig:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            kind, _, optional = f.type.partition(" | ")
-            admitted = isinstance(value, _FIELD_TYPES[kind]) and isinstance(value, bool) == (kind == "bool")
+            base, _, optional = f.type.partition(" | ")
+            admitted = isinstance(value, _FIELD_TYPES[base]) and isinstance(value, bool) == (base == "bool")
             if not (admitted or (value is None and optional)):
                 raise ConfigError(f"config {f.name} must be {f.type}, got {value!r}")
             if value is not None:
-                value = _PLAIN_TYPES[kind](value)
+                value = _PLAIN_TYPES[base](value)
                 if isinstance(value, float) and not math.isfinite(value):
                     raise ConfigError(f"config {f.name} must be finite, got {value!r}")
                 setattr(self, f.name, value)
@@ -150,37 +148,31 @@ class TrainConfig:
             value = getattr(self, name)
             if value is not None and value < least:
                 raise ConfigError(f"config {name} must be at least {least}, got {value}")
-        if self.model not in MODEL_KINDS:
+        if self.model not in KINDS:
             raise ConfigError(f"unknown model kind {self.model!r}, expected one of {MODEL_KINDS}")
-        if self.model in FLOW_KINDS and not (0.0 < self.unlabeled_weight < 1.0):
+        if KINDS[self.model].build is _flow_mixture and not 0.0 < self.unlabeled_weight < 1.0:
             raise ConfigError(
-                f"unlabeled weight must lie strictly inside (0, 1) for flow models, "
-                f"got {self.unlabeled_weight}"
-            )
+                f"config unlabeled_weight must be inside (0, 1) for a flow, got {self.unlabeled_weight}")
         if self.adjacency not in ("row", "sym"):
             raise ConfigError(f"adjacency scheme must be 'row' or 'sym', got {self.adjacency!r}")
-        if self.lr <= 0.0:
-            raise ConfigError(f"config lr must be positive, got {self.lr}")
+        for name in ("lr", "temperature"):
+            if getattr(self, name) <= 0.0:
+                raise ConfigError(f"config {name} must be positive, got {getattr(self, name)}")
         if self.mean_hi < MEAN_LO:
             raise ConfigError(f"config mean_hi must be at least {MEAN_LO}, got {self.mean_hi}")
-        if self.damping < 0.0:
-            raise ConfigError(f"damping must be non-negative, got {self.damping}")
+        for name in ("damping", "weight_decay"):
+            if getattr(self, name) < 0.0:
+                raise ConfigError(f"config {name} must be non-negative, got {getattr(self, name)}")
         if self.dropout is not None and not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"config dropout must be in [0, 1), got {self.dropout}")
-        if self.weight_decay < 0.0:
-            raise ConfigError(f"config weight_decay must be non-negative, got {self.weight_decay}")
 
     @property
     def resolved_hidden(self):
-        if self.hidden is not None:
-            return self.hidden
-        return GCN_HIDDEN if self.model == "gcn" else FLOW_HIDDEN
+        return KINDS[self.model].hidden if self.hidden is None else self.hidden
 
     @property
     def resolved_dropout(self):
-        if self.dropout is not None:
-            return self.dropout
-        return GCN_DROPOUT if self.model == "gcn" else 0.0
+        return KINDS[self.model].dropout if self.dropout is None else self.dropout
 
 
 @dataclass
@@ -199,18 +191,10 @@ class RunRecord:
     checkpoint_path: str | None = None
 
     def metrics_dict(self):
-        """The stable serialization schema for a finished run."""
-        return {
-            "config": self.config,
-            "seed": self.seed,
-            "epochs_run": self.epochs_run,
-            "test_micro_f1": self.test_micro_f1,
-            "silhouette_kmeans": self.silhouette_kmeans,
-            "silhouette_truth": self.silhouette_truth,
-            "nmi": self.nmi,
-            "ari": self.ari,
-            "wall_seconds": self.wall_seconds,
-        }
+        """The stable serialization schema for a finished run: every field
+        but the per-epoch lists and the checkpoint path."""
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if f.name not in ("losses", "val_f1s", "checkpoint_path")}
 
 
 @dataclass
@@ -255,56 +239,75 @@ def build_adjacency(graph, scheme, damping=0.0, replay=False):
         return fn(graph, damping=eps), eps
 
 
-def assemble_model(cfg: TrainConfig, graph, dim, classes, damping_used=None) -> TrainedModel:
-    """Fresh, untrained model for a config; the one place that reads the kind.
+# A kind's ``mixing(cfg, graph, dim, damping_used)`` returns its mixing source (None
+# for none) and the damping it holds; a saved ``damping_used`` replays a fixed
+# adjacency without factoring it. ``build(cfg, source, dim, classes)`` returns the
+# untrained model, and ``hidden`` and ``dropout`` serve a config that sets neither.
+# The builders look ``normalize_*`` and the adjacency classes up when called, so
+# rebinding those names reaches every kind.
 
-    * ``gcn``: a ``GcnModel`` over the normalized adjacency.
-    * ``flowgmm``, ``gcflow``, ``gcflow-p``, ``gcflow-l``: a ``FlowMixture``
-      whose flow mixes with nothing, the normalized adjacency, attention, or
-      edge gates.
-    * ``gmm-x``, ``gmm-ax``: an unfitted ``EmReference`` on raw features, or
-      on features mixed by the normalized adjacency.
+
+def _no_mixing(cfg, graph, dim, damping_used):
+    return None, cfg.damping
+
+
+def _fixed_mixing(cfg, graph, dim, damping_used):
+    replay = damping_used is not None
+    return build_adjacency(graph, cfg.adjacency, damping_used if replay else cfg.damping, replay=replay)
+
+
+def _attention(cfg, graph, dim, damping_used):
+    damp = cfg.damping or DEFAULT_DAMPING
+    return AttentionAdjacency(graph, dim, embed_dim=cfg.embed_dim, damping=damp, seed=cfg.seed), damp
+
+
+def _gates(cfg, graph, dim, damping_used):
+    damp = cfg.damping or DEFAULT_DAMPING
+    return ConcreteAdjacency(graph, dim, embed_dim=cfg.embed_dim, temperature=cfg.temperature,
+                             damping=damp, seed=cfg.seed), damp
+
+
+def _gcn(cfg, source, dim, classes):
+    return GcnModel(source, [dim, cfg.resolved_hidden, classes], dropout=cfg.resolved_dropout, seed=cfg.seed)
+
+
+def _flow_mixture(cfg, source, dim, classes):
+    flow = build_gcflow(cfg.num_flows, dim, cfg.resolved_hidden, cfg.net_layers, cfg.couplings,
+                        adjacency=source, seed=cfg.seed, dropout=cfg.resolved_dropout)
+    head = MixtureHead(classes, dim, mean_scalars=spread_means(classes, MEAN_LO, cfg.mean_hi),
+                       log_stds=[cfg.log_std_init] * classes, learn_weights=cfg.learn_weights)
+    return FlowMixture(flow, head)
+
+
+def _em(cfg, source, dim, classes):
+    return EmReference(classes, adjacency=source)
+
+
+Kind = namedtuple("Kind", "mixing build hidden dropout", defaults=(FLOW_HIDDEN, 0.0))
+KINDS = {
+    "gcn": Kind(_fixed_mixing, _gcn, GCN_HIDDEN, GCN_DROPOUT),
+    "flowgmm": Kind(_no_mixing, _flow_mixture),
+    "gcflow": Kind(_fixed_mixing, _flow_mixture),
+    "gcflow-p": Kind(_attention, _flow_mixture),
+    "gcflow-l": Kind(_gates, _flow_mixture),
+    "gmm-x": Kind(_no_mixing, _em),
+    "gmm-ax": Kind(_fixed_mixing, _em),
+}
+MODEL_KINDS = tuple(KINDS)
+FLOW_KINDS = tuple(name for name, kind in KINDS.items() if kind.build is _flow_mixture)
+
+
+def assemble_model(cfg: TrainConfig, graph, dim, classes, damping_used=None) -> TrainedModel:
+    """Fresh, untrained model for a config, built by its ``KINDS`` entry.
 
     Deterministic in the config seed, so a checkpoint can rebuild the exact
     same skeleton; ``damping_used`` replays the damping a normalized
     adjacency was built with, without factoring it again.
     """
-    kind = cfg.model
-    damp = cfg.damping
-    source = None
-    if kind in ("gcn", "gcflow", "gmm-ax"):
-        source, damp = build_adjacency(
-            graph, cfg.adjacency, damp if damping_used is None else damping_used,
-            replay=damping_used is not None,
-        )
-    elif kind in ("gcflow-p", "gcflow-l"):
-        damp = damp if damp > 0.0 else DEFAULT_DAMPING
-        if kind == "gcflow-p":
-            source = AttentionAdjacency(graph, dim, embed_dim=cfg.embed_dim, damping=damp, seed=cfg.seed)
-        else:
-            source = ConcreteAdjacency(
-                graph, dim, embed_dim=cfg.embed_dim, temperature=cfg.temperature, damping=damp, seed=cfg.seed
-            )
-    if kind == "gcn":
-        model = GcnModel(
-            source, [dim, cfg.resolved_hidden, classes], dropout=cfg.resolved_dropout, seed=cfg.seed
-        )
-    elif kind in GMM_KINDS:
-        model = EmReference(classes, adjacency=source)
-    else:
-        flow = build_gcflow(
-            cfg.num_flows, dim, cfg.resolved_hidden, cfg.net_layers,
-            couplings_per_flow=cfg.couplings, adjacency=source, seed=cfg.seed,
-            dropout=cfg.resolved_dropout,
-        )
-        head = MixtureHead(
-            classes, dim,
-            mean_scalars=spread_means(classes, MEAN_LO, cfg.mean_hi),
-            log_stds=[cfg.log_std_init] * classes,
-            learn_weights=cfg.learn_weights,
-        )
-        model = FlowMixture(flow, head)
-    return TrainedModel(config=asdict(cfg), dim=dim, classes=classes, model=model, damping_used=damp)
+    kind = KINDS[cfg.model]
+    source, damping = kind.mixing(cfg, graph, dim, damping_used)
+    model = kind.build(cfg, source, dim, classes)
+    return TrainedModel(config=asdict(cfg), dim=dim, classes=classes, model=model, damping_used=damping)
 
 
 # -- running a trained model --------------------------------------------
@@ -381,8 +384,7 @@ def train(cfg: TrainConfig, dataset: Dataset, checkpoint_dir=None) -> RunRecord:
     pca = None if cfg.pca_dim is None else pca_fit(dataset.features, cfg.pca_dim)
     tm = assemble_model(cfg, dataset.graph, cfg.pca_dim or dataset.dim, dataset.num_classes)
     tm.pca = pca
-    snapshot = dict(tm.config)
-    snapshot["damping_used"] = tm.damping_used
+    snapshot = {**tm.config, "damping_used": tm.damping_used}
 
     if isinstance(tm.model, EmReference):
         tm.model.fit(node_features(tm, dataset), dataset.labels, dataset.mask_indices("train"))
@@ -462,12 +464,10 @@ def _descend(cfg: TrainConfig, tm: TrainedModel, ds: Dataset, snapshot, start):
         except (DomainError, SingularMatrixError) as exc:
             if len(val_f1s) < len(losses):  # the step ran, its validation failed
                 val_f1s.append(float("nan"))
-            record = RunRecord(
-                config=snapshot, seed=cfg.seed, epochs_run=len(losses), losses=losses,
-                val_f1s=val_f1s, test_micro_f1=float("nan"), silhouette_kmeans=float("nan"),
-                silhouette_truth=float("nan"), nmi=float("nan"), ari=float("nan"),
-                wall_seconds=time.perf_counter() - start,
-            )
+            unscored = dict.fromkeys(
+                ("test_micro_f1", "silhouette_kmeans", "silhouette_truth", "nmi", "ari"), float("nan"))
+            record = RunRecord(config=snapshot, seed=cfg.seed, epochs_run=len(losses), losses=losses,
+                               val_f1s=val_f1s, wall_seconds=time.perf_counter() - start, **unscored)
             raise DivergedError(f"training diverged at epoch {epoch}: {exc}", record=record) from None
         val_f1s.append(f1)
         # ties on validation F1 go to the lower training loss, so a

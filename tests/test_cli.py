@@ -277,3 +277,30 @@ def test_train_rejects_a_manifest_with_non_integer_sizes(synth_dir, tmp_path, ca
     rc = main(["train", "--data", str(bad), "--out", str(tmp_path / "run")])
     assert rc == 1
     assert "gcflow: error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--data", "{dir}", "--out", "{tmp}/run"],
+    ["eval", "--checkpoint", "{dir}", "--data", "{manifest}"],
+    ["cluster", "--embedding", "{dir}", "--k", "2"],
+], ids=["train-data", "eval-checkpoint", "cluster-embedding"])
+def test_a_directory_in_place_of_a_file_is_reported(synth_dir, tmp_path, capsys, argv):
+    (tmp_path / "dir").mkdir()
+    paths = {"dir": tmp_path / "dir", "tmp": tmp_path, "manifest": synth_dir / "manifest.json"}
+    assert main([arg.format(**paths) for arg in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("gcflow: error:") and str(paths["dir"]) in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--data", "{binary}", "--out", "{tmp}/run"],
+    ["eval", "--checkpoint", "{binary}", "--data", "{manifest}"],
+    ["train", "--data", "{manifest}", "--out", "{tmp}/run", "--config", "{binary}"],
+], ids=["manifest", "checkpoint", "config-lines"])
+def test_a_binary_file_in_place_of_a_text_file_is_a_format_error(synth_dir, tmp_path, capsys, argv):
+    binary = tmp_path / "blob.json"
+    binary.write_bytes(bytes(range(128, 256)))  # not UTF-8
+    paths = {"binary": binary, "tmp": tmp_path, "manifest": synth_dir / "manifest.json"}
+    assert main([arg.format(**paths) for arg in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("gcflow: error:") and str(binary) in err

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -434,6 +435,25 @@ def test_kmeans_inertia_trace_non_increasing():
 def test_kmeans_rejects_too_many_clusters():
     with pytest.raises(ConfigError):
         evalkit.kmeans(np.zeros((2, 2)), 3)
+
+
+def test_kmeans_rejects_fewer_distinct_points_than_clusters():
+    x = np.repeat([[0.0, 0.0], [1.0, 2.0]], 5, axis=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no "Mean of empty slice" on the way to the error
+        with pytest.raises(ConfigError, match="cannot form 3 clusters from 2 distinct points"):
+            evalkit.kmeans(x, 3)
+
+
+def test_kmeans_restarts_an_emptied_cluster_at_the_farthest_point(monkeypatch):
+    rng = np.random.default_rng(22)
+    truth = np.repeat([0, 1, 2], 20)
+    x = rng.normal(size=(60, 2)) * 0.1 + np.array([[0.0, 0.0], [10.0, 0.0], [40.0, 0.0]])[truth]
+    # two equal seeds: every point's nearest is the first copy, so the second's cluster starts empty
+    monkeypatch.setattr(evalkit, "_plusplus_seed", lambda points, k, rng: points[[0, 0, 20]].copy())
+    out = evalkit.kmeans(x, 3)
+    assert evalkit.ari(out.labels, truth) == 1.0
+    assert len(np.unique(out.centroids, axis=0)) == 3
 
 
 @pytest.mark.parametrize("k", [0, -1])

@@ -1,4 +1,5 @@
 import json
+import re
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -153,19 +154,57 @@ def test_config_checks_value_types_and_ranges():
                        ("weight_decay", -5.0), ("weight_decay", float("nan")), ("lr", float("nan")),
                        ("lr", float("inf")), ("lr", -0.1), ("mean_hi", float("nan")), ("mean_hi", 0.2),
                        ("log_std_init", float("inf")), ("temperature", float("nan")),
-                       ("unlabeled_weight", -float("inf"))]:
+                       ("temperature", 0.0), ("temperature", -0.5), ("unlabeled_weight", -float("inf"))]:
         with pytest.raises(ConfigError, match=f"config {key} must be"):
             TrainConfig(**{key: value})
 
 
-def test_config_kind_defaults():
-    gcn = TrainConfig(model="gcn")
-    assert gcn.resolved_hidden == 128
-    assert gcn.resolved_dropout == 0.5
-    flow = TrainConfig(model="gcflow")
-    assert flow.resolved_hidden == 64
-    assert flow.resolved_dropout == 0.0
-    assert TrainConfig(model="gcn", hidden=7, dropout=0.1).resolved_hidden == 7
+def _built_widths_and_dropouts(model):
+    """The layer widths and dropout of every network a built model trains."""
+    if isinstance(model, GcnModel):
+        return [([w.shape for w in model.weights], model.dropout)]
+    if isinstance(model, mixture.FlowMixture):
+        return [(net.widths, net.dropout) for stack in model.flow.flows for layer in stack.layers
+                for net in (layer.s_net, layer.t_net)]
+    assert isinstance(model, EmReference)
+    return []
+
+
+def test_config_kind_defaults(sbm):
+    dim, k = sbm.dim, sbm.num_classes
+    half = dim // 2
+    defaults = {"gcn": (128, 0.5), "flowgmm": (64, 0.0), "gcflow": (64, 0.0), "gcflow-p": (64, 0.0),
+                "gcflow-l": (64, 0.0), "gmm-x": (None, None), "gmm-ax": (None, None)}
+    assert sorted(defaults) == sorted(training.KINDS)
+
+    def expected_nets(kind, hidden, dropout):
+        if kind == "gcn":
+            return [([(dim, hidden), (hidden, k)], dropout)]
+        if kind.startswith("gmm"):
+            return []
+        return [([half, hidden, dim - half], dropout)] * 4  # two stacks of one coupling, an s and a t net each
+
+    for kind, (hidden, dropout) in defaults.items():
+        cfg = TrainConfig(model=kind)
+        if hidden is not None:
+            assert (cfg.resolved_hidden, cfg.resolved_dropout) == (hidden, dropout)
+        built = assemble_model(cfg, sbm.graph, dim, k).model
+        assert _built_widths_and_dropouts(built) == expected_nets(kind, hidden, dropout), kind
+        # a config's own width and dropout replace the kind's
+        cfg = TrainConfig(model=kind, hidden=7, dropout=0.1)
+        assert (cfg.resolved_hidden, cfg.resolved_dropout) == (7, 0.1)
+        built = assemble_model(cfg, sbm.graph, dim, k).model
+        assert _built_widths_and_dropouts(built) == expected_nets(kind, 7, 0.1), kind
+
+
+def test_readme_model_kinds_names_exactly_the_kinds():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Model kinds\n", 1)[1].split("\n## ", 1)[0]
+    listed = []
+    for line in section.splitlines():
+        if line.startswith("- `"):
+            listed += re.findall(r"`([^`]+)`", line.partition(":")[0])
+    assert sorted(listed) == sorted(MODEL_KINDS)
 
 
 def test_build_adjacency_rescues_singular_graph():
