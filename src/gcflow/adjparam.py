@@ -8,8 +8,8 @@ Two constructions, both confined to the given edge set:
 * near-binary edge gating: each direction of an existing edge gets a gate
   in [0,1] sampled from a hard-concrete relaxation (a temperature-controlled
   logistic stretched to (-0.1, 1.1) and clamped back). The two directions
-  share one antisymmetric score, so in evaluation an edge's two gates sum to
-  1: a gate can turn one direction off but never the whole edge.
+  share one antisymmetric score, so without noise an edge's two gates sum
+  to 1: a gate can turn one direction off but never the whole edge.
 
 Neither construction adds edges: ``realize`` returns one value per entry
 of the CSR ``pattern``, the directed edges in ``directed_edges`` order.
@@ -50,10 +50,10 @@ class EdgeSource:
         self.pattern = scipy.sparse.csr_matrix(
             (np.ones(self.src.size), (self.src, self.dst)), shape=(self.n, self.n))
 
-    def mix(self, x, training=False, rng=None, logdet=True):
+    def mix(self, x, rng=None, logdet=True):
         """Mix ``x`` by ``realize``'s matrix plus damping times the identity;
         also its differentiable log|det| when ``logdet``, else None."""
-        values = self.realize(x, training=training, rng=rng)
+        values = self.realize(x, rng)
         mixed = ad.sparse_matmul(self.pattern, values, x) + x * self.damping
         return mixed, (logabsdet_tensor(self.pattern, values, self.damping) if logdet else None)
 
@@ -77,7 +77,7 @@ class AttentionAdjacency(EdgeSource):
         paired = ad.concat_cols([ad.gather_rows(h, self.src), ad.gather_rows(g, self.dst)])
         return ad.lrelu(ad.reshape(self.scorer(paired), (self.src.size,)))
 
-    def realize(self, x, training=False, rng=None):
+    def realize(self, x, rng=None):
         scores = self.edge_scores(x)
         # softmax per source row, stabilized by a constant per-row shift: the
         # row's own max, so its largest weight is exp(0) = 1 and the row sum
@@ -97,11 +97,11 @@ class ConcreteAdjacency(EdgeSource):
     """Per-direction soft edge gates from a stretched logistic relaxation.
 
     Each directed edge's keep-score is an antisymmetric function of its
-    endpoint embeddings squashed to (-1, 1). Training perturbs the score with
-    logistic noise drawn from the caller's generator; evaluation uses the
-    noise-free deterministic limit. Stretching past [0,1] and clamping back
-    lets a gate reach exactly 0 or 1 with nonzero probability; the clamp
-    passes gradient only in its interior. In evaluation an edge's two
+    endpoint embeddings squashed to (-1, 1). A ``realize`` handed an rng
+    perturbs the score with logistic noise drawn from it; one without uses
+    the noise-free deterministic limit. Stretching past [0,1] and clamping
+    back lets a gate reach exactly 0 or 1 with nonzero probability; the clamp
+    passes gradient only in its interior. Without noise an edge's two
     directed gates sum to exactly 1: a gate of 0 in one direction means 1 in
     the other, so the gates can orient an edge but never remove it.
     """
@@ -125,11 +125,9 @@ class ConcreteAdjacency(EdgeSource):
         backward = ad.gather_rows(tb, self.src) * ad.gather_rows(ta, self.dst)
         return ad.tanh(ad.tsum(forward - backward, axis=1))
 
-    def realize(self, x, training=False, rng=None):
+    def realize(self, x, rng=None):
         logits = self.edge_logits(x)
-        if training:
-            if rng is None:
-                raise DomainError("training-mode realize needs an rng for the gate noise")
+        if rng is not None:
             eps = rng.uniform(size=self.src.size)
             logits = logits + ad.Tensor(np.log(eps) - np.log1p(-eps))
         soft = ad.sigmoid(logits * (1.0 / self.temperature))

@@ -374,6 +374,15 @@ def clamp(a, lo, hi):
     return _unary(a, value, lambda y: mask.astype(np.float64), "clamp")
 
 
+def dropout(a, rate, rng=None):
+    """Inverted dropout: keep entries where ``rng.random`` draws >= ``rate``, scaled
+    by 1/(1 - rate). Without an rng, or at rate 0, ``a`` itself comes back."""
+    if rng is None or rate == 0.0:
+        return a
+    keep = rng.random(a.shape) >= rate
+    return mul(a, Tensor(keep / (1.0 - rate)))
+
+
 # -- softmax family ----------------------------------------------------
 
 

@@ -24,8 +24,8 @@ GCN_DROPOUT = 0.5
 class GcnModel:
     """Stack of mix-then-project layers, relu between, softmax on top.
 
-    No biases anywhere. Dropout acts on each layer's input and only while
-    training; the penultimate activations (input to the final layer,
+    No biases anywhere. Dropout acts on each layer's input in a forward
+    handed an rng; the penultimate activations (input to the final layer,
     before its dropout) double as the model's node representation.
     """
 
@@ -49,7 +49,7 @@ class GcnModel:
         """Cross-entropy over the labeled nodes of one training forward, and
         that forward's most probable class per node; without dropout these
         equal ``predict_and_represent``'s."""
-        probs, _ = self.forward(x, training=True, rng=rng)
+        probs, _ = self.forward(x, rng=rng)
         return gcn_loss(probs, labels, loss_cfg.labeled), probs.data.argmax(axis=1)
 
     def represent(self, x):
@@ -62,18 +62,14 @@ class GcnModel:
             probs, penultimate = self.forward(x)
         return probs.data.argmax(axis=1), penultimate
 
-    def forward(self, x, training=False, rng=None):
+    def forward(self, x, rng=None):
         """Class probabilities and the penultimate representation."""
         h = ad.as_tensor(x)
         penultimate = h.data
         for idx, w in enumerate(self.weights):
             if idx == len(self.weights) - 1:
                 penultimate = h.data
-            if training and self.dropout > 0.0:
-                if rng is None:
-                    raise DomainError("training-mode forward needs an rng for dropout")
-                keep = rng.random(h.shape) >= self.dropout
-                h = h * Tensor(keep / (1.0 - self.dropout))
+            h = ad.dropout(h, self.dropout, rng)
             h = self.adjacency.mix(h, logdet=False)[0] @ w
             if idx < len(self.weights) - 1:
                 h = ad.relu(h)

@@ -163,7 +163,8 @@ def _mask_from_indices(indices, n, path):
 
 # -- manifest load/save -------------------------------------------------
 
-MANIFEST_KEYS = ("n", "dim", "classes", "features", "edges", "labels", "train", "val", "test")
+MANIFEST_FILES = ("features", "edges", "labels", "train", "val", "test")
+MANIFEST_KEYS = ("n", "dim", "classes") + MANIFEST_FILES
 
 
 def load_dataset(manifest_path) -> Dataset:
@@ -176,6 +177,8 @@ def load_dataset(manifest_path) -> Dataset:
             manifest = json.load(fh)
         except ValueError as exc:  # undecodable bytes or malformed JSON
             raise FormatError(f"{manifest_path}: invalid JSON ({exc})") from None
+    if not isinstance(manifest, dict):
+        raise FormatError(f"{manifest_path}: expected a JSON object, got {type(manifest).__name__}")
     missing = [k for k in MANIFEST_KEYS if k not in manifest]
     if missing:
         raise FormatError(f"{manifest_path}: missing keys {missing}")
@@ -184,12 +187,19 @@ def load_dataset(manifest_path) -> Dataset:
     if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in sizes):
         raise FormatError(f"{manifest_path}: n, dim and classes must be integers, got {sizes}")
     n, dim, classes = sizes
+    not_names = [k for k in MANIFEST_FILES if not isinstance(manifest[k], str)]
+    if not_names:
+        raise FormatError(f"{manifest_path}: file entries {not_names} must be file names (strings)")
 
     features = _load_feature_file(base / manifest["features"])
     if features.shape != (n, dim):
         raise FormatError(
             f"features are {features.shape[0]}x{features.shape[1]}, manifest says {n}x{dim}"
         )
+    bad = np.argwhere(~np.isfinite(features))
+    if bad.size:
+        raise FormatError(f"{base / manifest['features']}: {len(bad)} non-finite feature values, "
+                          f"the first at row {bad[0, 0]}, column {bad[0, 1]}")
     try:
         graph = make_graph(n, load_edge_list(base / manifest["edges"]))
     except DomainError as exc:
@@ -270,12 +280,15 @@ class SbmConfig:
             raise DomainError(
                 f"need 0 <= q < p <= 1, got p={self.p_intra}, q={self.q_inter}"
             )
-        if self.separation <= 0.0:
-            raise DomainError(f"class separation must be positive, got {self.separation}")
-        if self.noise <= 0.0:
-            raise DomainError(f"feature noise must be positive, got {self.noise}")
+        for name in ("separation", "noise"):
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise DomainError(f"{name} must be positive and finite, got {getattr(self, name)}")
         if self.blocks < 2 or self.block_size < 1:
             raise DomainError("need at least two blocks of at least one node")
+        if self.dim < 1:
+            raise DomainError(f"need at least one feature dimension, got dim={self.dim}")
+        if self.seed < 0:
+            raise DomainError(f"seed must be non-negative, got {self.seed}")
 
 
 def generate_sbm(cfg: SbmConfig) -> Dataset:

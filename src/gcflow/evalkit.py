@@ -239,6 +239,8 @@ def kmeans(points, k, seed=0) -> ClusterAssignment:
         raise ConfigError(f"need at least one cluster, got k={k}")
     if n < k:
         raise ConfigError(f"cannot form {k} clusters from {n} points")
+    if seed < 0:
+        raise ConfigError(f"k-means seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     centroids = _plusplus_seed(x, k, rng)
     labels = None

@@ -34,8 +34,8 @@ def glorot(rng, fan_in, fan_out):
 class Mlp:
     """Dense layers with tanh between them, linear at the output.
 
-    Dropout, when configured, acts on the hidden activations and only when
-    a forward pass is explicitly marked as training.
+    Dropout, when configured, acts on the hidden activations of a forward
+    that is handed an rng; a forward without one is inference.
     """
 
     def __init__(self, widths, rng, dropout=0.0):
@@ -51,17 +51,12 @@ class Mlp:
         ]
         self.biases = [ad.Tensor(np.zeros((1, w)), requires_grad=True) for w in widths[1:]]
 
-    def __call__(self, x, training=False, rng=None):
+    def __call__(self, x, rng=None):
         last = len(self.weights) - 1
         for k, (w, b) in enumerate(zip(self.weights, self.biases)):
             x = ad.affine(x, w, b)
             if k < last:
-                x = ad.tanh(x)
-                if training and self.dropout > 0.0:
-                    if rng is None:
-                        raise ShapeError("training-mode forward with dropout needs an rng")
-                    keep = rng.random(x.shape) >= self.dropout
-                    x = x * ad.Tensor(keep / (1.0 - self.dropout))
+                x = ad.dropout(ad.tanh(x), self.dropout, rng)
         return x
 
     def params(self):
@@ -100,14 +95,14 @@ class CouplingLayer:
             return ad.concat_cols([kept, changed])
         return ad.concat_cols([changed, kept])
 
-    def _scale_shift(self, kept, training=False, rng=None):
-        s = ad.tanh(self.s_net(kept, training=training, rng=rng)) * self.s_scale
-        return s, self.t_net(kept, training=training, rng=rng)
+    def _scale_shift(self, kept, rng=None):
+        s = ad.tanh(self.s_net(kept, rng)) * self.s_scale
+        return s, self.t_net(kept, rng)
 
-    def forward(self, x, training=False, rng=None):
+    def forward(self, x, rng=None):
         """Returns the transformed tensor and the per-row log-determinant."""
         kept, changed = self._split(x)
-        s, t = self._scale_shift(kept, training=training, rng=rng)
+        s, t = self._scale_shift(kept, rng)
         return self._join(kept, changed * ad.exp(s) + t), ad.tsum(s, axis=1)
 
     def inverse(self, y):
@@ -131,10 +126,10 @@ class FlowStack:
     def dim(self):
         return self.layers[0].dim if self.layers else None
 
-    def forward(self, x, training=False, rng=None):
+    def forward(self, x, rng=None):
         logdet = ad.Tensor(np.zeros(x.shape[0]))
         for layer in self.layers:
-            x, ld = layer.forward(x, training=training, rng=rng)
+            x, ld = layer.forward(x, rng)
             logdet = logdet + ld
         return x, logdet
 
@@ -168,9 +163,9 @@ class GcFlowModel:
 
     ``adjacency`` is None (identity mixing, the plain-flow special case), a
     NormalizedAdjacency (fixed mixing) or a learned ``adjparam`` source, which
-    also has ``params()``. Each stage calls ``mix(x, training, rng, logdet)``,
-    which returns the mixed features and the stage's log|det| (None when
-    ``logdet`` is False), and then applies that stage's flow.
+    also has ``params()``. Each stage mixes by ``mix(x, rng, logdet)`` (the
+    features and the stage's log|det|, None unless ``logdet``), then applies
+    its flow. Noise is drawn from ``rng`` alone: a forward without one is inference.
 
     ``forward(..., logdet=False)`` skips the adjacency log-determinants,
     which for a learned source cost one dense LU per stage. Only a
@@ -189,7 +184,7 @@ class GcFlowModel:
     def num_flows(self):
         return len(self.flows)
 
-    def forward(self, x, training=False, rng=None, logdet=True) -> ForwardResult:
+    def forward(self, x, rng=None, logdet=True) -> ForwardResult:
         x = ad.as_tensor(x)
         n, dim = x.shape
         if self.dim is not None and dim != self.dim:
@@ -198,10 +193,10 @@ class GcFlowModel:
         graph_logdet = ad.Tensor(0.0) if logdet else None
         for flow in self.flows:
             if self.adjacency is not None:
-                x, stage_logdet = self.adjacency.mix(x, training=training, rng=rng, logdet=logdet)
+                x, stage_logdet = self.adjacency.mix(x, rng=rng, logdet=logdet)
                 if logdet:
                     graph_logdet = graph_logdet + dim * stage_logdet
-            x, ld = flow.forward(x, training=training, rng=rng)
+            x, ld = flow.forward(x, rng)
             flow_logdet = flow_logdet + ld
         return ForwardResult(z=x, flow_logdet=flow_logdet, graph_logdet=graph_logdet)
 

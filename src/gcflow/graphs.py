@@ -115,9 +115,9 @@ class NormalizedAdjacency:
             self._log_abs_det = log_abs_det(self.sparse.toarray())
         return self._log_abs_det
 
-    def mix(self, x, training=False, rng=None, logdet=True):
+    def mix(self, x, rng=None, logdet=True):
         """The matrix times ``x``, and its cached log|det| when ``logdet``,
-        else None; fixed mixing draws no noise, so ``training``/``rng`` go unused."""
+        else None; fixed mixing draws no noise, so ``rng`` goes unused."""
         return ad.sparse_matmul(self.sparse, self.sparse.data, x), (self.log_abs_det if logdet else None)
 
     def __repr__(self):

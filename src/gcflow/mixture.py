@@ -221,7 +221,7 @@ class FlowMixture:
         same latents as inference, so its predictions equal
         ``predict_and_represent``'s. Non-finite latents raise ``DomainError``.
         """
-        result = self.flow.forward(x, training=True, rng=rng)
+        result = self.flow.forward(x, rng=rng)
         pred = _classify(self.head, _finite(result.z.data))
         return semi_supervised_loss(self.head, result, labels, loss_cfg), pred
 

@@ -92,11 +92,11 @@ def logabsdet_dense(a):
     return ad.make_node(np.float64(value), (a,), (lambda g: g * np.linalg.inv(a.data).T,), "logabsdet_dense")
 
 
-def attention_dense(source, x, training=False, rng=None):
+def attention_dense(source, x, rng=None):
     """An ``AttentionAdjacency``'s mixing matrix built as an n x n tensor:
     the shifted score exponentials scattered, divided by their dense row sums
     (1 on an isolated node's empty row), plus damping times the identity.
-    Attention draws no noise, so ``training`` and ``rng`` are unused."""
+    Attention draws no noise, so ``rng`` is unused."""
     from gcflow import autodiff as ad
 
     scores = source.edge_scores(x)
@@ -109,17 +109,17 @@ def attention_dense(source, x, training=False, rng=None):
     return numer / ad.reshape(denom, (source.n, 1)) + ad.Tensor(source.damping * np.eye(source.n))
 
 
-def gates_dense(source, x, training=False, rng=None):
+def gates_dense(source, x, rng=None):
     """A ``ConcreteAdjacency``'s mixing matrix built as an n x n tensor: its
     edge gates scattered, plus damping times the identity."""
     from gcflow import autodiff as ad
 
-    gates = source.realize(x, training=training, rng=rng)
+    gates = source.realize(x, rng)
     matrix = scatter_matrix(gates, source.src, source.dst, (source.n, source.n))
     return matrix + ad.Tensor(source.damping * np.eye(source.n))
 
 
-def forward_dense(model, x, dense_mixing, training=False, rng=None):
+def forward_dense(model, x, dense_mixing, rng=None):
     """``GcFlowModel.forward`` for a parameterized source, with every stage
     mixing through the dense n x n tensor ``dense_mixing(source, x)`` and its
     log|det| from ``logabsdet_dense``; returns the latents, the per-node
@@ -130,14 +130,14 @@ def forward_dense(model, x, dense_mixing, training=False, rng=None):
     flow_logdet = ad.Tensor(np.zeros(x.shape[0]))
     graph_logdet = ad.Tensor(0.0)
     for flow in model.flows:
-        a = dense_mixing(model.adjacency, x, training, rng)
+        a = dense_mixing(model.adjacency, x, rng)
         graph_logdet = graph_logdet + x.shape[1] * logabsdet_dense(a)
-        x, ld = flow.forward(ad.matmul(a, x), training=training, rng=rng)
+        x, ld = flow.forward(ad.matmul(a, x), rng)
         flow_logdet = flow_logdet + ld
     return x, flow_logdet, graph_logdet
 
 
-def stage_matrices(model, x, training=False, rng=None):
+def stage_matrices(model, x, rng=None):
     """Replay ``GcFlowModel.forward`` for a learned source stage by stage and
     return each stage's mixing matrix, A + damping·I as CSR, with A built from
     ``realize``'s values on the source's pattern. Each stage mixes as
@@ -148,21 +148,21 @@ def stage_matrices(model, x, training=False, rng=None):
     pattern, damping = source.pattern, source.damping
     matrices = []
     for flow in model.flows:
-        values = source.realize(x, training=training, rng=rng)
+        values = source.realize(x, rng)
         a = scipy.sparse.csr_matrix((values.data, pattern.indices, pattern.indptr), shape=pattern.shape)
         matrices.append(a + damping * scipy.sparse.identity(pattern.shape[0], format="csr"))
-        x, _ = flow.forward(ad.sparse_matmul(pattern, values, x) + x * damping, training=training, rng=rng)
+        x, _ = flow.forward(ad.sparse_matmul(pattern, values, x) + x * damping, rng)
     return matrices
 
 
-def inverse_replayed(model, x, z, training=False, rng=None):
+def inverse_replayed(model, x, z, rng=None):
     """Undo ``model.forward(x)`` from its latents ``z`` for a learned source:
     each stage inverts its flow, then solves with the matrix
     ``stage_matrices`` rebuilds from the forward's input ``x``."""
     from gcflow import autodiff as ad
 
     y = ad.as_tensor(z)
-    for flow, a in zip(reversed(model.flows), reversed(stage_matrices(model, x, training, rng))):
+    for flow, a in zip(reversed(model.flows), reversed(stage_matrices(model, x, rng))):
         y = ad.Tensor(np.linalg.solve(a.toarray(), flow.inverse(y).data))
     return y
 
@@ -170,7 +170,7 @@ def inverse_replayed(model, x, z, training=False, rng=None):
 # -- an MLP built from unfused ops -----------------------------------------
 
 
-def mlp_unfused(mlp, x, training=False, rng=None):
+def mlp_unfused(mlp, x, rng=None):
     """``mlp`` applied as a product, a broadcast bias add and a tanh whose
     backward is ``(1 - y*y) * g``, each its own node, with the same dropout
     draws as ``Mlp.__call__``."""
@@ -182,7 +182,7 @@ def mlp_unfused(mlp, x, training=False, rng=None):
         if k < last:
             y = np.tanh(x.data)
             x = ad.make_node(y, (x,), (lambda g, y=y: (1.0 - y * y) * g,), "tanh")
-            if training and mlp.dropout > 0.0:
+            if rng is not None and mlp.dropout > 0.0:
                 keep = rng.random(x.shape) >= mlp.dropout
                 x = x * ad.Tensor(keep / (1.0 - mlp.dropout))
     return x

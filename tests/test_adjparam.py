@@ -123,7 +123,7 @@ def test_concrete_stretch_arithmetic_removes_edge():
     # choose the uniform draw whose logistic noise yields a soft gate of 0.05
     eps = 1.0 / (1.0 + np.exp(-source.temperature * np.log(0.05 / 0.95)))
     x = np.random.default_rng(11).normal(size=(4, 2))
-    gates = source.realize(x, training=True, rng=FixedNoise(eps))
+    gates = source.realize(x, rng=FixedNoise(eps))
     assert gates.shape == (6,)
     assert np.all(gates.data == 0.0)  # every edge gated away; the model's damping remains
 
@@ -132,7 +132,7 @@ def test_concrete_low_temperature_saturates_to_one():
     source = adjparam.ConcreteAdjacency(PATH4, dim=2, embed_dim=3, temperature=1e-4, damping=0.0, seed=12)
     for p in source.params():
         p.data[...] = 0.0
-    gates = source.realize(np.zeros((4, 2)), training=True, rng=FixedNoise(0.9))
+    gates = source.realize(np.zeros((4, 2)), rng=FixedNoise(0.9))
     assert gates.shape == (6,)
     assert np.all(gates.data == 1.0)
 
@@ -141,8 +141,8 @@ def test_concrete_entries_in_unit_interval():
     g = graphs.make_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
     source = adjparam.ConcreteAdjacency(g, dim=3, embed_dim=4, seed=13)
     x = np.random.default_rng(14).normal(size=(5, 3)) * 2.0
-    for training in (False, True):
-        gates = source.realize(x, training=training, rng=np.random.default_rng(0))
+    for rng in (None, np.random.default_rng(0)):
+        gates = source.realize(x, rng=rng)
         assert gates.data.min() >= 0.0 and gates.data.max() <= 1.0
     # no gate sits on the diagonal: the model adds the damping there
     assert not np.any(source.src == source.dst)
@@ -181,16 +181,9 @@ def test_concrete_eval_gates_orient_an_edge_but_never_remove_it(temperature):
 def test_concrete_training_noise_is_seed_deterministic():
     make = lambda: adjparam.ConcreteAdjacency(PATH4, dim=2, embed_dim=3, seed=17)
     x = np.random.default_rng(18).normal(size=(4, 2))
-    a1 = make().realize(x, training=True, rng=np.random.default_rng(19)).data
-    a2 = make().realize(x, training=True, rng=np.random.default_rng(19)).data
+    a1 = make().realize(x, rng=np.random.default_rng(19)).data
+    a2 = make().realize(x, rng=np.random.default_rng(19)).data
     assert np.array_equal(a1, a2)
-
-
-def test_concrete_training_realize_needs_rng():
-    source = adjparam.ConcreteAdjacency(PATH4, dim=2, embed_dim=3, seed=17)
-    x = np.random.default_rng(18).normal(size=(4, 2))
-    with pytest.raises(DomainError, match="rng"):
-        source.realize(x, training=True)
 
 
 def test_logabsdet_tensor_identity_and_diagonal():
@@ -309,7 +302,7 @@ def test_marginalization_identity_with_variant_adjacency():
     model = variant_model(source, dim=3, seed=27)
     head = mixture.MixtureHead(3, 3)
     x = np.random.default_rng(28).normal(size=(6, 3))
-    result = model.forward(x, training=True, rng=np.random.default_rng(29))
+    result = model.forward(x, rng=np.random.default_rng(29))
     joint, marginal = (t.data for t in mixture.log_densities(head, result))
     lse = np.log(np.exp(joint - joint.max(axis=1, keepdims=True)).sum(axis=1)) + joint.max(axis=1)
     assert np.abs(lse - marginal).max() < 1e-12
@@ -378,8 +371,8 @@ def test_sparse_mixing_and_logdet_match_the_dense_oracle(n, isolated, density, d
     (adjparam.AttentionAdjacency, attention_dense),
     (adjparam.ConcreteAdjacency, gates_dense),
 ])
-@pytest.mark.parametrize("training", [False, True])
-def test_model_forward_matches_the_dense_route(source_cls, dense_mixing, training):
+@pytest.mark.parametrize("noisy", [False, True])
+def test_model_forward_matches_the_dense_route(source_cls, dense_mixing, noisy):
     g = graphs.make_graph(7, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (1, 3)])  # nodes 5, 6 isolated
     source = source_cls(g, dim=3, embed_dim=4, seed=40)
     model = variant_model(source, dim=3, seed=41)
@@ -394,12 +387,12 @@ def test_model_forward_matches_the_dense_route(source_cls, dense_mixing, trainin
 
     params = model.params()
     ad.zero_grads(params)
-    result = model.forward(x, training=training, rng=np.random.default_rng(43))
+    result = model.forward(x, rng=np.random.default_rng(43) if noisy else None)
     got = scalar(result.z, result.flow_logdet, result.graph_logdet)
     got.backward()
     got_grads = [p.grad.copy() for p in params]
     ad.zero_grads(params)
-    want = scalar(*forward_dense(model, x, dense_mixing, training=training, rng=np.random.default_rng(43)))
+    want = scalar(*forward_dense(model, x, dense_mixing, rng=np.random.default_rng(43) if noisy else None))
     want.backward()
     assert relative_gap(got.data, want.data) <= 1e-12
     for p, g_got in zip(params, got_grads):

@@ -253,6 +253,25 @@ def test_clamp_gradient_mask():
     assert_allclose(x.grad, [0.0, 1.0, 0.0])
 
 
+def test_dropout_is_the_identity_without_an_rng_or_at_rate_zero():
+    a = ad.Tensor(np.ones((3, 4)), requires_grad=True)
+    for out in (ad.dropout(a, 0.5), ad.dropout(a, 0.0, np.random.default_rng(0))):
+        assert out is a and out._parents == ()
+
+
+def test_dropout_masks_and_rescales_from_the_rng():
+    rate = 0.3
+    a = ad.Tensor(np.random.default_rng(1).normal(size=(5, 4)), requires_grad=True)
+    out = ad.dropout(a, rate, np.random.default_rng(2))
+    assert out._parents[0] is a
+    # the mask is scaled before it multiplies, as the node computes it
+    want = a.data * ((np.random.default_rng(2).random(a.shape) >= rate) / (1.0 - rate))
+    assert np.array_equal(out.data, want)
+    weights = ad.Tensor(np.random.default_rng(3).normal(size=(5, 4)))
+    assert ad.grad_check(lambda: ad.tsum(ad.dropout(a, rate, np.random.default_rng(2)) * weights),
+                         [a]) < 1e-6
+
+
 def test_broadcast_add_unbroadcasts_gradient():
     x = ad.Tensor(np.ones((3, 4)), requires_grad=True)
     b = ad.Tensor(np.ones((1, 4)), requires_grad=True)

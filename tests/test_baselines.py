@@ -16,7 +16,6 @@ from gcflow.baselines import (
 from gcflow.errors import (
     ConfigError,
     DegenerateComponentError,
-    DomainError,
     ShapeError,
     SingularMatrixError,
 )
@@ -83,16 +82,14 @@ def test_gcn_rejects_row_mismatch():
         model.forward(np.zeros((4, 3)))
 
 
-def test_gcn_dropout_needs_rng_and_perturbs_training_only():
+def test_gcn_dropout_perturbs_only_a_forward_with_an_rng():
     rng = np.random.default_rng(5)
     x = rng.normal(size=(6, 3))
     model = GcnModel(ring_adjacency(6), [3, 5, 2], dropout=0.5, seed=5)
-    with pytest.raises(DomainError):
-        model.forward(x, training=True)[0]
     eval_a = model.forward(x)[0].data
     eval_b = model.forward(x)[0].data
     assert np.array_equal(eval_a, eval_b)
-    trained = model.forward(x, training=True, rng=np.random.default_rng(0))[0].data
+    trained = model.forward(x, rng=np.random.default_rng(0))[0].data
     assert not np.array_equal(eval_a, trained)
 
 

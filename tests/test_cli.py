@@ -279,6 +279,34 @@ def test_train_rejects_a_manifest_with_non_integer_sizes(synth_dir, tmp_path, ca
     assert "gcflow: error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value", [(None, 3), ("features", 5), ("edges", None), ("test", ["test.txt"])],
+                         ids=["manifest-a-number", "features-a-number", "edges-null", "test-a-list"])
+def test_train_rejects_a_manifest_that_is_not_an_object_of_file_names(synth_dir, tmp_path, capsys, key, value):
+    manifest = json.loads((synth_dir / "manifest.json").read_text())
+    bad = tmp_path / "manifest.json"
+    bad.write_text(json.dumps(value if key is None else {**manifest, key: value}))
+    rc = main(["train", "--data", str(bad), "--out", str(tmp_path / "run")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(f"gcflow: error: {bad}: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen-synth", "--out", "{tmp}/ds", "--seed", "-1"],
+    ["gen-synth", "--out", "{tmp}/ds", "--noise", "nan"],
+    ["cluster", "--embedding", "{tmp}/z.bin", "--k", "2", "--seed", "-1"],
+], ids=["gen-synth-seed", "gen-synth-noise", "cluster-seed"])
+def test_gen_synth_and_cluster_reject_a_negative_seed_or_nan_noise(tmp_path, capsys, argv):
+    from gcflow.data import write_features
+
+    write_features(tmp_path / "z.bin", np.random.default_rng(3).normal(size=(10, 2)))
+    rc = main([a.format(tmp=tmp_path) for a in argv])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err.startswith("gcflow: error: ")
+    assert captured.out == ""
+    assert not (tmp_path / "ds").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["train", "--data", "{dir}", "--out", "{tmp}/run"],
     ["eval", "--checkpoint", "{dir}", "--data", "{manifest}"],

@@ -137,6 +137,20 @@ def test_csv_features_load(tmp_path):
     assert np.array_equal(again.features, loaded.features)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_features_rejected(tmp_path, bad):
+    _, root = write_tiny_tree(tmp_path)
+    x = np.arange(8.0).reshape(4, 2)
+    x[2, 1] = bad
+    write_features(root / "features.bin", x)
+    (root / "features.csv").write_text("".join(f"{a!r},{b!r}\n" for a, b in x.tolist()))
+    manifest = json.loads((root / "manifest.json").read_text())
+    for name in ("features.bin", "features.csv"):
+        (root / "manifest.json").write_text(json.dumps({**manifest, "features": name}))
+        with pytest.raises(FormatError, match=f"^{re.escape(str(root / name))}: 1 non-finite .* row 2, column 1$"):
+            load_dataset(root / "manifest.json")
+
+
 def test_missing_file_raises_filenotfound(tmp_path):
     _, root = write_tiny_tree(tmp_path)
     (root / "labels.csv").unlink()
@@ -207,6 +221,14 @@ def test_sbm_config_validation():
         SbmConfig(separation=0.0)
     with pytest.raises(DomainError):
         SbmConfig(noise=-1.0)
+    for name in ("separation", "noise"):
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(DomainError, match=name):
+                SbmConfig(**{name: value})
+    with pytest.raises(DomainError, match="dim=0"):
+        SbmConfig(dim=0)
+    with pytest.raises(DomainError, match="seed"):
+        SbmConfig(seed=-1)
 
 
 def test_sbm_extremes_give_disjoint_cliques():

@@ -47,7 +47,7 @@ class MixStub:
         self.n = n
         self.w = ad.Tensor(0.2, requires_grad=True)
 
-    def mix(self, x, training=False, rng=None, logdet=True):
+    def mix(self, x, rng=None, logdet=True):
         scale = ad.exp(self.w) * (ad.Tensor(1.0) + ad.tsum(x) * (0.1 / x.data.size))
         return x * scale, (ad.log(scale) * self.n if logdet else None)
 
@@ -68,7 +68,7 @@ def test_mlp_affine_layers_equal_the_unfused_ops_bit_for_bit(dropout):
     runs = []
     for net in (mlp, lambda t, **kw: mlp_unfused(mlp, t, **kw)):
         ad.zero_grads(mlp.params() + [x])
-        out = net(x, training=True, rng=np.random.default_rng(1))
+        out = net(x, rng=np.random.default_rng(1))
         ad.tsum(out * weights).backward()
         runs.append([out.data] + [p.grad.copy() for p in mlp.params() + [x]])
     assert all(np.array_equal(a, b) for a, b in zip(*runs))
@@ -249,19 +249,19 @@ def test_mix_only_source_drives_forward_logdet_and_gradients():
 
 
 def test_input_dependent_source_roundtrip():
-    # gate noise is drawn in training mode: the reference inverse replays
+    # a forward handed an rng draws gate noise: the reference inverse replays
     # the forward with a generator seeded alike to rebuild each stage matrix
     n, dim = 4, 3
     g = graphs.make_graph(n, [(0, 1), (1, 2), (2, 3), (0, 3)])
     source = adjparam.ConcreteAdjacency(g, dim, embed_dim=3, damping=1.0, seed=18)
     model = flows.build_gcflow(2, dim, hidden=5, net_layers=2, adjacency=source, seed=18)
     x = np.random.default_rng(19).normal(size=(n, dim))
-    result = model.forward(x, training=True, rng=np.random.default_rng(24))
-    assert len(stage_matrices(model, x, training=True, rng=np.random.default_rng(24))) == 2
+    result = model.forward(x, rng=np.random.default_rng(24))
+    assert len(stage_matrices(model, x, rng=np.random.default_rng(24))) == 2
     for adjacency in (source, MixStub(n)):
         with pytest.raises(ShapeError):
             flows.GcFlowModel(model.flows, adjacency=adjacency).inverse(result.z)
-    back = inverse_replayed(model, x, result.z, training=True, rng=np.random.default_rng(24))
+    back = inverse_replayed(model, x, result.z, rng=np.random.default_rng(24))
     assert np.abs(back.data - x).max() < 1e-8
 
 
