@@ -15,7 +15,9 @@ Neither construction adds edges: ``realize`` returns one value per entry
 of the CSR ``pattern``, the directed edges in ``directed_edges`` order.
 ``EdgeSource.mix``, called by every model stage, mixes with that matrix plus
 ``damping`` times the identity (rows of a softmax-normalized matrix sum to 1
-and exact singularity is otherwise common) and returns its log|det|.
+and exact singularity is otherwise common). It returns, beside the mixed
+features, a function that computes the matrix's log|det|: only a likelihood
+calls it, so a forward that is not scored never factors.
 Embedding weights are shared across stages; the values still differ per
 stage because each stage feeds its own features in.
 """
@@ -50,12 +52,12 @@ class EdgeSource:
         self.pattern = scipy.sparse.csr_matrix(
             (np.ones(self.src.size), (self.src, self.dst)), shape=(self.n, self.n))
 
-    def mix(self, x, rng=None, logdet=True):
+    def mix(self, x, rng=None):
         """Mix ``x`` by ``realize``'s matrix plus damping times the identity;
-        also its differentiable log|det| when ``logdet``, else None."""
+        also a function that factors that matrix for its differentiable log|det|."""
         values = self.realize(x, rng)
         mixed = ad.sparse_matmul(self.pattern, values, x) + x * self.damping
-        return mixed, (logabsdet_tensor(self.pattern, values, self.damping) if logdet else None)
+        return mixed, lambda: logabsdet_tensor(self.pattern, values, self.damping)
 
 
 class AttentionAdjacency(EdgeSource):

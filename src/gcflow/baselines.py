@@ -70,7 +70,7 @@ class GcnModel:
             if idx == len(self.weights) - 1:
                 penultimate = h.data
             h = ad.dropout(h, self.dropout, rng)
-            h = self.adjacency.mix(h, logdet=False)[0] @ w
+            h = self.adjacency.mix(h)[0] @ w
             if idx < len(self.weights) - 1:
                 h = ad.relu(h)
         return ad.row_softmax(h), penultimate
@@ -212,7 +212,7 @@ class EmReference:
 
     def represent(self, x):
         """The features the mixture is fitted on."""
-        return x if self.adjacency is None else self.adjacency.mix(x, logdet=False)[0].data
+        return x if self.adjacency is None else self.adjacency.mix(x)[0].data
 
     def fit(self, x, labels, labeled):
         """EM from the labeled per-class feature means, then the class mapping.

@@ -12,6 +12,7 @@ saved values overwrite the fresh initialization.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import fields
 
 import numpy as np
@@ -55,7 +56,9 @@ def load_checkpoint(path, graph) -> TrainedModel:
     """Rebuild a trained model against the graph it was trained on.
 
     Refuses, with ``FormatError``, any other checkpoint format, any graph
-    whose node count or edge list differs from the saved one, and saved
+    whose node count or edge list differs from the saved one, a ``dim`` or
+    ``classes`` that is not a positive integer, a ``damping_used`` that is
+    not a finite non-negative number, non-finite parameter values, and saved
     values that do not fit the model; for an EM reference, those are also
     weights that are not a probability vector, covariances that are not
     symmetric positive definite, and a mapping that is not integer classes.
@@ -73,10 +76,13 @@ def load_checkpoint(path, graph) -> TrainedModel:
         if saved != given:
             raise FormatError(f"{path}: saved for the graph {saved}, not for the given graph {given}")
         cfg = TrainConfig(**payload["config"])
-        tm = assemble_model(
-            cfg, graph, int(payload["dim"]), int(payload["classes"]),
-            damping_used=payload["damping_used"],
-        )
+        dim, classes, damping_used = payload["dim"], payload["classes"], payload["damping_used"]
+        if not (type(dim) is type(classes) is int and min(dim, classes) >= 1):
+            raise ValueError(f"dim {dim!r} and classes {classes!r} must be positive integers")
+        # None would rebuild the adjacency as training does, factoring it and maybe re-damping it
+        if type(damping_used) not in (int, float) or not 0.0 <= damping_used < math.inf:
+            raise ValueError(f"damping_used must be a finite non-negative number, got {damping_used!r}")
+        tm = assemble_model(cfg, graph, dim, classes, damping_used=damping_used)
         if payload["pca"] is not None:
             tm.pca = PcaProjection(*(np.asarray(payload["pca"][f.name], dtype=np.float64)
                                      for f in fields(PcaProjection)))
@@ -89,6 +95,8 @@ def load_checkpoint(path, graph) -> TrainedModel:
             arr = np.asarray(value, dtype=np.float64)
             if arr.shape != p.data.shape:
                 raise FormatError(f"{path}: parameter array is {arr.shape}, model expects {p.data.shape}")
+            if not np.all(np.isfinite(arr)):
+                raise FormatError(f"{path}: a parameter array holds non-finite values")
             p.data[...] = arr
         if isinstance(tm.model, EmReference):
             gmm = payload["gmm"]

@@ -19,7 +19,7 @@ from dataclasses import fields
 from pathlib import Path
 
 from .data import (
-    SbmConfig, data_lines, generate_sbm, load_dataset, read_features, read_int_lines, save_dataset,
+    SbmConfig, data_lines, generate_sbm, load_dataset, read_features, read_labels, save_dataset,
     write_features,
 )
 from .errors import ConfigError, DivergedError, FormatError, GcFlowError
@@ -145,7 +145,7 @@ def cmd_cluster(args):
     if not args.labels:
         payload["silhouette_kmeans"] = silhouette(points, assign)
     else:
-        labels = read_int_lines(args.labels)
+        labels = read_labels(args.labels)
         if labels.size != points.shape[0]:
             raise FormatError(
                 f"{args.labels} has {labels.size} labels for {points.shape[0]} points"

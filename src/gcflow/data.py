@@ -138,6 +138,17 @@ def read_int_lines(path):
     return np.array(values, dtype=np.intp)
 
 
+def read_labels(path):
+    """Class ids, one per line as ``read_int_lines`` reads them; -1 marks an
+    unknown label, and a label below -1 raises ``FormatError`` naming the file."""
+    labels = read_int_lines(path)
+    below = np.flatnonzero(labels < -1)
+    if below.size:
+        raise FormatError(f"{path}: label {labels[below[0]]} at entry {below[0] + 1}; "
+                          "-1 marks an unknown label, and none is below it")
+    return labels
+
+
 def load_edge_list(path):
     """Tab-separated node-id pairs ("i<TAB>j"), one per line, as ``data_lines`` reads them."""
     pairs = []
@@ -201,10 +212,11 @@ def load_dataset(manifest_path) -> Dataset:
         raise FormatError(f"{base / manifest['features']}: {len(bad)} non-finite feature values, "
                           f"the first at row {bad[0, 0]}, column {bad[0, 1]}")
     try:
-        graph = make_graph(n, load_edge_list(base / manifest["edges"]))
+        # the reader's ids are ints, so as an array they skip make_graph's search of a list for bools
+        graph = make_graph(n, np.asarray(load_edge_list(base / manifest["edges"])))
     except DomainError as exc:
         raise FormatError(f"edge list: {exc}") from None
-    labels = read_int_lines(base / manifest["labels"])
+    labels = read_labels(base / manifest["labels"])
     if labels.shape[0] != n:
         raise FormatError(f"labels file has {labels.shape[0]} entries, expected {n}")
     masks = {

@@ -17,6 +17,7 @@ the full map numerically and takes the determinant of the resulting
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -147,15 +148,19 @@ class ForwardResult:
     """Everything the forward pass produces.
 
     ``z``: latent features, n x D. ``flow_logdet``: length-n tensor of
-    per-node coupling log-determinants. ``graph_logdet``: scalar tensor,
-    D times the summed stage log-determinants that ``mix`` returned (zero
-    for the identity), or None when the forward was asked to skip them
-    (``logdet=False``).
+    per-node coupling log-determinants. ``stage_logdets``: one function per
+    mixing stage, as ``mix`` returned it, that gives the stage's log|det|.
+    ``graph_logdet``, read only by a likelihood, calls them on its first read:
+    a scalar tensor, D times their sum in stage order (zero for the identity).
     """
 
     z: ad.Tensor
     flow_logdet: ad.Tensor
-    graph_logdet: ad.Tensor | None
+    stage_logdets: list
+
+    @cached_property
+    def graph_logdet(self) -> ad.Tensor:
+        return sum((self.z.shape[1] * stage_logdet() for stage_logdet in self.stage_logdets), ad.Tensor(0.0))
 
 
 class GcFlowModel:
@@ -163,13 +168,11 @@ class GcFlowModel:
 
     ``adjacency`` is None (identity mixing, the plain-flow special case), a
     NormalizedAdjacency (fixed mixing) or a learned ``adjparam`` source, which
-    also has ``params()``. Each stage mixes by ``mix(x, rng, logdet)`` (the
-    features and the stage's log|det|, None unless ``logdet``), then applies
-    its flow. Noise is drawn from ``rng`` alone: a forward without one is inference.
-
-    ``forward(..., logdet=False)`` skips the adjacency log-determinants,
-    which for a learned source cost one dense LU per stage. Only a
-    likelihood needs them; latents and class posteriors do not.
+    also has ``params()``. Each stage mixes by ``mix(x, rng)``, which returns
+    the features and a function for the stage's log|det|, then applies its
+    flow. Noise is drawn from ``rng`` alone: a forward without one is
+    inference. No log|det| is computed until the result's ``graph_logdet``
+    is read, so latents and class posteriors never pay for one.
     """
 
     def __init__(self, flows, adjacency=None):
@@ -184,21 +187,20 @@ class GcFlowModel:
     def num_flows(self):
         return len(self.flows)
 
-    def forward(self, x, rng=None, logdet=True) -> ForwardResult:
+    def forward(self, x, rng=None) -> ForwardResult:
         x = ad.as_tensor(x)
         n, dim = x.shape
         if self.dim is not None and dim != self.dim:
             raise ShapeError(f"model expects {self.dim} features, got {dim}")
         flow_logdet = ad.Tensor(np.zeros(n))
-        graph_logdet = ad.Tensor(0.0) if logdet else None
+        stage_logdets = []
         for flow in self.flows:
             if self.adjacency is not None:
-                x, stage_logdet = self.adjacency.mix(x, rng=rng, logdet=logdet)
-                if logdet:
-                    graph_logdet = graph_logdet + dim * stage_logdet
+                x, stage_logdet = self.adjacency.mix(x, rng=rng)
+                stage_logdets.append(stage_logdet)
             x, ld = flow.forward(x, rng)
             flow_logdet = flow_logdet + ld
-        return ForwardResult(z=x, flow_logdet=flow_logdet, graph_logdet=graph_logdet)
+        return ForwardResult(z=x, flow_logdet=flow_logdet, stage_logdets=stage_logdets)
 
     def inverse(self, z):
         """Undo forward for identity or fixed mixing; a learned source's stage

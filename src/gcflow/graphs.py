@@ -2,17 +2,17 @@
 
 A graph's normalized adjacency is the mixing matrix applied to node features
 before each constituent flow. Both normalizations add self-loops first, so a
-stored edge list never contains them. The log absolute determinant of the
-normalized adjacency enters the model's likelihood, so ``normalize_row`` and
-``normalize_sym`` reject singular matrices; damping (adding a small multiple
-of the identity) is the supported remediation. The adjacency itself is a CSR
-matrix built from the edge list, and its log|det| is factored only when
-first read.
+stored edge list never contains them. The adjacency itself is a CSR
+matrix built from the edge list. Its log absolute determinant enters the
+model's likelihood, and it is factored only when first read: that read is
+where a singular matrix raises ``SingularMatrixError``, and damping (adding a
+small multiple of the identity) is the supported remediation.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import warnings
 from dataclasses import dataclass
 
@@ -39,17 +39,22 @@ def make_graph(n, edges) -> Graph:
     Pairs are deduplicated regardless of orientation and stored with the
     smaller endpoint first, sorted. Self-loops are rejected: normalization
     adds its own, and a doubled diagonal would silently change the model.
-    The first bad pair, in input order, is the one reported.
+    The first bad pair, in input order, is the one reported. Node ids must
+    be integers: a float or bool id is refused, never truncated.
     """
     if n < 1:
         raise DomainError(f"graph needs at least one node, got n={n}")
     try:
-        pairs = np.asarray(edges, dtype=np.intp)
+        pairs = np.asarray(edges)
+        # numpy reads a list that mixes bools with ints as ints, so a list's own entries are read too
+        if pairs.size and (pairs.dtype.kind not in "iu" or not isinstance(edges, np.ndarray)
+                           and {bool, np.bool_} & set(map(type, itertools.chain.from_iterable(edges)))):
+            raise TypeError
     except (TypeError, ValueError, OverflowError):
         raise DomainError("edges must be (i, j) pairs of integer node ids") from None
     if pairs.size and pairs.shape[1:] != (2,):
         raise DomainError(f"edges must be (i, j) pairs of node ids, got an array of shape {pairs.shape}")
-    pairs = pairs.reshape(-1, 2)
+    pairs = pairs.reshape(-1, 2).astype(np.intp, copy=False)
     loops = pairs[:, 0] == pairs[:, 1]
     bad = np.flatnonzero(loops | ((pairs < 0) | (pairs >= n)).any(axis=1))
     if bad.size:
@@ -79,30 +84,21 @@ def fingerprint(g: Graph) -> dict:
 
 
 class NormalizedAdjacency:
-    """A nonsingular mixing matrix, held as CSR, with a lazy log|det|.
+    """A normalized mixing matrix, held as CSR, with a lazy log|det|.
 
-    ``sparse`` is the CSR matrix that ``mix`` multiplies feature matrices by.
-    ``log_abs_det`` is factored densely (O(n³)) on first read and cached;
-    only a likelihood reads it, so inference never pays for it. ``scheme``
-    records how the matrix was built ("row-normalized", "symmetric", or
-    "external") and ``damping`` the total multiple of the identity added
-    after normalization (0.0 when none).
-    Dense or sparse input is accepted; NaN or infinite entries raise
-    ``DomainError``.
+    Built only by ``normalize_row`` and ``normalize_sym``. ``sparse`` is the
+    CSR matrix that ``mix`` multiplies feature matrices by. ``log_abs_det``
+    is factored densely (O(n³)) on first read and cached; only a likelihood
+    reads it, so inference never pays for it, and that read is where a
+    singular matrix raises ``SingularMatrixError``. ``scheme`` records how
+    the matrix was built ("row-normalized" or "symmetric") and ``damping``
+    the multiple of the identity added after normalization (0.0 when none).
     """
 
-    def __init__(self, matrix, scheme, damping=0.0):
-        if not scipy.sparse.issparse(matrix):
-            matrix = np.asarray(matrix, dtype=np.float64)
-            if matrix.ndim != 2:
-                raise ShapeError(f"adjacency must be square, got {matrix.shape}")
-        self.sparse = scipy.sparse.csr_matrix(matrix, dtype=np.float64)
-        if self.sparse.shape[0] != self.sparse.shape[1]:
-            raise ShapeError(f"adjacency must be square, got {self.sparse.shape}")
-        if not np.all(np.isfinite(self.sparse.data)):
-            raise DomainError(f"{scheme} adjacency has non-finite entries")
+    def __init__(self, matrix, scheme, damping):
+        self.sparse = matrix
         self.scheme = scheme
-        self.damping = float(damping)
+        self.damping = damping
         self._log_abs_det = None
 
     @property
@@ -112,19 +108,23 @@ class NormalizedAdjacency:
     @property
     def log_abs_det(self):
         if self._log_abs_det is None:
-            self._log_abs_det = log_abs_det(self.sparse.toarray())
+            try:
+                self._log_abs_det = log_abs_det(self.sparse.toarray())
+            except SingularMatrixError:
+                hint = "increase damping" if self.damping else "pass a small damping value"
+                raise SingularMatrixError(f"{self.scheme} adjacency is singular; {hint}") from None
         return self._log_abs_det
 
-    def mix(self, x, rng=None, logdet=True):
-        """The matrix times ``x``, and its cached log|det| when ``logdet``,
-        else None; fixed mixing draws no noise, so ``rng`` goes unused."""
-        return ad.sparse_matmul(self.sparse, self.sparse.data, x), (self.log_abs_det if logdet else None)
+    def mix(self, x, rng=None):
+        """The matrix times ``x``, and a function that reads its cached
+        log|det|; fixed mixing draws no noise, so ``rng`` goes unused."""
+        return ad.sparse_matmul(self.sparse, self.sparse.data, x), lambda: self.log_abs_det
 
     def __repr__(self):
         return f"NormalizedAdjacency(n={self.n}, scheme={self.scheme!r}, damping={self.damping})"
 
 
-def _normalized(g: Graph, scheme, damping, check):
+def _normalized(g: Graph, scheme, damping):
     """CSR of the normalized A + I built from the edge list in one pass.
 
     With d = degree + 1, entry (i, j) of A + I becomes 1/d_i (row scheme) or
@@ -133,8 +133,8 @@ def _normalized(g: Graph, scheme, damping, check):
     so the stored entries and the log|det| come out bit-identical to it.
     """
     damping = float(damping)
-    if not damping >= 0.0:
-        raise DomainError(f"damping must be non-negative, got {damping}")
+    if not 0.0 <= damping < np.inf:
+        raise DomainError(f"damping must be non-negative and finite, got {damping}")
     edges, loops = g.edges, np.arange(g.n)
     rows = np.concatenate([edges[:, 0], edges[:, 1], loops])
     cols = np.concatenate([edges[:, 1], edges[:, 0], loops])
@@ -147,32 +147,23 @@ def _normalized(g: Graph, scheme, damping, check):
     if damping:
         values[rows == cols] += damping
     matrix = scipy.sparse.csr_matrix((values, (rows, cols)), shape=(g.n, g.n))
-    adj = NormalizedAdjacency(matrix, scheme=scheme, damping=damping)
-    if check:
-        try:
-            adj.log_abs_det
-        except SingularMatrixError:
-            hint = "increase damping" if damping else "pass a small damping value"
-            raise SingularMatrixError(f"{scheme} adjacency is singular; {hint}") from None
-    return adj
+    return NormalizedAdjacency(matrix, scheme, damping)
 
 
-def normalize_row(g: Graph, damping=0.0, check=True) -> NormalizedAdjacency:
+def normalize_row(g: Graph, damping=0.0) -> NormalizedAdjacency:
     """Row-stochastic normalization (D+I)^-1 (A+I), plus optional damping.
 
-    Some graphs (the triangle, for one) normalize to a singular matrix;
-    ``damping`` adds that multiple of the identity to restore invertibility.
-    The result's log|det| is read here, so a singular matrix raises
-    ``SingularMatrixError``; ``check=False`` skips that factorization, for a
-    (graph, damping) pair already known to be nonsingular.
+    Some graphs (the triangle, for one) normalize to a singular matrix, whose
+    ``log_abs_det`` raises ``SingularMatrixError`` when read; ``damping``
+    adds that multiple of the identity to restore invertibility.
     """
-    return _normalized(g, "row-normalized", damping, check)
+    return _normalized(g, "row-normalized", damping)
 
 
-def normalize_sym(g: Graph, damping=0.0, check=True) -> NormalizedAdjacency:
+def normalize_sym(g: Graph, damping=0.0) -> NormalizedAdjacency:
     """Symmetric normalization D^-1/2 (A+I) D^-1/2 with self-loops in D;
-    damping and ``check`` as for ``normalize_row``."""
-    return _normalized(g, "symmetric", damping, check)
+    damping as for ``normalize_row``."""
+    return _normalized(g, "symmetric", damping)
 
 
 def logabsdet_tensor(pattern, values, damping=0.0):

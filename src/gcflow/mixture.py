@@ -93,8 +93,6 @@ def component_logpdf_matrix(head: MixtureHead, z) -> ad.Tensor:
 
 def share_rows(result) -> ad.Tensor:
     """Per-node log-determinant: own coupling part plus adjacency share."""
-    if result.graph_logdet is None:
-        raise DomainError("forward result has no graph log-determinant (run with logdet=False)")
     n = result.flow_logdet.shape[0]
     return result.flow_logdet + result.graph_logdet * (1.0 / n)
 
@@ -126,14 +124,14 @@ def _finite(z) -> np.ndarray:
 
 
 def _latents(model, x) -> np.ndarray:
-    """Latent features from a forward that records no tape and skips the
-    graph log-determinant, which neither latents nor posteriors need.
+    """Latent features from a forward that records no tape; its graph
+    log-determinant, which neither latents nor posteriors need, is never read.
 
     Without the log-det's factorization nothing else would notice a broken
     mixing matrix, so non-finite latents raise ``DomainError``.
     """
     with ad.no_grad():
-        return _finite(model.forward(x, logdet=False).z.data)
+        return _finite(model.forward(x).z.data)
 
 
 def _classify(head: MixtureHead, z) -> np.ndarray:

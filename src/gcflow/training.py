@@ -222,26 +222,8 @@ class TrainedModel:
 # -- model assembly -----------------------------------------------------
 
 
-def build_adjacency(graph, scheme, damping=0.0, replay=False):
-    """Normalize per the scheme; a singular result is retried with damping.
-
-    ``replay`` rebuilds the adjacency a saved model trained with, at the
-    damping it used. Training already proved that pair nonsingular, so no
-    log-determinant is factored.
-    """
-    fn = normalize_row if scheme == "row" else normalize_sym
-    if replay:
-        return fn(graph, damping=damping, check=False), float(damping)
-    try:
-        return fn(graph, damping=damping), float(damping)
-    except SingularMatrixError:
-        eps = DEFAULT_DAMPING if damping == 0.0 else 10.0 * damping
-        return fn(graph, damping=eps), eps
-
-
 # A kind's ``mixing(cfg, graph, dim, damping_used)`` returns its mixing source (None
-# for none) and the damping it holds; a saved ``damping_used`` replays a fixed
-# adjacency without factoring it. ``build(cfg, source, dim, classes)`` returns the
+# for none) and the damping it holds. ``build(cfg, source, dim, classes)`` returns the
 # untrained model, and ``hidden`` and ``dropout`` serve a config that sets neither.
 # The builders look ``normalize_*`` and the adjacency classes up when called, so
 # rebinding those names reaches every kind.
@@ -252,8 +234,18 @@ def _no_mixing(cfg, graph, dim, damping_used):
 
 
 def _fixed_mixing(cfg, graph, dim, damping_used):
-    replay = damping_used is not None
-    return build_adjacency(graph, cfg.adjacency, damping_used if replay else cfg.damping, replay=replay)
+    """The normalized adjacency; a saved ``damping_used`` replays it unfactored.
+    Otherwise its log|det| is read here, the one set-up factorization, and a
+    singular matrix is retried once with damping."""
+    normalize = normalize_row if cfg.adjacency == "row" else normalize_sym
+    adj = normalize(graph, damping=cfg.damping if damping_used is None else damping_used)
+    if damping_used is None:
+        try:
+            adj.log_abs_det
+        except SingularMatrixError:
+            adj = normalize(graph, damping=DEFAULT_DAMPING if cfg.damping == 0.0 else 10.0 * cfg.damping)
+            adj.log_abs_det
+    return adj, adj.damping
 
 
 def _attention(cfg, graph, dim, damping_used):

@@ -34,8 +34,9 @@ def random_graph(rng, n, max_cond=None):
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
         keep = [p for p in pairs if rng.random() < 0.6]
         g = make_graph(n, keep or [pairs[0]])
+        adj = normalize_row(g)
         try:
-            adj = normalize_row(g)
+            adj.log_abs_det
         except SingularMatrixError:
             if max_cond is None:
                 return normalize_row(g, damping=1e-2)

@@ -1,10 +1,10 @@
 """Reference implementations the optimized code is checked against: dense
-adjacency constructions and the identity mixing matrix, a counter of the
-dense factorizations the graph module runs, the dense n x n mixing route of
-the parameterized sources and their stage-replaying inverse, an MLP built
-from unfused ops, per-vector mixture densities, the block-model sampler's
-single full-matrix draw, and the two-forward training loop and two-pass
-evaluate."""
+adjacency constructions, the identity mixing matrix and a dense mixing
+source, a counter of the dense factorizations the graph module runs, the
+dense n x n mixing route of the parameterized sources and their
+stage-replaying inverse, an MLP built from unfused ops, per-vector mixture
+densities, the block-model sampler's single full-matrix draw, and the
+two-forward training loop and two-pass evaluate."""
 
 import numpy as np
 import scipy.sparse
@@ -41,7 +41,20 @@ def normalized_dense(g, scheme, damping=0.0):
 
 def identity_adjacency(n):
     """The n x n identity as a mixing matrix: mixing with it changes nothing."""
-    return graphs.NormalizedAdjacency(scipy.sparse.identity(n, format="csr"), scheme="external")
+    return graphs.normalize_row(graphs.make_graph(n, []))
+
+
+class DenseMixing:
+    """A fixed mixing matrix held dense, as a mixing source: ``mix`` gives
+    the product and a function for the matrix's log|det|."""
+
+    def __init__(self, m):
+        self.m = m
+
+    def mix(self, x, rng=None):
+        from gcflow import autodiff as ad
+
+        return ad.matmul(ad.Tensor(self.m), x), lambda: graphs.log_abs_det(self.m)
 
 
 def count_factorizations(monkeypatch):

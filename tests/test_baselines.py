@@ -27,10 +27,12 @@ from oracles import identity_adjacency
 def ring_adjacency(n):
     # even rings are singular under row normalization, so damp those
     g = make_graph(n, [(i, (i + 1) % n) for i in range(n)])
+    adj = normalize_row(g)
     try:
-        return normalize_row(g)
+        adj.log_abs_det
     except SingularMatrixError:
         return normalize_row(g, damping=1e-2)
+    return adj
 
 
 # -- graph-convolutional classifier -------------------------------------

@@ -243,6 +243,20 @@ def test_cluster_rejects_a_malformed_labels_file(tmp_path, capsys):
     assert captured.out == ""
 
 
+def test_cluster_rejects_a_label_below_minus_one(tmp_path, capsys):
+    from gcflow.data import write_features
+
+    emb = tmp_path / "z.bin"
+    write_features(emb, np.random.default_rng(2).normal(size=(3, 2)))
+    labels = tmp_path / "labels.csv"
+    labels.write_text("0\n-2\n1\n")
+    rc = main(["cluster", "--embedding", str(emb), "--k", "2", "--labels", str(labels)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err.startswith(f"gcflow: error: {labels}: label -2 at entry 2;")
+    assert captured.out == ""
+
+
 def test_cluster_rejects_non_finite_embedding(tmp_path, capsys):
     from gcflow.data import write_features
 

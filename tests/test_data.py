@@ -195,6 +195,14 @@ def test_label_beyond_class_count_rejected(tmp_path):
         load_dataset(root / "manifest.json")
 
 
+def test_label_below_minus_one_rejected(tmp_path):
+    # -1 marks an unknown label; -7 is not one, though it once scored as unknown
+    _, root = write_tiny_tree(tmp_path)
+    (root / "labels.csv").write_text("0\n0\n1\n-7\n")
+    with pytest.raises(FormatError, match=f"^{re.escape(str(root / 'labels.csv'))}: label -7 at entry 4"):
+        load_dataset(root / "manifest.json")
+
+
 def test_mask_index_out_of_range_rejected(tmp_path):
     _, root = write_tiny_tree(tmp_path)
     (root / "test.txt").write_text("9\n")

@@ -57,6 +57,11 @@ def test_make_graph_refuses_what_is_not_pairs():
         graphs.make_graph(4, [(0, 1), (1, 2, 3)])
     with pytest.raises(DomainError, match="pairs"):
         graphs.make_graph(4, [(0, "x")])
+    # ids are not truncated: (0, 1.5) is not the edge (0, 1), nor (True, 2) the edge (1, 2)
+    for edges in ([(0, 1.5)], [(True, 2)], np.array([[0.0, 1.0]]), np.array([[True, False]])):
+        with pytest.raises(DomainError, match="pairs of integer node ids"):
+            graphs.make_graph(3, edges)
+    assert graphs.make_graph(3, []).edges.shape == (0, 2)
 
 
 # the first bad pair in input order is reported, as a self-loop if it is one
@@ -114,8 +119,10 @@ def test_normalize_row_path3():
 
 
 def test_normalize_row_triangle_singular():
-    with pytest.raises(SingularMatrixError):
-        graphs.normalize_row(triangle())
+    # the build factors nothing; reading the log-determinant finds the singularity
+    adj = graphs.normalize_row(triangle())
+    with pytest.raises(SingularMatrixError, match="damping"):
+        adj.log_abs_det
 
 
 def test_normalize_sym_path3():
@@ -149,7 +156,7 @@ def test_damping_rescues_singular_triangle():
 
 def test_normalize_rejects_negative_or_nan_damping():
     for norm in (graphs.normalize_row, graphs.normalize_sym):
-        for damping in (-1e-3, float("nan")):
+        for damping in (-1e-3, float("nan"), float("inf")):
             with pytest.raises(DomainError, match="damping"):
                 norm(path3(), damping=damping)
 
@@ -215,7 +222,7 @@ def test_normalized_log_abs_det_identity_on_random_graphs(n, density, epsilon, n
         want = graphs.log_abs_det(a + np.eye(n) + epsilon * np.diag(d)) - np.log(d).sum()
     except SingularMatrixError:
         with pytest.raises(SingularMatrixError):
-            norm(g, damping=epsilon)
+            norm(g, damping=epsilon).log_abs_det
         return
     got = norm(g, damping=epsilon).log_abs_det
     assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
@@ -241,23 +248,20 @@ def test_csr_build_matches_dense_oracle_bit_for_bit(n, isolated, density, epsilo
     norm = graphs.normalize_row if scheme == "row" else graphs.normalize_sym
     oracle = normalized_dense(g, scheme, epsilon)
     want = scipy.sparse.csr_matrix(oracle)
-    unchecked = norm(g, damping=epsilon, check=False)
-    got = unchecked.sparse
+    adj = norm(g, damping=epsilon)
+    got = adj.sparse
     assert got.has_canonical_format
     for field in ("indptr", "indices", "data"):
         assert getattr(got, field).dtype == getattr(want, field).dtype
         assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
-    assert unchecked.sparse.toarray().tobytes() == oracle.tobytes()
+    assert adj.sparse.toarray().tobytes() == oracle.tobytes()
     try:
         want_logdet = graphs.log_abs_det(oracle)
     except SingularMatrixError:
         with pytest.raises(SingularMatrixError, match="damping"):
-            norm(g, damping=epsilon)
-        with pytest.raises(SingularMatrixError):
-            unchecked.log_abs_det
+            adj.log_abs_det
         return
-    assert norm(g, damping=epsilon).log_abs_det == want_logdet
-    assert unchecked.log_abs_det == want_logdet
+    assert adj.log_abs_det == want_logdet
 
 
 @settings(derandomize=True, deadline=None, max_examples=80)
@@ -275,29 +279,15 @@ def test_directed_edges_match_the_sorted_set_of_both_orientations(n, density, se
 
 def test_log_abs_det_is_factored_once_on_first_read(monkeypatch):
     calls = count_factorizations(monkeypatch)
-    adj = graphs.normalize_row(path3(), check=False)
+    adj = graphs.normalize_row(path3())
+    # building factors nothing, singular or damped alike
+    graphs.normalize_sym(path3())
+    graphs.normalize_row(triangle())
+    graphs.normalize_sym(triangle(), damping=0.1)
     assert calls == []
     first = adj.log_abs_det
     assert adj.log_abs_det == first
-    assert len(calls) == 1
-    graphs.normalize_sym(path3())
-    assert len(calls) == 2
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_external_adjacency_rejects_non_finite_entries_up_front(bad):
-    m = np.eye(3)
-    m[0, 2] = bad
-    with pytest.raises(DomainError, match="non-finite"):
-        graphs.NormalizedAdjacency(m, scheme="external")
-    with pytest.raises(DomainError, match="non-finite"):
-        graphs.NormalizedAdjacency(scipy.sparse.csr_matrix(m), scheme="external")
-
-
-@pytest.mark.parametrize("shape", [(2, 3), (3,), (2, 2, 2)])
-def test_external_adjacency_must_be_square(shape):
-    with pytest.raises(ShapeError, match="square"):
-        graphs.NormalizedAdjacency(np.ones(shape), scheme="external")
+    assert calls == [(3, 3)]
 
 
 def test_sparse_and_dense_views_agree():

@@ -26,7 +26,6 @@ from gcflow.training import (
     TrainConfig,
     adam_step,
     assemble_model,
-    build_adjacency,
     clip_gradients,
     evaluate,
     node_features,
@@ -209,9 +208,15 @@ def test_readme_model_kinds_names_exactly_the_kinds():
 
 def test_build_adjacency_rescues_singular_graph():
     g = make_graph(6, [(i, (i + 1) % 6) for i in range(6)])  # even ring: singular
-    adj, used = build_adjacency(g, "row", damping=0.0)
-    assert used > 0.0
-    assert np.isfinite(adj.log_abs_det)
+    tm = assemble_model(TrainConfig(model="gcflow"), g, 2, 2)
+    assert tm.damping_used == adjparam.DEFAULT_DAMPING
+    assert tm.model.flow.adjacency.damping == tm.damping_used
+    assert np.isfinite(tm.model.flow.adjacency.log_abs_det)
+    # a saved damping is replayed as it is, with no factorization to rescue it
+    replayed = assemble_model(TrainConfig(model="gcn"), g, 2, 2, damping_used=0.0)
+    assert replayed.damping_used == replayed.model.adjacency.damping == 0.0
+    with pytest.raises(SingularMatrixError, match="damping"):
+        replayed.model.adjacency.log_abs_det
 
 
 # -- training runs ------------------------------------------------------
@@ -531,11 +536,13 @@ def test_inference_skips_the_graph_logdet(sbm, kind, monkeypatch):
     x = sbm.features
     tm.model.predict_and_represent(x)
     tm.model.represent(x)
+    result = tm.model.flow.forward(x)
     assert calls == []
-    result = tm.model.flow.forward(x, logdet=False)
-    assert result.graph_logdet is None
-    with pytest.raises(DomainError, match="logdet=False"):
-        mixture.log_densities(tm.head, result)
+    # the first read factors each stage once; a second read is the cached sum
+    first = result.graph_logdet
+    assert result.graph_logdet is first
+    assert len(calls) == tm.model.flow.num_flows
+    calls.clear()
     loss_cfg = mixture.LossConfig(sbm.mask_indices("train"), np.flatnonzero(~sbm.train_mask))
     tm.model.loss_and_predictions(x, sbm.labels, loss_cfg, np.random.default_rng(0))
     assert len(calls) == tm.model.flow.num_flows
@@ -621,6 +628,27 @@ def test_checkpoint_rejects_non_numeric_values(sbm, tmp_path):
         bad.write_text(json.dumps({**payload, key: value}))
         with pytest.raises(FormatError, match="malformed checkpoint"):
             load_checkpoint(bad, sbm.graph)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("dim", 8.7), ("classes", 3.5), ("classes", True), ("dim", 0),
+    ("damping_used", None), ("damping_used", -1.0), ("damping_used", float("inf")),
+    ("damping_used", float("nan")), ("damping_used", False), ("params", "nan"),
+])
+def test_checkpoint_rejects_header_values_out_of_range(sbm, tmp_path, monkeypatch, key, value):
+    # the dataset has 8 features and 3 classes, so truncating 8.7 or 3.5 would load; a null
+    # damping_used would rebuild the adjacency as training does, factoring it and maybe re-damping it
+    record = train(TrainConfig(model="gcflow", hidden=8, epochs=1, seed=0), sbm, checkpoint_dir=tmp_path)
+    payload = json.loads(Path(record.checkpoint_path).read_text())
+    if value == "nan":
+        value = payload["params"]
+        value[0][0][0] = float("nan")
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**payload, key: value}))
+    calls = count_factorizations(monkeypatch)
+    with pytest.raises(FormatError, match=f"^{re.escape(str(bad))}: "):
+        load_checkpoint(bad, sbm.graph)
+    assert calls == []
 
 
 @pytest.mark.parametrize("key, value, match", [
@@ -822,13 +850,18 @@ def test_train_refuses_a_file_as_checkpoint_dir_before_training(sbm, tmp_path, m
             train(TrainConfig(model="gcn", epochs=5, seed=0), sbm, checkpoint_dir=path)
 
 
-@pytest.mark.parametrize("kind", ["gcn", "gcflow", "gmm-ax"])
+@pytest.mark.parametrize("kind", MODEL_KINDS)
 def test_inference_route_never_factors(sbm, kind, tmp_path, monkeypatch):
     calls = count_factorizations(monkeypatch)
     cfg = TrainConfig(model=kind, hidden=8, epochs=3, patience=3, seed=2)
     record = train(cfg, sbm, checkpoint_dir=tmp_path)
-    # the nonsingularity check at assembly; the loss reads the cached value
-    assert calls == [(sbm.n, sbm.n)]
+    if training.KINDS[kind].mixing is training._fixed_mixing:
+        # the nonsingularity read at assembly; the loss reads the cached value
+        assert calls == [(sbm.n, sbm.n)]
+    else:
+        # a learned source factors each stage of each epoch's loss forward once
+        stages = cfg.num_flows if kind in ("gcflow-p", "gcflow-l") else 0
+        assert calls == [(sbm.n, sbm.n)] * (stages * record.epochs_run)
     calls.clear()
     tm = load_checkpoint(record.checkpoint_path, sbm.graph)
     representation(tm, sbm)
