@@ -22,8 +22,9 @@ the tensor's shape; the output gradient, a view or broadcast of any array,
 and a numpy scalar are copied, since a later in-place update of the buffer
 must not reach another tensor's gradient. Gradients of parameters
 accumulate across backward calls until ``zero_grad`` (or ``zero_grads``)
-resets them; intermediate nodes drop their buffers at the start of each
-backward pass.
+resets them; an intermediate node drops its buffer as soon as its own
+backward step has passed the gradient on to its inputs, so a spent tape
+holds no gradients.
 
 Inside ``with no_grad():`` operations compute their values only: results
 record no parents and no backward step, so nothing is kept for a
@@ -140,16 +141,18 @@ class Tensor:
         """Populate gradients of every requires-grad tensor reachable from here.
 
         Only a scalar output may start a backward pass. Gradients of leaf
-        tensors accumulate additively across calls; intermediates drop their
-        buffers each call, so repeated backward passes double leaf gradients
-        rather than compounding them through the interior of the graph. A
-        buffer is allocated only when the first gradient reaches a tensor, so
-        tensors that receive none cost nothing. A result computed under
-        ``no_grad`` has no tape behind it and passes nothing back.
+        tensors accumulate additively across calls. An intermediate drops its
+        buffer once its own backward step has run, when no later step reads
+        it, so repeated backward passes double leaf gradients rather than
+        compounding them through the interior of the graph. A buffer is
+        allocated only when the first gradient reaches a tensor, so tensors
+        that receive none cost nothing. A result computed under ``no_grad``
+        has no tape behind it and passes nothing back.
         """
         if self.data.size != 1:
             raise ShapeError(f"backward() requires a scalar output, got shape {self.shape}")
         order = self._topo()
+        # a pass that raised midway left partial buffers behind
         for node in order:
             if node._parents:
                 node._grad = None
@@ -157,6 +160,7 @@ class Tensor:
         for node in reversed(order):
             if node._backward is not None:
                 node._backward()
+                node._grad = None
 
     # -- operator sugar ------------------------------------------------
 

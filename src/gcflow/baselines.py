@@ -46,11 +46,11 @@ class GcnModel:
         return list(self.weights)
 
     def loss_and_predictions(self, x, labels, loss_cfg, rng):
-        """Cross-entropy over the labeled nodes of one training forward, and
-        that forward's most probable class per node; without dropout these
-        equal ``predict_and_represent``'s."""
+        """A function that builds the cross-entropy over the labeled nodes of
+        one training forward, and that forward's most probable class per
+        node; without dropout these equal ``predict_and_represent``'s."""
         probs, _ = self.forward(x, rng=rng)
-        return gcn_loss(probs, labels, loss_cfg.labeled), probs.data.argmax(axis=1)
+        return lambda: gcn_loss(probs, labels, loss_cfg.labeled), probs.data.argmax(axis=1)
 
     def represent(self, x):
         return self.predict_and_represent(x)[1]

@@ -209,7 +209,7 @@ class GcFlowModel:
         if self.adjacency is None:
             factors = None
         elif isinstance(self.adjacency, NormalizedAdjacency):
-            factors = _lu_checked(self.adjacency.sparse.toarray())[0]
+            factors = _lu_checked(self.adjacency.sparse.toarray(order="F"))[0]
         else:
             raise ShapeError("input-dependent adjacency: the stage matrices cannot be recomputed from z")
         x = ad.as_tensor(z)

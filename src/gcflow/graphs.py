@@ -109,7 +109,7 @@ class NormalizedAdjacency:
     def log_abs_det(self):
         if self._log_abs_det is None:
             try:
-                self._log_abs_det = log_abs_det(self.sparse.toarray())
+                self._log_abs_det = _lu_checked(self.sparse.toarray(order="F"))[1]
             except SingularMatrixError:
                 hint = "increase damping" if self.damping else "pass a small damping value"
                 raise SingularMatrixError(f"{self.scheme} adjacency is singular; {hint}") from None
@@ -169,14 +169,14 @@ def normalize_sym(g: Graph, damping=0.0) -> NormalizedAdjacency:
 def logabsdet_tensor(pattern, values, damping=0.0):
     """Differentiable log|det| of A + damping·I, A as in ``autodiff.sparse_matmul``.
 
-    The matrix is densified once, for one LU factorization, with the pivot
-    check of ``log_abs_det``. Only a backward pass solves for the transposed
+    The matrix is densified once, in Fortran order, and factored in place
+    with the pivot check of ``log_abs_det``. Only a backward pass solves for the transposed
     inverse (the gradient of log|det|, one triangular solve against the
     identity) and passes back its entries at the pattern's positions.
     """
     values = ad.as_tensor(values)
     a = scipy.sparse.csr_matrix((values.data, pattern.indices, pattern.indptr), shape=pattern.shape)
-    dense = a.toarray()
+    dense = a.toarray(order="F")
     dense.flat[:: dense.shape[1] + 1] += damping
     factors, value = _lu_checked(dense)
     return ad.make_node(np.float64(value), (values,), (
@@ -188,20 +188,26 @@ def logabsdet_tensor(pattern, values, damping=0.0):
 def _lu_checked(matrix):
     """LU factors of a square matrix, as ``lu_factor`` returns them, and its log|det|.
 
-    A pivot below SINGULAR_THRESHOLD times the largest entry magnitude means
-    the matrix is numerically singular.
+    The matrix is factored in place: a Fortran-order float64 array comes back
+    overwritten as the factors' first element, with no n x n copy made, so
+    callers hand over an array nothing else reads. A pivot below
+    SINGULAR_THRESHOLD times the largest entry magnitude means the matrix is
+    numerically singular.
     """
     m = np.asarray(matrix, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ShapeError(f"log_abs_det needs a square matrix, got {m.shape}")
-    if not np.all(np.isfinite(m)):
+    # the extremes are NaN if any entry is and infinite if any entry is, so
+    # they check every entry and give the largest magnitude without an n x n temporary
+    top, bottom = m.max(), m.min()
+    if not (np.isfinite(top) and np.isfinite(bottom)):
         raise DomainError("matrix has non-finite entries; its determinant is undefined")
-    scale = np.abs(m).max()
+    scale = max(top, -bottom)
     if scale == 0.0:
         raise SingularMatrixError("zero matrix is singular")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # scipy warns on exact singularity; the pivot check below handles it
-        factors = scipy.linalg.lu_factor(m, check_finite=False)
+        factors = scipy.linalg.lu_factor(m, overwrite_a=True, check_finite=False)
     pivots = np.abs(np.diag(factors[0]))
     if np.any(pivots < SINGULAR_THRESHOLD * scale):
         raise SingularMatrixError(
@@ -211,5 +217,6 @@ def _lu_checked(matrix):
 
 
 def log_abs_det(matrix):
-    """log|det M| through LU with partial pivoting; see ``_lu_checked``."""
-    return _lu_checked(matrix)[1]
+    """log|det M| through LU with partial pivoting; see ``_lu_checked``.
+    ``matrix`` is left as it is: the factorization runs on a copy."""
+    return _lu_checked(np.array(matrix, dtype=np.float64, order="F"))[1]

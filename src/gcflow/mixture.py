@@ -214,14 +214,16 @@ class FlowMixture:
         return self.flow.params() + self.head.params()
 
     def loss_and_predictions(self, x, labels, loss_cfg: LossConfig, rng):
-        """The training loss and the most probable component per node, from
-        one training forward. A forward that draws no noise computes the
-        same latents as inference, so its predictions equal
-        ``predict_and_represent``'s. Non-finite latents raise ``DomainError``.
+        """A function that builds the training loss, and the most probable
+        component per node, from one training forward. The loss, and with it
+        the graph log|det| it reads, is built only when the function is
+        called. A forward that draws no noise computes the same latents as
+        inference, so its predictions equal ``predict_and_represent``'s.
+        Non-finite latents raise ``DomainError``.
         """
         result = self.flow.forward(x, rng=rng)
         pred = _classify(self.head, _finite(result.z.data))
-        return semi_supervised_loss(self.head, result, labels, loss_cfg), pred
+        return lambda: semi_supervised_loss(self.head, result, labels, loss_cfg), pred
 
     def represent(self, x) -> np.ndarray:
         """Latent features: the space the mixture clusters in."""

@@ -5,8 +5,9 @@ the plain row-wise flow, the graph-convolutional flow with fixed or
 parameterized mixing, and the two EM-mixture references fitted on raw or
 pre-mixed features. Each kind is one ``KINDS`` entry, the one place that
 reads the kind, and ``assemble_model`` builds its model object. Everything
-after that calls the object's ``params``, ``loss_and_predictions`` (the
-training loss and the predictions of one training forward),
+after that calls the object's ``params``, ``loss_and_predictions`` (a
+function that builds the training loss, and the predictions, of one
+training forward),
 ``predict_and_represent`` and ``represent``; the EM references have ``fit``
 in place of the loss.
 Everything stochastic draws from a single generator seeded by the run seed,
@@ -15,6 +16,7 @@ so a repeated run reproduces its metrics exactly.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import numbers
 import time
@@ -421,7 +423,9 @@ def _descend(cfg: TrainConfig, tm: TrainedModel, ds: Dataset, snapshot, start):
     best_params = None
     # a loss forward that leaves the run generator as it was drew no noise
     # and computed what inference does, so the forward after a step can be
-    # both this epoch's validation forward and the next epoch's loss forward
+    # both this epoch's validation forward and the next epoch's loss forward;
+    # its loss is built only when that epoch starts, so an epoch that stops
+    # the run never reads the graph log|det| for it
     carried = None
 
     for epoch in range(cfg.epochs):
@@ -429,10 +433,13 @@ def _descend(cfg: TrainConfig, tm: TrainedModel, ds: Dataset, snapshot, start):
         try:
             # the previous tape is freed only here, after the next forward was
             # built beside it, so its memory is reused rather than re-faulted
-            loss, carried = carried, None
+            loss, build_loss, carried = None, carried, None
+            if build_loss is not None:
+                with contextlib.suppress(DomainError, SingularMatrixError):
+                    loss = build_loss()
             if loss is None:
                 before = run_rng.bit_generator.state
-                loss = tm.model.loss_and_predictions(x, labels, loss_cfg, run_rng)[0]
+                loss = tm.model.loss_and_predictions(x, labels, loss_cfg, run_rng)[0]()
                 carry = run_rng.bit_generator.state == before
             value = loss.item()
             if not np.isfinite(value):
@@ -443,8 +450,9 @@ def _descend(cfg: TrainConfig, tm: TrainedModel, ds: Dataset, snapshot, start):
             losses.append(value)
             pred = None
             if carry and epoch + 1 < cfg.epochs:
-                # a carried forward that breaks down is dropped: an inference
-                # forward scores the epoch, and the next epoch builds its loss
+                # a carried forward, or later its loss, that breaks down is
+                # dropped: an inference forward scores the epoch, or the carried
+                # forward's predictions do, and the next epoch builds its loss
                 # afresh and meets the failure, if it persists, where it would
                 try:
                     carried, pred = tm.model.loss_and_predictions(x, labels, loss_cfg, run_rng)

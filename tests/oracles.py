@@ -286,7 +286,7 @@ def descend_two_forward(cfg, tm, ds, snapshot, start):
     for epoch in range(cfg.epochs):
         ad.zero_grads(params)
         try:
-            loss = tm.model.loss_and_predictions(x, labels, loss_cfg, run_rng)[0]
+            loss = tm.model.loss_and_predictions(x, labels, loss_cfg, run_rng)[0]()
             value = loss.item()
             if not np.isfinite(value):
                 raise DomainError(f"loss is {value}")

@@ -103,16 +103,41 @@ def test_a_dropped_tape_is_freed_without_the_cyclic_collector(op):
 def test_no_gradient_buffer_shares_memory(op):
     # a buffer adopted from a vector-Jacobian function must be its own: an
     # in-place update (a later accumulate, clipping) reaches no other array
+    # interior buffers are dropped as the pass goes, so each is recorded
+    # right after its node's own backward step has read it
     x = ad.Tensor(np.arange(9.0).reshape(3, 3) / 10.0 + 2.0 * np.eye(3), requires_grad=True)
     out = RECORDING_OPS[op](x)
     loss = ad.tsum(out * out)
-    loss.backward()
     tensors = loss._topo()
-    grads = [t._grad for t in tensors if t._grad is not None]
+    grads = []
+
+    def recorded(node, step):
+        def run():
+            step()
+            grads.append(node._grad)
+        return run
+
+    for t in tensors:
+        if t._backward is not None:
+            t._backward = recorded(t, t._backward)
+    loss.backward()
+    grads += [t._grad for t in tensors if not t._parents and t._grad is not None]
     assert len(grads) >= 3
     for i, grad in enumerate(grads):
         assert not any(np.shares_memory(grad, other) for other in grads[i + 1:])
         assert not any(np.shares_memory(grad, t.data) for t in tensors)
+
+
+@pytest.mark.parametrize("op", sorted(RECORDING_OPS))
+def test_backward_keeps_no_interior_buffer(op):
+    x = ad.Tensor(np.arange(9.0).reshape(3, 3) / 10.0 + 2.0 * np.eye(3), requires_grad=True)
+    out = RECORDING_OPS[op](x)
+    loss = ad.tsum(out * out)
+    loss.backward()
+    first = x.grad.copy()
+    assert [t for t in loss._topo() if t._parents and t._grad is not None] == []
+    loss.backward()
+    assert_allclose(x.grad, 2.0 * first, rtol=1e-14)
 
 
 def test_a_parent_that_needs_no_grad_never_has_its_vjp_called():

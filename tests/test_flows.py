@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose
 
 from gcflow import adjparam, flows, graphs, mixture
@@ -265,6 +266,19 @@ def test_input_dependent_source_roundtrip():
             flows.GcFlowModel(model.flows, adjacency=adjacency).inverse(result.z)
     back = inverse_replayed(model, x, result.z, rng=np.random.default_rng(24))
     assert np.abs(back.data - x).max() < 1e-8
+
+
+def test_inverse_solves_with_the_factors_of_the_c_order_matrix():
+    # one in-place LU of a fresh Fortran-order densification gives the bytes
+    # of factoring a C-order copy, as ``lu_factor`` does for a C-order input
+    adj = random_adjacency(9, seed=24)
+    model = flows.build_gcflow(2, 3, hidden=4, net_layers=2, adjacency=adj, seed=25)
+    z = model.forward(np.random.default_rng(26).normal(size=(9, 3))).z.data
+    factors = scipy.linalg.lu_factor(adj.sparse.toarray())
+    want = ad.Tensor(z)
+    for flow in reversed(model.flows):
+        want = ad.Tensor(scipy.linalg.lu_solve(factors, flow.inverse(want).data))
+    assert model.inverse(z).data.tobytes() == want.data.tobytes()
 
 
 def test_inverse_with_singular_supplied_adjacency():

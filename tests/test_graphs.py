@@ -190,6 +190,16 @@ def test_log_abs_det_permutation_invariant():
     assert_allclose(graphs.log_abs_det(p @ m), graphs.log_abs_det(m), atol=1e-10)
 
 
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_log_abs_det_leaves_its_argument_as_it_was(order):
+    rng = np.random.default_rng(4)
+    m = np.array(rng.normal(size=(6, 6)) + 2.0 * np.eye(6), order=order)
+    before = m.copy(order=order)
+    value = graphs.log_abs_det(m)
+    assert m.tobytes(order="A") == before.tobytes(order="A")
+    assert graphs.log_abs_det(m) == value
+
+
 def test_log_abs_det_rejects_singular_and_nonsquare():
     with pytest.raises(SingularMatrixError):
         graphs.log_abs_det(np.ones((3, 3)))
@@ -255,6 +265,8 @@ def test_csr_build_matches_dense_oracle_bit_for_bit(n, isolated, density, epsilo
         assert getattr(got, field).dtype == getattr(want, field).dtype
         assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
     assert adj.sparse.toarray().tobytes() == oracle.tobytes()
+    # ``log_abs_det`` factors its own Fortran-order densification in place,
+    # the public function a copy of the C-order oracle: the same log|det| and error
     try:
         want_logdet = graphs.log_abs_det(oracle)
     except SingularMatrixError:

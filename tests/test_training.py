@@ -372,8 +372,8 @@ def fail_logdet(monkeypatch, calls):
 
 
 def test_a_singular_carried_forward_falls_back_to_predict(sbm, monkeypatch):
-    # two stages, two log-dets per forward: calls 7-8 are the forward built
-    # after epoch 2's step; it fails once, and the reference never sees it
+    # two stages, two log-dets per loss: calls 7-8 are the loss carried into
+    # epoch 3; it fails once, and the reference never sees it
     cfg = TrainConfig(model="gcflow-p", hidden=8, embed_dim=4, epochs=6, patience=6, seed=0)
     reference = run_route(monkeypatch, cfg, sbm, oracles.descend_two_forward, oracles.evaluate_two_pass)
     count = fail_logdet(monkeypatch, {7})
@@ -495,7 +495,7 @@ def test_no_n_by_n_tensor_rides_the_tape(sparse_sbm, kind):
     ds = sparse_sbm
     tm = perturbed_flow_model(kind, ds)
     loss_cfg = mixture.LossConfig(ds.mask_indices("train"), np.flatnonzero(~ds.train_mask))
-    loss, _ = tm.model.loss_and_predictions(ds.features, ds.labels, loss_cfg, np.random.default_rng(0))
+    loss = tm.model.loss_and_predictions(ds.features, ds.labels, loss_cfg, np.random.default_rng(0))[0]()
     tape = loss._topo()
     assert len(tape) > 100
     assert [t._op for t in tape if t.shape == (ds.n, ds.n)] == []
@@ -544,7 +544,9 @@ def test_inference_skips_the_graph_logdet(sbm, kind, monkeypatch):
     assert len(calls) == tm.model.flow.num_flows
     calls.clear()
     loss_cfg = mixture.LossConfig(sbm.mask_indices("train"), np.flatnonzero(~sbm.train_mask))
-    tm.model.loss_and_predictions(x, sbm.labels, loss_cfg, np.random.default_rng(0))
+    build_loss = tm.model.loss_and_predictions(x, sbm.labels, loss_cfg, np.random.default_rng(0))[0]
+    assert calls == []
+    build_loss()
     assert len(calls) == tm.model.flow.num_flows
 
 
@@ -889,3 +891,12 @@ def test_replayed_adjacency_predicts_at_n_20000_in_sparse_memory(monkeypatch):
     assert pred.shape == (n,)
     assert peak < 100 * 2**20
 
+
+def test_an_early_stop_factors_no_loss_it_does_not_train_on(sbm, monkeypatch):
+    # the forward carried past the epoch that stops the run never builds its
+    # loss, so each stage of each trained epoch's loss is factored once, no more
+    calls = count_factorizations(monkeypatch)
+    cfg = TrainConfig(model="gcflow-p", epochs=60, patience=5, seed=0)
+    record = train(cfg, sbm)
+    assert record.epochs_run < cfg.epochs
+    assert len(calls) == cfg.num_flows * record.epochs_run
