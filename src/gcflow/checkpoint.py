@@ -58,8 +58,10 @@ def load_checkpoint(path, graph) -> TrainedModel:
     Refuses, with ``FormatError``, any other checkpoint format, any graph
     whose node count or edge list differs from the saved one, a ``dim`` or
     ``classes`` that is not a positive integer, a ``damping_used`` that is
-    not a finite non-negative number, non-finite parameter values, and saved
-    values that do not fit the model; for an EM reference, those are also
+    not a finite non-negative number, non-finite parameter values, a PCA
+    projection whose mean, directions and explained variances are not finite
+    arrays of shapes (D,), (D, dim) and (dim,), and saved values that do not
+    fit the model; for an EM reference, those are also
     weights that are not a probability vector, covariances that are not
     symmetric positive definite, and a mapping that is not integer classes.
     """
@@ -84,8 +86,14 @@ def load_checkpoint(path, graph) -> TrainedModel:
             raise ValueError(f"damping_used must be a finite non-negative number, got {damping_used!r}")
         tm = assemble_model(cfg, graph, dim, classes, damping_used=damping_used)
         if payload["pca"] is not None:
-            tm.pca = PcaProjection(*(np.asarray(payload["pca"][f.name], dtype=np.float64)
-                                     for f in fields(PcaProjection)))
+            pca = PcaProjection(*(np.asarray(payload["pca"][f.name], dtype=np.float64)
+                                  for f in fields(PcaProjection)))
+            want = [(pca.mean.size,), (pca.mean.size, dim), (dim,)]
+            shapes = [a.shape for a in vars(pca).values()]
+            if shapes != want or not all(np.all(np.isfinite(a)) for a in vars(pca).values()):
+                raise FormatError(f"{path}: pca mean, directions, explained are {shapes}; "
+                                  f"the model needs {want} and finite values")
+            tm.pca = pca
         params = tm.model.params()
         if len(payload["params"]) != len(params):
             raise FormatError(

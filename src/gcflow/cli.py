@@ -24,7 +24,7 @@ from .data import (
 )
 from .errors import ConfigError, DivergedError, FormatError, GcFlowError
 from .evalkit import cluster_agreement, kmeans, silhouette
-from .training import TrainConfig, evaluate, representation, train
+from .training import RunRecord, TrainConfig, evaluate, representation, train
 
 # gen-synth takes a flag per SbmConfig field, named after it but for these two
 SBM_FLAGS = {"p_intra": "p", "q_inter": "q"}
@@ -88,9 +88,8 @@ def cmd_train(args):
         record = train(cfg, dataset, checkpoint_dir=out)
     except DivergedError as exc:
         # keep the epochs that ran; main reports the error and exits 1
-        if exc.record is not None:
-            write_metrics(out / "metrics.json", {**exc.record.metrics_dict(), "status": "diverged"})
-            write_epoch_csv(out / "epochs.csv", exc.record)
+        write_metrics(out / "metrics.json", {**exc.record.metrics_dict(), "status": "diverged"})
+        write_epoch_csv(out / "epochs.csv", exc.record)
         raise
     write_metrics(out / "metrics.json", record.metrics_dict())
     write_epoch_csv(out / "epochs.csv", record)
@@ -113,15 +112,10 @@ def cmd_eval(args):
     start = time.perf_counter()
     tm, dataset = _load_trained(args.checkpoint, args.data)
     metrics = evaluate(tm, dataset)
-    snapshot = dict(tm.config)
-    snapshot["damping_used"] = tm.damping_used
-    payload = {
-        "config": snapshot,
-        "seed": tm.config["seed"],
-        "epochs_run": None,  # not retrained here
-        **metrics,
-        "wall_seconds": time.perf_counter() - start,
-    }
+    payload = RunRecord(  # not retrained here: no epochs
+        config={**tm.config, "damping_used": tm.damping_used}, seed=tm.config["seed"], epochs_run=None,
+        losses=[], val_f1s=[], wall_seconds=time.perf_counter() - start, **metrics,
+    ).metrics_dict()
     if args.out:
         write_metrics(args.out, payload)
     print(json.dumps(payload, sort_keys=True))

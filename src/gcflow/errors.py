@@ -36,10 +36,10 @@ class ScaleError(GcFlowError):
 class DivergedError(GcFlowError):
     """Training produced a non-finite loss.
 
-    The ``record`` attribute, when set, carries the run state up to the last
-    finite epoch so the best checkpoint so far is not lost.
+    The ``record`` attribute carries the run state up to the last finite
+    epoch so the best checkpoint so far is not lost.
     """
 
-    def __init__(self, message, record=None):
+    def __init__(self, message, record):
         super().__init__(message)
         self.record = record

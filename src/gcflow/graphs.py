@@ -172,7 +172,8 @@ def logabsdet_tensor(pattern, values, damping=0.0):
     The matrix is densified once, in Fortran order, and factored in place
     with the pivot check of ``log_abs_det``. Only a backward pass solves for the transposed
     inverse (the gradient of log|det|, one triangular solve against the
-    identity) and passes back its entries at the pattern's positions.
+    identity, in place in a Fortran-order identity that scipy need not copy)
+    and passes back its entries at the pattern's positions.
     """
     values = ad.as_tensor(values)
     a = scipy.sparse.csr_matrix((values.data, pattern.indices, pattern.indptr), shape=pattern.shape)
@@ -180,8 +181,8 @@ def logabsdet_tensor(pattern, values, damping=0.0):
     dense.flat[:: dense.shape[1] + 1] += damping
     factors, value = _lu_checked(dense)
     return ad.make_node(np.float64(value), (values,), (
-        lambda g: g * scipy.linalg.lu_solve(factors, np.eye(a.shape[0]), trans=1,
-                                            check_finite=False)[a.tocoo().row, a.indices],
+        lambda g: g * scipy.linalg.lu_solve(factors, np.eye(a.shape[0], order="F"), trans=1,
+                                            overwrite_b=True, check_finite=False)[a.tocoo().row, a.indices],
     ), "logabsdet")
 
 

@@ -16,7 +16,6 @@ so a repeated run reproduces its metrics exactly.
 
 from __future__ import annotations
 
-import contextlib
 import math
 import numbers
 import time
@@ -425,7 +424,9 @@ def _descend(cfg: TrainConfig, tm: TrainedModel, ds: Dataset, snapshot, start):
     # and computed what inference does, so the forward after a step can be
     # both this epoch's validation forward and the next epoch's loss forward;
     # its loss is built only when that epoch starts, so an epoch that stops
-    # the run never reads the graph log|det| for it
+    # the run never reads the graph log|det| for it. A carried forward that
+    # fails, or whose loss does, is the computation a fresh loss forward would
+    # repeat, so the failure ends the run at that epoch with no retry
     carried = None
 
     for epoch in range(cfg.epochs):
@@ -434,13 +435,11 @@ def _descend(cfg: TrainConfig, tm: TrainedModel, ds: Dataset, snapshot, start):
             # the previous tape is freed only here, after the next forward was
             # built beside it, so its memory is reused rather than re-faulted
             loss, build_loss, carried = None, carried, None
-            if build_loss is not None:
-                with contextlib.suppress(DomainError, SingularMatrixError):
-                    loss = build_loss()
-            if loss is None:
+            if build_loss is None:
                 before = run_rng.bit_generator.state
-                loss = tm.model.loss_and_predictions(x, labels, loss_cfg, run_rng)[0]()
+                build_loss = tm.model.loss_and_predictions(x, labels, loss_cfg, run_rng)[0]
                 carry = run_rng.bit_generator.state == before
+            loss = build_loss()
             value = loss.item()
             if not np.isfinite(value):
                 raise DomainError(f"loss is {value}")
@@ -448,17 +447,9 @@ def _descend(cfg: TrainConfig, tm: TrainedModel, ds: Dataset, snapshot, start):
             clip_gradients(params, CLIP_NORM)
             adam_step(opt)
             losses.append(value)
-            pred = None
             if carry and epoch + 1 < cfg.epochs:
-                # a carried forward, or later its loss, that breaks down is
-                # dropped: an inference forward scores the epoch, or the carried
-                # forward's predictions do, and the next epoch builds its loss
-                # afresh and meets the failure, if it persists, where it would
-                try:
-                    carried, pred = tm.model.loss_and_predictions(x, labels, loss_cfg, run_rng)
-                except (DomainError, SingularMatrixError):
-                    pass
-            if pred is None:
+                carried, pred = tm.model.loss_and_predictions(x, labels, loss_cfg, run_rng)
+            else:
                 pred = tm.model.predict_and_represent(x)[0]
             f1 = micro_f1(pred[val_idx], labels[val_idx])
         except (DomainError, SingularMatrixError) as exc:

@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -158,6 +159,49 @@ def test_diverged_train_leaves_its_record(synth_dir, tmp_path, capsys, kind):
     assert metrics["epochs_run"] >= 1
     assert len(rows) == 1 + metrics["epochs_run"]
     assert not (out / "checkpoint.json").exists()
+
+
+@pytest.fixture(scope="module")
+def pca_checkpoint(tmp_path_factory, synth_dir):
+    out = tmp_path_factory.mktemp("pca-run")
+    rc = main(["train", "--data", str(synth_dir / "manifest.json"), "--out", str(out),
+               "--set", "model=gcflow", "--set", "hidden=8", "--set", "epochs=1", "--set", "pca_dim=4"])
+    assert rc == 0
+    return json.loads((out / "checkpoint.json").read_text())
+
+
+def corrupt_pca(payload, how):
+    pca = {key: np.array(value) for key, value in payload["pca"].items()}
+    if how == "extra-row":
+        pca["directions"] = np.vstack([pca["directions"], pca["directions"][:1]])
+    elif how == "nan-mean":
+        pca["mean"][0] = np.nan
+    else:  # one column more than the model's dim
+        pca["directions"] = np.hstack([pca["directions"], pca["directions"][:, :1]])
+    return {**payload, "pca": {key: value.tolist() for key, value in pca.items()}}
+
+
+PCA_FAULTS = ["extra-row", "nan-mean", "extra-column"]
+
+
+@pytest.mark.parametrize("how", PCA_FAULTS)
+def test_checkpoint_rejects_a_pca_projection_that_does_not_fit(synth_dir, pca_checkpoint, tmp_path, how):
+    from gcflow.checkpoint import load_checkpoint
+    from gcflow.data import load_dataset
+
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(corrupt_pca(pca_checkpoint, how)))
+    with pytest.raises(FormatError, match=f"^{re.escape(str(bad))}: pca mean, directions, explained are"):
+        load_checkpoint(bad, load_dataset(synth_dir / "manifest.json").graph)
+
+
+@pytest.mark.parametrize("how", PCA_FAULTS)
+def test_eval_rejects_a_pca_projection_that_does_not_fit(synth_dir, pca_checkpoint, tmp_path, capsys, how):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(corrupt_pca(pca_checkpoint, how)))
+    rc = main(["eval", "--checkpoint", str(bad), "--data", str(synth_dir / "manifest.json")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(f"gcflow: error: {bad}: pca ")
 
 
 def test_em_train_without_a_class_in_the_training_split_fails(tmp_path, capsys):

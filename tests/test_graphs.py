@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -306,6 +307,27 @@ def test_sparse_and_dense_views_agree():
     for scheme, norm in (("row", graphs.normalize_row), ("sym", graphs.normalize_sym)):
         adj = norm(path3())
         assert_allclose(adj.sparse.toarray(), normalized_dense(path3(), scheme), atol=0)
+
+
+def test_logabsdet_backward_solves_in_place_into_the_identity():
+    n = 600
+    rng = np.random.default_rng(0)
+    pattern = (scipy.sparse.random(n, n, density=0.01, random_state=rng) + scipy.sparse.eye(n)).tocsr()
+    values = ad.Tensor(pattern.data.copy(), requires_grad=True)
+    logdet = graphs.logabsdet_tensor(pattern, values)
+    tracemalloc.start()
+    try:
+        logdet.backward()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one n x n array, the solution the identity is overwritten with; a
+    # copying solve holds the identity beside it
+    assert peak < 1.5 * n * n * 8
+    factors, _ = graphs._lu_checked(pattern.toarray(order="F"))
+    copied = scipy.linalg.lu_solve(factors, np.eye(n), trans=1, check_finite=False)
+    coo = pattern.tocoo()
+    assert values.grad.tobytes() == copied[coo.row, coo.col].tobytes()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -371,17 +371,6 @@ def fail_logdet(monkeypatch, calls):
     return count
 
 
-def test_a_singular_carried_forward_falls_back_to_predict(sbm, monkeypatch):
-    # two stages, two log-dets per loss: calls 7-8 are the loss carried into
-    # epoch 3; it fails once, and the reference never sees it
-    cfg = TrainConfig(model="gcflow-p", hidden=8, embed_dim=4, epochs=6, patience=6, seed=0)
-    reference = run_route(monkeypatch, cfg, sbm, oracles.descend_two_forward, oracles.evaluate_two_pass)
-    count = fail_logdet(monkeypatch, {7})
-    got = run_route(monkeypatch, cfg, sbm, ONE_FORWARD_DESCEND, ONE_PASS_EVALUATE)
-    assert got == reference
-    assert count[0] == 2 * 6 + 1  # two per loss forward, plus the failed call
-
-
 def test_a_lasting_singularity_diverges_as_the_reference_does(sbm, monkeypatch):
     cfg = TrainConfig(model="gcflow-p", hidden=8, embed_dim=4, epochs=6, patience=6, seed=0)
     fail_logdet(monkeypatch, set(range(7, 100)))
@@ -392,10 +381,15 @@ def test_a_lasting_singularity_diverges_as_the_reference_does(sbm, monkeypatch):
     assert reference["status"] == "training diverged at epoch 3: forced singular mixing matrix"
 
 
-def test_gcflow_runs_one_forward_per_epoch_and_per_evaluate(sbm, monkeypatch):
+def count_gcflow_forwards(monkeypatch):
     calls = []
     real = flows.GcFlowModel.forward
     monkeypatch.setattr(flows.GcFlowModel, "forward", lambda self, *a, **kw: calls.append(1) or real(self, *a, **kw))
+    return calls
+
+
+def test_gcflow_runs_one_forward_per_epoch_and_per_evaluate(sbm, monkeypatch):
+    calls = count_gcflow_forwards(monkeypatch)
     at_evaluate = []
     real_evaluate = training.evaluate
 
@@ -409,6 +403,20 @@ def test_gcflow_runs_one_forward_per_epoch_and_per_evaluate(sbm, monkeypatch):
     # mean init, the first loss, one carried forward per later epoch, the last predict
     assert at_evaluate == [1 + epochs + 1]
     assert len(calls) == 1 + epochs + 1 + 1
+
+
+@pytest.mark.parametrize("kind", ["gcflow", "gcflow-p"])
+def test_a_failed_carried_forward_ends_the_run_with_no_second_forward(sbm, monkeypatch, kind):
+    calls = count_gcflow_forwards(monkeypatch)
+    cfg = TrainConfig(model=kind, hidden=8, embed_dim=4, lr=1e8, epochs=10, patience=10, seed=0)
+    with pytest.raises(DivergedError, match=r"^training diverged at epoch 0: exp overflow$") as err:
+        train(cfg, sbm)
+    # mean init, the first loss, and the carried forward that overflows: no
+    # inference forward retries it
+    assert len(calls) == 3
+    record = err.value.record
+    assert record.epochs_run == len(record.losses) == len(record.val_f1s) == 1
+    assert np.isnan(record.val_f1s[0])
 
 
 @pytest.mark.parametrize("case, noisy", [
