@@ -351,14 +351,6 @@ def tanh(a):
     return make_node(value, (a,), (lambda g: _tanh_vjp(value, g),), "tanh")
 
 
-def sigmoid(a):
-    a = as_tensor(a)
-    # exp overflows to inf below about -709, and 1 / inf is the 0 wanted there
-    with np.errstate(over="ignore"):
-        value = 1.0 / (1.0 + np.exp(-a.data))
-    return _unary(a, value, lambda y: y * (1.0 - y), "sigmoid")
-
-
 def relu(a):
     a = as_tensor(a)
     return _unary(a, np.maximum(a.data, 0.0), lambda y: (a.data > 0.0).astype(np.float64), "relu")

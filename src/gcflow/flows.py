@@ -168,11 +168,11 @@ class GcFlowModel:
 
     ``adjacency`` is None (identity mixing, the plain-flow special case), a
     NormalizedAdjacency (fixed mixing) or a learned ``adjparam`` source, which
-    also has ``params()``. Each stage mixes by ``mix(x, rng)``, which returns
+    also has ``params()``. Each stage mixes by ``mix(x)``, which returns
     the features and a function for the stage's log|det|, then applies its
-    flow. Noise is drawn from ``rng`` alone: a forward without one is
-    inference. No log|det| is computed until the result's ``graph_logdet``
-    is read, so latents and class posteriors never pay for one.
+    flow. The flows' dropout noise is drawn from ``rng`` alone: a forward
+    without one is inference. No log|det| is computed until the result's
+    ``graph_logdet`` is read, so latents and class posteriors never pay for one.
     """
 
     def __init__(self, flows, adjacency=None):
@@ -196,7 +196,7 @@ class GcFlowModel:
         stage_logdets = []
         for flow in self.flows:
             if self.adjacency is not None:
-                x, stage_logdet = self.adjacency.mix(x, rng=rng)
+                x, stage_logdet = self.adjacency.mix(x)
                 stage_logdets.append(stage_logdet)
             x, ld = flow.forward(x, rng)
             flow_logdet = flow_logdet + ld

@@ -115,9 +115,8 @@ class NormalizedAdjacency:
                 raise SingularMatrixError(f"{self.scheme} adjacency is singular; {hint}") from None
         return self._log_abs_det
 
-    def mix(self, x, rng=None):
-        """The matrix times ``x``, and a function that reads its cached
-        log|det|; fixed mixing draws no noise, so ``rng`` goes unused."""
+    def mix(self, x):
+        """The matrix times ``x``, and a function that reads its cached log|det|."""
         return ad.sparse_matmul(self.sparse, self.sparse.data, x), lambda: self.log_abs_det
 
     def __repr__(self):

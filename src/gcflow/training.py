@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .adjparam import DEFAULT_DAMPING, DEFAULT_TEMPERATURE, AttentionAdjacency, ConcreteAdjacency
+from .adjparam import DEFAULT_DAMPING, AttentionAdjacency
 from .baselines import GCN_DROPOUT, GCN_HIDDEN, EmReference, GcnModel
 from .data import Dataset
 from .errors import ConfigError, DivergedError, DomainError, SingularMatrixError
@@ -131,7 +131,6 @@ class TrainConfig:
     mean_hi: float = MEAN_HI  # largest component-mean scalar at init; the smallest is MEAN_LO
     log_std_init: float = 0.0
     embed_dim: int = 16
-    temperature: float = DEFAULT_TEMPERATURE
 
     def __post_init__(self):
         for f in fields(self):
@@ -156,9 +155,8 @@ class TrainConfig:
                 f"config unlabeled_weight must be inside (0, 1) for a flow, got {self.unlabeled_weight}")
         if self.adjacency not in ("row", "sym"):
             raise ConfigError(f"adjacency scheme must be 'row' or 'sym', got {self.adjacency!r}")
-        for name in ("lr", "temperature"):
-            if getattr(self, name) <= 0.0:
-                raise ConfigError(f"config {name} must be positive, got {getattr(self, name)}")
+        if self.lr <= 0.0:
+            raise ConfigError(f"config lr must be positive, got {self.lr}")
         if self.mean_hi < MEAN_LO:
             raise ConfigError(f"config mean_hi must be at least {MEAN_LO}, got {self.mean_hi}")
         for name in ("damping", "weight_decay"):
@@ -254,12 +252,6 @@ def _attention(cfg, graph, dim, damping_used):
     return AttentionAdjacency(graph, dim, embed_dim=cfg.embed_dim, damping=damp, seed=cfg.seed), damp
 
 
-def _gates(cfg, graph, dim, damping_used):
-    damp = cfg.damping or DEFAULT_DAMPING
-    return ConcreteAdjacency(graph, dim, embed_dim=cfg.embed_dim, temperature=cfg.temperature,
-                             damping=damp, seed=cfg.seed), damp
-
-
 def _gcn(cfg, source, dim, classes):
     return GcnModel(source, [dim, cfg.resolved_hidden, classes], dropout=cfg.resolved_dropout, seed=cfg.seed)
 
@@ -282,7 +274,6 @@ KINDS = {
     "flowgmm": Kind(_no_mixing, _flow_mixture),
     "gcflow": Kind(_fixed_mixing, _flow_mixture),
     "gcflow-p": Kind(_attention, _flow_mixture),
-    "gcflow-l": Kind(_gates, _flow_mixture),
     "gmm-x": Kind(_no_mixing, _em),
     "gmm-ax": Kind(_fixed_mixing, _em),
 }

@@ -1,7 +1,7 @@
 """Reference implementations the optimized code is checked against: dense
 adjacency constructions, the identity mixing matrix and a dense mixing
 source, a counter of the dense factorizations the graph module runs, the
-dense n x n mixing route of the parameterized sources and their
+dense n x n mixing route of the attention source and its
 stage-replaying inverse, an MLP built from unfused ops, per-vector mixture
 densities, the block-model sampler's single full-matrix draw, and the
 two-forward training loop and two-pass evaluate."""
@@ -51,7 +51,7 @@ class DenseMixing:
     def __init__(self, m):
         self.m = m
 
-    def mix(self, x, rng=None):
+    def mix(self, x):
         from gcflow import autodiff as ad
 
         return ad.matmul(ad.Tensor(self.m), x), lambda: graphs.log_abs_det(self.m)
@@ -77,7 +77,7 @@ def full_pattern(n):
     return scipy.sparse.csr_matrix(np.ones((n, n)))
 
 
-# -- the dense mixing route of the parameterized sources ------------------
+# -- the dense mixing route of the attention source ------------------------
 
 
 def scatter_matrix(values, rows, cols, shape):
@@ -105,11 +105,10 @@ def logabsdet_dense(a):
     return ad.make_node(np.float64(value), (a,), (lambda g: g * np.linalg.inv(a.data).T,), "logabsdet_dense")
 
 
-def attention_dense(source, x, rng=None):
+def attention_dense(source, x):
     """An ``AttentionAdjacency``'s mixing matrix built as an n x n tensor:
     the shifted score exponentials scattered, divided by their dense row sums
-    (1 on an isolated node's empty row), plus damping times the identity.
-    Attention draws no noise, so ``rng`` is unused."""
+    (1 on an isolated node's empty row), plus damping times the identity."""
     from gcflow import autodiff as ad
 
     scores = source.edge_scores(x)
@@ -122,18 +121,8 @@ def attention_dense(source, x, rng=None):
     return numer / ad.reshape(denom, (source.n, 1)) + ad.Tensor(source.damping * np.eye(source.n))
 
 
-def gates_dense(source, x, rng=None):
-    """A ``ConcreteAdjacency``'s mixing matrix built as an n x n tensor: its
-    edge gates scattered, plus damping times the identity."""
-    from gcflow import autodiff as ad
-
-    gates = source.realize(x, rng)
-    matrix = scatter_matrix(gates, source.src, source.dst, (source.n, source.n))
-    return matrix + ad.Tensor(source.damping * np.eye(source.n))
-
-
-def forward_dense(model, x, dense_mixing, rng=None):
-    """``GcFlowModel.forward`` for a parameterized source, with every stage
+def forward_dense(model, x, dense_mixing):
+    """``GcFlowModel.forward`` for a learned source, with every stage
     mixing through the dense n x n tensor ``dense_mixing(source, x)`` and its
     log|det| from ``logabsdet_dense``; returns the latents, the per-node
     coupling log-determinants and the graph log-determinant."""
@@ -143,39 +132,39 @@ def forward_dense(model, x, dense_mixing, rng=None):
     flow_logdet = ad.Tensor(np.zeros(x.shape[0]))
     graph_logdet = ad.Tensor(0.0)
     for flow in model.flows:
-        a = dense_mixing(model.adjacency, x, rng)
+        a = dense_mixing(model.adjacency, x)
         graph_logdet = graph_logdet + x.shape[1] * logabsdet_dense(a)
-        x, ld = flow.forward(ad.matmul(a, x), rng)
+        x, ld = flow.forward(ad.matmul(a, x))
         flow_logdet = flow_logdet + ld
     return x, flow_logdet, graph_logdet
 
 
-def stage_matrices(model, x, rng=None):
+def stage_matrices(model, x):
     """Replay ``GcFlowModel.forward`` for a learned source stage by stage and
     return each stage's mixing matrix, A + damping·I as CSR, with A built from
     ``realize``'s values on the source's pattern. Each stage mixes as
-    ``EdgeSource.mix`` does, so every stage sees the forward's own input."""
+    ``AttentionAdjacency.mix`` does, so every stage sees the forward's own input."""
     from gcflow import autodiff as ad
 
     source, x = model.adjacency, ad.as_tensor(x)
     pattern, damping = source.pattern, source.damping
     matrices = []
     for flow in model.flows:
-        values = source.realize(x, rng)
+        values = source.realize(x)
         a = scipy.sparse.csr_matrix((values.data, pattern.indices, pattern.indptr), shape=pattern.shape)
         matrices.append(a + damping * scipy.sparse.identity(pattern.shape[0], format="csr"))
-        x, _ = flow.forward(ad.sparse_matmul(pattern, values, x) + x * damping, rng)
+        x, _ = flow.forward(ad.sparse_matmul(pattern, values, x) + x * damping)
     return matrices
 
 
-def inverse_replayed(model, x, z, rng=None):
+def inverse_replayed(model, x, z):
     """Undo ``model.forward(x)`` from its latents ``z`` for a learned source:
     each stage inverts its flow, then solves with the matrix
     ``stage_matrices`` rebuilds from the forward's input ``x``."""
     from gcflow import autodiff as ad
 
     y = ad.as_tensor(z)
-    for flow, a in zip(reversed(model.flows), reversed(stage_matrices(model, x, rng))):
+    for flow, a in zip(reversed(model.flows), reversed(stage_matrices(model, x))):
         y = ad.Tensor(np.linalg.solve(a.toarray(), flow.inverse(y).data))
     return y
 

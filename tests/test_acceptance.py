@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from gcflow import cli
-from gcflow.adjparam import AttentionAdjacency, ConcreteAdjacency
+from gcflow.adjparam import AttentionAdjacency
 from gcflow.data import SbmConfig, generate_sbm, load_dataset
 from gcflow.evalkit import ari, micro_f1, nmi, silhouette
 from gcflow.graphs import make_graph, normalize_row
@@ -59,7 +59,6 @@ def test_loss_gradients_match_finite_differences():
     for tag, adj, tol in [
         ("fixed", normalize_row(g), 1e-4),
         ("gcflow-p", AttentionAdjacency(g, dim, embed_dim=5, seed=3), 1e-3),
-        ("gcflow-l", ConcreteAdjacency(g, dim, embed_dim=5, seed=4), 1e-3),
     ]:
         err = loss_gradient_error(adj, x, labels, classes=3, hidden=6, seed=11)
         report.append(f"{tag} {err:.1e}")
@@ -92,7 +91,6 @@ def test_per_class_joints_marginalize_exactly():
     g = make_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (1, 3)])
     fixtures.append((None, 5, 3, 3, 4))
     fixtures.append((AttentionAdjacency(g, 3, embed_dim=4, seed=6), 5, 3, 3, 5))
-    fixtures.append((ConcreteAdjacency(g, 3, embed_dim=4, seed=7), 5, 3, 3, 6))
     worst = marginalization_error(rng, fixtures)
     nodes = sum(f[1] for f in fixtures)
     ok = worst < 1e-12

@@ -6,26 +6,11 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from gcflow import adjparam, autodiff as ad, flows, graphs, mixture
-from gcflow.errors import DomainError, ShapeError
-from oracles import (DenseMixing, attention_dense, forward_dense, full_pattern, gates_dense, inverse_replayed,
-                     logabsdet_dense, scatter_matrix, stage_matrices)
+from gcflow.errors import ShapeError
+from oracles import (DenseMixing, attention_dense, forward_dense, full_pattern, inverse_replayed, logabsdet_dense,
+                     scatter_matrix, stage_matrices)
 
 PATH4 = graphs.make_graph(4, [(0, 1), (1, 2), (2, 3)])
-
-
-def reverse_edges(src, dst):
-    """Index of the edge (dst[k], src[k]) for each edge k of a symmetric edge list."""
-    return np.lexsort((src, dst))
-
-
-class FixedNoise:
-    """Stands in for a Generator: returns a constant uniform draw."""
-
-    def __init__(self, value):
-        self.value = value
-
-    def uniform(self, size):
-        return np.full(size, self.value)
 
 
 def test_directed_edges_cover_both_orientations():
@@ -106,84 +91,6 @@ def test_attention_logdet_gradient_matches_finite_differences():
 
     assert ad.grad_check(f, source.embed_src.params()) < 1e-5
     assert ad.grad_check(f, source.params()) < 1e-5
-
-
-def test_concrete_parameter_validation():
-    for temperature in (0.0, -1.0, float("nan")):
-        with pytest.raises(DomainError, match="temperature"):
-            adjparam.ConcreteAdjacency(PATH4, dim=2, temperature=temperature)
-
-
-def test_concrete_stretch_arithmetic_removes_edge():
-    # a gate of 0.05 stretched by [-0.1, 1.1] lands at -0.04 and clamps to 0
-    assert 0.05 * (1.1 - (-0.1)) + (-0.1) == pytest.approx(-0.04)
-    source = adjparam.ConcreteAdjacency(PATH4, dim=2, embed_dim=3, damping=1e-3, seed=10)
-    for p in source.params():
-        p.data[...] = 0.0  # logits collapse to 0, gates driven by noise alone
-    # choose the uniform draw whose logistic noise yields a soft gate of 0.05
-    eps = 1.0 / (1.0 + np.exp(-source.temperature * np.log(0.05 / 0.95)))
-    x = np.random.default_rng(11).normal(size=(4, 2))
-    gates = source.realize(x, rng=FixedNoise(eps))
-    assert gates.shape == (6,)
-    assert np.all(gates.data == 0.0)  # every edge gated away; the model's damping remains
-
-
-def test_concrete_low_temperature_saturates_to_one():
-    source = adjparam.ConcreteAdjacency(PATH4, dim=2, embed_dim=3, temperature=1e-4, damping=0.0, seed=12)
-    for p in source.params():
-        p.data[...] = 0.0
-    gates = source.realize(np.zeros((4, 2)), rng=FixedNoise(0.9))
-    assert gates.shape == (6,)
-    assert np.all(gates.data == 1.0)
-
-
-def test_concrete_entries_in_unit_interval():
-    g = graphs.make_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
-    source = adjparam.ConcreteAdjacency(g, dim=3, embed_dim=4, seed=13)
-    x = np.random.default_rng(14).normal(size=(5, 3)) * 2.0
-    for rng in (None, np.random.default_rng(0)):
-        gates = source.realize(x, rng=rng)
-        assert gates.data.min() >= 0.0 and gates.data.max() <= 1.0
-    # no gate sits on the diagonal: the model adds the damping there
-    assert not np.any(source.src == source.dst)
-
-
-def test_concrete_omega_antisymmetric():
-    g = graphs.make_graph(4, [(0, 1), (1, 2), (0, 3), (2, 3)])
-    source = adjparam.ConcreteAdjacency(g, dim=3, embed_dim=5, seed=15)
-    x = np.random.default_rng(16).normal(size=(4, 3))
-    logits = source.edge_logits(x).data
-    src, dst = adjparam.directed_edges(g)
-    index = {(i, k): t for t, (i, k) in enumerate(zip(src, dst))}
-    for (i, k), t in index.items():
-        assert abs(logits[t] + logits[index[(k, i)]]) < 1e-15
-    assert np.array_equal(reverse_edges(src, dst), [index[(k, i)] for i, k in zip(src, dst)])
-
-
-@pytest.mark.parametrize("temperature", [adjparam.DEFAULT_TEMPERATURE, 0.01])
-def test_concrete_eval_gates_orient_an_edge_but_never_remove_it(temperature):
-    # antisymmetric scores and a stretch symmetric about 1/2: an edge's two
-    # directed gates sum to 1, and a closed gate means the other is open
-    g = graphs.make_graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5), (1, 4)])
-    source = adjparam.ConcreteAdjacency(g, dim=3, embed_dim=4, temperature=temperature, seed=20)
-    rng = np.random.default_rng(21)
-    for p in source.params():
-        p.data += rng.normal(size=p.data.shape)
-    gates = source.realize(rng.normal(size=(6, 3)) * 3.0).data
-    back = gates[reverse_edges(source.src, source.dst)]
-    assert_allclose(gates + back, 1.0, rtol=0.0, atol=1e-15)
-    closed = gates == 0.0
-    assert np.all(back[closed] == 1.0)
-    if temperature < 0.1:  # cold gates saturate
-        assert closed.any()
-
-
-def test_concrete_training_noise_is_seed_deterministic():
-    make = lambda: adjparam.ConcreteAdjacency(PATH4, dim=2, embed_dim=3, seed=17)
-    x = np.random.default_rng(18).normal(size=(4, 2))
-    a1 = make().realize(x, rng=np.random.default_rng(19)).data
-    a2 = make().realize(x, rng=np.random.default_rng(19)).data
-    assert np.array_equal(a1, a2)
 
 
 def test_logabsdet_tensor_identity_and_diagonal():
@@ -283,26 +190,25 @@ def test_variant_loss_gradient_matches_finite_differences():
     x = np.random.default_rng(23).normal(size=(5, 3))
     labels = np.array([0, 1, 0, 1, 0])
     cfg = mixture.LossConfig(labeled=np.array([0, 1, 2]), unlabeled=np.array([3, 4]))
-    for source_cls in (adjparam.AttentionAdjacency, adjparam.ConcreteAdjacency):
-        source = source_cls(g, dim=3, embed_dim=3, seed=24)
-        model = variant_model(source, dim=3, seed=25)
-        head = mixture.MixtureHead(2, 3, mean_scalars=[0.0, 1.5])
-        params = model.params() + head.params()
-        assert any(p is q for p in params for q in source.params())
+    source = adjparam.AttentionAdjacency(g, dim=3, embed_dim=3, seed=24)
+    model = variant_model(source, dim=3, seed=25)
+    head = mixture.MixtureHead(2, 3, mean_scalars=[0.0, 1.5])
+    params = model.params() + head.params()
+    assert any(p is q for p in params for q in source.params())
 
-        def f():
-            return mixture.semi_supervised_loss(head, model.forward(x), labels, cfg)
+    def f():
+        return mixture.semi_supervised_loss(head, model.forward(x), labels, cfg)
 
-        assert ad.grad_check(f, params) < 1e-5
+    assert ad.grad_check(f, params) < 1e-5
 
 
 def test_marginalization_identity_with_variant_adjacency():
     g = graphs.make_graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5), (1, 4)])
-    source = adjparam.ConcreteAdjacency(g, dim=3, embed_dim=4, seed=26)
+    source = adjparam.AttentionAdjacency(g, dim=3, embed_dim=4, seed=26)
     model = variant_model(source, dim=3, seed=27)
     head = mixture.MixtureHead(3, 3)
     x = np.random.default_rng(28).normal(size=(6, 3))
-    result = model.forward(x, rng=np.random.default_rng(29))
+    result = model.forward(x)
     joint, marginal = (t.data for t in mixture.log_densities(head, result))
     lse = np.log(np.exp(joint - joint.max(axis=1, keepdims=True)).sum(axis=1)) + joint.max(axis=1)
     assert np.abs(lse - marginal).max() < 1e-12
@@ -318,7 +224,7 @@ def test_variant_inverse_roundtrip_with_recorded_matrices():
     assert np.abs(back.data - x).max() < 1e-8
 
 
-@pytest.mark.parametrize("source_cls", [adjparam.AttentionAdjacency, adjparam.ConcreteAdjacency])
+@pytest.mark.parametrize("source_cls", [adjparam.AttentionAdjacency])
 def test_learned_source_model_refuses_inverse(source_cls):
     # the stage matrices depend on the stage inputs, which z does not give back
     model = variant_model(source_cls(PATH4, dim=2, embed_dim=3, seed=33), dim=2, seed=34)
@@ -367,14 +273,9 @@ def test_sparse_mixing_and_logdet_match_the_dense_oracle(n, isolated, density, d
     assert relative_gap(x.grad, dense_x.grad) <= 1e-12
 
 
-@pytest.mark.parametrize("source_cls, dense_mixing", [
-    (adjparam.AttentionAdjacency, attention_dense),
-    (adjparam.ConcreteAdjacency, gates_dense),
-])
-@pytest.mark.parametrize("noisy", [False, True])
-def test_model_forward_matches_the_dense_route(source_cls, dense_mixing, noisy):
+def test_model_forward_matches_the_dense_route():
     g = graphs.make_graph(7, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (1, 3)])  # nodes 5, 6 isolated
-    source = source_cls(g, dim=3, embed_dim=4, seed=40)
+    source = adjparam.AttentionAdjacency(g, dim=3, embed_dim=4, seed=40)
     model = variant_model(source, dim=3, seed=41)
     rng = np.random.default_rng(42)
     for p in model.params():
@@ -387,12 +288,12 @@ def test_model_forward_matches_the_dense_route(source_cls, dense_mixing, noisy):
 
     params = model.params()
     ad.zero_grads(params)
-    result = model.forward(x, rng=np.random.default_rng(43) if noisy else None)
+    result = model.forward(x)
     got = scalar(result.z, result.flow_logdet, result.graph_logdet)
     got.backward()
     got_grads = [p.grad.copy() for p in params]
     ad.zero_grads(params)
-    want = scalar(*forward_dense(model, x, dense_mixing, rng=np.random.default_rng(43) if noisy else None))
+    want = scalar(*forward_dense(model, x, attention_dense))
     want.backward()
     assert relative_gap(got.data, want.data) <= 1e-12
     for p, g_got in zip(params, got_grads):

@@ -1,5 +1,4 @@
 import gc
-import warnings
 import weakref
 
 import numpy as np
@@ -65,7 +64,6 @@ RECORDING_OPS = {
     "exp": ad.exp,
     "log": ad.log,
     "tanh": ad.tanh,
-    "sigmoid": ad.sigmoid,
     "relu": ad.relu,
     "lrelu": ad.lrelu,
     "clamp": lambda x: ad.clamp(x, 0.0, 1.0),
@@ -260,16 +258,6 @@ def test_scatter_matrix_duplicate_entries_add():
     assert_allclose(v.grad, [10.0, 10.0, 100.0])
 
 
-def test_sigmoid_saturates_without_an_overflow_warning():
-    x = ad.Tensor([-1e4, -800.0, 0.0, 800.0, 1e4], requires_grad=True)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        out = ad.sigmoid(x)
-        ad.tsum(out).backward()
-    assert out.data.tolist() == [0.0, 0.0, 0.5, 1.0, 1.0]
-    assert x.grad.tolist() == [0.0, 0.0, 0.25, 0.0, 0.0]
-
-
 def test_clamp_gradient_mask():
     x = ad.Tensor([-1.0, 0.5, 2.0], requires_grad=True)
     c = ad.clamp(x, 0.0, 1.0)
@@ -305,7 +293,7 @@ def test_broadcast_add_unbroadcasts_gradient():
     assert_allclose(b.grad, np.full((1, 4), 3.0))
 
 
-@pytest.mark.parametrize("name", ["exp", "log", "tanh", "sigmoid", "relu", "lrelu"])
+@pytest.mark.parametrize("name", ["exp", "log", "tanh", "relu", "lrelu"])
 def test_unary_gradients_match_finite_differences(name):
     rng = np.random.default_rng(hash(name) % (2**32))
     fn = getattr(ad, name)
@@ -329,7 +317,7 @@ def test_grad_check_composite_graph():
 
     def f():
         h = ad.tanh(ad.matmul(x, w) + b)
-        return ad.tsum(ad.row_softmax(h) * h) + ad.tsum(ad.sigmoid(h)) * (1.0 / h.data.size)
+        return ad.tsum(ad.row_softmax(h) * h) + ad.tsum(ad.exp(h)) * (1.0 / h.data.size)
 
     assert ad.grad_check(f, [w, b]) < 1e-6
 
@@ -453,7 +441,7 @@ def test_binary_ops_over_random_broadcasts(shapes, op, seed):
 
 @FD_SETTINGS
 @given(
-    op=st.sampled_from(["exp", "log", "tanh", "sigmoid", "relu", "lrelu", "clamp"]),
+    op=st.sampled_from(["exp", "log", "tanh", "relu", "lrelu", "clamp"]),
     shape=st.sampled_from([(), (3,), (2, 3), (4, 1), (2, 2, 2)]),
     seed=SEEDS,
 )

@@ -3,10 +3,12 @@ import pytest
 import scipy.linalg
 from numpy.testing import assert_allclose
 
-from gcflow import adjparam, flows, graphs, mixture
+from gcflow import flows, graphs, mixture
 from gcflow import autodiff as ad
 from gcflow.errors import ScaleError, ShapeError, SingularMatrixError
-from oracles import identity_adjacency, inverse_replayed, mlp_unfused, stage_matrices
+from gcflow.training import FLOW_KINDS, TrainConfig, assemble_model
+from gcflow.verify import random_graph
+from oracles import identity_adjacency, mlp_unfused
 
 
 def zero_all(params):
@@ -50,7 +52,7 @@ class MixStub:
         self.n = n
         self.w = ad.Tensor(0.2, requires_grad=True)
 
-    def mix(self, x, rng=None):
+    def mix(self, x):
         scale = ad.exp(self.w) * (ad.Tensor(1.0) + ad.tsum(x) * (0.1 / x.data.size))
         return x * scale, lambda: ad.log(scale) * self.n
 
@@ -181,6 +183,37 @@ def test_model_logdet_matches_bruteforce():
     assert_allclose(formula, brute, atol=1e-6)
 
 
+# A gcflow-p stage computes M(x)·x with M built from the stage's own input.
+# Its Jacobian is M(x) ⊗ I plus a term from ∂M/∂x, and the loss adds only
+# D·log|det M(x)|, so its objective is a surrogate, not a change-of-variables
+# density; the gap is a property of the kind, not a tolerance.
+SURROGATE_KINDS = {"gcflow-p"}
+
+
+@pytest.mark.parametrize("kind", FLOW_KINDS)
+def test_every_flow_kinds_logdet_against_the_bruteforce_jacobian(kind):
+    # acceptance check 1's graphs (edge probability 0.6, condition number at
+    # most 30) and its tolerance, on two stages of D=2 over six nodes
+    gaps = []
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        rows, cols = random_graph(rng, 6, max_cond=30.0).sparse.nonzero()
+        g = graphs.make_graph(6, [(i, j) for i, j in zip(rows, cols) if i < j])
+        model = assemble_model(TrainConfig(model=kind, damping=1e-3, seed=seed), g, 2, 2).model.flow
+        for flow in model.flows:
+            for layer in flow.layers:
+                layer.s_scale.data[...] = 0.6
+        assert model.num_flows == 2
+        x = rng.normal(size=(6, 2))
+        result = model.forward(x)
+        formula = result.graph_logdet.item() + result.flow_logdet.data.sum()
+        gaps.append(abs(formula - flows.jacobian_bruteforce(lambda a: model.forward(a).z, x)))
+    if kind in SURROGATE_KINDS:
+        assert min(gaps) > 0.1
+    else:
+        assert max(gaps) < 1e-5
+
+
 def test_two_stage_logdet_composes():
     n, dim = 5, 4
     adj = random_adjacency(n, seed=10)
@@ -249,23 +282,6 @@ def test_mix_only_source_drives_forward_logdet_and_gradients():
         return mixture.semi_supervised_loss(head, model.forward(x), labels, cfg)
 
     assert ad.grad_check(loss, params) < 1e-5
-
-
-def test_input_dependent_source_roundtrip():
-    # a forward handed an rng draws gate noise: the reference inverse replays
-    # the forward with a generator seeded alike to rebuild each stage matrix
-    n, dim = 4, 3
-    g = graphs.make_graph(n, [(0, 1), (1, 2), (2, 3), (0, 3)])
-    source = adjparam.ConcreteAdjacency(g, dim, embed_dim=3, damping=1.0, seed=18)
-    model = flows.build_gcflow(2, dim, hidden=5, net_layers=2, adjacency=source, seed=18)
-    x = np.random.default_rng(19).normal(size=(n, dim))
-    result = model.forward(x, rng=np.random.default_rng(24))
-    assert len(stage_matrices(model, x, rng=np.random.default_rng(24))) == 2
-    for adjacency in (source, MixStub(n)):
-        with pytest.raises(ShapeError):
-            flows.GcFlowModel(model.flows, adjacency=adjacency).inverse(result.z)
-    back = inverse_replayed(model, x, result.z, rng=np.random.default_rng(24))
-    assert np.abs(back.data - x).max() < 1e-8
 
 
 def test_inverse_solves_with_the_factors_of_the_c_order_matrix():

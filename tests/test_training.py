@@ -152,8 +152,7 @@ def test_config_checks_value_types_and_ranges():
                        ("dropout", 1.0), ("dropout", -0.2), ("dropout", float("nan")),
                        ("weight_decay", -5.0), ("weight_decay", float("nan")), ("lr", float("nan")),
                        ("lr", float("inf")), ("lr", -0.1), ("mean_hi", float("nan")), ("mean_hi", 0.2),
-                       ("log_std_init", float("inf")), ("temperature", float("nan")),
-                       ("temperature", 0.0), ("temperature", -0.5), ("unlabeled_weight", -float("inf"))]:
+                       ("log_std_init", float("inf")), ("unlabeled_weight", -float("inf"))]:
         with pytest.raises(ConfigError, match=f"config {key} must be"):
             TrainConfig(**{key: value})
 
@@ -173,7 +172,7 @@ def test_config_kind_defaults(sbm):
     dim, k = sbm.dim, sbm.num_classes
     half = dim // 2
     defaults = {"gcn": (128, 0.5), "flowgmm": (64, 0.0), "gcflow": (64, 0.0), "gcflow-p": (64, 0.0),
-                "gcflow-l": (64, 0.0), "gmm-x": (None, None), "gmm-ax": (None, None)}
+                "gmm-x": (None, None), "gmm-ax": (None, None)}
     assert sorted(defaults) == sorted(training.KINDS)
 
     def expected_nets(kind, hidden, dropout):
@@ -423,7 +422,7 @@ def test_a_failed_carried_forward_ends_the_run_with_no_second_forward(sbm, monke
     (dict(model="gcflow"), False),
     (dict(model="gcflow-p"), False),
     (dict(model="flowgmm", dropout=0.1), True),
-    (dict(model="gcflow-l"), True),
+    (dict(model="gcflow-p", dropout=0.1), True),
     (dict(model="gcn"), True),
     (dict(model="gcn", dropout=0.0), False),
 ])
@@ -498,7 +497,7 @@ def sparse_sbm():
     return generate_sbm(SbmConfig(block_size=700, p_intra=0.01, q_inter=0.001, seed=0))
 
 
-@pytest.mark.parametrize("kind", ["gcflow-p", "gcflow-l"])
+@pytest.mark.parametrize("kind", ["gcflow-p"])
 def test_no_n_by_n_tensor_rides_the_tape(sparse_sbm, kind):
     ds = sparse_sbm
     tm = perturbed_flow_model(kind, ds)
@@ -511,7 +510,7 @@ def test_no_n_by_n_tensor_rides_the_tape(sparse_sbm, kind):
     assert all(np.isfinite(p.grad).all() for p in tm.model.params())
 
 
-@pytest.mark.parametrize("kind", ["gcflow-p", "gcflow-l"])
+@pytest.mark.parametrize("kind", ["gcflow-p"])
 def test_parameterized_inference_runs_in_edge_memory(sparse_sbm, kind):
     ds = sparse_sbm
     tm = perturbed_flow_model(kind, ds)
@@ -535,7 +534,7 @@ def test_inference_matches_the_taped_route(sbm, kind):
     assert tm.model.predict_and_represent(sbm.features)[0].tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("kind", ["gcflow-p", "gcflow-l"])
+@pytest.mark.parametrize("kind", ["gcflow-p"])
 def test_inference_skips_the_graph_logdet(sbm, kind, monkeypatch):
     calls = []
     real = adjparam.logabsdet_tensor
@@ -780,7 +779,7 @@ def test_checkpoint_round_trip_flow(sbm, tmp_path):
     assert representation(again, sbm).tobytes() == z.tobytes()
 
 
-@pytest.mark.parametrize("kind", ["gcflow-p", "gcflow-l"])
+@pytest.mark.parametrize("kind", ["gcflow-p"])
 def test_checkpoint_round_trip_parameterized_adjacency(sbm, kind, tmp_path):
     cfg = TrainConfig(model=kind, hidden=8, embed_dim=4, lr=1e-3, epochs=2, patience=5, seed=3)
     record = train(cfg, sbm, checkpoint_dir=tmp_path)
@@ -831,7 +830,7 @@ def test_checkpoint_rejects_non_checkpoints(tmp_path, sbm):
     bad.write_text("{\"format\": \"something-else\"}")
     with pytest.raises(FormatError):
         load_checkpoint(bad, sbm.graph)
-    for tag in ("gcflow-checkpoint-1", "gcflow-checkpoint-2", "gcflow-checkpoint-3"):
+    for tag in ("gcflow-checkpoint-1", "gcflow-checkpoint-2", "gcflow-checkpoint-3", "gcflow-checkpoint-4"):
         bad.write_text(f"{{\"format\": \"{tag}\"}}")
         with pytest.raises(FormatError, match=f"{tag}.*{FORMAT_TAG}"):
             load_checkpoint(bad, sbm.graph)
@@ -870,7 +869,7 @@ def test_inference_route_never_factors(sbm, kind, tmp_path, monkeypatch):
         assert calls == [(sbm.n, sbm.n)]
     else:
         # a learned source factors each stage of each epoch's loss forward once
-        stages = cfg.num_flows if kind in ("gcflow-p", "gcflow-l") else 0
+        stages = cfg.num_flows if training.KINDS[kind].mixing is training._attention else 0
         assert calls == [(sbm.n, sbm.n)] * (stages * record.epochs_run)
     calls.clear()
     tm = load_checkpoint(record.checkpoint_path, sbm.graph)
