@@ -198,6 +198,8 @@ def load_dataset(manifest_path) -> Dataset:
     if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in sizes):
         raise FormatError(f"{manifest_path}: n, dim and classes must be integers, got {sizes}")
     n, dim, classes = sizes
+    if classes < 2:
+        raise FormatError(f"{manifest_path}: need at least two classes to cluster, got {classes}")
     not_names = [k for k in MANIFEST_FILES if not isinstance(manifest[k], str)]
     if not_names:
         raise FormatError(f"{manifest_path}: file entries {not_names} must be file names (strings)")

@@ -14,8 +14,13 @@ from scipy.spatial.distance import cdist
 
 from .errors import ConfigError, DomainError, ShapeError
 
-# cap on the distances held per block (rows x n floats)
-DISTANCE_BUDGET = 4_000_000
+# cap on the distances held per block: rows x (n - start) floats, most in the
+# first block. Keep that block above about 2 MB. On the infer benchmark
+# (n=2400, one BLAS thread) blocks of 0.8 MB (100,000) gave 43x the minor
+# faults and twice the forward step time of blocks of 2.4 or 4.8 MB, seemingly
+# because a freed block raises glibc's mmap threshold only to its own size,
+# below the size of the forward's temporaries
+DISTANCE_BUDGET = 600_000
 KMEANS_MAX_ITERS = 1000
 
 
@@ -63,15 +68,14 @@ def _cluster_codes(raw, n):
     return labels, counts, onehot
 
 
-def _widths(sums, labels, counts, rows):
-    """Silhouette widths of ``rows`` from their summed distances to each cluster."""
-    own = labels[rows]
-    own_count = counts[own]
-    at = np.arange(rows.size)
+def _widths(sums, labels, counts):
+    """Silhouette widths of every point from its summed distances to each cluster."""
+    own_count = counts[labels]
+    at = np.arange(labels.size)
     with np.errstate(invalid="ignore", divide="ignore"):
-        a = sums[at, own] / (own_count - 1.0)
+        a = sums[at, labels] / (own_count - 1.0)
         means = sums / counts[None, :]
-    means[at, own] = np.inf
+    means[at, labels] = np.inf
     b = means.min(axis=1)
     with np.errstate(invalid="ignore", divide="ignore"):
         s = (b - a) / np.maximum(a, b)
@@ -88,27 +92,32 @@ def silhouette(points, assign, *more):
     Points in singleton clusters score 0, and so do points with a = b = 0.
     Distances come from ``cdist`` (compiled direct differences, not the
     inner-product expansion, which loses ~1e-9 of precision that the metric
-    oracles notice), one block of rows x n distances at a time, with at most
-    DISTANCE_BUDGET per block, so the full n x n matrix never materializes.
+    oracles notice), and each one is computed once: the block of rows
+    ``start:stop`` takes its distances to the points from ``start`` on, the
+    upper triangle of the symmetric matrix, and adds them both to its own
+    rows' cluster sums and, transposed, to the later rows' sums. A block holds
+    at most DISTANCE_BUDGET distances, so the full n x n matrix never
+    materializes; when n x n is within the budget, one block is that matrix.
 
     With one labeling the result is a float. Further labelings of the same
-    points (``more``) are scored from the same distance blocks, one
-    ``block @ onehot`` product each, and a tuple of floats comes back in
+    points (``more``) are scored from the same distance blocks, two
+    ``block @ onehot`` products each, and a tuple of floats comes back in
     argument order; each equals what a call with that labeling alone returns.
     """
     x = _finite_points(points)
     n = x.shape[0]
     codings = [_cluster_codes(raw, n) for raw in (assign, *more)]
-    scores = np.zeros((len(codings), n))
+    totals = [np.zeros((n, counts.size)) for _, counts, _ in codings]
     block = max(1, DISTANCE_BUDGET // n)
     for start in range(0, n, block):
         stop = min(start + block, n)
-        dist = cdist(x[start:stop], x)
-        rows = np.arange(start, stop)
-        for score, (labels, counts, onehot) in zip(scores, codings):
-            score[rows] = _widths(dist @ onehot, labels, counts, rows)
+        dist = cdist(x[start:stop], x[start:])
+        for total, (_, _, onehot) in zip(totals, codings):
+            total[start:stop] += dist @ onehot[start:]
+            total[stop:] += dist[:, stop - start:].T @ onehot[start:stop]
         del dist  # before the next block is allocated, so one block is alive at a time
-    means = tuple(float(score.mean()) for score in scores)
+    means = tuple(float(_widths(total, labels, counts).mean())
+                  for total, (labels, counts, _) in zip(totals, codings))
     return means if more else means[0]
 
 

@@ -195,6 +195,17 @@ def test_label_beyond_class_count_rejected(tmp_path):
         load_dataset(root / "manifest.json")
 
 
+@pytest.mark.parametrize("classes", [1, 0, -2])
+def test_fewer_than_two_classes_rejected(tmp_path, classes):
+    # one class trains every epoch and then fails in evaluate's silhouette
+    _, root = write_tiny_tree(tmp_path)
+    (root / "labels.csv").write_text("0\n0\n0\n0\n")
+    manifest = json.loads((root / "manifest.json").read_text())
+    (root / "manifest.json").write_text(json.dumps({**manifest, "classes": classes}))
+    with pytest.raises(FormatError, match=f"^{re.escape(str(root / 'manifest.json'))}: need at least two classes"):
+        load_dataset(root / "manifest.json")
+
+
 def test_label_below_minus_one_rejected(tmp_path):
     # -1 marks an unknown label; -7 is not one, though it once scored as unknown
     _, root = write_tiny_tree(tmp_path)

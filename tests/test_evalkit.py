@@ -188,11 +188,14 @@ def test_silhouette_blockwise_equals_direct(monkeypatch):
     monkeypatch.setattr(evalkit, "DISTANCE_BUDGET", 70 * n)
     block = evalkit.DISTANCE_BUDGET // n
     assert 1 < block < n and n % block
-    rows = []
+    shapes = []
     real = evalkit.cdist
-    monkeypatch.setattr(evalkit, "cdist", lambda a, b: rows.append(a.shape[0]) or real(a, b))
+    monkeypatch.setattr(evalkit, "cdist", lambda a, b: shapes.append((a.shape[0], b.shape[0])) or real(a, b))
     assert_allclose(evalkit.silhouette(x, labels), silhouette_loops(x, labels), atol=1e-10)
-    assert rows == [70, 70, 70, 70, 20]
+    assert [rows for rows, _ in shapes] == [70, 70, 70, 70, 20]
+    # each block reaches only the points from its first row on: 55,000
+    # distances, the upper triangle and diagonal blocks, not all 90,000
+    assert [cols for _, cols in shapes] == [300, 230, 160, 90, 20]
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
@@ -201,22 +204,33 @@ def test_silhouette_blockwise_equals_direct(monkeypatch):
     dim=st.integers(1, 5),
     k=st.integers(2, 8),
     distinct=st.integers(1, 30),
+    rows=st.integers(1, 31),
     seed=st.integers(0, 2**32 - 1),
 )
-@example(n=6, dim=2, k=6, distinct=1, seed=0)  # every cluster a singleton, every point the same
-@example(n=8, dim=3, k=2, distinct=1, seed=1)  # a = b = 0 for every point
-def test_silhouette_matches_loop_oracle_property(n, dim, k, distinct, seed):
+@example(n=6, dim=2, k=6, distinct=1, rows=6, seed=0)  # every cluster a singleton, every point the same
+@example(n=8, dim=3, k=2, distinct=1, rows=3, seed=1)  # a = b = 0 for every point
+@example(n=7, dim=2, k=3, distinct=7, rows=1, seed=2)  # one row per block
+def test_silhouette_matches_loop_oracle_property(n, dim, k, distinct, rows, seed):
     # points drawn from `distinct` locations, so small pools give duplicates
     # (a = b = 0); k close to n gives singletons; label values are spread
-    # out and partly negative, so they are neither contiguous nor 0-based
+    # out and partly negative, so they are neither contiguous nor 0-based;
+    # a budget of `rows` x n distances gives blocks of `rows` rows, from one
+    # per point to one block for all (rows >= n), with a ragged last block
+    # whenever `rows` does not divide n
     rng = np.random.default_rng(seed)
+    rows = min(rows, n + 1)
     k = min(k, n)
     codes = rng.integers(0, k, size=n)
     codes[:k] = np.arange(k)
     labels = rng.choice(np.arange(-40, 40), size=k, replace=False)[codes] * 3
     pool = rng.normal(size=(min(distinct, n), dim))
     x = pool[rng.integers(0, pool.shape[0], size=n)]
-    got = evalkit.silhouette(x, labels)
+    patched = pytest.MonkeyPatch()
+    patched.setattr(evalkit, "DISTANCE_BUDGET", rows * n)
+    try:
+        got = evalkit.silhouette(x, labels)
+    finally:
+        patched.undo()
     assert abs(got - silhouette_loops(x, labels)) <= 1e-10
     assert -1.0 <= got <= 1.0
 
