@@ -15,12 +15,13 @@ from scipy.spatial.distance import cdist
 from .errors import ConfigError, DomainError, ShapeError
 
 # cap on the distances held per block: rows x (n - start) floats, most in the
-# first block. Keep that block above about 2 MB. On the infer benchmark
-# (n=2400, one BLAS thread) blocks of 0.8 MB (100,000) gave 43x the minor
-# faults and twice the forward step time of blocks of 2.4 or 4.8 MB, seemingly
-# because a freed block raises glibc's mmap threshold only to its own size,
-# below the size of the forward's temporaries
-DISTANCE_BUDGET = 600_000
+# first block (2.4 MB at this budget). Keep that block above about 2 MB. On the
+# benchmark workloads (n=2400, one BLAS thread) this budget evaluated 15-17%
+# faster than 600,000 (4.8 MB blocks) with no other metric worse, while blocks
+# of 0.8 MB (100,000) gave 43x the minor faults and twice the forward step
+# time, seemingly because a freed block raises glibc's mmap threshold only to
+# its own size, below the size of the forward's temporaries
+DISTANCE_BUDGET = 300_000
 KMEANS_MAX_ITERS = 1000
 
 

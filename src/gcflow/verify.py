@@ -3,7 +3,8 @@
 Each check recomputes a core identity through an independent route and
 returns the measured error: the analytic log-determinant against a
 brute-force Jacobian, analytic gradients against finite differences, the
-inverse against the forward, the per-class joints against the marginal,
+learned log-determinant's gradient against a dense inverse, the inverse
+against the forward, the per-class joints against the marginal,
 and the density against a numeric integral. Sizes and seeds are
 parameters: the acceptance tests run them large, ``run_self_checks`` runs
 them small enough to finish in seconds.
@@ -14,12 +15,21 @@ from __future__ import annotations
 import numpy as np
 from scipy.integrate import trapezoid
 
-from .autodiff import grad_check
+from .adjparam import AttentionAdjacency
+from .autodiff import Tensor, grad_check
 from .data import SbmConfig, generate_sbm
 from .errors import SingularMatrixError
 from .flows import build_gcflow, jacobian_bruteforce
-from .graphs import make_graph, normalize_row
+from .graphs import logabsdet_tensor, make_graph, normalize_row
 from .mixture import LossConfig, MixtureHead, log_densities, semi_supervised_loss
+
+
+def random_edges(rng, n):
+    """Graph on n nodes with each pair linked with probability 0.6, or the
+    first pair alone when the draw links none."""
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    keep = [p for p in pairs if rng.random() < 0.6]
+    return make_graph(n, keep or [pairs[0]])
 
 
 def random_graph(rng, n, max_cond=None):
@@ -31,9 +41,7 @@ def random_graph(rng, n, max_cond=None):
     # the difference route of the log-determinant loses cond(A)^stages
     # digits, so near-singular draws would test the probe, not the formula
     while True:
-        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        keep = [p for p in pairs if rng.random() < 0.6]
-        g = make_graph(n, keep or [pairs[0]])
+        g = random_edges(rng, n)
         adj = normalize_row(g)
         try:
             adj.log_abs_det
@@ -81,6 +89,20 @@ def loss_gradient_error(adjacency, x, labels, classes, hidden, seed):
     return grad_check(
         lambda: semi_supervised_loss(head, model.forward(x), labels, cfg), model.params() + head.params()
     )
+
+
+def learned_logdet_gradient_error(seed, n, dim, damping):
+    """Largest gap, relative to the largest expected entry, between the
+    backward share of an attention source's log|det| and its matrix's
+    transposed inverse (``np.linalg.inv``) at the pattern's positions."""
+    rng = np.random.default_rng(seed)
+    source = AttentionAdjacency(random_edges(rng, n), dim, embed_dim=4, damping=damping, seed=seed)
+    values = Tensor(source.realize(rng.normal(size=(n, dim))).data, requires_grad=True)
+    logabsdet_tensor(source.pattern, values, damping).backward()
+    matrix = damping * np.eye(n)
+    matrix[source.src, source.dst] += values.data
+    want = np.linalg.inv(matrix).T[source.src, source.dst]
+    return float(np.abs(values.grad - want).max() / np.abs(want).max())
 
 
 def inverse_error(seed, trials, sizes, dims):
@@ -149,6 +171,8 @@ CHECKS = [
     ("determinant decomposition vs brute-force Jacobian",
      lambda: determinant_error(0, trials=5, sizes=(3, 6), dims=[2], depths=(2, 3)), 1e-5),
     ("loss gradients vs finite differences", _small_gradient_error, 1e-5),
+    ("learned log-det gradient vs transposed inverse",
+     lambda: learned_logdet_gradient_error(4, n=10, dim=3, damping=1e-2), 1e-12),
     ("inverse undoes forward", lambda: inverse_error(2, trials=2, sizes=(5, 6), dims=[4]), 1e-8),
     ("per-class joints marginalize consistently", _small_marginalization_error, 1e-12),
     ("model density integrates to one", lambda: abs(density_mass(hidden=6, points=121) - 1.0), 0.02),

@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -309,11 +310,15 @@ def test_sparse_and_dense_views_agree():
         assert_allclose(adj.sparse.toarray(), normalized_dense(path3(), scheme), atol=0)
 
 
-def test_logabsdet_backward_solves_in_place_into_the_identity():
-    n = 600
-    rng = np.random.default_rng(0)
+def sparse_logdet_fixture(n, seed):
+    rng = np.random.default_rng(seed)
     pattern = (scipy.sparse.random(n, n, density=0.01, random_state=rng) + scipy.sparse.eye(n)).tocsr()
-    values = ad.Tensor(pattern.data.copy(), requires_grad=True)
+    return pattern, ad.Tensor(pattern.data.copy(), requires_grad=True)
+
+
+def test_logabsdet_backward_inverts_in_place_over_the_factors():
+    n = 600
+    pattern, values = sparse_logdet_fixture(n, seed=0)
     logdet = graphs.logabsdet_tensor(pattern, values)
     tracemalloc.start()
     try:
@@ -321,13 +326,35 @@ def test_logabsdet_backward_solves_in_place_into_the_identity():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # one n x n array, the solution the identity is overwritten with; a
-    # copying solve holds the identity beside it
-    assert peak < 1.5 * n * n * 8
+    # getri's workspace (64 columns at this size) and the gathered entries;
+    # no n x n array beside the factors it overwrites
+    assert peak < 0.25 * n * n * 8
     factors, _ = graphs._lu_checked(pattern.toarray(order="F"))
-    copied = scipy.linalg.lu_solve(factors, np.eye(n), trans=1, check_finite=False)
+    lwork = int(scipy.linalg.lapack.dgetri_lwork(n)[0])
+    inverse = scipy.linalg.lapack.dgetri(*factors, lwork=lwork)[0]
     coo = pattern.tocoo()
-    assert values.grad.tobytes() == copied[coo.row, coo.col].tobytes()
+    assert values.grad.tobytes() == inverse[coo.col, coo.row].tobytes()
+
+
+def test_logabsdet_backward_asks_getri_for_its_blocked_workspace(monkeypatch):
+    # scipy's default workspace (3n) runs getri a few columns at a time,
+    # slower than a solve against the identity
+    n = 300
+    pattern, values = sparse_logdet_fixture(n, seed=1)
+    asked = []
+    real = scipy.linalg.lapack.dgetri
+    monkeypatch.setattr(scipy.linalg.lapack, "dgetri", lambda *a, **kw: asked.append(kw["lwork"]) or real(*a, **kw))
+    graphs.logabsdet_tensor(pattern, values).backward()
+    assert asked == [int(scipy.linalg.lapack.dgetri_lwork(n)[0])]
+
+
+def test_logabsdet_repeated_backward_doubles_the_share():
+    pattern, values = sparse_logdet_fixture(200, seed=2)
+    logdet = graphs.logabsdet_tensor(pattern, values)
+    logdet.backward()
+    first = values.grad.copy()
+    logdet.backward()
+    assert values.grad.tobytes() == (2.0 * first).tobytes()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
