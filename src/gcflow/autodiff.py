@@ -42,8 +42,6 @@ import scipy.sparse
 
 from .errors import DomainError, ShapeError
 
-LRELU_SLOPE = 0.2
-
 # False inside ``no_grad``; a context variable, so threads and tasks each see their own
 _recording = contextvars.ContextVar("gcflow_autodiff_recording", default=True)
 
@@ -354,12 +352,6 @@ def tanh(a):
 def relu(a):
     a = as_tensor(a)
     return _unary(a, np.maximum(a.data, 0.0), lambda y: (a.data > 0.0).astype(np.float64), "relu")
-
-
-def lrelu(a):
-    a = as_tensor(a)
-    value = np.where(a.data > 0.0, a.data, LRELU_SLOPE * a.data)
-    return _unary(a, value, lambda y: np.where(a.data > 0.0, 1.0, LRELU_SLOPE), "lrelu")
 
 
 def clamp(a, lo, hi):

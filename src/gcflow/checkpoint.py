@@ -23,7 +23,7 @@ from .evalkit import PcaProjection
 from .graphs import fingerprint
 from .training import TrainConfig, TrainedModel, assemble_model
 
-FORMAT_TAG = "gcflow-checkpoint-5"
+FORMAT_TAG = "gcflow-checkpoint-6"
 
 
 def save_checkpoint(path, tm: TrainedModel, graph):

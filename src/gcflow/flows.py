@@ -24,7 +24,7 @@ import scipy.linalg
 
 from . import autodiff as ad
 from .errors import ScaleError, ShapeError
-from .graphs import NormalizedAdjacency, _lu_checked, log_abs_det
+from .graphs import _lu_checked, log_abs_det
 
 
 def glorot(rng, fan_in, fan_out):
@@ -168,11 +168,12 @@ class GcFlowModel:
 
     ``adjacency`` is None (identity mixing, the plain-flow special case), a
     NormalizedAdjacency (fixed mixing) or a learned ``adjparam`` source, which
-    also has ``params()``. Each stage mixes by ``mix(x)``, which returns
-    the features and a function for the stage's log|det|, then applies its
-    flow. The flows' dropout noise is drawn from ``rng`` alone: a forward
-    without one is inference. No log|det| is computed until the result's
-    ``graph_logdet`` is read, so latents and class posteriors never pay for one.
+    also has ``params()``. Stage s mixes by ``mix(x, s)``, which returns the
+    features and a function for the stage's log|det|, then applies its flow;
+    no stage matrix reads the features, so every kind inverts exactly. The
+    flows' dropout noise is drawn from ``rng`` alone: a forward without one is
+    inference. No log|det| is computed until the result's ``graph_logdet`` is
+    read, so latents and class posteriors never pay for one.
     """
 
     def __init__(self, flows, adjacency=None):
@@ -194,28 +195,23 @@ class GcFlowModel:
             raise ShapeError(f"model expects {self.dim} features, got {dim}")
         flow_logdet = ad.Tensor(np.zeros(n))
         stage_logdets = []
-        for flow in self.flows:
+        for stage, flow in enumerate(self.flows):
             if self.adjacency is not None:
-                x, stage_logdet = self.adjacency.mix(x)
+                x, stage_logdet = self.adjacency.mix(x, stage)
                 stage_logdets.append(stage_logdet)
             x, ld = flow.forward(x, rng)
             flow_logdet = flow_logdet + ld
         return ForwardResult(z=x, flow_logdet=flow_logdet, stage_logdets=stage_logdets)
 
     def inverse(self, z):
-        """Undo forward for identity or fixed mixing; a learned source's stage
-        matrices depend on stage inputs ``z`` does not give back (``ShapeError``).
-        One checked LU of the fixed matrix serves every stage's solve."""
-        if self.adjacency is None:
-            factors = None
-        elif isinstance(self.adjacency, NormalizedAdjacency):
-            factors = _lu_checked(self.adjacency.sparse.toarray(order="F"))[0]
-        else:
-            raise ShapeError("input-dependent adjacency: the stage matrices cannot be recomputed from z")
+        """Undo forward: each stage, last first, inverts its flow, then solves
+        with its mixing matrix, read back as ``mix`` of the identity and
+        factored by one checked LU."""
         x = ad.as_tensor(z)
-        for flow in reversed(self.flows):
-            x = flow.inverse(x)
-            if factors is not None:
+        for stage in reversed(range(self.num_flows)):
+            x = self.flows[stage].inverse(x)
+            if self.adjacency is not None:
+                factors = _lu_checked(self.adjacency.mix(np.eye(x.shape[0]), stage)[0].data)[0]
                 x = ad.Tensor(scipy.linalg.lu_solve(factors, x.data, check_finite=False))
         return x
 

@@ -116,8 +116,8 @@ class NormalizedAdjacency:
                 raise SingularMatrixError(f"{self.scheme} adjacency is singular; {hint}") from None
         return self._log_abs_det
 
-    def mix(self, x):
-        """The matrix times ``x``, and a function that reads its cached log|det|."""
+    def mix(self, x, stage=None):
+        """The matrix times ``x`` at any stage, and a function that reads its cached log|det|."""
         return ad.sparse_matmul(self.sparse, self.sparse.data, x), lambda: self.log_abs_det
 
     def __repr__(self):

@@ -106,7 +106,7 @@ _FIELD_TYPES = {"str": str, "bool": bool, "int": numbers.Integral, "float": numb
 # what an admitted value is stored as, so that asdict(config) is plain JSON even for numpy scalars
 _PLAIN_TYPES = {"str": str, "bool": bool, "int": int, "float": float}
 _INT_MINIMA = (("num_flows", 1), ("couplings", 1), ("net_layers", 1), ("hidden", 1), ("epochs", 1),
-               ("patience", 1), ("seed", 0), ("pca_dim", 1), ("embed_dim", 1))
+               ("patience", 1), ("seed", 0), ("pca_dim", 1))
 
 
 @dataclass
@@ -130,7 +130,6 @@ class TrainConfig:
     label_init_means: bool = True
     mean_hi: float = MEAN_HI  # largest component-mean scalar at init; the smallest is MEAN_LO
     log_std_init: float = 0.0
-    embed_dim: int = 16
 
     def __post_init__(self):
         for f in fields(self):
@@ -249,7 +248,7 @@ def _fixed_mixing(cfg, graph, dim, damping_used):
 
 def _attention(cfg, graph, dim, damping_used):
     damp = cfg.damping or DEFAULT_DAMPING
-    return AttentionAdjacency(graph, dim, embed_dim=cfg.embed_dim, damping=damp, seed=cfg.seed), damp
+    return AttentionAdjacency(graph, cfg.num_flows, damping=damp), damp
 
 
 def _gcn(cfg, source, dim, classes):

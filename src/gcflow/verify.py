@@ -5,7 +5,8 @@ returns the measured error: the analytic log-determinant against a
 brute-force Jacobian, analytic gradients against finite differences, the
 learned log-determinant's gradient against a dense inverse, the inverse
 against the forward, the per-class joints against the marginal,
-and the density against a numeric integral. Sizes and seeds are
+and the density against a numeric integral, the determinant and inverse on
+fixed and on learned mixing. Sizes and seeds are
 parameters: the acceptance tests run them large, ``run_self_checks`` runs
 them small enough to finish in seconds.
 """
@@ -53,12 +54,25 @@ def random_graph(rng, n, max_cond=None):
             return adj
 
 
-def determinant_error(seed, trials, sizes, dims, depths, max_cond=None):
+def random_attention(rng, n, stages, max_cond=None):
+    """Attention source with standard normal logits on a ``random_edges`` graph;
+    with ``max_cond``, redrawn until no stage's matrix is worse conditioned."""
+    while True:
+        source = AttentionAdjacency(random_edges(rng, n), stages)
+        for logits in source.logits:
+            logits.data[...] = rng.normal(size=logits.shape)
+        if max_cond is None or all(np.linalg.cond(source.mix(np.eye(n), s)[0].data) <= max_cond
+                                   for s in range(stages)):
+            return source
+
+
+def determinant_error(seed, trials, sizes, dims, depths, max_cond=None, learned=False):
     """Largest gap between the analytic log-determinant of random graph flows
     and the log-determinant of their brute-force Jacobian.
 
     Each trial draws a node count from ``range(*sizes)``, a width from
-    ``dims``, a flow count from ``range(*depths)``, a graph and an input.
+    ``dims``, a flow count from ``range(*depths)``, a graph (with ``learned``,
+    a ``random_attention``) and an input.
     """
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -66,7 +80,7 @@ def determinant_error(seed, trials, sizes, dims, depths, max_cond=None):
         n = int(rng.integers(*sizes))
         dim = int(rng.choice(dims))
         stages = int(rng.integers(*depths))
-        adj = random_graph(rng, n, max_cond)
+        adj = random_attention(rng, n, stages, max_cond) if learned else random_graph(rng, n, max_cond)
         model = build_gcflow(stages, dim, hidden=6, net_layers=2, adjacency=adj, seed=trial)
         x0 = rng.normal(size=(n, dim))
         result = model.forward(x0)
@@ -91,13 +105,13 @@ def loss_gradient_error(adjacency, x, labels, classes, hidden, seed):
     )
 
 
-def learned_logdet_gradient_error(seed, n, dim, damping):
+def learned_logdet_gradient_error(seed, n, damping):
     """Largest gap, relative to the largest expected entry, between the
-    backward share of an attention source's log|det| and its matrix's
-    transposed inverse (``np.linalg.inv``) at the pattern's positions."""
+    backward share of an attention source's log|det| at random logits and its
+    matrix's transposed inverse (``np.linalg.inv``) at the pattern's positions."""
     rng = np.random.default_rng(seed)
-    source = AttentionAdjacency(random_edges(rng, n), dim, embed_dim=4, damping=damping, seed=seed)
-    values = Tensor(source.realize(rng.normal(size=(n, dim))).data, requires_grad=True)
+    source = random_attention(rng, n, 1)
+    values = Tensor(source.realize(0).data, requires_grad=True)
     logabsdet_tensor(source.pattern, values, damping).backward()
     matrix = damping * np.eye(n)
     matrix[source.src, source.dst] += values.data
@@ -105,15 +119,17 @@ def learned_logdet_gradient_error(seed, n, dim, damping):
     return float(np.abs(values.grad - want).max() / np.abs(want).max())
 
 
-def inverse_error(seed, trials, sizes, dims):
+def inverse_error(seed, trials, sizes, dims, max_cond=None, learned=False):
     """Largest entry of |inverse(forward(x)) - x| over random flows; every
-    third trial, starting with the first, has no graph."""
+    third trial, starting with the first, has no graph, unless ``learned``:
+    then every trial has a ``random_attention`` drawn under ``max_cond``."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for trial in range(trials):
         n = int(rng.integers(*sizes))
         dim = int(rng.choice(dims))
-        adj = None if trial % 3 == 0 else random_graph(rng, n)
+        adj = (random_attention(rng, n, 2, max_cond) if learned
+               else None if trial % 3 == 0 else random_graph(rng, n))
         model = build_gcflow(2, dim, hidden=8, net_layers=2, adjacency=adj, seed=trial)
         x = rng.normal(size=(n, dim))
         back = model.inverse(model.forward(x).z.data).data
@@ -172,8 +188,13 @@ CHECKS = [
      lambda: determinant_error(0, trials=5, sizes=(3, 6), dims=[2], depths=(2, 3)), 1e-5),
     ("loss gradients vs finite differences", _small_gradient_error, 1e-5),
     ("learned log-det gradient vs transposed inverse",
-     lambda: learned_logdet_gradient_error(4, n=10, dim=3, damping=1e-2), 1e-12),
+     lambda: learned_logdet_gradient_error(4, n=10, damping=1e-2), 1e-12),
+    ("learned determinant decomposition vs brute-force Jacobian",
+     lambda: determinant_error(0, trials=3, sizes=(3, 6), dims=[2], depths=(2, 3), max_cond=30.0, learned=True),
+     1e-5),
     ("inverse undoes forward", lambda: inverse_error(2, trials=2, sizes=(5, 6), dims=[4]), 1e-8),
+    ("learned inverse undoes forward",
+     lambda: inverse_error(2, trials=2, sizes=(5, 6), dims=[4], max_cond=30.0, learned=True), 1e-8),
     ("per-class joints marginalize consistently", _small_marginalization_error, 1e-12),
     ("model density integrates to one", lambda: abs(density_mass(hidden=6, points=121) - 1.0), 0.02),
     ("synthetic generator is seed-deterministic", _generator_mismatches, 1),

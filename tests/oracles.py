@@ -1,10 +1,9 @@
 """Reference implementations the optimized code is checked against: dense
 adjacency constructions, the identity mixing matrix and a dense mixing
-source, a counter of the dense factorizations the graph module runs, the
-dense n x n mixing route of the attention source and its
-stage-replaying inverse, an MLP built from unfused ops, per-vector mixture
-densities, the block-model sampler's single full-matrix draw, and the
-two-forward training loop and two-pass evaluate."""
+source, attention logits drawn at random, a counter of the dense factorizations the graph module runs, the
+dense n x n mixing route of the attention source, an MLP built from
+unfused ops, per-vector mixture densities, the block-model sampler's single
+full-matrix draw, and the two-forward training loop and two-pass evaluate."""
 
 import numpy as np
 import scipy.sparse
@@ -46,15 +45,23 @@ def identity_adjacency(n):
 
 class DenseMixing:
     """A fixed mixing matrix held dense, as a mixing source: ``mix`` gives
-    the product and a function for the matrix's log|det|."""
+    the product and a function for the matrix's log|det| at every stage."""
 
     def __init__(self, m):
         self.m = m
 
-    def mix(self, x):
+    def mix(self, x, stage=None):
         from gcflow import autodiff as ad
 
         return ad.matmul(ad.Tensor(self.m), x), lambda: graphs.log_abs_det(self.m)
+
+
+def with_random_logits(source, seed):
+    """An attention source with standard normal logits at every stage."""
+    rng = np.random.default_rng(seed)
+    for logits in source.logits:
+        logits.data[...] = rng.normal(size=logits.shape)
+    return source
 
 
 def count_factorizations(monkeypatch):
@@ -105,13 +112,14 @@ def logabsdet_dense(a):
     return ad.make_node(np.float64(value), (a,), (lambda g: g * np.linalg.inv(a.data).T,), "logabsdet_dense")
 
 
-def attention_dense(source, x):
-    """An ``AttentionAdjacency``'s mixing matrix built as an n x n tensor:
-    the shifted score exponentials scattered, divided by their dense row sums
-    (1 on an isolated node's empty row), plus damping times the identity."""
+def attention_dense(source, stage):
+    """An ``AttentionAdjacency``'s mixing matrix at ``stage`` built as an
+    n x n tensor: the shifted logit exponentials scattered, divided by their
+    dense row sums (1 on an isolated node's empty row), plus damping times
+    the identity."""
     from gcflow import autodiff as ad
 
-    scores = source.edge_scores(x)
+    scores = source.logits[stage]
     row_max = np.full(source.n, -np.inf)
     np.maximum.at(row_max, source.src, scores.data)
     weights = ad.exp(scores - ad.Tensor(row_max[source.src]))
@@ -122,8 +130,8 @@ def attention_dense(source, x):
 
 
 def forward_dense(model, x, dense_mixing):
-    """``GcFlowModel.forward`` for a learned source, with every stage
-    mixing through the dense n x n tensor ``dense_mixing(source, x)`` and its
+    """``GcFlowModel.forward`` for a learned source, with stage s mixing
+    through the dense n x n tensor ``dense_mixing(source, s)`` and its
     log|det| from ``logabsdet_dense``; returns the latents, the per-node
     coupling log-determinants and the graph log-determinant."""
     from gcflow import autodiff as ad
@@ -131,42 +139,12 @@ def forward_dense(model, x, dense_mixing):
     x = ad.as_tensor(x)
     flow_logdet = ad.Tensor(np.zeros(x.shape[0]))
     graph_logdet = ad.Tensor(0.0)
-    for flow in model.flows:
-        a = dense_mixing(model.adjacency, x)
+    for stage, flow in enumerate(model.flows):
+        a = dense_mixing(model.adjacency, stage)
         graph_logdet = graph_logdet + x.shape[1] * logabsdet_dense(a)
         x, ld = flow.forward(ad.matmul(a, x))
         flow_logdet = flow_logdet + ld
     return x, flow_logdet, graph_logdet
-
-
-def stage_matrices(model, x):
-    """Replay ``GcFlowModel.forward`` for a learned source stage by stage and
-    return each stage's mixing matrix, A + damping·I as CSR, with A built from
-    ``realize``'s values on the source's pattern. Each stage mixes as
-    ``AttentionAdjacency.mix`` does, so every stage sees the forward's own input."""
-    from gcflow import autodiff as ad
-
-    source, x = model.adjacency, ad.as_tensor(x)
-    pattern, damping = source.pattern, source.damping
-    matrices = []
-    for flow in model.flows:
-        values = source.realize(x)
-        a = scipy.sparse.csr_matrix((values.data, pattern.indices, pattern.indptr), shape=pattern.shape)
-        matrices.append(a + damping * scipy.sparse.identity(pattern.shape[0], format="csr"))
-        x, _ = flow.forward(ad.sparse_matmul(pattern, values, x) + x * damping)
-    return matrices
-
-
-def inverse_replayed(model, x, z):
-    """Undo ``model.forward(x)`` from its latents ``z`` for a learned source:
-    each stage inverts its flow, then solves with the matrix
-    ``stage_matrices`` rebuilds from the forward's input ``x``."""
-    from gcflow import autodiff as ad
-
-    y = ad.as_tensor(z)
-    for flow, a in zip(reversed(model.flows), reversed(stage_matrices(model, x))):
-        y = ad.Tensor(np.linalg.solve(a.toarray(), flow.inverse(y).data))
-    return y
 
 
 # -- an MLP built from unfused ops -----------------------------------------

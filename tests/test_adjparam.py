@@ -1,14 +1,12 @@
 import numpy as np
-import pytest
 import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from gcflow import adjparam, autodiff as ad, flows, graphs, mixture
-from gcflow.errors import ShapeError
-from oracles import (DenseMixing, attention_dense, forward_dense, full_pattern, inverse_replayed, logabsdet_dense,
-                     scatter_matrix, stage_matrices)
+from oracles import (DenseMixing, attention_dense, forward_dense, full_pattern, logabsdet_dense, scatter_matrix,
+                     with_random_logits)
 
 PATH4 = graphs.make_graph(4, [(0, 1), (1, 2), (2, 3)])
 
@@ -22,19 +20,18 @@ def test_directed_edges_cover_both_orientations():
 
 def test_attention_singleton_neighbor_gets_weight_one():
     g = graphs.make_graph(2, [(0, 1)])
-    source = adjparam.AttentionAdjacency(g, dim=3, embed_dim=4, damping=0.0, seed=0)
-    x = np.random.default_rng(1).normal(size=(2, 3))
-    values = source.realize(x)
+    source = with_random_logits(adjparam.AttentionAdjacency(g, 1, damping=0.0), seed=1)
+    values = source.realize(0)
     # the entries are (0, 1) and (1, 0); nothing is stored on the diagonal
     assert list(zip(source.src.tolist(), source.dst.tolist())) == [(0, 1), (1, 0)]
     assert values.data.tolist() == [1.0, 1.0]
 
 
 def test_attention_equal_scores_give_uniform_neighborhoods():
-    source = adjparam.AttentionAdjacency(PATH4, dim=2, embed_dim=4, damping=0.0, seed=2)
-    for p in source.scorer.params():
-        p.data[...] = 0.0
-    values = source.realize(np.random.default_rng(3).normal(size=(4, 2)))
+    source = adjparam.AttentionAdjacency(PATH4, 2, damping=0.0)
+    assert all(np.array_equal(logits.data, np.zeros(6)) for logits in source.logits)
+    source.logits[1].data[...] = 0.7
+    values = source.realize(1)
     want = np.array(
         [
             [0.0, 1.0, 0.0, 0.0],
@@ -47,10 +44,9 @@ def test_attention_equal_scores_give_uniform_neighborhoods():
 
 
 def test_attention_rows_stochastic_and_supported_on_edges():
-    rng = np.random.default_rng(4)
     g = graphs.make_graph(6, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (4, 5), (1, 5)])
-    source = adjparam.AttentionAdjacency(g, dim=3, embed_dim=5, damping=0.0, seed=5)
-    values = source.realize(rng.normal(size=(6, 3)))
+    source = with_random_logits(adjparam.AttentionAdjacency(g, 1, damping=0.0), seed=4)
+    values = source.realize(0)
     assert_allclose(np.bincount(source.src, weights=values.data), np.ones(6), atol=1e-12)
     src, dst = adjparam.directed_edges(g)
     rows, cols = source.pattern.nonzero()
@@ -58,24 +54,41 @@ def test_attention_rows_stochastic_and_supported_on_edges():
     assert np.array_equal(rows, src) and np.array_equal(cols, dst)
 
 
+def test_each_stage_mixes_every_feature_matrix_by_its_own_fixed_matrix():
+    g = graphs.make_graph(6, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (4, 5), (1, 5)])
+    source = with_random_logits(adjparam.AttentionAdjacency(g, 2), seed=5)
+    rng = np.random.default_rng(6)
+    features = [rng.normal(size=(6, 3)), 10.0 * rng.normal(size=(6, 3))]
+    for stage in range(2):
+        values = source.realize(stage)
+        assert_allclose(np.bincount(source.src, weights=values.data), np.ones(6), atol=1e-12)
+        assert source.realize(stage).data.tobytes() == values.data.tobytes()
+        matrix = attention_dense(source, stage).data
+        for x in features:
+            mixed, logdet = source.mix(x, stage)
+            assert_allclose(mixed.data, matrix @ x, rtol=1e-12, atol=1e-14)
+            assert_allclose(logdet().item(), np.linalg.slogdet(matrix)[1], rtol=1e-12)
+    assert not np.allclose(source.realize(0).data, source.realize(1).data)
+
+
 def test_attention_isolated_node_survives_via_damping():
     g = graphs.make_graph(3, [(0, 1)])
-    source = adjparam.AttentionAdjacency(g, dim=2, embed_dim=3, damping=1e-3, seed=6)
+    source = with_random_logits(adjparam.AttentionAdjacency(g, 1, damping=1e-3), seed=6)
     x = np.random.default_rng(7).normal(size=(3, 2))
-    values = source.realize(x)
+    values = source.realize(0)
     assert 2 not in source.src  # no entry in node 2's row: damping alone mixes it
     mixed = ad.sparse_matmul(source.pattern, values, x) + ad.Tensor(x) * source.damping
     assert_allclose(mixed.data[2], 1e-3 * x[2], atol=1e-15)
     logdet = graphs.logabsdet_tensor(source.pattern, values, source.damping)
     assert np.isfinite(logdet.item())
-    assert_allclose(logdet.item(), logabsdet_dense(attention_dense(source, x)).item(), rtol=1e-12)
+    assert_allclose(logdet.item(), logabsdet_dense(attention_dense(source, 0)).item(), rtol=1e-12)
 
 
 def test_attention_very_negative_scores_keep_rows_stochastic():
-    # every score near -5000: exp underflows unless the shift is the row's own max
-    source = adjparam.AttentionAdjacency(PATH4, dim=2, embed_dim=3, damping=1e-3, seed=3)
-    source.scorer.biases[0].data[...] = -5000.0
-    values = source.realize(np.random.default_rng(4).normal(size=(4, 2)))
+    # every logit near -5000: exp underflows unless the shift is the row's own max
+    source = with_random_logits(adjparam.AttentionAdjacency(PATH4, 1, damping=1e-3), seed=3)
+    source.logits[0].data -= 5000.0
+    values = source.realize(0)
     assert np.all(np.isfinite(values.data))
     assert_allclose(np.bincount(source.src, weights=values.data), np.ones(4), rtol=0.0, atol=1e-12)
     assert np.isfinite(graphs.logabsdet_tensor(source.pattern, values, source.damping).item())
@@ -83,13 +96,11 @@ def test_attention_very_negative_scores_keep_rows_stochastic():
 
 def test_attention_logdet_gradient_matches_finite_differences():
     g = graphs.make_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (1, 3)])
-    source = adjparam.AttentionAdjacency(g, dim=3, embed_dim=4, seed=8)
-    x = np.random.default_rng(9).normal(size=(5, 3))
+    source = with_random_logits(adjparam.AttentionAdjacency(g, 1), seed=8)
 
     def f():
-        return graphs.logabsdet_tensor(source.pattern, source.realize(x), source.damping)
+        return graphs.logabsdet_tensor(source.pattern, source.realize(0), source.damping)
 
-    assert ad.grad_check(f, source.embed_src.params()) < 1e-5
     assert ad.grad_check(f, source.params()) < 1e-5
 
 
@@ -161,28 +172,24 @@ def variant_model(source, dim, seed):
 
 
 def test_constant_source_reduces_to_fixed_adjacency():
+    # with the same logits at both stages the learned source is one fixed
+    # matrix, and the whole model, likelihood included, is the dense-mixing one
     g = graphs.make_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 2)])
-    source = adjparam.AttentionAdjacency(g, dim=3, embed_dim=4, seed=20)
+    source = with_random_logits(adjparam.AttentionAdjacency(g, 2), seed=20)
+    source.logits[1].data[...] = source.logits[0].data
     x = np.random.default_rng(21).normal(size=(5, 3))
     head = mixture.MixtureHead(2, 3, mean_scalars=[0.0, 1.0])
 
     model = variant_model(source, dim=3, seed=22)
-    matrices = stage_matrices(model, x)
-
-    # same flows driven by the frozen realized matrix: attention embeddings
-    # read the stage input, and with two stages those inputs differ, so pin
-    # a single-stage model where both routes see the same matrix
-    single = flows.GcFlowModel(model.flows[:1], adjacency=source)
-    r_var = single.forward(x)
-    fixed = DenseMixing(matrices[0].toarray())
-    r_fixed = flows.GcFlowModel(model.flows[:1], adjacency=fixed).forward(x)
+    r_var = model.forward(x)
+    fixed = DenseMixing(attention_dense(source, 0).data)
+    r_fixed = flows.GcFlowModel(model.flows, adjacency=fixed).forward(x)
     assert_allclose(r_var.z.data, r_fixed.z.data, atol=1e-12)
     assert_allclose(
         mixture.log_densities(head, r_var)[1].data,
         mixture.log_densities(head, r_fixed)[1].data,
         atol=1e-10,
     )
-    assert len(matrices) == 2
 
 
 def test_variant_loss_gradient_matches_finite_differences():
@@ -190,7 +197,7 @@ def test_variant_loss_gradient_matches_finite_differences():
     x = np.random.default_rng(23).normal(size=(5, 3))
     labels = np.array([0, 1, 0, 1, 0])
     cfg = mixture.LossConfig(labeled=np.array([0, 1, 2]), unlabeled=np.array([3, 4]))
-    source = adjparam.AttentionAdjacency(g, dim=3, embed_dim=3, seed=24)
+    source = with_random_logits(adjparam.AttentionAdjacency(g, 2), seed=24)
     model = variant_model(source, dim=3, seed=25)
     head = mixture.MixtureHead(2, 3, mean_scalars=[0.0, 1.5])
     params = model.params() + head.params()
@@ -204,7 +211,7 @@ def test_variant_loss_gradient_matches_finite_differences():
 
 def test_marginalization_identity_with_variant_adjacency():
     g = graphs.make_graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5), (1, 4)])
-    source = adjparam.AttentionAdjacency(g, dim=3, embed_dim=4, seed=26)
+    source = with_random_logits(adjparam.AttentionAdjacency(g, 2), seed=26)
     model = variant_model(source, dim=3, seed=27)
     head = mixture.MixtureHead(3, 3)
     x = np.random.default_rng(28).normal(size=(6, 3))
@@ -215,22 +222,19 @@ def test_marginalization_identity_with_variant_adjacency():
 
 
 def test_variant_inverse_roundtrip_with_recorded_matrices():
+    # the inverse solves each stage with the matrix realized from its logits,
+    # recorded here densely and solved by np.linalg.solve
     g = graphs.make_graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
-    source = adjparam.AttentionAdjacency(g, dim=2, embed_dim=3, seed=30)
+    source = with_random_logits(adjparam.AttentionAdjacency(g, 2), seed=30)
     model = variant_model(source, dim=2, seed=31)
     x = np.random.default_rng(32).normal(size=(4, 2))
-    result = model.forward(x)
-    back = inverse_replayed(model, x, result.z)
+    z = model.forward(x).z
+    back = model.inverse(z)
     assert np.abs(back.data - x).max() < 1e-8
-
-
-@pytest.mark.parametrize("source_cls", [adjparam.AttentionAdjacency])
-def test_learned_source_model_refuses_inverse(source_cls):
-    # the stage matrices depend on the stage inputs, which z does not give back
-    model = variant_model(source_cls(PATH4, dim=2, embed_dim=3, seed=33), dim=2, seed=34)
-    z = model.forward(np.random.default_rng(35).normal(size=(4, 2))).z
-    with pytest.raises(ShapeError, match="input-dependent"):
-        model.inverse(z)
+    want = z.data
+    for stage in reversed(range(2)):
+        want = np.linalg.solve(attention_dense(source, stage).data, model.flows[stage].inverse(ad.Tensor(want)).data)
+    assert_allclose(back.data, want, rtol=0.0, atol=1e-12)
 
 
 def relative_gap(got, want):
@@ -275,7 +279,7 @@ def test_sparse_mixing_and_logdet_match_the_dense_oracle(n, isolated, density, d
 
 def test_model_forward_matches_the_dense_route():
     g = graphs.make_graph(7, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (1, 3)])  # nodes 5, 6 isolated
-    source = adjparam.AttentionAdjacency(g, dim=3, embed_dim=4, seed=40)
+    source = adjparam.AttentionAdjacency(g, 2)
     model = variant_model(source, dim=3, seed=41)
     rng = np.random.default_rng(42)
     for p in model.params():

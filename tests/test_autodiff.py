@@ -65,7 +65,6 @@ RECORDING_OPS = {
     "log": ad.log,
     "tanh": ad.tanh,
     "relu": ad.relu,
-    "lrelu": ad.lrelu,
     "clamp": lambda x: ad.clamp(x, 0.0, 1.0),
     "row_softmax": ad.row_softmax,
     "logsumexp_rows": ad.logsumexp_rows,
@@ -157,10 +156,9 @@ def test_backward_requires_scalar():
         (x * 2.0).backward()
 
 
-def test_relu_and_lrelu_values():
+def test_relu_values():
     x = ad.Tensor([-1.0, 0.0, 2.0])
     assert_allclose(ad.relu(x).data, [0.0, 0.0, 2.0])
-    assert_allclose(ad.lrelu(x).data, [-0.2, 0.0, 2.0])
 
 
 def test_log_domain():
@@ -293,7 +291,7 @@ def test_broadcast_add_unbroadcasts_gradient():
     assert_allclose(b.grad, np.full((1, 4), 3.0))
 
 
-@pytest.mark.parametrize("name", ["exp", "log", "tanh", "relu", "lrelu"])
+@pytest.mark.parametrize("name", ["exp", "log", "tanh", "relu"])
 def test_unary_gradients_match_finite_differences(name):
     rng = np.random.default_rng(hash(name) % (2**32))
     fn = getattr(ad, name)
@@ -301,7 +299,7 @@ def test_unary_gradients_match_finite_differences(name):
         raw = rng.normal(size=(3,))
         if name == "log":
             raw = np.abs(raw) + 0.5
-        if name in ("relu", "lrelu"):
+        if name == "relu":
             # keep points away from the kink
             raw = raw + np.sign(raw) * 0.1
         x = ad.Tensor(raw, requires_grad=True)
@@ -441,7 +439,7 @@ def test_binary_ops_over_random_broadcasts(shapes, op, seed):
 
 @FD_SETTINGS
 @given(
-    op=st.sampled_from(["exp", "log", "tanh", "relu", "lrelu", "clamp"]),
+    op=st.sampled_from(["exp", "log", "tanh", "relu", "clamp"]),
     shape=st.sampled_from([(), (3,), (2, 3), (4, 1), (2, 2, 2)]),
     seed=SEEDS,
 )
@@ -450,7 +448,7 @@ def test_unary_ops_over_random_shapes(op, shape, seed):
     raw = rng.normal(scale=1.5, size=shape)
     if op == "log":
         raw = np.abs(raw) + 0.1
-    if op in ("relu", "lrelu", "clamp"):
+    if op in ("relu", "clamp"):
         raw = away_from(np.asarray(raw), (0.0, -0.5, 0.5))
     x = ad.Tensor(raw, requires_grad=True)
     fn = (lambda t: ad.clamp(t, -0.5, 0.5)) if op == "clamp" else getattr(ad, op)

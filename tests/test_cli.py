@@ -143,7 +143,7 @@ def test_cluster_with_labels_prints_the_two_pass_scores(synth_dir, trained_dir, 
 def test_diverged_train_leaves_its_record(synth_dir, tmp_path, capsys, kind):
     out = tmp_path / "run"
     rc = main(["train", "--data", str(synth_dir / "manifest.json"), "--out", str(out),
-               "--set", f"model={kind}", "--set", "hidden=8", "--set", "embed_dim=4",
+               "--set", f"model={kind}", "--set", "hidden=8",
                "--set", "epochs=5", "--set", "lr=1e8"])
     assert rc == 1
     assert "training diverged at epoch" in capsys.readouterr().err

@@ -148,7 +148,7 @@ def test_config_checks_value_types_and_ranges():
     assert cfg.epochs == 3 and cfg.resolved_hidden == 4
     for key, value in [("epochs", "abc"), ("epochs", 2.5), ("epochs", True), ("lr", "x"), ("lr", None),
                        ("dropout", "0.1"), ("learn_weights", 1), ("adjacency", 3), ("seed", -1),
-                       ("hidden", -3), ("pca_dim", 0), ("embed_dim", 0), ("patience", 0),
+                       ("hidden", -3), ("pca_dim", 0), ("patience", 0),
                        ("dropout", 1.0), ("dropout", -0.2), ("dropout", float("nan")),
                        ("weight_decay", -5.0), ("weight_decay", float("nan")), ("lr", float("nan")),
                        ("lr", float("inf")), ("lr", -0.1), ("mean_hi", float("nan")), ("mean_hi", 0.2),
@@ -193,6 +193,16 @@ def test_config_kind_defaults(sbm):
         assert (cfg.resolved_hidden, cfg.resolved_dropout) == (7, 0.1)
         built = assemble_model(cfg, sbm.graph, dim, k).model
         assert _built_widths_and_dropouts(built) == expected_nets(kind, 7, 0.1), kind
+
+
+@pytest.mark.parametrize("num_flows", [1, 3])
+def test_parameterized_mixing_holds_zero_logits_per_directed_edge_and_stage(sbm, num_flows):
+    cfg = TrainConfig(model="gcflow-p", num_flows=num_flows)
+    tm = assemble_model(cfg, sbm.graph, sbm.dim, sbm.num_classes)
+    source = tm.model.flow.adjacency
+    assert [logits.data.tolist() for logits in source.logits] == [[0.0] * 2 * len(sbm.graph.edges)] * num_flows
+    params = tm.model.params()
+    assert all(sum(p is logits for p in params) == 1 for logits in source.logits)
 
 
 def test_readme_model_kinds_names_exactly_the_kinds():
@@ -283,7 +293,7 @@ def test_divergence_raises_with_partial_record(sbm):
 
 @pytest.mark.parametrize("kind", FLOW_KINDS)
 def test_divergence_record_has_one_val_f1_per_loss(sbm, kind):
-    cfg = TrainConfig(model=kind, hidden=8, embed_dim=4, lr=1e8, epochs=10, patience=10, seed=0)
+    cfg = TrainConfig(model=kind, hidden=8, lr=1e8, epochs=10, patience=10, seed=0)
     with pytest.raises(DivergedError) as err:
         train(cfg, sbm)
     record = err.value.record
@@ -341,7 +351,7 @@ ROUTE_CASES = [dict(model=kind) for kind in MODEL_KINDS] + [
 def test_one_forward_loop_matches_the_two_forward_reference(sbm, monkeypatch, case):
     # patience 3 of 12 epochs: most cases stop early, so the carried forward
     # of the last epoch run is discarded at the break
-    cfg = TrainConfig(hidden=8, embed_dim=4, epochs=12, patience=3, seed=0, **case)
+    cfg = TrainConfig(hidden=8, epochs=12, patience=3, seed=0, **case)
     reference, got = both_routes(monkeypatch, cfg, sbm)
     assert got == reference
     assert reference["status"] == "ok"
@@ -349,7 +359,7 @@ def test_one_forward_loop_matches_the_two_forward_reference(sbm, monkeypatch, ca
 
 @pytest.mark.parametrize("kind", ["flowgmm", "gcflow", "gcflow-p"])
 def test_one_forward_loop_matches_the_reference_on_divergence(sbm, monkeypatch, kind):
-    cfg = TrainConfig(model=kind, hidden=8, embed_dim=4, dropout=0.0, lr=1e8, epochs=10, patience=10, seed=0)
+    cfg = TrainConfig(model=kind, hidden=8, dropout=0.0, lr=1e8, epochs=10, patience=10, seed=0)
     reference, got = both_routes(monkeypatch, cfg, sbm)
     assert got == reference
     assert reference["status"].startswith("training diverged at epoch")
@@ -371,7 +381,7 @@ def fail_logdet(monkeypatch, calls):
 
 
 def test_a_lasting_singularity_diverges_as_the_reference_does(sbm, monkeypatch):
-    cfg = TrainConfig(model="gcflow-p", hidden=8, embed_dim=4, epochs=6, patience=6, seed=0)
+    cfg = TrainConfig(model="gcflow-p", hidden=8, epochs=6, patience=6, seed=0)
     fail_logdet(monkeypatch, set(range(7, 100)))
     reference = run_route(monkeypatch, cfg, sbm, oracles.descend_two_forward, oracles.evaluate_two_pass)
     fail_logdet(monkeypatch, set(range(7, 100)))
@@ -407,7 +417,7 @@ def test_gcflow_runs_one_forward_per_epoch_and_per_evaluate(sbm, monkeypatch):
 @pytest.mark.parametrize("kind", ["gcflow", "gcflow-p"])
 def test_a_failed_carried_forward_ends_the_run_with_no_second_forward(sbm, monkeypatch, kind):
     calls = count_gcflow_forwards(monkeypatch)
-    cfg = TrainConfig(model=kind, hidden=8, embed_dim=4, lr=1e8, epochs=10, patience=10, seed=0)
+    cfg = TrainConfig(model=kind, hidden=8, lr=1e8, epochs=10, patience=10, seed=0)
     with pytest.raises(DivergedError, match=r"^training diverged at epoch 0: exp overflow$") as err:
         train(cfg, sbm)
     # mean init, the first loss, and the carried forward that overflows: no
@@ -440,7 +450,7 @@ def test_models_report_whether_training_draws_noise(sbm, monkeypatch, case, nois
     real_zero = ad.zero_grads
     monkeypatch.setattr(ad, "zero_grads", lambda params: marks.append(len(forwards)) or real_zero(params))
     epochs = 5
-    train(TrainConfig(hidden=8, embed_dim=4, epochs=epochs, patience=epochs, seed=0, **case), sbm)
+    train(TrainConfig(hidden=8, epochs=epochs, patience=epochs, seed=0, **case), sbm)
     # epoch 0 builds its loss afresh, so it runs two forwards either way
     assert np.diff(marks).tolist() == [2] + [2 if noisy else 1] * (epochs - 2)
 
@@ -483,7 +493,7 @@ def test_a_split_without_a_known_label_is_refused(sbm, split, kind):
 
 def perturbed_flow_model(kind, ds, seed=1):
     """A fresh flow model whose parameters are all moved off their initial values."""
-    cfg = TrainConfig(model=kind, hidden=8, embed_dim=4, seed=seed)
+    cfg = TrainConfig(model=kind, hidden=8, seed=seed)
     tm = training.assemble_model(cfg, ds.graph, ds.dim, ds.num_classes)
     rng = np.random.default_rng(seed)
     for p in tm.model.params():
@@ -737,7 +747,7 @@ def test_metrics_schema_is_complete(sbm):
 
 @pytest.mark.parametrize("kind", MODEL_KINDS)
 def test_checkpoint_round_trip_every_kind(sbm, kind, tmp_path):
-    cfg = TrainConfig(model=kind, hidden=8, embed_dim=4, epochs=3, patience=3, seed=2)
+    cfg = TrainConfig(model=kind, hidden=8, epochs=3, patience=3, seed=2)
     record = train(cfg, sbm, checkpoint_dir=tmp_path)
     tm = load_checkpoint(record.checkpoint_path, sbm.graph)
     metrics = evaluate(tm, sbm)
@@ -781,10 +791,33 @@ def test_checkpoint_round_trip_flow(sbm, tmp_path):
 
 @pytest.mark.parametrize("kind", ["gcflow-p"])
 def test_checkpoint_round_trip_parameterized_adjacency(sbm, kind, tmp_path):
-    cfg = TrainConfig(model=kind, hidden=8, embed_dim=4, lr=1e-3, epochs=2, patience=5, seed=3)
+    cfg = TrainConfig(model=kind, hidden=8, lr=1e-3, epochs=2, patience=5, seed=3)
     record = train(cfg, sbm, checkpoint_dir=tmp_path)
     tm = load_checkpoint(record.checkpoint_path, sbm.graph)
     assert evaluate(tm, sbm)["test_micro_f1"] == record.test_micro_f1
+
+
+def test_a_reloaded_parameterized_checkpoint_inverts_its_own_forward(sbm, tmp_path):
+    record = train(TrainConfig(model="gcflow-p", hidden=8, epochs=8, patience=8, seed=3), sbm,
+                   checkpoint_dir=tmp_path)
+    flow = load_checkpoint(record.checkpoint_path, sbm.graph).model.flow
+    assert not any(np.array_equal(logits.data, np.zeros_like(logits.data)) for logits in flow.adjacency.logits)
+    x = sbm.features
+    assert np.abs(flow.inverse(flow.forward(x).z).data - x).max() < 1e-8
+
+
+def test_a_version_5_checkpoint_is_refused_naming_both_tags(sbm, tmp_path):
+    # version 5 stored gcflow-p's attention embeddings and the config's embed_dim
+    record = train(TrainConfig(model="gcflow-p", hidden=8, epochs=2, patience=2, seed=3), sbm,
+                   checkpoint_dir=tmp_path)
+    payload = json.loads(Path(record.checkpoint_path).read_text())
+    payload["format"] = "gcflow-checkpoint-5"
+    payload["config"]["embed_dim"] = 16
+    old = tmp_path / "version5.json"
+    old.write_text(json.dumps(payload))
+    with pytest.raises(FormatError, match=f"'gcflow-checkpoint-5'.*'{FORMAT_TAG}'"):
+        load_checkpoint(old, sbm.graph)
+    assert FORMAT_TAG == "gcflow-checkpoint-6"
 
 
 def test_checkpoint_round_trip_gcn_and_gmm(sbm, tmp_path):
