@@ -126,16 +126,53 @@ def data_lines(path):
             raise FormatError(f"{path}: not a text file ({exc})") from None
 
 
+INTP_RANGE = range(np.iinfo(np.intp).min, np.iinfo(np.intp).max + 1)
+
+
+def _canonical_ids(path, separators):
+    """Every id of a file wholly in the form save_dataset writes, as one flat
+    intp array parsed in one pass; None for any other file. That form is ASCII
+    ids, each an optional '-' and 1-18 digits (so it fits in int64), each ended
+    by the next byte of ``separators`` in turn, the last by '\\n'."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    # an id's '-' opens the file or follows a separator; what is left of a
+    # canonical file is digit runs cut by the separators
+    digits = (b"\n" + raw).replace(b"\n-", b"\n").replace(b"\t-", b"\t")[1:]
+    codes = np.frombuffer(digits, dtype=np.uint8)
+    cuts = np.flatnonzero((codes < ord("0")) | (codes > ord("9")))
+    if codes.size:
+        runs = np.diff(cuts, prepend=-1) - 1
+        if (codes[-1] != ord("\n") or cuts.size % len(separators)
+                or (codes[cuts].reshape(-1, len(separators)) != np.frombuffer(separators, np.uint8)).any()
+                or runs.min() < 1 or runs.max() > 18):
+            return None
+    return np.fromstring(raw, dtype=np.intp, sep=" ")
+
+
+def _past_int64(path, lineno, *ids):
+    """The FormatError for the first of a line's ids that does not fit in int64."""
+    value = next(value for value in ids if value not in INTP_RANGE)
+    return FormatError(f"{path}:{lineno}: {value} does not fit in a 64-bit integer")
+
+
 def read_int_lines(path):
-    """One integer per line, as ``data_lines`` reads them. A line that is not
-    an integer raises ``FormatError`` naming its path and line number."""
-    values = []
-    for lineno, line in data_lines(path):
-        try:
-            values.append(int(line))
-        except ValueError:
-            raise FormatError(f"{path}:{lineno}: expected an integer") from None
-    return np.array(values, dtype=np.intp)
+    """One integer per line, as ``data_lines`` reads them; a file in canonical
+    form is read in one pass with the same result. A line that is not a 64-bit
+    integer raises ``FormatError`` naming its path and line number."""
+    values = _canonical_ids(path, b"\n")
+    if values is None:
+        values = []
+        for lineno, line in data_lines(path):
+            try:
+                value = int(line)
+            except ValueError:
+                raise FormatError(f"{path}:{lineno}: expected an integer") from None
+            if value not in INTP_RANGE:
+                raise _past_int64(path, lineno, value)
+            values.append(value)
+        values = np.array(values, dtype=np.intp)
+    return values
 
 
 def read_labels(path):
@@ -150,25 +187,34 @@ def read_labels(path):
 
 
 def load_edge_list(path):
-    """Tab-separated node-id pairs ("i<TAB>j"), one per line, as ``data_lines`` reads them."""
-    pairs = []
-    for lineno, line in data_lines(path):
-        fields = line.split("\t")
-        if len(fields) != 2:
-            raise FormatError(f"{path}:{lineno}: expected two tab-separated node ids")
-        try:
-            pairs.append((int(fields[0]), int(fields[1])))
-        except ValueError:
-            raise FormatError(f"{path}:{lineno}: non-integer node id") from None
-    return pairs
+    """Tab-separated node-id pairs ("i<TAB>j"), one per line, as ``data_lines``
+    reads them, as an (E, 2) intp array; a file in canonical form is read in
+    one pass with the same result."""
+    ids = _canonical_ids(path, b"\t\n")
+    if ids is None:
+        pairs = []
+        for lineno, line in data_lines(path):
+            fields = line.split("\t")
+            if len(fields) != 2:
+                raise FormatError(f"{path}:{lineno}: expected two tab-separated node ids")
+            try:
+                i, j = int(fields[0]), int(fields[1])
+            except ValueError:
+                raise FormatError(f"{path}:{lineno}: non-integer node id") from None
+            if i not in INTP_RANGE or j not in INTP_RANGE:
+                raise _past_int64(path, lineno, i, j)
+            pairs.append((i, j))
+        ids = np.array(pairs, dtype=np.intp)
+    return ids.reshape(-1, 2)
 
 
 def _mask_from_indices(indices, n, path):
     mask = np.zeros(n, dtype=bool)
-    if indices.size:
-        if indices.min() < 0 or indices.max() >= n:
-            raise FormatError(f"{path}: node index out of range")
-        mask[indices] = True
+    bad = np.flatnonzero((indices < 0) | (indices >= n))
+    if bad.size:
+        raise FormatError(f"{path}: node index {indices[bad[0]]} at entry {bad[0] + 1} "
+                          f"is out of range for n={n}")
+    mask[indices] = True
     return mask
 
 
@@ -214,15 +260,14 @@ def load_dataset(manifest_path) -> Dataset:
         raise FormatError(f"{base / manifest['features']}: {len(bad)} non-finite feature values, "
                           f"the first at row {bad[0, 0]}, column {bad[0, 1]}")
     try:
-        # the reader's ids are ints, so as an array they skip make_graph's search of a list for bools
-        graph = make_graph(n, np.asarray(load_edge_list(base / manifest["edges"])))
+        graph = make_graph(n, load_edge_list(base / manifest["edges"]))
     except DomainError as exc:
-        raise FormatError(f"edge list: {exc}") from None
+        raise FormatError(f"{base / manifest['edges']}: {exc}") from None
     labels = read_labels(base / manifest["labels"])
     if labels.shape[0] != n:
         raise FormatError(f"labels file has {labels.shape[0]} entries, expected {n}")
     masks = {
-        which: _mask_from_indices(read_int_lines(base / manifest[which]), n, manifest[which])
+        which: _mask_from_indices(read_int_lines(base / manifest[which]), n, base / manifest[which])
         for which in ("train", "val", "test")
     }
     ds = Dataset(

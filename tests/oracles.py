@@ -3,7 +3,8 @@ adjacency constructions, the identity mixing matrix and a dense mixing
 source, attention logits drawn at random, a counter of the dense factorizations the graph module runs, the
 dense n x n mixing route of the attention source, an MLP built from
 unfused ops, per-vector mixture densities, the block-model sampler's single
-full-matrix draw, and the two-forward training loop and two-pass evaluate."""
+full-matrix draw, the row-wise unique of the edge dedupe, and the two-forward
+training loop and two-pass evaluate."""
 
 import numpy as np
 import scipy.sparse
@@ -214,6 +215,15 @@ def sbm_full_draw(cfg):
                       labels=labels, train_mask=empty, val_mask=empty, test_mask=empty,
                       num_classes=cfg.blocks)
     return data.make_split(ds, data.TRAIN_PER_CLASS, data.VAL_PER_CLASS, seed=cfg.seed)
+
+
+# -- the edge dedupe as row-wise unique ------------------------------------
+
+
+def unique_pairs(pairs):
+    """``make_graph``'s dedupe as sorted unique rows: each pair ordered
+    smaller id first, then ``np.unique`` over whole rows."""
+    return np.unique(np.sort(pairs, axis=1), axis=0)
 
 
 # -- the two-forward training loop and two-pass evaluate ------------------

@@ -1,9 +1,13 @@
 import json
 import re
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gcflow import data
 from gcflow.data import (
@@ -15,9 +19,11 @@ from gcflow.data import (
     load_edge_list,
     make_split,
     read_features,
+    read_int_lines,
     save_dataset,
     write_features,
 )
+from gcflow.cli import main
 from gcflow.errors import ConfigError, DomainError, FormatError
 from gcflow.evalkit import micro_f1
 from gcflow.graphs import make_graph
@@ -97,7 +103,7 @@ def test_data_lines_skip_blanks_and_comments_and_keep_line_numbers(tmp_path):
 def test_load_edge_list(tmp_path):
     p = tmp_path / "edges.tsv"
     p.write_text("# header\n0\t1\n\n1\t2  # trailing comment\n")
-    assert load_edge_list(p) == [(0, 1), (1, 2)]
+    assert load_edge_list(p).tolist() == [[0, 1], [1, 2]]
 
 
 def test_load_edge_list_rejects_bad_lines(tmp_path):
@@ -110,6 +116,125 @@ def test_load_edge_list_rejects_bad_lines(tmp_path):
     not_an_int.write_text("# ids\n0\tx\n")
     with pytest.raises(FormatError, match=f"^{re.escape(str(not_an_int))}:2: non-integer node id$"):
         load_edge_list(not_an_int)
+
+
+# an id as the writers put it, and in forms only the line reader takes
+WRITTEN_ID = st.one_of(
+    st.integers(-5, 10**6).map(str),
+    st.integers(10**17, 10**18 - 1).map(str),  # 18 digits, the most the one-pass check takes
+)
+ODD_ID = st.one_of(
+    st.integers(10**18, 10**19 - 1).map(str),  # 19 digits, some past int64
+    st.sampled_from(["+7", "1_0", "007", "-0", "", "x", "1-2", "-"]),
+)
+
+
+DEVIATIONS = ["comment line", "blank line", "trailing comment", "spaces around fields", "odd id",
+              "extra field", "missing field", "leading tab", "CRLF", "no final newline",
+              "non-UTF-8 byte", "empty file"]
+
+
+@st.composite
+def id_files(draw):
+    """(ids per line, file bytes): lines as the writers write them, with up
+    to two deviations from that form."""
+    columns = draw(st.sampled_from([1, 2]))
+    rows = draw(st.lists(st.lists(WRITTEN_ID, min_size=columns, max_size=columns), min_size=1, max_size=6))
+    lines = ["\t".join(ids) for ids in rows]
+    at = draw(st.integers(0, len(lines) - 1))
+    end = "\n"
+    deviations = draw(st.lists(st.sampled_from(DEVIATIONS), max_size=2))
+    for kind in deviations:
+        if kind == "comment line":
+            lines.insert(at, "# note")
+        elif kind == "blank line":
+            lines.insert(at, draw(st.sampled_from(["", "  "])))
+        elif kind == "trailing comment":
+            lines[at] += "  # trailing"
+        elif kind == "spaces around fields":
+            lines[at] = " " + lines[at].replace("\t", " \t ") + " "
+        elif kind == "odd id":
+            lines[at] = "\t".join([draw(ODD_ID)] + lines[at].split("\t")[1:])
+        elif kind == "extra field":
+            lines[at] += "\t" + draw(WRITTEN_ID)
+        elif kind == "missing field":
+            lines[at] = lines[at].split("\t")[0]
+        elif kind == "leading tab":
+            lines[at] = "\t" + lines[at]
+        elif kind == "CRLF":
+            end = "\r\n"
+    if "empty file" in deviations:
+        lines = []
+    raw = "".join(line + end for line in lines).encode()
+    if "no final newline" in deviations:
+        raw = raw.removesuffix(end.encode())
+    if "non-UTF-8 byte" in deviations:
+        cut = draw(st.integers(0, len(raw)))
+        raw = raw[:cut] + b"\xff" + raw[cut:]
+    return columns, raw
+
+
+def read_outcome(reader, path):
+    try:
+        ids = reader(path)
+    except FormatError as exc:
+        return str(exc)
+    return ids.dtype, ids.shape, ids.tobytes()
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(case=id_files())
+@example(case=(2, b"0\t1\n1\t2\t3\n"))  # three fields
+@example(case=(2, b""))
+@example(case=(1, b"-1\n007\n-0\n123456789012345678\n"))
+@example(case=(2, b"0\t1\n2\t3"))  # no final newline
+@example(case=(2, b"0\t1\r\n"))
+@example(case=(1, b"9223372036854775807\n9223372036854775808\n"))
+@example(case=(1, b"4\n\xff\n"))
+def test_the_one_pass_and_line_readers_agree(case):
+    columns, raw = case
+    reader = load_edge_list if columns == 2 else read_int_lines
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ids.txt"
+        path.write_bytes(raw)
+        got = read_outcome(reader, path)
+        with pytest.MonkeyPatch.context() as mp:
+            # with the one-pass check refusing every file, the line reader reads it
+            mp.setattr(data, "_canonical_ids", lambda path, separators: None)
+            want = read_outcome(reader, path)
+    assert got == want
+    if not isinstance(want, str):
+        assert want[0] == np.intp and want[1][1:] == (() if columns == 1 else (2,))
+
+
+def test_a_line_id_past_int64_names_its_line(tmp_path):
+    p = tmp_path / "edges.tsv"
+    p.write_text("0\t1\n2\t9223372036854775808\n")
+    with pytest.raises(FormatError, match=f"^{re.escape(str(p))}:2: 9223372036854775808 does not fit"):
+        load_edge_list(p)
+
+
+def test_written_trees_load_in_one_pass(tmp_path, monkeypatch):
+    # save_dataset and gen-synth write the canonical form: with the line reader
+    # gone, they must still load, and to the arrays that were written
+    ds = tiny_dataset()
+    tiny = save_dataset(ds, tmp_path / "tiny")
+    assert main(["gen-synth", "--out", str(tmp_path / "synth"), "--blocks", "2", "--block-size", "60",
+                 "--seed", "7"]) == 0
+    synth = generate_sbm(SbmConfig(blocks=2, block_size=60, seed=7))
+
+    def no_line_reader(path):
+        raise AssertionError(f"{path} was read line by line")
+
+    monkeypatch.setattr(data, "data_lines", no_line_reader)
+    for want, manifest in ((ds, tiny), (synth, tmp_path / "synth" / "manifest.json")):
+        got = load_dataset(manifest)
+        assert got.graph.edges.dtype == np.intp and not got.graph.edges.flags.writeable
+        assert got.graph.edges.tobytes() == want.graph.edges.tobytes()
+        assert got.features.tobytes() == want.features.tobytes()
+        assert np.array_equal(got.labels, want.labels)
+        for which in ("train_mask", "val_mask", "test_mask"):
+            assert np.array_equal(getattr(got, which), getattr(want, which))
 
 
 # -- manifest loading ---------------------------------------------------
@@ -218,6 +343,25 @@ def test_mask_index_out_of_range_rejected(tmp_path):
     _, root = write_tiny_tree(tmp_path)
     (root / "test.txt").write_text("9\n")
     with pytest.raises(FormatError, match="out of range"):
+        load_dataset(root / "manifest.json")
+
+
+def test_mask_error_names_the_file_the_index_and_its_entry(tmp_path):
+    _, root = write_tiny_tree(tmp_path)
+    (root / "test.txt").write_text("3\n-2\n9\n")
+    message = f"^{re.escape(str(root / 'test.txt'))}: node index -2 at entry 2 is out of range for n=4$"
+    with pytest.raises(FormatError, match=message):
+        load_dataset(root / "manifest.json")
+
+
+@pytest.mark.parametrize("edges, problem", [
+    ("0\t1\n3\t3\n", "self-loop on node 3 not allowed"),
+    ("0\t1\n2\t4\n", r"edge \(2,4\) out of range for n=4"),
+])
+def test_edge_error_names_the_edge_file(tmp_path, edges, problem):
+    _, root = write_tiny_tree(tmp_path)
+    (root / "edges.tsv").write_text(edges)
+    with pytest.raises(FormatError, match=f"^{re.escape(str(root / 'edges.tsv'))}: {problem}$"):
         load_dataset(root / "manifest.json")
 
 

@@ -14,7 +14,7 @@ from numpy.testing import assert_allclose
 from gcflow import autodiff as ad
 from gcflow import graphs
 from gcflow.errors import DomainError, ShapeError, SingularMatrixError
-from oracles import adjacency_dense, count_factorizations, full_pattern, normalized_dense
+from oracles import adjacency_dense, count_factorizations, full_pattern, normalized_dense, unique_pairs
 
 
 def det_leibniz(m):
@@ -79,6 +79,34 @@ def test_make_graph_rejects_out_of_range():
         graphs.make_graph(3, [(0, 3)])
     with pytest.raises(DomainError, match=r"^edge \(-1,2\) out of range for n=3$"):
         graphs.make_graph(3, [(0, 1), (-1, 2), (2, 2)])
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(n=st.integers(1, 12), size=st.integers(0, 40), seed=st.integers(0, 2**32 - 1))
+@example(n=1, size=0, seed=0)  # the one edge list a single node can have
+@example(n=5, size=0, seed=0)  # no edges
+@example(n=2, size=6, seed=0)  # one edge, repeated in both orientations
+def test_make_graph_dedupe_matches_sorted_unique_rows(n, size, seed):
+    rng = np.random.default_rng(seed)
+    pairs = rng.integers(0, n, size=(size, 2))
+    pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+    # repeat some pairs, some of them flipped
+    again = pairs[rng.integers(0, len(pairs), size=len(pairs) // 2)] if len(pairs) else pairs
+    pairs = np.concatenate([pairs, again, again[:, ::-1]])
+    rng.shuffle(pairs)
+    got = graphs.make_graph(n, pairs).edges
+    want = unique_pairs(pairs)
+    assert got.dtype == np.intp and got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert got.flags.c_contiguous and not got.flags.writeable
+
+
+def test_make_graph_refuses_a_node_count_whose_square_overflows_int64():
+    # dedupe keys lo * n + hi stay below n**2, which must fit in int64
+    largest = math.isqrt(np.iinfo(np.int64).max)
+    with pytest.raises(DomainError, match=f"^n={largest + 1} is too large"):
+        graphs.make_graph(largest + 1, [])
+    g = graphs.make_graph(largest, [(largest - 1, largest - 2), (largest - 1, 0), (0, largest - 1)])
+    assert g.edges.tolist() == [[0, largest - 1], [largest - 2, largest - 1]]
 
 
 @pytest.mark.parametrize("edges", [[], [(0, 1)], [(3, 1), (0, 2), (2, 3), (1, 0)]])
