@@ -226,14 +226,9 @@ def make_node(data, parents, vjps, op="custom") -> Tensor:
 
 
 def _scatter_add(shape, index, g):
-    """Zeros of ``shape`` with ``g`` added at ``index``, a tuple of slices or
-    index arrays; entries the arrays repeat add up, in index order, as
-    ``np.add.at`` would add them. Index arrays go through one ``np.bincount``
-    over flat positions; slices repeat nothing and are added in place."""
-    if all(isinstance(i, slice) for i in index):
-        full = np.zeros(shape)
-        full[index] += g
-        return full
+    """Zeros of ``shape`` with ``g`` added at ``index``, a tuple of index
+    arrays; entries they repeat add up, in index order, as ``np.add.at``
+    would add them, through one ``np.bincount`` over flat positions."""
     size = int(np.prod(shape))
     flat = np.arange(size).reshape(shape)[index]
     return np.bincount(flat.reshape(-1), weights=np.reshape(g, -1), minlength=size
@@ -319,13 +314,18 @@ def _unary(a, value, local_grad, op):
     return make_node(value, (a,), (lambda g: local_grad(value) * g,), op)
 
 
-def exp(a):
-    a = as_tensor(a)
+def _checked_exp(values):
+    """``np.exp(values)``, refusing a result that overflows."""
     with np.errstate(over="ignore"):
-        value = np.exp(a.data)
+        value = np.exp(values)
     if not np.all(np.isfinite(value)):
         raise DomainError("exp overflow")
-    return _unary(a, value, lambda y: y, "exp")
+    return value
+
+
+def exp(a):
+    a = as_tensor(a)
+    return _unary(a, _checked_exp(a.data), lambda y: y, "exp")
 
 
 def log(a):
@@ -420,19 +420,25 @@ def slice_cols(a, j0, j1):
     if a.data.ndim != 2 or not (0 <= j0 <= j1 <= a.shape[1]):
         raise ShapeError(f"column slice [{j0}:{j1}] invalid for shape {a.shape}")
     return make_node(a.data[:, j0:j1].copy(), (a,),
-                     (lambda g: _scatter_add(a.shape, (slice(None), slice(j0, j1)), g),), "slice_cols")
+                     (lambda g: _put_cols(np.zeros(a.shape), slice(j0, j1), g),), "slice_cols")
 
 
-def concat_cols(parts):
-    parts = [as_tensor(p) for p in parts]
-    if not parts or any(p.data.ndim != 2 for p in parts):
-        raise ShapeError("concat_cols expects a non-empty list of matrices")
-    rows = parts[0].shape[0]
-    if any(p.shape[0] != rows for p in parts):
-        raise ShapeError("concat_cols: row counts differ")
-    offsets = np.concatenate([[0], np.cumsum([p.shape[1] for p in parts])])
-    vjps = [lambda g, j0=j0, j1=j1: g[:, j0:j1] for j0, j1 in zip(offsets[:-1], offsets[1:])]
-    return make_node(np.concatenate([p.data for p in parts], axis=1), parts, vjps, "concat_cols")
+def _put_cols(out, cols, values):
+    """``out`` with its columns ``cols`` overwritten by ``values``, in place."""
+    out[:, cols] = values
+    return out
+
+
+def couple(x, s, t, cols):
+    """``x`` with its columns ``cols`` replaced by ``x[:, cols] * exp(s) + t``, an
+    affine coupling update as one node."""
+    x, s, t = as_tensor(x), as_tensor(s), as_tensor(t)
+    if x.data.ndim != 2 or s.shape != x.data[:, cols].shape or t.shape != s.shape:
+        raise ShapeError(f"couple: scale {s.shape} and shift {t.shape} for columns {cols} of {x.shape}")
+    changed, scale = x.data[:, cols], _checked_exp(s.data)
+    return make_node(_put_cols(x.data.copy(), cols, changed * scale + t.data), (x, s, t), (
+        lambda g: _put_cols(g.copy(), cols, g[:, cols] * scale), lambda g: scale * (g[:, cols] * changed),
+        lambda g: g[:, cols]), "couple")
 
 
 # -- indexed access ----------------------------------------------------

@@ -23,7 +23,7 @@ import numpy as np
 import scipy.linalg
 
 from . import autodiff as ad
-from .errors import ScaleError, ShapeError
+from .errors import DomainError, ScaleError, ShapeError
 from .graphs import _lu_checked, log_abs_det
 
 
@@ -43,7 +43,7 @@ class Mlp:
         if len(widths) < 2:
             raise ShapeError("an MLP needs at least an input and an output width")
         if not (0.0 <= dropout < 1.0):
-            raise ShapeError(f"dropout must lie in [0, 1), got {dropout}")
+            raise DomainError(f"dropout must lie in [0, 1), got {dropout}")
         self.widths = list(widths)
         self.dropout = dropout
         self.weights = [
@@ -77,39 +77,30 @@ class CouplingLayer:
         if dim < 2:
             raise ShapeError(f"coupling needs at least 2 features, got {dim}")
         self.dim = dim
-        self.d = dim // 2
-        self.parity = int(parity) % 2
-        widths = [self.d] + [hidden] * (net_layers - 1) + [dim - self.d]
+        d = dim // 2
+        self.kept, self.changed = ((slice(0, d), slice(d, dim)) if int(parity) % 2 == 0
+                                   else (slice(dim - d, dim), slice(0, dim - d)))
+        widths = [d] + [hidden] * (net_layers - 1) + [dim - d]
         self.s_net = Mlp(widths, rng, dropout=dropout)
         self.t_net = Mlp(widths, rng, dropout=dropout)
         self.s_scale = ad.Tensor(0.0, requires_grad=True)
 
-    def _split(self, x):
+    def _scale_shift(self, x, rng=None):
         if x.shape[1] != self.dim:
             raise ShapeError(f"expected {self.dim} features, got {x.shape[1]}")
-        if self.parity == 0:
-            return ad.slice_cols(x, 0, self.d), ad.slice_cols(x, self.d, self.dim)
-        return ad.slice_cols(x, self.dim - self.d, self.dim), ad.slice_cols(x, 0, self.dim - self.d)
-
-    def _join(self, kept, changed):
-        if self.parity == 0:
-            return ad.concat_cols([kept, changed])
-        return ad.concat_cols([changed, kept])
-
-    def _scale_shift(self, kept, rng=None):
+        kept = ad.slice_cols(x, self.kept.start, self.kept.stop)
         s = ad.tanh(self.s_net(kept, rng)) * self.s_scale
         return s, self.t_net(kept, rng)
 
     def forward(self, x, rng=None):
         """Returns the transformed tensor and the per-row log-determinant."""
-        kept, changed = self._split(x)
-        s, t = self._scale_shift(kept, rng)
-        return self._join(kept, changed * ad.exp(s) + t), ad.tsum(s, axis=1)
+        s, t = self._scale_shift(x, rng)
+        return ad.couple(x, s, t, self.changed), ad.tsum(s, axis=1)
 
     def inverse(self, y):
-        kept, changed = self._split(y)
-        s, t = self._scale_shift(kept)
-        return self._join(kept, (changed - t) * ad.exp(-s))
+        s, t = self._scale_shift(y)
+        changed = (y.data[:, self.changed] - t.data) * ad._checked_exp(-s.data)
+        return ad.Tensor(ad._put_cols(y.data.copy(), self.changed, changed))
 
     def params(self):
         return self.s_net.params() + self.t_net.params() + [self.s_scale]
@@ -208,11 +199,12 @@ class GcFlowModel:
         with its mixing matrix, read back as ``mix`` of the identity and
         factored by one checked LU."""
         x = ad.as_tensor(z)
-        for stage in reversed(range(self.num_flows)):
-            x = self.flows[stage].inverse(x)
-            if self.adjacency is not None:
-                factors = _lu_checked(self.adjacency.mix(np.eye(x.shape[0]), stage)[0].data)[0]
-                x = ad.Tensor(scipy.linalg.lu_solve(factors, x.data, check_finite=False))
+        with ad.no_grad():
+            for stage in reversed(range(self.num_flows)):
+                x = self.flows[stage].inverse(x)
+                if self.adjacency is not None:
+                    factors = _lu_checked(self.adjacency.mix(np.eye(x.shape[0]), stage)[0].data)[0]
+                    x = ad.Tensor(scipy.linalg.lu_solve(factors, x.data, check_finite=False))
         return x
 
     def params(self):

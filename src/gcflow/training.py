@@ -220,18 +220,18 @@ class TrainedModel:
 # -- model assembly -----------------------------------------------------
 
 
-# A kind's ``mixing(cfg, graph, dim, damping_used)`` returns its mixing source (None
+# A kind's ``mixing(cfg, graph, damping_used)`` returns its mixing source (None
 # for none) and the damping it holds. ``build(cfg, source, dim, classes)`` returns the
 # untrained model, and ``hidden`` and ``dropout`` serve a config that sets neither.
 # The builders look ``normalize_*`` and the adjacency classes up when called, so
 # rebinding those names reaches every kind.
 
 
-def _no_mixing(cfg, graph, dim, damping_used):
+def _no_mixing(cfg, graph, damping_used):
     return None, cfg.damping
 
 
-def _fixed_mixing(cfg, graph, dim, damping_used):
+def _fixed_mixing(cfg, graph, damping_used):
     """The normalized adjacency; a saved ``damping_used`` replays it unfactored.
     Otherwise its log|det| is read here, the one set-up factorization, and a
     singular matrix is retried once with damping."""
@@ -246,7 +246,7 @@ def _fixed_mixing(cfg, graph, dim, damping_used):
     return adj, adj.damping
 
 
-def _attention(cfg, graph, dim, damping_used):
+def _attention(cfg, graph, damping_used):
     damp = cfg.damping or DEFAULT_DAMPING
     return AttentionAdjacency(graph, cfg.num_flows, damping=damp), damp
 
@@ -288,7 +288,7 @@ def assemble_model(cfg: TrainConfig, graph, dim, classes, damping_used=None) -> 
     adjacency was built with, without factoring it again.
     """
     kind = KINDS[cfg.model]
-    source, damping = kind.mixing(cfg, graph, dim, damping_used)
+    source, damping = kind.mixing(cfg, graph, damping_used)
     model = kind.build(cfg, source, dim, classes)
     return TrainedModel(config=asdict(cfg), dim=dim, classes=classes, model=model, damping_used=damping)
 

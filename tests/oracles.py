@@ -1,8 +1,8 @@
 """Reference implementations the optimized code is checked against: dense
 adjacency constructions, the identity mixing matrix and a dense mixing
 source, attention logits drawn at random, a counter of the dense factorizations the graph module runs, the
-dense n x n mixing route of the attention source, an MLP built from
-unfused ops, per-vector mixture densities, the block-model sampler's single
+dense n x n mixing route of the attention source, an MLP and a coupling
+update built from unfused ops, per-vector mixture densities, the block-model sampler's single
 full-matrix draw, the row-wise unique of the edge dedupe, and the two-forward
 training loop and two-pass evaluate."""
 
@@ -167,6 +167,28 @@ def mlp_unfused(mlp, x, rng=None):
                 keep = rng.random(x.shape) >= mlp.dropout
                 x = x * ad.Tensor(keep / (1.0 - mlp.dropout))
     return x
+
+
+def concat_cols(parts):
+    """The matrices ``parts`` side by side; each part's share is its own
+    columns of the output gradient."""
+    from gcflow import autodiff as ad
+
+    parts = [ad.as_tensor(p) for p in parts]
+    offsets = np.cumsum([0] + [p.shape[1] for p in parts])
+    vjps = [lambda g, j0=j0, j1=j1: g[:, j0:j1] for j0, j1 in zip(offsets[:-1], offsets[1:])]
+    return ad.make_node(np.concatenate([p.data for p in parts], axis=1), parts, vjps, "concat_cols")
+
+
+def couple_unfused(x, s, t, cols):
+    """``ad.couple`` as its own nodes: ``x`` sliced into the columns before,
+    in and after the slice ``cols``, the middle part times ``exp(s)`` plus
+    ``t``, and the three parts joined again."""
+    from gcflow import autodiff as ad
+
+    before, changed, after = (ad.slice_cols(x, j0, j1) for j0, j1 in
+                              ((0, cols.start), (cols.start, cols.stop), (cols.stop, x.shape[1])))
+    return concat_cols([before, changed * ad.exp(s) + t, after])
 
 
 # -- per-vector mixture densities -----------------------------------------

@@ -10,7 +10,7 @@ from numpy.testing import assert_allclose
 
 from gcflow import autodiff as ad, graphs
 from gcflow.errors import DomainError, ShapeError
-from oracles import full_pattern, scatter_matrix
+from oracles import concat_cols, couple_unfused, full_pattern, scatter_matrix
 
 
 def test_matmul_identity():
@@ -66,12 +66,12 @@ RECORDING_OPS = {
     "tanh": ad.tanh,
     "relu": ad.relu,
     "clamp": lambda x: ad.clamp(x, 0.0, 1.0),
+    "couple": lambda x: ad.couple(x, ad.slice_cols(x, 0, 2), ad.slice_cols(x, 1, 3), slice(1, 3)),
     "row_softmax": ad.row_softmax,
     "logsumexp_rows": ad.logsumexp_rows,
     "sum": lambda x: ad.tsum(x, 0),
     "reshape": lambda x: ad.reshape(x, (9,)),
     "slice_cols": lambda x: ad.slice_cols(x, 0, 2),
-    "concat_cols": lambda x: ad.concat_cols([x, x]),
     "gather_rows": lambda x: ad.gather_rows(x, [0, 0, 2]),
     "take_per_row": lambda x: ad.take_per_row(x, [0, 1, 2]),
     "logabsdet_tensor": lambda x: graphs.logabsdet_tensor(full_pattern(3), ad.reshape(x, (9,))),
@@ -173,6 +173,24 @@ def test_exp_overflow():
         ad.exp(ad.Tensor([1000.0]))
 
 
+def test_couple_refuses_a_scale_or_shift_that_does_not_fit_the_columns():
+    x = ad.Tensor(np.zeros((4, 5)), requires_grad=True)
+    fits, wide, short = np.zeros((4, 2)), np.zeros((4, 3)), np.zeros((3, 2))
+    for s, t in [(wide, fits), (fits, wide), (short, fits), (fits, short), (fits, fits.T)]:
+        with pytest.raises(ShapeError):
+            ad.couple(x, s, t, slice(3, 5))
+    with pytest.raises(ShapeError):
+        ad.couple(np.zeros(5), np.zeros(2), np.zeros(2), slice(3, 5))
+
+
+def test_couple_exp_overflow():
+    x = ad.Tensor(np.zeros((2, 4)), requires_grad=True)
+    s = np.zeros((2, 2))
+    s[1, 0] = 1000.0
+    with pytest.raises(DomainError, match="exp overflow"):
+        ad.couple(x, s, np.zeros((2, 2)), slice(0, 2))
+
+
 def test_row_softmax_rows_sum_to_one():
     rng = np.random.default_rng(0)
     x = ad.Tensor(rng.normal(size=(5, 7)))
@@ -198,10 +216,11 @@ def test_sum_axis_gradients():
 
 
 def test_slice_then_concat_roundtrip():
+    # the column concatenation is the oracle's; slice_cols is under test
     x = ad.Tensor(np.arange(12, dtype=float).reshape(3, 4), requires_grad=True)
     left = ad.slice_cols(x, 0, 2)
     right = ad.slice_cols(x, 2, 4)
-    back = ad.concat_cols([left, right])
+    back = concat_cols([left, right])
     assert_allclose(back.data, x.data)
     ad.tsum(back * back).backward()
     assert_allclose(x.grad, 2.0 * x.data)
@@ -530,11 +549,33 @@ def test_slice_and_concat_cols_over_random_widths(rows, widths, data, seed):
     j0 = data.draw(st.integers(0, total))
     j1 = data.draw(st.integers(j0, total))
 
+    # the column concatenation is the oracle's; slice_cols is under test
+    joined = concat_cols(parts)
+    assert np.array_equal(ad.slice_cols(joined, j0, j1).data, joined.data[:, j0:j1])
+
     def f():
-        joined = ad.concat_cols(parts)
-        return weighted_sum(ad.concat_cols([joined, ad.slice_cols(joined, j0, j1)]), np.random.default_rng(seed))
+        joined = concat_cols(parts)
+        return weighted_sum(concat_cols([joined, ad.slice_cols(joined, j0, j1)]), np.random.default_rng(seed))
 
     assert ad.grad_check(f, parts) < 1e-6
+
+
+@FD_SETTINGS
+@given(rows=st.integers(1, 3), width=st.integers(1, 5), data=st.data(), seed=SEEDS)
+def test_couple_equals_the_unfused_ops_over_random_column_slices(rows, width, data, seed):
+    rng = np.random.default_rng(seed)
+    j0 = data.draw(st.integers(0, width))
+    cols = slice(j0, data.draw(st.integers(j0, width)))
+    x = ad.Tensor(rng.normal(size=(rows, width)), requires_grad=True)
+    s, t = (ad.Tensor(rng.normal(size=(rows, cols.stop - j0)), requires_grad=True) for _ in range(2))
+    runs = []
+    for op in (ad.couple, couple_unfused):
+        ad.zero_grads([x, s, t])
+        out = op(x, s, t, cols)
+        weighted_sum(out, np.random.default_rng(seed)).backward()
+        runs.append([out.data, x.grad, s.grad, t.grad])
+    assert all(np.array_equal(a, b) for a, b in zip(*runs))
+    assert ad.grad_check(lambda: weighted_sum(ad.couple(x, s, t, cols), np.random.default_rng(seed)), [x, s, t]) < 1e-6
 
 
 @FD_SETTINGS

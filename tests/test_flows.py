@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -5,10 +7,10 @@ from numpy.testing import assert_allclose
 
 from gcflow import flows, graphs, mixture
 from gcflow import autodiff as ad
-from gcflow.errors import ScaleError, ShapeError, SingularMatrixError
+from gcflow.errors import DomainError, ScaleError, ShapeError, SingularMatrixError
 from gcflow.training import FLOW_KINDS, TrainConfig, assemble_model
 from gcflow.verify import random_edges
-from oracles import identity_adjacency, mlp_unfused
+from oracles import couple_unfused, identity_adjacency, mlp_unfused
 
 
 def zero_all(params):
@@ -77,6 +79,38 @@ def test_mlp_affine_layers_equal_the_unfused_ops_bit_for_bit(dropout):
         ad.tsum(out * weights).backward()
         runs.append([out.data] + [p.grad.copy() for p in mlp.params() + [x]])
     assert all(np.array_equal(a, b) for a, b in zip(*runs))
+
+
+@pytest.mark.parametrize("dropout", [1.0, -0.1, float("nan")])
+def test_mlp_refuses_a_dropout_outside_the_unit_interval(dropout):
+    with pytest.raises(DomainError, match="dropout"):
+        flows.Mlp([2, 3], np.random.default_rng(0), dropout=dropout)
+
+
+@pytest.mark.parametrize("dim", [2, 5, 8])
+@pytest.mark.parametrize("parity", [0, 1])
+def test_coupling_update_equals_the_unfused_ops_bit_for_bit(dim, parity):
+    rng = np.random.default_rng(10 * dim + parity)
+    cols = flows.CouplingLayer(dim, 4, 2, parity, rng).changed
+    x = ad.Tensor(rng.normal(size=(9, dim)), requires_grad=True)
+    s, t = (ad.Tensor(rng.normal(size=(9, cols.stop - cols.start)), requires_grad=True) for _ in range(2))
+    weights = ad.Tensor(rng.normal(size=(9, dim)))
+    runs = []
+    for op in (ad.couple, couple_unfused):
+        ad.zero_grads([x, s, t])
+        out = op(x, s, t, cols)
+        ad.tsum(out * weights).backward()
+        runs.append([out.data, x.grad, s.grad, t.grad])
+    assert all(np.array_equal(a, b) for a, b in zip(*runs))
+
+
+@pytest.mark.parametrize("parity", [0, 1])
+def test_a_coupling_update_records_one_couple_node(parity):
+    layer = flows.CouplingLayer(5, 4, 2, parity, np.random.default_rng(0))
+    y, logdet = layer.forward(ad.Tensor(np.ones((3, 5)), requires_grad=True))
+    ops = {id(node): node._op for out in (y, logdet) for node in out._topo() if node._parents}
+    # the kept half, two two-layer nets, the bounded scale, the update and the log-det row sum
+    assert Counter(ops.values()) == Counter(slice_cols=1, affine=4, tanh=3, mul=1, couple=1, sum=1)
 
 
 def test_identity_layer_is_identity():
@@ -302,6 +336,26 @@ def test_inverse_factors_one_matrix_per_stage(kind, monkeypatch):
     monkeypatch.setattr(flows, "_lu_checked", lambda matrix: calls.append(np.shape(matrix)) or lu(matrix))
     assert np.abs(model.inverse(z).data - x).max() < 1e-8
     assert calls == [(7, 7)] * 3
+
+
+@pytest.mark.parametrize("kind", ["gcflow", "gcflow-p"])
+def test_inverse_records_no_tape(kind, monkeypatch):
+    g = random_edges(np.random.default_rng(27), 7)
+    model = assemble_model(TrainConfig(model=kind, num_flows=3, damping=1e-2, seed=0), g, 2, 2).model.flow
+    x = np.random.default_rng(28).normal(size=(7, 2))
+    z = model.forward(x).z
+    recorded, make_node = [], ad.make_node
+
+    def counted(*args, **kwargs):
+        out = make_node(*args, **kwargs)
+        recorded.extend([out] if out._parents else [])
+        return out
+
+    monkeypatch.setattr(ad, "make_node", counted)
+    assert np.abs(model.inverse(z).data - x).max() < 1e-8
+    assert recorded == []
+    model.forward(x)
+    assert recorded
 
 
 def test_inverse_with_singular_supplied_adjacency():
