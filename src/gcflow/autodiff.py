@@ -328,13 +328,6 @@ def exp(a):
     return _unary(a, _checked_exp(a.data), lambda y: y, "exp")
 
 
-def log(a):
-    a = as_tensor(a)
-    if np.any(a.data <= 0.0):
-        raise DomainError("log of non-positive value")
-    return _unary(a, np.log(a.data), lambda y: 1.0 / a.data, "log")
-
-
 def _tanh_vjp(y, g):
     """(1 - y*y) * g, the same arithmetic in the same order, in one buffer."""
     t = np.multiply(y, y, out=np.empty_like(y))
@@ -354,14 +347,6 @@ def relu(a):
     return _unary(a, np.maximum(a.data, 0.0), lambda y: (a.data > 0.0).astype(np.float64), "relu")
 
 
-def clamp(a, lo, hi):
-    """Clip to [lo, hi]; gradient passes only where the input is strictly interior."""
-    a = as_tensor(a)
-    value = np.clip(a.data, lo, hi)
-    mask = (a.data > lo) & (a.data < hi)
-    return _unary(a, value, lambda y: mask.astype(np.float64), "clamp")
-
-
 def dropout(a, rate, rng=None):
     """Inverted dropout: keep entries where ``rng.random`` draws >= ``rate``, scaled
     by 1/(1 - rate). Without an rng, or at rate 0, ``a`` itself comes back."""
@@ -369,32 +354,6 @@ def dropout(a, rate, rng=None):
         return a
     keep = rng.random(a.shape) >= rate
     return mul(a, Tensor(keep / (1.0 - rate)))
-
-
-# -- softmax family ----------------------------------------------------
-
-
-def row_softmax(a):
-    """Row-wise softmax of a matrix, stabilized by row-max subtraction."""
-    a = as_tensor(a)
-    if a.data.ndim != 2:
-        raise ShapeError(f"row_softmax expects a matrix, got shape {a.shape}")
-    shifted = a.data - a.data.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    value = e / e.sum(axis=1, keepdims=True)
-    return make_node(value, (a,), (lambda g: value * (g - (g * value).sum(axis=1, keepdims=True)),),
-                     "row_softmax")
-
-
-def logsumexp_rows(a):
-    """log(sum(exp(row))) for each row of a matrix, returned as a vector."""
-    a = as_tensor(a)
-    if a.data.ndim != 2:
-        raise ShapeError(f"logsumexp_rows expects a matrix, got shape {a.shape}")
-    m = a.data.max(axis=1, keepdims=True)
-    value = (m + np.log(np.exp(a.data - m).sum(axis=1, keepdims=True))).reshape(-1)
-    return make_node(value, (a,), (lambda g: np.exp(a.data - value[:, None]) * g[:, None],),
-                     "logsumexp_rows")
 
 
 # -- reductions and reshapes -------------------------------------------
@@ -406,6 +365,17 @@ def tsum(a, axis=None):
         raise ShapeError(f"sum axis {axis} invalid for shape {a.shape}")
     value = a.data.sum() if axis is None else a.data.sum(axis=axis)
     return make_node(value, (a,), (lambda g: g if axis is None else np.expand_dims(g, axis),), "sum")
+
+
+def logsumexp_rows(a):
+    """log(sum(exp(row))) for each row of a matrix, returned as a vector."""
+    a = as_tensor(a)
+    if a.data.ndim != 2:
+        raise ShapeError(f"logsumexp_rows expects a matrix, got shape {a.shape}")
+    m = a.data.max(axis=1, keepdims=True)
+    value = (m + np.log(np.exp(a.data - m).sum(axis=1, keepdims=True))).reshape(-1)
+    return make_node(value, (a,), (lambda g: np.exp(a.data - value[:, None]) * g[:, None],),
+                     "logsumexp_rows")
 
 
 def reshape(a, shape):

@@ -16,13 +16,14 @@ from .autodiff import Tensor
 from .errors import ConfigError, DegenerateComponentError, DomainError
 from .flows import glorot
 from .graphs import NormalizedAdjacency
+from .mixture import normalize_rows
 
 GCN_HIDDEN = 128
 GCN_DROPOUT = 0.5
 
 
 class GcnModel:
-    """Stack of mix-then-project layers, relu between, softmax on top.
+    """Stack of mix-then-project layers, relu between, class logits on top.
 
     No biases anywhere. Dropout acts on each layer's input in a forward
     handed an rng; the penultimate activations (input to the final layer,
@@ -47,23 +48,23 @@ class GcnModel:
 
     def loss_and_predictions(self, x, labels, loss_cfg, rng):
         """A function that builds the cross-entropy over the labeled nodes of
-        one training forward, and that forward's most probable class per
+        one training forward, and that forward's highest-scoring class per
         node; without dropout these equal ``predict_and_represent``'s."""
-        probs, _ = self.forward(x, rng=rng)
-        return lambda: gcn_loss(probs, labels, loss_cfg.labeled), probs.data.argmax(axis=1)
+        logits, _ = self.forward(x, rng=rng)
+        return lambda: gcn_loss(logits, labels, loss_cfg.labeled), logits.data.argmax(axis=1)
 
     def represent(self, x):
         return self.predict_and_represent(x)[1]
 
     def predict_and_represent(self, x):
-        """Most probable class per node and the penultimate representation,
+        """Highest-scoring class per node and the penultimate representation,
         from one forward with no tape."""
         with ad.no_grad():
-            probs, penultimate = self.forward(x)
-        return probs.data.argmax(axis=1), penultimate
+            logits, penultimate = self.forward(x)
+        return logits.data.argmax(axis=1), penultimate
 
     def forward(self, x, rng=None):
-        """Class probabilities and the penultimate representation."""
+        """Class logits and the penultimate representation."""
         h = ad.as_tensor(x)
         penultimate = h.data
         for idx, w in enumerate(self.weights):
@@ -73,17 +74,17 @@ class GcnModel:
             h = self.adjacency.mix(h)[0] @ w
             if idx < len(self.weights) - 1:
                 h = ad.relu(h)
-        return ad.row_softmax(h), penultimate
+        return h, penultimate
 
 
-def gcn_loss(probs, labels, labeled) -> Tensor:
-    """Mean negative log-probability of the true class over labeled nodes."""
+def gcn_loss(logits, labels, labeled) -> Tensor:
+    """Softmax cross-entropy of the true class, averaged over labeled nodes."""
     labeled = np.asarray(labeled, dtype=np.intp)
     if labeled.size == 0:
         raise ConfigError("cross-entropy needs at least one labeled node")
-    picked = ad.take_per_row(ad.gather_rows(probs, labeled), np.asarray(labels)[labeled])
-    # clamp floor guards log(0); ceiling 2 keeps prob=1 off the mask boundary
-    return -ad.tsum(ad.log(ad.clamp(picked, 1e-12, 2.0))) * (1.0 / labeled.size)
+    rows = ad.gather_rows(logits, labeled)
+    picked = ad.take_per_row(rows, np.asarray(labels)[labeled])
+    return ad.tsum(ad.logsumexp_rows(rows) - picked) * (1.0 / labeled.size)
 
 
 # -- EM-fitted Gaussian mixture -----------------------------------------
@@ -129,12 +130,8 @@ def _component_logpdfs(gmm: EmGmm, x):
 
 def responsibilities(gmm: EmGmm, x):
     """Posterior component probabilities per row, plus total log-likelihood."""
-    scores = _component_logpdfs(gmm, x) + np.log(gmm.weights)[None, :]
-    top = scores.max(axis=1, keepdims=True)
-    shifted = np.exp(scores - top)
-    norm = shifted.sum(axis=1, keepdims=True)
-    loglik = float((np.log(norm) + top).sum())
-    return shifted / norm, loglik
+    resp, log_norms = normalize_rows(_component_logpdfs(gmm, x) + np.log(gmm.weights)[None, :])
+    return resp, float(log_norms.sum())
 
 
 def em_fit(x, k, init_means) -> EmGmm:

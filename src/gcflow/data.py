@@ -392,8 +392,10 @@ def generate_sbm(cfg: SbmConfig) -> Dataset:
 
 def make_split(ds: Dataset, per_class_train, per_class_val, seed) -> Dataset:
     """Stratified masks: fixed counts per class, the labeled rest is test."""
-    if per_class_train < 1 or per_class_val < 0:
-        raise ConfigError("need at least one training node per class")
+    if per_class_train < 1:
+        raise ConfigError(f"need at least one training node per class, got {per_class_train}")
+    if per_class_val < 0:
+        raise ConfigError(f"validation nodes per class must not be negative, got {per_class_val}")
     rng = np.random.default_rng(seed)
     train = np.zeros(ds.n, dtype=bool)
     val = np.zeros(ds.n, dtype=bool)

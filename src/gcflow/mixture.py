@@ -110,10 +110,18 @@ def log_densities(head: MixtureHead, result):
     return joint, ad.logsumexp_rows(comp_lw) + share
 
 
+def normalize_rows(scores):
+    """Each row of ``exp(scores)`` divided by its sum, and the log of that sum
+    (the row's logsumexp), both taken after subtracting the row maximum."""
+    top = scores.max(axis=1, keepdims=True)
+    shifted = np.exp(scores - top)
+    norm = shifted.sum(axis=1, keepdims=True)
+    return shifted / norm, (np.log(norm) + top).reshape(-1)
+
+
 def posterior_matrix(head: MixtureHead, z) -> np.ndarray:
     """Component posteriors per node; the determinant terms cancel out."""
-    comp = component_logpdf_matrix(head, z)
-    return ad.row_softmax(comp + head.log_weights()).data
+    return normalize_rows(component_logpdf_matrix(head, z).data + head.log_weights().data)[0]
 
 
 def _finite(z) -> np.ndarray:

@@ -62,12 +62,9 @@ RECORDING_OPS = {
     "affine": lambda x: ad.affine(x, x, ad.tsum(x, 0)),
     "sparse_matmul": lambda x: ad.sparse_matmul(full_pattern(3), ad.reshape(x, (9,)), x),
     "exp": ad.exp,
-    "log": ad.log,
     "tanh": ad.tanh,
     "relu": ad.relu,
-    "clamp": lambda x: ad.clamp(x, 0.0, 1.0),
     "couple": lambda x: ad.couple(x, ad.slice_cols(x, 0, 2), ad.slice_cols(x, 1, 3), slice(1, 3)),
-    "row_softmax": ad.row_softmax,
     "logsumexp_rows": ad.logsumexp_rows,
     "sum": lambda x: ad.tsum(x, 0),
     "reshape": lambda x: ad.reshape(x, (9,)),
@@ -161,13 +158,6 @@ def test_relu_values():
     assert_allclose(ad.relu(x).data, [0.0, 0.0, 2.0])
 
 
-def test_log_domain():
-    with pytest.raises(DomainError):
-        ad.log(ad.Tensor([1.0, 0.0]))
-    with pytest.raises(DomainError):
-        ad.log(ad.Tensor([-1.0]))
-
-
 def test_exp_overflow():
     with pytest.raises(DomainError):
         ad.exp(ad.Tensor([1000.0]))
@@ -189,13 +179,6 @@ def test_couple_exp_overflow():
     s[1, 0] = 1000.0
     with pytest.raises(DomainError, match="exp overflow"):
         ad.couple(x, s, np.zeros((2, 2)), slice(0, 2))
-
-
-def test_row_softmax_rows_sum_to_one():
-    rng = np.random.default_rng(0)
-    x = ad.Tensor(rng.normal(size=(5, 7)))
-    s = ad.row_softmax(x)
-    assert_allclose(s.data.sum(axis=1), np.ones(5), atol=1e-12)
 
 
 def test_logsumexp_matches_numpy():
@@ -275,14 +258,6 @@ def test_scatter_matrix_duplicate_entries_add():
     assert_allclose(v.grad, [10.0, 10.0, 100.0])
 
 
-def test_clamp_gradient_mask():
-    x = ad.Tensor([-1.0, 0.5, 2.0], requires_grad=True)
-    c = ad.clamp(x, 0.0, 1.0)
-    assert_allclose(c.data, [0.0, 0.5, 1.0])
-    ad.tsum(c).backward()
-    assert_allclose(x.grad, [0.0, 1.0, 0.0])
-
-
 def test_dropout_is_the_identity_without_an_rng_or_at_rate_zero():
     a = ad.Tensor(np.ones((3, 4)), requires_grad=True)
     for out in (ad.dropout(a, 0.5), ad.dropout(a, 0.0, np.random.default_rng(0))):
@@ -310,14 +285,12 @@ def test_broadcast_add_unbroadcasts_gradient():
     assert_allclose(b.grad, np.full((1, 4), 3.0))
 
 
-@pytest.mark.parametrize("name", ["exp", "log", "tanh", "relu"])
+@pytest.mark.parametrize("name", ["exp", "tanh", "relu"])
 def test_unary_gradients_match_finite_differences(name):
     rng = np.random.default_rng(hash(name) % (2**32))
     fn = getattr(ad, name)
     for trial in range(10):
         raw = rng.normal(size=(3,))
-        if name == "log":
-            raw = np.abs(raw) + 0.5
         if name == "relu":
             # keep points away from the kink
             raw = raw + np.sign(raw) * 0.1
@@ -334,7 +307,7 @@ def test_grad_check_composite_graph():
 
     def f():
         h = ad.tanh(ad.matmul(x, w) + b)
-        return ad.tsum(ad.row_softmax(h) * h) + ad.tsum(ad.exp(h)) * (1.0 / h.data.size)
+        return ad.tsum(ad.logsumexp_rows(h * h) * ad.tsum(h, 1)) + ad.tsum(ad.exp(h)) * (1.0 / h.data.size)
 
     assert ad.grad_check(f, [w, b]) < 1e-6
 
@@ -356,7 +329,7 @@ def test_forward_is_deterministic():
 
     def run():
         t = ad.Tensor(x, requires_grad=True)
-        out = ad.tsum(ad.row_softmax(ad.tanh(ad.matmul(t, t))))
+        out = ad.tsum(ad.logsumexp_rows(ad.tanh(ad.matmul(t, t))))
         out.backward()
         return out.item(), t.grad.copy()
 
@@ -404,7 +377,7 @@ def test_no_grad_restores_previous_state_after_exception():
     x = ad.Tensor(np.ones(2), requires_grad=True)
     with pytest.raises(DomainError):
         with ad.no_grad():
-            ad.log(x * 0.0)
+            ad.exp(x * 1000.0)
     assert (x * 2.0).requires_grad
     with ad.no_grad():
         with pytest.raises(ShapeError):
@@ -458,19 +431,17 @@ def test_binary_ops_over_random_broadcasts(shapes, op, seed):
 
 @FD_SETTINGS
 @given(
-    op=st.sampled_from(["exp", "log", "tanh", "relu", "clamp"]),
+    op=st.sampled_from(["exp", "tanh", "relu"]),
     shape=st.sampled_from([(), (3,), (2, 3), (4, 1), (2, 2, 2)]),
     seed=SEEDS,
 )
 def test_unary_ops_over_random_shapes(op, shape, seed):
     rng = np.random.default_rng(seed)
     raw = rng.normal(scale=1.5, size=shape)
-    if op == "log":
-        raw = np.abs(raw) + 0.1
-    if op in ("relu", "clamp"):
-        raw = away_from(np.asarray(raw), (0.0, -0.5, 0.5))
+    if op == "relu":
+        raw = away_from(np.asarray(raw), (0.0,))
     x = ad.Tensor(raw, requires_grad=True)
-    fn = (lambda t: ad.clamp(t, -0.5, 0.5)) if op == "clamp" else getattr(ad, op)
+    fn = getattr(ad, op)
     assert ad.grad_check(lambda: weighted_sum(fn(x), np.random.default_rng(seed)), [x]) < 1e-6
 
 
@@ -514,13 +485,11 @@ def test_sparse_matmul_over_random_shapes(m, k, n, density, seed):
 
 
 @FD_SETTINGS
-@given(r=st.integers(1, 4), c=st.integers(1, 5), op=st.sampled_from(["row_softmax", "logsumexp_rows"]),
-       seed=SEEDS)
-def test_softmax_family_over_random_shapes(r, c, op, seed):
+@given(r=st.integers(1, 4), c=st.integers(1, 5), seed=SEEDS)
+def test_softmax_family_over_random_shapes(r, c, seed):
     rng = np.random.default_rng(seed)
     x = ad.Tensor(rng.normal(scale=2.0, size=(r, c)), requires_grad=True)
-    fn = getattr(ad, op)
-    assert ad.grad_check(lambda: weighted_sum(fn(x), np.random.default_rng(seed)), [x]) < 1e-6
+    assert ad.grad_check(lambda: weighted_sum(ad.logsumexp_rows(x), np.random.default_rng(seed)), [x]) < 1e-6
 
 
 @FD_SETTINGS

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose
+from scipy.special import log_softmax, softmax
 
 from gcflow import autodiff as ad
 from gcflow.autodiff import Tensor, grad_check
@@ -21,6 +23,7 @@ from gcflow.errors import (
 )
 from gcflow.evalkit import kmeans, micro_f1
 from gcflow.graphs import make_graph, normalize_row
+from gcflow.mixture import normalize_rows
 from oracles import identity_adjacency
 
 
@@ -41,30 +44,34 @@ def ring_adjacency(n):
 def test_gcn_rows_are_distributions():
     rng = np.random.default_rng(0)
     model = GcnModel(ring_adjacency(6), [3, 5, 4], seed=1)
-    probs = model.forward(rng.normal(size=(6, 3)))[0]
-    assert probs.shape == (6, 4)
-    assert np.all(probs.data > 0)
-    assert np.allclose(probs.data.sum(axis=1), 1.0, atol=1e-12)
+    logits = model.forward(rng.normal(size=(6, 3)))[0]
+    assert logits.shape == (6, 4)
+    probs, log_norms = normalize_rows(logits.data)
+    assert np.all(probs > 0)
+    assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-12)
+    assert np.allclose(log_norms, ad.logsumexp_rows(logits).data, rtol=0.0, atol=1e-12)
 
 
 def test_gcn_zero_weights_predict_uniformly():
     model = GcnModel(ring_adjacency(5), [3, 4, 2], seed=0)
     for w in model.weights:
         w.data[:] = 0.0
-    probs = model.forward(np.random.default_rng(1).normal(size=(5, 3)))[0]
-    assert np.allclose(probs.data, 0.5, atol=1e-15)
+    logits = model.forward(np.random.default_rng(1).normal(size=(5, 3)))[0]
+    assert np.array_equal(logits.data, np.zeros((5, 2)))
+    loss = gcn_loss(logits, np.array([0, 1, 1, 0, 1]), np.arange(5))
+    assert abs(loss.item() - np.log(2.0)) < 1e-15
 
 
 def test_single_layer_edgeless_gcn_is_plain_softmax():
     rng = np.random.default_rng(2)
     x = rng.normal(size=(4, 3))
     model = GcnModel(identity_adjacency(4), [3, 2], seed=3)
-    probs = model.forward(x)[0]
-
-    logits = x @ model.weights[0].data
-    shifted = np.exp(logits - logits.max(axis=1, keepdims=True))
-    expected = shifted / shifted.sum(axis=1, keepdims=True)
-    assert np.allclose(probs.data, expected, atol=1e-14)
+    logits = model.forward(x)[0]
+    expected = x @ model.weights[0].data
+    assert np.allclose(logits.data, expected, atol=1e-14)
+    labels = np.array([0, 1, 1, 0])
+    want = -log_softmax(expected, axis=1)[np.arange(4), labels].mean()
+    assert abs(gcn_loss(logits, labels, np.arange(4)).item() - want) < 1e-14
 
 
 def test_gcn_penultimate_is_hidden_activation():
@@ -96,16 +103,49 @@ def test_gcn_dropout_perturbs_only_a_forward_with_an_rng():
 
 
 def test_gcn_loss_perfect_prediction_is_zero():
-    probs = Tensor(np.eye(3))
+    # a margin of 50 puts exp(-50) below half an ulp of the true logit
+    logits = Tensor(50.0 * np.eye(3))
     labels = np.array([0, 1, 2])
-    loss = gcn_loss(probs, labels, np.arange(3))
-    assert abs(loss.item()) < 1e-15
+    loss = gcn_loss(logits, labels, np.arange(3))
+    assert loss.item() == 0.0
 
 
 def test_gcn_loss_uniform_prediction_is_log_k():
-    probs = Tensor(np.full((4, 3), 1.0 / 3.0))
-    loss = gcn_loss(probs, np.array([0, 1, 2, 0]), np.arange(4))
+    logits = Tensor(np.full((4, 3), 2.5))
+    loss = gcn_loss(logits, np.array([0, 1, 2, 0]), np.arange(4))
     assert abs(loss.item() - np.log(3.0)) < 1e-12
+
+
+def test_gcn_loss_keeps_the_gradient_of_a_confidently_wrong_node():
+    # true class 1 is 40 below the top logit: the loss and its gradient row stay whole
+    logits = Tensor(np.array([[40.0, 0.0, 0.0], [0.0, 1.0, 0.5], [2.0, 0.0, 1.0]]), requires_grad=True)
+    labels = np.array([1, 1, 0])
+    loss = gcn_loss(logits, labels, np.arange(3))
+    loss.backward()
+    want = -log_softmax(logits.data, axis=1)[np.arange(3), labels].mean()
+    assert abs(loss.item() - want) <= 1e-15 * want
+    assert loss.item() > 40.0 / 3.0
+    assert_allclose(logits.grad[0], np.array([1.0, -1.0, 0.0]) / 3.0, rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_gcn_loss_is_the_mean_negative_log_softmax_past_large_gaps(seed):
+    rng = np.random.default_rng(seed)
+    n, k = 12, 4
+    logits = rng.normal(scale=3.0, size=(n, k))
+    logits[np.arange(n), rng.integers(0, k, size=n)] += rng.uniform(30.0, 60.0, size=n)
+    labels = rng.integers(0, k, size=n)
+    labeled = rng.permutation(n)[:8]
+    gaps = logits[labeled].max(axis=1) - logits[labeled, labels[labeled]]
+    assert gaps.max() > 30.0
+    t = Tensor(logits, requires_grad=True)
+    loss = gcn_loss(t, labels, labeled)
+    loss.backward()
+    want = -log_softmax(logits[labeled], axis=1)[np.arange(labeled.size), labels[labeled]].mean()
+    assert abs(loss.item() - want) <= 1e-12 * abs(want)
+    grad = np.zeros((n, k))
+    grad[labeled] = softmax(logits[labeled], axis=1) - np.eye(k)[labels[labeled]]
+    assert_allclose(t.grad, grad / labeled.size, rtol=0.0, atol=1e-15)
 
 
 def test_gcn_loss_requires_labeled_nodes():

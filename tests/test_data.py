@@ -525,3 +525,12 @@ def test_make_split_skips_unknown_labels():
     with pytest.raises(ConfigError):
         make_split(ds, 1, 0, seed=0)  # class 1 has one labeled node left, no room for test
 
+
+
+@pytest.mark.parametrize(("train", "val", "named"), [
+    (0, 5, "need at least one training node per class, got 0"),
+    (10, -1, "validation nodes per class must not be negative, got -1"),
+])
+def test_make_split_names_the_count_that_is_wrong(train, val, named):
+    with pytest.raises(ConfigError, match=named):
+        make_split(generate_sbm(SbmConfig(seed=3)), train, val, seed=0)

@@ -47,16 +47,16 @@ def random_adjacency(n, seed):
 
 class MixStub:
     """A mixing object with only ``mix`` and ``params``: input-dependent
-    mixing by A = exp(w) * (1 + mean(x)/10) * I, whose log|det| is n times
-    the log of that scale."""
+    mixing by A = exp(w + mean(x)/10) * I, whose log|det| is n times that
+    log-scale."""
 
     def __init__(self, n):
         self.n = n
         self.w = ad.Tensor(0.2, requires_grad=True)
 
     def mix(self, x, stage):
-        scale = ad.exp(self.w) * (ad.Tensor(1.0) + ad.tsum(x) * (0.1 / x.data.size))
-        return x * scale, lambda: ad.log(scale) * self.n
+        log_scale = self.w + ad.tsum(x) * (0.1 / x.data.size)
+        return x * ad.exp(log_scale), lambda: log_scale * self.n
 
     def params(self):
         return [self.w]
@@ -294,9 +294,9 @@ def test_mix_only_source_drives_forward_logdet_and_gradients():
 
     h, want_logdet = x, 0.0
     for flow in model.flows:
-        scale = np.exp(stub.w.item()) * (1.0 + h.mean() / 10.0)
-        want_logdet += dim * n * np.log(scale)
-        h = flow.forward(ad.Tensor(scale * h))[0].data
+        log_scale = stub.w.item() + h.mean() / 10.0
+        want_logdet += dim * n * log_scale
+        h = flow.forward(ad.Tensor(np.exp(log_scale) * h))[0].data
     assert_allclose(result.z.data, h, atol=1e-12)
     assert_allclose(result.graph_logdet.item(), want_logdet, atol=1e-12)
     assert len(result.stage_logdets) == model.num_flows

@@ -219,6 +219,24 @@ def test_posterior_rows_sum_to_one():
     assert_allclose(post.sum(axis=1), np.ones(6), atol=1e-12)
 
 
+@settings(derandomize=True, deadline=None)
+@given(
+    n=st.integers(1, 6),
+    dim=st.integers(1, 5),
+    means=st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=4),
+    log_stds=st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_posterior_is_the_joint_over_the_marginal_on_random_heads(n, dim, means, log_stds, seed):
+    k = len(means)
+    rng = np.random.default_rng(seed)
+    head = mixture.MixtureHead(k, dim, mean_scalars=means, log_stds=log_stds[:k], learn_weights=True)
+    head.weight_logits.data[...] = rng.normal(size=k)
+    z = rng.normal(scale=3.0, size=(n, dim))
+    joint, marginal = (t.data for t in mixture.log_densities(head, flows.GcFlowModel([], adjacency=None).forward(z)))
+    assert_allclose(mixture.posterior_matrix(head, z), np.exp(joint - marginal[:, None]), rtol=0.0, atol=1e-12)
+
+
 def test_posterior_invariant_to_common_logpdf_shift():
     # shifting every component's log-density by the same constant is a
     # softmax invariance: realize the shift through the weight logits
