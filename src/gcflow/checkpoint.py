@@ -23,7 +23,7 @@ from .evalkit import PcaProjection
 from .graphs import fingerprint
 from .training import TrainConfig, TrainedModel, assemble_model
 
-FORMAT_TAG = "gcflow-checkpoint-6"
+FORMAT_TAG = "gcflow-checkpoint-7"
 
 
 def save_checkpoint(path, tm: TrainedModel, graph):
@@ -60,8 +60,9 @@ def load_checkpoint(path, graph) -> TrainedModel:
     ``classes`` that is not a positive integer, a ``damping_used`` that is
     not a finite non-negative number, non-finite parameter values, a PCA
     projection whose mean, directions and explained variances are not finite
-    arrays of shapes (D,), (D, dim) and (dim,), and saved values that do not
-    fit the model; for an EM reference, those are also
+    arrays of shapes (D,), (D, dim) and (dim,), a projection saved without a
+    config ``pca_dim`` or missing with one, a ``pca_dim`` other than ``dim``,
+    and saved values that do not fit the model; for an EM reference, those are also
     weights that are not a probability vector, covariances that are not
     symmetric positive definite, and a mapping that is not integer classes.
     """
@@ -84,7 +85,7 @@ def load_checkpoint(path, graph) -> TrainedModel:
         # None would rebuild the adjacency as training does, factoring it and maybe re-damping it
         if type(damping_used) not in (int, float) or not 0.0 <= damping_used < math.inf:
             raise ValueError(f"damping_used must be a finite non-negative number, got {damping_used!r}")
-        tm = assemble_model(cfg, graph, dim, classes, damping_used=damping_used)
+        pca = None
         if payload["pca"] is not None:
             pca = PcaProjection(*(np.asarray(payload["pca"][f.name], dtype=np.float64)
                                   for f in fields(PcaProjection)))
@@ -93,7 +94,11 @@ def load_checkpoint(path, graph) -> TrainedModel:
             if shapes != want or not all(np.all(np.isfinite(a)) for a in vars(pca).values()):
                 raise FormatError(f"{path}: pca mean, directions, explained are {shapes}; "
                                   f"the model needs {want} and finite values")
-            tm.pca = pca
+        if (pca is None) != (cfg.pca_dim is None) or cfg.pca_dim not in (None, dim):
+            raise FormatError(f"{path}: config pca_dim is {cfg.pca_dim}, but dim is {dim} and "
+                              f"{'no' if pca is None else 'a'} pca projection is saved")
+        tm = assemble_model(cfg, graph, dim, classes, damping_used=damping_used)
+        tm.pca = pca
         params = tm.model.params()
         if len(payload["params"]) != len(params):
             raise FormatError(

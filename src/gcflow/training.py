@@ -125,7 +125,6 @@ class TrainConfig:
     seed: int = 0
     pca_dim: int | None = None
     adjacency: str = "row"
-    damping: float = 0.0
     learn_weights: bool = False
     label_init_means: bool = True
     mean_hi: float = MEAN_HI  # largest component-mean scalar at init; the smallest is MEAN_LO
@@ -158,9 +157,8 @@ class TrainConfig:
             raise ConfigError(f"config lr must be positive, got {self.lr}")
         if self.mean_hi < MEAN_LO:
             raise ConfigError(f"config mean_hi must be at least {MEAN_LO}, got {self.mean_hi}")
-        for name in ("damping", "weight_decay"):
-            if getattr(self, name) < 0.0:
-                raise ConfigError(f"config {name} must be non-negative, got {getattr(self, name)}")
+        if self.weight_decay < 0.0:
+            raise ConfigError(f"config weight_decay must be non-negative, got {self.weight_decay}")
         if self.dropout is not None and not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"config dropout must be in [0, 1), got {self.dropout}")
 
@@ -220,35 +218,38 @@ class TrainedModel:
 # -- model assembly -----------------------------------------------------
 
 
-# A kind's ``mixing(cfg, graph, damping_used)`` returns its mixing source (None
-# for none) and the damping it holds. ``build(cfg, source, dim, classes)`` returns the
-# untrained model, and ``hidden`` and ``dropout`` serve a config that sets neither.
-# The builders look ``normalize_*`` and the adjacency classes up when called, so
-# rebinding those names reaches every kind.
+# A kind's ``mixing(cfg, graph, damping_used)`` returns its mixing source (None for none),
+# which holds its damping. ``build(cfg, source, dim, classes)`` returns the untrained model, and
+# ``hidden`` and ``dropout`` serve a config that sets neither. The builders look ``normalize_*``
+# and the adjacency classes up when called, so rebinding those names reaches every kind.
 
 
 def _no_mixing(cfg, graph, damping_used):
-    return None, cfg.damping
+    return None
 
 
 def _fixed_mixing(cfg, graph, damping_used):
-    """The normalized adjacency; a saved ``damping_used`` replays it unfactored.
-    Otherwise its log|det| is read here, the one set-up factorization, and a
-    singular matrix is retried once with damping."""
+    """The normalized adjacency at a saved ``damping_used``, or undamped; never factored."""
     normalize = normalize_row if cfg.adjacency == "row" else normalize_sym
-    adj = normalize(graph, damping=cfg.damping if damping_used is None else damping_used)
+    return normalize(graph, damping=damping_used or 0.0)
+
+
+def _invertible_mixing(cfg, graph, damping_used):
+    """``_fixed_mixing`` for a likelihood. Unless ``damping_used`` replays it, its log|det| is read
+    here, the one set-up factorization, and a singular matrix is rebuilt once at ``DEFAULT_DAMPING``."""
+    adj = _fixed_mixing(cfg, graph, damping_used)
     if damping_used is None:
         try:
             adj.log_abs_det
         except SingularMatrixError:
-            adj = normalize(graph, damping=DEFAULT_DAMPING if cfg.damping == 0.0 else 10.0 * cfg.damping)
+            adj = _fixed_mixing(cfg, graph, DEFAULT_DAMPING)
             adj.log_abs_det
-    return adj, adj.damping
+    return adj
 
 
 def _attention(cfg, graph, damping_used):
-    damp = cfg.damping or DEFAULT_DAMPING
-    return AttentionAdjacency(graph, cfg.num_flows, damping=damp), damp
+    return AttentionAdjacency(graph, cfg.num_flows,
+                              damping=DEFAULT_DAMPING if damping_used is None else damping_used)
 
 
 def _gcn(cfg, source, dim, classes):
@@ -271,7 +272,7 @@ Kind = namedtuple("Kind", "mixing build hidden dropout", defaults=(FLOW_HIDDEN, 
 KINDS = {
     "gcn": Kind(_fixed_mixing, _gcn, GCN_HIDDEN, GCN_DROPOUT),
     "flowgmm": Kind(_no_mixing, _flow_mixture),
-    "gcflow": Kind(_fixed_mixing, _flow_mixture),
+    "gcflow": Kind(_invertible_mixing, _flow_mixture),
     "gcflow-p": Kind(_attention, _flow_mixture),
     "gmm-x": Kind(_no_mixing, _em),
     "gmm-ax": Kind(_fixed_mixing, _em),
@@ -288,9 +289,10 @@ def assemble_model(cfg: TrainConfig, graph, dim, classes, damping_used=None) -> 
     adjacency was built with, without factoring it again.
     """
     kind = KINDS[cfg.model]
-    source, damping = kind.mixing(cfg, graph, damping_used)
+    source = kind.mixing(cfg, graph, damping_used)
     model = kind.build(cfg, source, dim, classes)
-    return TrainedModel(config=asdict(cfg), dim=dim, classes=classes, model=model, damping_used=damping)
+    return TrainedModel(config=asdict(cfg), dim=dim, classes=classes, model=model,
+                        damping_used=getattr(source, "damping", 0.0))
 
 
 # -- running a trained model --------------------------------------------

@@ -2,9 +2,12 @@
 adjacency constructions, the identity mixing matrix and a dense mixing
 source, attention logits drawn at random, a counter of the dense factorizations the graph module runs, the
 dense n x n mixing route of the attention source, an MLP and a coupling
-update built from unfused ops, per-vector mixture densities, the block-model sampler's single
-full-matrix draw, the row-wise unique of the edge dedupe, and the two-forward
-training loop and two-pass evaluate."""
+update built from unfused ops, per-vector mixture densities and a dense Gaussian density,
+the metric routes of confusion counts, quadratic loops, contingency sums and pair enumeration,
+the block-model sampler's single full-matrix draw, the row-wise unique of the edge dedupe,
+and the two-forward training loop and two-pass evaluate."""
+
+import itertools
 
 import numpy as np
 import scipy.sparse
@@ -212,6 +215,86 @@ def mixture_logpdf(head, z):
     stacked = lw + comps
     m = stacked.max()
     return float(m + np.log(np.exp(stacked - m).sum()))
+
+
+def dense_gaussian_logpdf(x, mean, cov):
+    """Multivariate normal log-density of one vector, with an explicit inverse."""
+    x = np.asarray(x, float)
+    diff = x - mean
+    _, logdet = np.linalg.slogdet(cov)
+    return float(-0.5 * (diff @ np.linalg.inv(cov) @ diff + logdet + x.size * LOG_2PI))
+
+
+# -- independent metric routes ----------------------------------------------
+
+
+def f1_via_confusion(pred, truth):
+    """Micro F1 from per-class confusion counts: micro P = micro R here."""
+    classes = np.union1d(pred, truth)
+    tp = sum(np.sum((pred == c) & (truth == c)) for c in classes)
+    fp = sum(np.sum((pred == c) & (truth != c)) for c in classes)
+    fn = sum(np.sum((pred != c) & (truth == c)) for c in classes)
+    precision = tp / (tp + fp)
+    recall = tp / (tp + fn)
+    return 2 * precision * recall / (precision + recall)
+
+
+def silhouette_loops(x, labels):
+    """Quadratic-time reference silhouette."""
+    x = np.asarray(x, float)
+    labels = np.asarray(labels)
+    n = x.shape[0]
+    dist = np.array([[np.linalg.norm(x[i] - x[j]) for j in range(n)] for i in range(n)])
+    scores = []
+    for i in range(n):
+        mine = (labels == labels[i]) & (np.arange(n) != i)
+        if not mine.any():
+            scores.append(0.0)
+            continue
+        a = dist[i][mine].mean()
+        b = min(dist[i][labels == c].mean() for c in np.unique(labels) if c != labels[i])
+        scores.append(0.0 if max(a, b) == 0 else (b - a) / max(a, b))
+    return float(np.mean(scores))
+
+
+def nmi_from_table(a, t):
+    """NMI from a contingency table summed with explicit loops."""
+    a = np.asarray(a)
+    t = np.asarray(t)
+    n = a.size
+    va, vt = np.unique(a), np.unique(t)
+    info = 0.0
+    for ca in va:
+        for ct in vt:
+            joint = np.sum((a == ca) & (t == ct)) / n
+            if joint > 0:
+                pa = np.sum(a == ca) / n
+                pt = np.sum(t == ct) / n
+                info += joint * np.log(joint / (pa * pt))
+    ha = -sum(p * np.log(p) for p in [np.mean(a == c) for c in va] if p > 0)
+    ht = -sum(p * np.log(p) for p in [np.mean(t == c) for c in vt] if p > 0)
+    if ha == 0 or ht == 0:
+        return 0.0
+    return info / np.sqrt(ha * ht)
+
+
+def ari_from_pairs(a, t):
+    """ARI from exhaustive pair enumeration."""
+    a = np.asarray(a)
+    t = np.asarray(t)
+    ss = sd = ds = dd = 0
+    for i, j in itertools.combinations(range(a.size), 2):
+        same_a, same_t = a[i] == a[j], t[i] == t[j]
+        ss += same_a and same_t
+        sd += same_a and not same_t
+        ds += same_t and not same_a
+        dd += not same_a and not same_t
+    total = ss + sd + ds + dd
+    expected = (ss + sd) * (ss + ds) / total
+    denom = 0.5 * ((ss + sd) + (ss + ds)) - expected
+    if denom == 0:
+        return 1.0
+    return (ss - expected) / denom
 
 
 # -- the block-model sampler's single full-matrix draw --------------------

@@ -8,7 +8,6 @@ oracles, and bitwise run determinism. Run with ``pytest -s`` to see the
 lines as they pass.
 """
 
-import itertools
 import json
 import os
 import time
@@ -31,7 +30,7 @@ from gcflow.verify import (
     marginalization_error,
     random_graph,
 )
-from oracles import with_random_logits
+from oracles import ari_from_pairs, f1_via_confusion, nmi_from_table, silhouette_loops, with_random_logits
 
 
 def _line(num, ok, text):
@@ -155,65 +154,6 @@ def test_citation_network_stretch_goal():
 
 # independent metric routes: confusion counts, quadratic loops, explicit
 # contingency sums, and exhaustive pair enumeration
-
-
-def _f1_from_confusion(pred, truth):
-    classes = np.union1d(pred, truth)
-    tp = sum(np.sum((pred == c) & (truth == c)) for c in classes)
-    fp = sum(np.sum((pred == c) & (truth != c)) for c in classes)
-    fn = sum(np.sum((pred != c) & (truth == c)) for c in classes)
-    precision = tp / (tp + fp)
-    recall = tp / (tp + fn)
-    return 2 * precision * recall / (precision + recall)
-
-
-def _silhouette_loops(x, labels):
-    n = x.shape[0]
-    dist = np.array([[np.linalg.norm(x[i] - x[j]) for j in range(n)] for i in range(n)])
-    scores = []
-    for i in range(n):
-        mine = (labels == labels[i]) & (np.arange(n) != i)
-        if not mine.any():
-            scores.append(0.0)
-            continue
-        a = dist[i][mine].mean()
-        b = min(dist[i][labels == c].mean() for c in np.unique(labels) if c != labels[i])
-        scores.append(0.0 if max(a, b) == 0 else (b - a) / max(a, b))
-    return float(np.mean(scores))
-
-
-def _nmi_from_table(a, t):
-    n = a.size
-    va, vt = np.unique(a), np.unique(t)
-    info = 0.0
-    for ca in va:
-        for ct in vt:
-            joint = np.sum((a == ca) & (t == ct)) / n
-            if joint > 0:
-                info += joint * np.log(joint / (np.mean(a == ca) * np.mean(t == ct)))
-    ha = -sum(p * np.log(p) for p in [np.mean(a == c) for c in va] if p > 0)
-    ht = -sum(p * np.log(p) for p in [np.mean(t == c) for c in vt] if p > 0)
-    if ha == 0 or ht == 0:
-        return 0.0
-    return info / np.sqrt(ha * ht)
-
-
-def _ari_from_pairs(a, t):
-    ss = sd = ds = dd = 0
-    for i, j in itertools.combinations(range(a.size), 2):
-        same_a, same_t = a[i] == a[j], t[i] == t[j]
-        ss += same_a and same_t
-        sd += same_a and not same_t
-        ds += same_t and not same_a
-        dd += not same_a and not same_t
-    total = ss + sd + ds + dd
-    expected = (ss + sd) * (ss + ds) / total
-    denom = 0.5 * ((ss + sd) + (ss + ds)) - expected
-    if denom == 0:
-        return 1.0
-    return (ss - expected) / denom
-
-
 def test_metrics_match_independent_oracles():
     rng = np.random.default_rng(47)
     worst = 0.0
@@ -227,10 +167,10 @@ def test_metrics_match_independent_oracles():
         truth[0] = assign[0]  # keeps confusion-route precision defined
         worst = max(
             worst,
-            abs(micro_f1(assign, truth) - _f1_from_confusion(assign, truth)),
-            abs(silhouette(x, assign) - _silhouette_loops(x, assign)),
-            abs(nmi(assign, truth) - _nmi_from_table(assign, truth)),
-            abs(ari(assign, truth) - _ari_from_pairs(assign, truth)),
+            abs(micro_f1(assign, truth) - f1_via_confusion(assign, truth)),
+            abs(silhouette(x, assign) - silhouette_loops(x, assign)),
+            abs(nmi(assign, truth) - nmi_from_table(assign, truth)),
+            abs(ari(assign, truth) - ari_from_pairs(assign, truth)),
         )
     ok = worst < 1e-10
     _line(8, ok, f"metrics agree with oracle routes on 100 instances (max abs err {worst:.1e})")

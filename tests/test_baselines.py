@@ -24,7 +24,7 @@ from gcflow.errors import (
 from gcflow.evalkit import kmeans, micro_f1
 from gcflow.graphs import make_graph, normalize_row
 from gcflow.mixture import normalize_rows
-from oracles import identity_adjacency
+from oracles import dense_gaussian_logpdf, identity_adjacency
 
 
 def ring_adjacency(n):
@@ -174,14 +174,6 @@ def test_gcn_predict_matches_argmax():
 
 
 # -- EM mixture ---------------------------------------------------------
-
-
-def dense_gaussian_logpdf(x, mean, cov):
-    d = mean.size
-    diff = x - mean
-    inv = np.linalg.inv(cov)
-    _, logdet = np.linalg.slogdet(cov)
-    return -0.5 * (diff @ inv @ diff + logdet + d * np.log(2.0 * np.pi))
 
 
 def test_component_logpdfs_match_dense_oracle():

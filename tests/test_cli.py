@@ -204,6 +204,23 @@ def test_eval_rejects_a_pca_projection_that_does_not_fit(synth_dir, pca_checkpoi
     assert capsys.readouterr().err.startswith(f"gcflow: error: {bad}: pca ")
 
 
+@pytest.mark.parametrize("change", [{"pca": None}, {"config": {"pca_dim": None}}, {"config": {"pca_dim": 3}}],
+                         ids=["projection-missing", "pca_dim-unset", "pca_dim-not-dim"])
+def test_checkpoint_rejects_a_pca_projection_that_disagrees_with_pca_dim(
+        synth_dir, pca_checkpoint, tmp_path, capsys, change):
+    from gcflow.checkpoint import load_checkpoint
+    from gcflow.data import load_dataset
+
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**pca_checkpoint, **change,
+                               "config": {**pca_checkpoint["config"], **change.get("config", {})}}))
+    with pytest.raises(FormatError, match=f"^{re.escape(str(bad))}: config pca_dim is"):
+        load_checkpoint(bad, load_dataset(synth_dir / "manifest.json").graph)
+    rc = main(["eval", "--checkpoint", str(bad), "--data", str(synth_dir / "manifest.json")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(f"gcflow: error: {bad}: config pca_dim is")
+
+
 def test_em_train_without_a_class_in_the_training_split_fails(tmp_path, capsys):
     ds = generate_sbm(SbmConfig(seed=0))
     manifest = save_dataset(replace(ds, train_mask=ds.train_mask & (ds.labels != 2)), tmp_path / "ds")
@@ -254,6 +271,15 @@ def test_config_rejects_unknown_key(tmp_path):
     path.write_text("modle=gcflow\n")
     with pytest.raises(ConfigError, match="modle"):
         build_train_config(path, None)
+
+
+def test_train_refuses_damping_as_an_unknown_key(synth_dir, tmp_path, capsys):
+    # the mixing builders decide the damping; no config sets it
+    rc = main(["train", "--data", str(synth_dir / "manifest.json"), "--out", str(tmp_path / "run"),
+               "--set", "damping=0.01"])
+    assert rc == 1
+    assert "unknown config keys ['damping']" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 def test_config_rejects_malformed_line(tmp_path):

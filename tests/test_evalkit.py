@@ -1,4 +1,3 @@
-import itertools
 import warnings
 
 import numpy as np
@@ -10,84 +9,7 @@ from numpy.testing import assert_allclose
 from gcflow import evalkit
 from gcflow.data import SbmConfig, generate_sbm
 from gcflow.errors import ConfigError, DomainError, ShapeError
-
-
-# -- independent oracles ------------------------------------------------
-
-
-def f1_via_confusion(pred, truth):
-    """Micro F1 from per-class confusion counts: micro P = micro R here."""
-    classes = np.union1d(pred, truth)
-    tp = sum(np.sum((pred == c) & (truth == c)) for c in classes)
-    fp = sum(np.sum((pred == c) & (truth != c)) for c in classes)
-    fn = sum(np.sum((pred != c) & (truth == c)) for c in classes)
-    precision = tp / (tp + fp)
-    recall = tp / (tp + fn)
-    return 2 * precision * recall / (precision + recall)
-
-
-def silhouette_loops(x, labels):
-    """Quadratic-time reference silhouette."""
-    x = np.asarray(x, float)
-    labels = np.asarray(labels)
-    n = x.shape[0]
-    dist = np.array([[np.linalg.norm(x[i] - x[j]) for j in range(n)] for i in range(n)])
-    scores = []
-    for i in range(n):
-        mine = (labels == labels[i]) & (np.arange(n) != i)
-        if not mine.any():
-            scores.append(0.0)
-            continue
-        a = dist[i][mine].mean()
-        b = min(
-            dist[i][labels == c].mean() for c in np.unique(labels) if c != labels[i]
-        )
-        scores.append(0.0 if max(a, b) == 0 else (b - a) / max(a, b))
-    return float(np.mean(scores))
-
-
-def nmi_from_table(a, t):
-    """Direct contingency-table computation with explicit loops."""
-    a = np.asarray(a)
-    t = np.asarray(t)
-    n = a.size
-    va, vt = np.unique(a), np.unique(t)
-    info = 0.0
-    for ca in va:
-        for ct in vt:
-            joint = np.sum((a == ca) & (t == ct)) / n
-            if joint > 0:
-                pa = np.sum(a == ca) / n
-                pt = np.sum(t == ct) / n
-                info += joint * np.log(joint / (pa * pt))
-    ha = -sum(p * np.log(p) for p in [np.mean(a == c) for c in va] if p > 0)
-    ht = -sum(p * np.log(p) for p in [np.mean(t == c) for c in vt] if p > 0)
-    if ha == 0 or ht == 0:
-        return 0.0
-    return info / np.sqrt(ha * ht)
-
-
-def ari_from_pairs(a, t):
-    """ARI from exhaustive pair enumeration."""
-    a = np.asarray(a)
-    t = np.asarray(t)
-    ss = sd = ds = dd = 0
-    for i, j in itertools.combinations(range(a.size), 2):
-        same_a = a[i] == a[j]
-        same_t = t[i] == t[j]
-        ss += same_a and same_t
-        sd += same_a and not same_t
-        ds += same_t and not same_a
-        dd += not same_a and not same_t
-    index = ss
-    sum_a = ss + sd
-    sum_t = ss + ds
-    total = ss + sd + ds + dd
-    expected = sum_a * sum_t / total
-    denom = 0.5 * (sum_a + sum_t) - expected
-    if denom == 0:
-        return 1.0
-    return (index - expected) / denom
+from oracles import ari_from_pairs, f1_via_confusion, nmi_from_table, silhouette_loops
 
 
 # -- micro F1 -----------------------------------------------------------

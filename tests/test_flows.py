@@ -228,7 +228,7 @@ def test_every_flow_kinds_logdet_against_the_bruteforce_jacobian(kind):
         rng = np.random.default_rng(seed)
         while True:
             g = random_edges(rng, 6)
-            model = assemble_model(TrainConfig(model=kind, damping=1e-3, seed=seed), g, 2, 2).model.flow
+            model = assemble_model(TrainConfig(model=kind, seed=seed), g, 2, 2, damping_used=1e-3).model.flow
             if model.adjacency is None or all(
                     np.linalg.cond(model.adjacency.mix(np.eye(6), s)[0].data) <= 30.0 for s in range(2)):
                 break
@@ -329,7 +329,7 @@ def test_inverse_solves_with_the_factors_of_the_c_order_matrix():
 @pytest.mark.parametrize("kind", ["gcflow", "gcflow-p"])
 def test_inverse_factors_one_matrix_per_stage(kind, monkeypatch):
     g = random_edges(np.random.default_rng(27), 7)
-    model = assemble_model(TrainConfig(model=kind, num_flows=3, damping=1e-2, seed=0), g, 2, 2).model.flow
+    model = assemble_model(TrainConfig(model=kind, num_flows=3, seed=0), g, 2, 2, damping_used=1e-2).model.flow
     x = np.random.default_rng(28).normal(size=(7, 2))
     z = model.forward(x).z
     calls, lu = [], flows._lu_checked
@@ -341,7 +341,7 @@ def test_inverse_factors_one_matrix_per_stage(kind, monkeypatch):
 @pytest.mark.parametrize("kind", ["gcflow", "gcflow-p"])
 def test_inverse_records_no_tape(kind, monkeypatch):
     g = random_edges(np.random.default_rng(27), 7)
-    model = assemble_model(TrainConfig(model=kind, num_flows=3, damping=1e-2, seed=0), g, 2, 2).model.flow
+    model = assemble_model(TrainConfig(model=kind, num_flows=3, seed=0), g, 2, 2, damping_used=1e-2).model.flow
     x = np.random.default_rng(28).normal(size=(7, 2))
     z = model.forward(x).z
     recorded, make_node = [], ad.make_node

@@ -8,25 +8,13 @@ from scipy.integrate import trapezoid
 from gcflow import autodiff as ad
 from gcflow import flows, graphs, mixture
 from gcflow.errors import ConfigError, DomainError, SingularMatrixError
-from oracles import DenseMixing, component_logpdf, mixture_logpdf
+from oracles import DenseMixing, component_logpdf, dense_gaussian_logpdf, mixture_logpdf
 
 LOG_2PI = np.log(2.0 * np.pi)
 
 
 def standard_head(num_components=1, dim=2):
     return mixture.MixtureHead(num_components, dim, mean_scalars=[0.0] * num_components)
-
-
-def dense_gaussian_logpdf(z, mean, cov):
-    """Reference multivariate normal log-density with an explicit inverse."""
-    z = np.asarray(z, float)
-    diff = z - mean
-    dim = z.size
-    return float(
-        -0.5 * diff @ np.linalg.inv(cov) @ diff
-        - 0.5 * dim * np.log(2 * np.pi)
-        - 0.5 * np.log(np.linalg.det(cov))
-    )
 
 
 def component_row(head, z):

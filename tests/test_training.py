@@ -135,16 +135,9 @@ def test_config_rejects_bad_scheme_and_depths():
         TrainConfig(num_flows=0)
 
 
-@pytest.mark.parametrize("kind", MODEL_KINDS)
-def test_config_rejects_negative_damping(kind):
-    for damping in (-0.5, float("nan")):
-        with pytest.raises(ConfigError, match="damping"):
-            TrainConfig(model=kind, damping=damping)
-
-
 def test_config_checks_value_types_and_ranges():
     # numpy numbers pass as ints and floats; a bool is refused anywhere but a bool field
-    cfg = TrainConfig(epochs=np.int64(3), hidden=np.int32(4), lr=np.float32(0.01), damping=0)
+    cfg = TrainConfig(epochs=np.int64(3), hidden=np.int32(4), lr=np.float32(0.01))
     assert cfg.epochs == 3 and cfg.resolved_hidden == 4
     for key, value in [("epochs", "abc"), ("epochs", 2.5), ("epochs", True), ("lr", "x"), ("lr", None),
                        ("dropout", "0.1"), ("learn_weights", 1), ("adjacency", 3), ("seed", -1),
@@ -226,6 +219,17 @@ def test_build_adjacency_rescues_singular_graph():
     assert replayed.damping_used == replayed.model.adjacency.damping == 0.0
     with pytest.raises(SingularMatrixError, match="damping"):
         replayed.model.adjacency.log_abs_det
+
+
+@pytest.mark.parametrize("kind", ["gcn", "gmm-ax"])
+def test_fixed_mixing_of_a_singular_graph_is_neither_factored_nor_damped(kind, monkeypatch):
+    # only a likelihood inverts its mixing matrix, so the classifier and the
+    # pre-mixed EM reference neither read a log|det| nor rescue a singular one
+    g = make_graph(6, [(i, (i + 1) % 6) for i in range(6)])  # even ring: singular
+    calls = count_factorizations(monkeypatch)
+    tm = assemble_model(TrainConfig(model=kind), g, 2, 2)
+    assert calls == []
+    assert tm.damping_used == tm.model.adjacency.damping == 0.0
 
 
 # -- training runs ------------------------------------------------------
@@ -763,8 +767,8 @@ def test_checkpoint_round_trip_every_kind(sbm, kind, tmp_path):
 
 
 def test_checkpoint_of_a_config_with_numpy_scalars_matches_the_plain_one(sbm, tmp_path):
-    plain = dict(model="gmm-x", seed=0, epochs=3, lr=0.01, damping=0.0, learn_weights=False)
-    scalars = dict(plain, seed=np.int64(0), epochs=np.int32(3), lr=np.float64(0.01), damping=np.float32(0.0))
+    plain = dict(model="gmm-x", seed=0, epochs=3, lr=0.01, log_std_init=0.0, learn_weights=False)
+    scalars = dict(plain, seed=np.int64(0), epochs=np.int32(3), lr=np.float64(0.01), log_std_init=np.float32(0.0))
     paths = []
     for name, values in (("plain", plain), ("numpy", scalars)):
         cfg = TrainConfig(**values)
@@ -817,7 +821,7 @@ def test_a_version_5_checkpoint_is_refused_naming_both_tags(sbm, tmp_path):
     old.write_text(json.dumps(payload))
     with pytest.raises(FormatError, match=f"'gcflow-checkpoint-5'.*'{FORMAT_TAG}'"):
         load_checkpoint(old, sbm.graph)
-    assert FORMAT_TAG == "gcflow-checkpoint-6"
+    assert FORMAT_TAG == "gcflow-checkpoint-7"
 
 
 def test_checkpoint_round_trip_gcn_and_gmm(sbm, tmp_path):
@@ -863,7 +867,9 @@ def test_checkpoint_rejects_non_checkpoints(tmp_path, sbm):
     bad.write_text("{\"format\": \"something-else\"}")
     with pytest.raises(FormatError):
         load_checkpoint(bad, sbm.graph)
-    for tag in ("gcflow-checkpoint-1", "gcflow-checkpoint-2", "gcflow-checkpoint-3", "gcflow-checkpoint-4"):
+    # version 6 configs carried the damping setting
+    for tag in ("gcflow-checkpoint-1", "gcflow-checkpoint-2", "gcflow-checkpoint-3", "gcflow-checkpoint-4",
+                "gcflow-checkpoint-6"):
         bad.write_text(f"{{\"format\": \"{tag}\"}}")
         with pytest.raises(FormatError, match=f"{tag}.*{FORMAT_TAG}"):
             load_checkpoint(bad, sbm.graph)
@@ -897,12 +903,13 @@ def test_inference_route_never_factors(sbm, kind, tmp_path, monkeypatch):
     calls = count_factorizations(monkeypatch)
     cfg = TrainConfig(model=kind, hidden=8, epochs=3, patience=3, seed=2)
     record = train(cfg, sbm, checkpoint_dir=tmp_path)
-    if training.KINDS[kind].mixing is training._fixed_mixing:
+    mixing = training.KINDS[kind].mixing
+    if mixing is training._invertible_mixing:
         # the nonsingularity read at assembly; the loss reads the cached value
         assert calls == [(sbm.n, sbm.n)]
     else:
-        # a learned source factors each stage of each epoch's loss forward once
-        stages = cfg.num_flows if training.KINDS[kind].mixing is training._attention else 0
+        # a learned source factors each stage of each epoch's loss forward once; no other source is factored
+        stages = cfg.num_flows if mixing is training._attention else 0
         assert calls == [(sbm.n, sbm.n)] * (stages * record.epochs_run)
     calls.clear()
     tm = load_checkpoint(record.checkpoint_path, sbm.graph)
