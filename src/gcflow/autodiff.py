@@ -28,7 +28,7 @@ holds no gradients.
 
 Inside ``with no_grad():`` operations compute their values only: results
 record no parents and no backward step, so nothing is kept for a
-backward pass that will not come. Inference uses it.
+backward pass that will not come. Inference mixes under it.
 """
 
 from __future__ import annotations
@@ -44,6 +44,10 @@ from .errors import DomainError, ShapeError
 
 # False inside ``no_grad``; a context variable, so threads and tasks each see their own
 _recording = contextvars.ContextVar("gcflow_autodiff_recording", default=True)
+
+# rows per product in ``affine`` and per block of the tape-free inference
+# route (``flows.GcFlowModel.latents``): a 512 x 64 float64 block is 256 KiB
+ROW_BLOCK = 512
 
 
 def _unbroadcast(grad, shape):
@@ -278,13 +282,17 @@ def matmul(a, b):
 def affine(x, w, b):
     """``x @ w + b`` as one node, the bias broadcast over the rows: one
     product and an in-place add, where ``matmul`` then ``add`` make two
-    nodes and two n x k arrays."""
+    nodes and two n x k arrays. The product is taken ``ROW_BLOCK`` rows at a
+    time, as the tape-free route takes it, since BLAS may round a block's
+    product differently in the last bit from the whole one's."""
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     if x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[0]:
         raise ShapeError(f"affine: incompatible shapes {x.shape} @ {w.shape}")
     if b.shape not in ((w.shape[1],), (1, w.shape[1])):
         raise ShapeError(f"affine: bias of shape {b.shape} for {w.shape[1]} outputs")
-    out = x.data @ w.data
+    out = np.empty((x.shape[0], w.shape[1]))
+    for r in range(0, x.shape[0], ROW_BLOCK):
+        np.matmul(x.data[r:r + ROW_BLOCK], w.data, out=out[r:r + ROW_BLOCK])
     out += b.data
     return make_node(out, (x, w, b), (lambda g: g @ w.data.T, lambda g: x.data.T @ g,
                                       lambda g: _unbroadcast(g, b.shape)), "affine")

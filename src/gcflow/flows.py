@@ -12,6 +12,14 @@ by the couplings and a shared part contributed by the adjacency matrices
 ``jacobian_bruteforce`` provides the independent check: it differentiates
 the full map numerically and takes the determinant of the resulting
 (n*D) x (n*D) Jacobian.
+
+Inference has its own route, ``GcFlowModel.latents``, in plain numpy: no
+tape, no log-determinant. Only the mixing reads other rows, so each stage
+mixes once and then runs its coupling stack over blocks of
+``autodiff.ROW_BLOCK`` rows, each updated in place, and no coupling
+temporary is larger than a block. Every coupling applies the taped
+forward's operations in the same order, and ``autodiff.affine`` multiplies
+in the same row blocks, so both routes give the same latents byte for byte.
 """
 
 from __future__ import annotations
@@ -60,6 +68,17 @@ class Mlp:
                 x = ad.dropout(ad.tanh(x), self.dropout, rng)
         return x
 
+    def apply(self, x):
+        """``__call__`` with no dropout on a plain array, recording no tape:
+        ``x @ w``, then ``+= b``, then ``tanh`` in place."""
+        last = len(self.weights) - 1
+        for k, (w, b) in enumerate(zip(self.weights, self.biases)):
+            x = x @ w.data
+            x += b.data
+            if k < last:
+                np.tanh(x, out=x)
+        return x
+
     def params(self):
         return self.weights + self.biases
 
@@ -85,22 +104,43 @@ class CouplingLayer:
         self.t_net = Mlp(widths, rng, dropout=dropout)
         self.s_scale = ad.Tensor(0.0, requires_grad=True)
 
-    def _scale_shift(self, x, rng=None):
+    def _check_width(self, x):
         if x.shape[1] != self.dim:
             raise ShapeError(f"expected {self.dim} features, got {x.shape[1]}")
+
+    def _scale_shift(self, x, rng=None):
+        self._check_width(x)
         kept = ad.slice_cols(x, self.kept.start, self.kept.stop)
         s = ad.tanh(self.s_net(kept, rng)) * self.s_scale
         return s, self.t_net(kept, rng)
+
+    def _scale_shift_data(self, x):
+        """``_scale_shift`` with no dropout on a plain array, recording no tape."""
+        self._check_width(x)
+        kept = x[:, self.kept].copy()
+        s = self.s_net.apply(kept)
+        np.tanh(s, out=s)
+        s *= self.s_scale.data
+        return s, self.t_net.apply(kept)
 
     def forward(self, x, rng=None):
         """Returns the transformed tensor and the per-row log-determinant."""
         s, t = self._scale_shift(x, rng)
         return ad.couple(x, s, t, self.changed), ad.tsum(s, axis=1)
 
+    def apply(self, x):
+        """``forward``'s output, with no dropout and no log-determinant,
+        written into the plain array ``x`` in place."""
+        s, t = self._scale_shift_data(x)
+        changed = x[:, self.changed] * ad._checked_exp(s)
+        changed += t
+        x[:, self.changed] = changed
+
     def inverse(self, y):
-        s, t = self._scale_shift(y)
-        changed = (y.data[:, self.changed] - t.data) * ad._checked_exp(-s.data)
-        return ad.Tensor(ad._put_cols(y.data.copy(), self.changed, changed))
+        y = ad.as_tensor(y).data
+        s, t = self._scale_shift_data(y)
+        changed = (y[:, self.changed] - t) * ad._checked_exp(-s)
+        return ad.Tensor(ad._put_cols(y.copy(), self.changed, changed))
 
     def params(self):
         return self.s_net.params() + self.t_net.params() + [self.s_scale]
@@ -162,9 +202,9 @@ class GcFlowModel:
     also has ``params()``. Stage s mixes by ``mix(x, s)``, which returns the
     features and a function for the stage's log|det|, then applies its flow;
     no stage matrix reads the features, so every kind inverts exactly. The
-    flows' dropout noise is drawn from ``rng`` alone: a forward without one is
-    inference. No log|det| is computed until the result's ``graph_logdet`` is
-    read, so latents and class posteriors never pay for one.
+    flows' dropout noise is drawn from ``rng`` alone. No log|det| is computed
+    until the result's ``graph_logdet`` is read. Inference runs ``latents``,
+    which computes no log-determinant at all and records no tape.
     """
 
     def __init__(self, flows, adjacency=None):
@@ -193,6 +233,27 @@ class GcFlowModel:
             x, ld = flow.forward(x, rng)
             flow_logdet = flow_logdet + ld
         return ForwardResult(z=x, flow_logdet=flow_logdet, stage_logdets=stage_logdets)
+
+    def latents(self, x) -> np.ndarray:
+        """``forward(x).z`` with no noise, as a plain array, byte for byte,
+        with no tape and no log-determinant. Each stage mixes once, then runs
+        its coupling stack over blocks of ``autodiff.ROW_BLOCK`` rows, each
+        block updated in place."""
+        z = ad.as_tensor(x).data
+        n, dim = z.shape
+        if self.dim is not None and dim != self.dim:
+            raise ShapeError(f"model expects {self.dim} features, got {dim}")
+        if self.adjacency is None:
+            z = z.copy()  # updated in place below; the caller's array stays as it was
+        for stage, flow in enumerate(self.flows):
+            if self.adjacency is not None:
+                with ad.no_grad():
+                    z = self.adjacency.mix(z, stage)[0].data
+            for r in range(0, n, ad.ROW_BLOCK):
+                block = z[r:r + ad.ROW_BLOCK]
+                for layer in flow.layers:
+                    layer.apply(block)
+        return z
 
     def inverse(self, z):
         """Undo forward: each stage, last first, inverts its flow, then solves

@@ -395,9 +395,12 @@ def test_a_lasting_singularity_diverges_as_the_reference_does(sbm, monkeypatch):
 
 
 def count_gcflow_forwards(monkeypatch):
+    """Calls of the taped forward and of the tape-free ``latents``, in one list."""
     calls = []
-    real = flows.GcFlowModel.forward
-    monkeypatch.setattr(flows.GcFlowModel, "forward", lambda self, *a, **kw: calls.append(1) or real(self, *a, **kw))
+    for name in ("forward", "latents"):
+        real = getattr(flows.GcFlowModel, name)
+        monkeypatch.setattr(flows.GcFlowModel, name,
+                            lambda self, *a, real=real, **kw: calls.append(1) or real(self, *a, **kw))
     return calls
 
 
@@ -445,10 +448,10 @@ def test_models_report_whether_training_draws_noise(sbm, monkeypatch, case, nois
     # carried on as the validation forward and the next loss, a noisy one
     # needs its own validation forward
     forwards = []
-    for cls in (flows.GcFlowModel, GcnModel):
-        real = cls.forward
+    for cls, name in ((flows.GcFlowModel, "forward"), (flows.GcFlowModel, "latents"), (GcnModel, "forward")):
+        real = getattr(cls, name)
         monkeypatch.setattr(
-            cls, "forward", lambda self, *a, real=real, **kw: forwards.append(1) or real(self, *a, **kw)
+            cls, name, lambda self, *a, real=real, **kw: forwards.append(1) or real(self, *a, **kw)
         )
     marks = []
     real_zero = ad.zero_grads
