@@ -344,9 +344,13 @@ def _tanh_vjp(y, g):
     return t
 
 
-def tanh(a):
+def tanh(a, overwrite=False):
+    """Elementwise tanh. With ``overwrite`` the result is written into
+    ``a``'s array, for an ``a`` whose value no backward step reads and no
+    caller keeps, such as an ``affine`` output: the tape then holds one
+    array where it would hold two."""
     a = as_tensor(a)
-    value = np.tanh(a.data)
+    value = np.tanh(a.data, out=a.data if overwrite else None)
     return make_node(value, (a,), (lambda g: _tanh_vjp(value, g),), "tanh")
 
 

@@ -142,22 +142,6 @@ def _latents(model, x) -> np.ndarray:
     return _finite(model.latents(x))
 
 
-def whole_array_latents(model, x) -> np.ndarray:
-    """``_latents`` from the taped forward's whole-array route, recording no
-    tape: the same bytes, through n x hidden temporaries. Training's one
-    forward before its first tape, the label mean init, runs it. Those
-    temporaries are then the first blocks of their size the process frees,
-    and freeing them lifts glibc's mmap threshold above them, so the first
-    tape is laid on the heap as every later one is. Through the row-blocked
-    route the first tape went to fresh mappings instead, and the heap grew in
-    three steps, not two; a later run's n x n set-up matrix then often found
-    no free run of its size left in it: 44 MB more peak RSS at n=2400 in
-    about 1 of 5 ``perfbench`` ``train-fixed`` runs (glibc 2.36, x86-64).
-    """
-    with ad.no_grad():
-        return _finite(model.forward(x).z.data)
-
-
 def _classify(head: MixtureHead, z) -> np.ndarray:
     """Most probable component per row of a latent matrix."""
     with ad.no_grad():

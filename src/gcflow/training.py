@@ -41,7 +41,6 @@ from .mixture import (
     MixtureHead,
     init_means_from_labels,
     spread_means,
-    whole_array_latents,
 )
 
 ADAM_BETA1 = 0.9
@@ -403,7 +402,7 @@ def _descend(cfg: TrainConfig, tm: TrainedModel, ds: Dataset, snapshot, start):
 
     params = tm.model.params()
     if tm.head is not None and cfg.label_init_means:
-        init_means_from_labels(tm.head, whole_array_latents(tm.model.flow, x), labels, train_idx)
+        init_means_from_labels(tm.head, tm.model.represent(x), labels, train_idx)
 
     run_rng = np.random.default_rng(cfg.seed)
     opt = AdamState(params, cfg.lr, weight_decay=cfg.weight_decay)

@@ -63,6 +63,7 @@ RECORDING_OPS = {
     "sparse_matmul": lambda x: ad.sparse_matmul(full_pattern(3), ad.reshape(x, (9,)), x),
     "exp": ad.exp,
     "tanh": ad.tanh,
+    "tanh_overwrite": lambda x: ad.tanh(ad.affine(x, x, ad.tsum(x, 0)), overwrite=True),
     "relu": ad.relu,
     "couple": lambda x: ad.couple(x, ad.slice_cols(x, 0, 2), ad.slice_cols(x, 1, 3), slice(1, 3)),
     "logsumexp_rows": ad.logsumexp_rows,
@@ -283,6 +284,23 @@ def test_broadcast_add_unbroadcasts_gradient():
     ad.tsum(x + b).backward()
     assert_allclose(x.grad, np.ones((3, 4)))
     assert_allclose(b.grad, np.full((1, 4), 3.0))
+
+
+def test_tanh_overwrite_equals_tanh_bit_for_bit_and_writes_into_its_input():
+    rng = np.random.default_rng(11)
+    x = ad.Tensor(rng.normal(size=(5, 4)), requires_grad=True)
+    w = ad.Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+    b = ad.Tensor(rng.normal(size=(1, 3)), requires_grad=True)
+    weights = ad.Tensor(rng.normal(size=(5, 3)))
+    runs = []
+    for overwrite in (False, True):
+        ad.zero_grads([x, w, b])
+        pre = ad.affine(x, w, b)
+        out = ad.tanh(pre, overwrite=overwrite)
+        ad.tsum(out * weights).backward()
+        assert np.shares_memory(out.data, pre.data) == overwrite
+        runs.append([out.data, x.grad.copy(), w.grad.copy(), b.grad.copy()])
+    assert all(np.array_equal(u, v) for u, v in zip(*runs))
 
 
 @pytest.mark.parametrize("name", ["exp", "tanh", "relu"])

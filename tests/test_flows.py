@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -111,6 +112,24 @@ def test_a_coupling_update_records_one_couple_node(parity):
     ops = {id(node): node._op for out in (y, logdet) for node in out._topo() if node._parents}
     # the kept half, two two-layer nets, the bounded scale, the update and the log-det row sum
     assert Counter(ops.values()) == Counter(slice_cols=1, affine=4, tanh=3, mul=1, couple=1, sum=1)
+
+
+def test_a_coupling_tape_keeps_one_array_per_hidden_layer():
+    # each hidden layer's tanh overwrites its affine output, which no backward
+    # step reads, so the tape holds the activation alone, not both
+    n, hidden, net_layers = 1024, 64, 3
+    rng = np.random.default_rng(6)
+    layer = flows.CouplingLayer(4, hidden, net_layers, 0, rng)
+    x = ad.Tensor(rng.normal(size=(n, 4)), requires_grad=True)
+    tracemalloc.start()
+    try:
+        y, logdet = layer.forward(x)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    activations = 2 * (net_layers - 1) * n * hidden * 8  # two nets, two hidden layers each
+    assert activations <= held < activations + n * hidden * 8
+    assert y.requires_grad and logdet.requires_grad
 
 
 def test_identity_layer_is_identity():

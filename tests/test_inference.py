@@ -1,4 +1,4 @@
-"""The tape-free inference route, ``GcFlowModel.latents``, against the taped forward."""
+"""The inference route, ``GcFlowModel.latents``, in row blocks, against the taped forward."""
 
 import tracemalloc
 
@@ -70,6 +70,25 @@ def test_affine_within_one_block_is_the_whole_product(n, k, m, seed):
     rng = np.random.default_rng(seed)
     x, w, b = rng.normal(size=(n, k)), rng.normal(size=(k, m)), rng.normal(size=(1, m))
     assert ad.affine(x, w, b).data.tobytes() == (x @ w + b).tobytes()
+
+
+def test_the_inverse_reads_the_forwards_scale_and_shift_across_blocks(monkeypatch):
+    rng = np.random.default_rng(7)
+    layer = flows.CouplingLayer(6, 16, 3, 1, rng)
+    for p in layer.params():
+        p.data += 0.3 * rng.normal(size=p.data.shape)
+    seen, real = [], flows.CouplingLayer._scale_shift
+
+    def recorded(self, x, rng=None):
+        s, t = real(self, x, rng)
+        seen.append((s.data.tobytes(), t.data.tobytes()))
+        return s, t
+
+    monkeypatch.setattr(flows.CouplingLayer, "_scale_shift", recorded)
+    x = ad.Tensor(rng.normal(size=(2 * B + 1, 6)))
+    back = layer.inverse(layer.forward(x)[0])
+    assert len(seen) == 2 and seen[0] == seen[1]
+    assert np.abs(back.data - x.data).max() < 1e-10
 
 
 def overflowing_model(n):
