@@ -1,19 +1,26 @@
 """Save and restore trained models as JSON.
 
 A checkpoint stores the config snapshot, the fingerprint of the graph the
-model was trained on, and the values of ``model.params()`` in that order;
-an EM reference, which has no gradient parameters, stores its fitted
-arrays instead. JSON serializes Python floats through their shortest
-round-tripping repr, so a reload reproduces the model bit-for-bit: the
-skeleton is rebuilt from the config (same constructors, same seed) and the
-saved values overwrite the fresh initialization.
+model was trained on, and the values of ``model.params()`` in that order:
+one little-endian float64 block, base64-encoded, beside the list of
+per-array shapes. The block holds each value's exact bits, so a reload
+reproduces the model bit-for-bit: the skeleton is rebuilt from the config
+(same constructors, same seed) and the saved values overwrite the fresh
+initialization. An EM reference, which has no gradient parameters, stores
+an empty block and its fitted arrays instead. Those arrays and a PCA
+projection stay JSON lists, whose shortest float reprs round-trip. The file
+is written under a temporary name and renamed into place, so an interrupted
+save leaves no truncated checkpoint.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 import math
+import os
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 
@@ -23,11 +30,13 @@ from .evalkit import PcaProjection
 from .graphs import fingerprint
 from .training import TrainConfig, TrainedModel, assemble_model
 
-FORMAT_TAG = "gcflow-checkpoint-7"
+FORMAT_TAG = "gcflow-checkpoint-8"
 
 
 def save_checkpoint(path, tm: TrainedModel, graph):
-    """Write ``tm``, trained on ``graph``, to ``path``."""
+    """Write ``tm``, trained on ``graph``, to ``path``, through a temporary
+    file beside it that replaces ``path`` only once it is complete."""
+    params = tm.model.params()
     payload = {
         "format": FORMAT_TAG,
         "config": tm.config,
@@ -36,7 +45,10 @@ def save_checkpoint(path, tm: TrainedModel, graph):
         "damping_used": tm.damping_used,
         "graph": fingerprint(graph),
         "pca": None if tm.pca is None else {key: value.tolist() for key, value in vars(tm.pca).items()},
-        "params": [p.data.tolist() for p in tm.model.params()],
+        "params": {
+            "shapes": [p.data.shape for p in params],
+            "float64le": base64.b64encode(b"".join(p.data.astype("<f8").tobytes() for p in params)).decode(),
+        },
         "gmm": None,
     }
     if isinstance(tm.model, EmReference):
@@ -46,9 +58,16 @@ def save_checkpoint(path, tm: TrainedModel, graph):
             "covs": tm.model.gmm.covs.tolist(),
             "mapping": tm.model.mapping.tolist(),
         }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True)
-        fh.write("\n")
+    path = Path(path)
+    partial = path.with_name(path.name + ".partial")
+    try:
+        with open(partial, "w") as fh:
+            json.dump(payload, fh, sort_keys=True)
+            fh.write("\n")
+        os.replace(partial, path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
     return str(path)
 
 
@@ -58,13 +77,16 @@ def load_checkpoint(path, graph) -> TrainedModel:
     Refuses, with ``FormatError``, any other checkpoint format, any graph
     whose node count or edge list differs from the saved one, a ``dim`` or
     ``classes`` that is not a positive integer, a ``damping_used`` that is
-    not a finite non-negative number, non-finite parameter values, a PCA
+    not a finite non-negative number, parameter shapes other than the
+    model's, a parameter block that is not base64 or whose byte count is
+    not 8 per value those shapes hold, non-finite parameter values, a PCA
     projection whose mean, directions and explained variances are not finite
     arrays of shapes (D,), (D, dim) and (dim,), a projection saved without a
-    config ``pca_dim`` or missing with one, a ``pca_dim`` other than ``dim``,
-    and saved values that do not fit the model; for an EM reference, those are also
-    weights that are not a probability vector, covariances that are not
-    symmetric positive definite, and a mapping that is not integer classes.
+    config ``pca_dim`` or missing with one, and a ``pca_dim`` other than
+    ``dim``; for an EM reference, also fitted arrays of other shapes than
+    the model's, weights that are not a probability vector, covariances
+    that are not symmetric positive definite, and a mapping that is not
+    integer classes.
     """
     with open(path) as fh:
         try:
@@ -100,17 +122,21 @@ def load_checkpoint(path, graph) -> TrainedModel:
         tm = assemble_model(cfg, graph, dim, classes, damping_used=damping_used)
         tm.pca = pca
         params = tm.model.params()
-        if len(payload["params"]) != len(params):
-            raise FormatError(
-                f"{path}: stores {len(payload['params'])} parameter arrays, model has {len(params)}"
-            )
-        for p, value in zip(params, payload["params"]):
-            arr = np.asarray(value, dtype=np.float64)
-            if arr.shape != p.data.shape:
-                raise FormatError(f"{path}: parameter array is {arr.shape}, model expects {p.data.shape}")
-            if not np.all(np.isfinite(arr)):
-                raise FormatError(f"{path}: a parameter array holds non-finite values")
-            p.data[...] = arr
+        block, want = payload["params"], [list(p.data.shape) for p in params]
+        if block["shapes"] != want:
+            raise FormatError(f"{path}: stores parameter arrays of shapes {block['shapes']}, the model has {want}")
+        raw = base64.b64decode(block["float64le"], validate=True)
+        size = sum(p.data.size for p in params)
+        if len(raw) != 8 * size:
+            raise FormatError(f"{path}: the parameter block holds {len(raw)} bytes, "
+                              f"the shapes need {8 * size} (8 per value)")
+        values = np.frombuffer(raw, "<f8")
+        if not np.all(np.isfinite(values)):
+            raise FormatError(f"{path}: the parameter block holds non-finite values")
+        start = 0
+        for p in params:
+            p.data[...] = values[start:start + p.data.size].reshape(p.data.shape)
+            start += p.data.size
         if isinstance(tm.model, EmReference):
             gmm = payload["gmm"]
             fitted = EmGmm(gmm["weights"], gmm["means"], gmm["covs"])

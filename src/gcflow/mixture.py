@@ -120,8 +120,19 @@ def normalize_rows(scores):
 
 
 def posterior_matrix(head: MixtureHead, z) -> np.ndarray:
-    """Component posteriors per node; the determinant terms cancel out."""
-    return normalize_rows(component_logpdf_matrix(head, z).data + head.log_weights().data)[0]
+    """Component posteriors per node; the determinant terms cancel out.
+
+    The log-densities are taken ``autodiff.ROW_BLOCK`` rows at a time with
+    no tape, so no temporary is larger than a block's K x D differences;
+    each row is computed as a whole-array call would compute it.
+    """
+    z = ad.as_tensor(z).data
+    scores = np.empty((z.shape[0], head.num_components))
+    with ad.no_grad():
+        for r in range(0, z.shape[0], ad.ROW_BLOCK):
+            scores[r:r + ad.ROW_BLOCK] = component_logpdf_matrix(head, z[r:r + ad.ROW_BLOCK]).data
+        scores += head.log_weights().data
+    return normalize_rows(scores)[0]
 
 
 def _finite(z) -> np.ndarray:
@@ -144,8 +155,7 @@ def _latents(model, x) -> np.ndarray:
 
 def _classify(head: MixtureHead, z) -> np.ndarray:
     """Most probable component per row of a latent matrix."""
-    with ad.no_grad():
-        return posterior_matrix(head, z).argmax(axis=1)
+    return posterior_matrix(head, z).argmax(axis=1)
 
 
 def predict(model, head: MixtureHead, x):

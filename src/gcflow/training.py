@@ -356,7 +356,9 @@ def train(cfg: TrainConfig, dataset: Dataset, checkpoint_dir=None) -> RunRecord:
     or a numeric blow-up mid-epoch aborts with the progress so far attached
     to the raised error. ``checkpoint_dir``, when given, is created (with
     its parents) before training starts; a path that exists but is not a
-    directory raises ``ConfigError`` then, not after the last epoch.
+    directory raises ``ConfigError`` then, not after the last epoch. An
+    older run's checkpoint there is deleted then too, so after a failed run
+    the directory holds no checkpoint.
     """
     start = time.perf_counter()
     if checkpoint_dir is not None:
@@ -365,6 +367,7 @@ def train(cfg: TrainConfig, dataset: Dataset, checkpoint_dir=None) -> RunRecord:
             checkpoint_dir.mkdir(parents=True, exist_ok=True)
         except (FileExistsError, NotADirectoryError):
             raise ConfigError(f"checkpoint directory {checkpoint_dir} is not a directory") from None
+        (checkpoint_dir / "checkpoint.json").unlink(missing_ok=True)
     # fitted before assembly, so a bad pca_dim fails before any factorization
     pca = None if cfg.pca_dim is None else pca_fit(dataset.features, cfg.pca_dim)
     tm = assemble_model(cfg, dataset.graph, cfg.pca_dim or dataset.dim, dataset.num_classes)

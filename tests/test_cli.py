@@ -161,6 +161,20 @@ def test_diverged_train_leaves_its_record(synth_dir, tmp_path, capsys, kind):
     assert not (out / "checkpoint.json").exists()
 
 
+def test_a_diverged_run_leaves_no_older_checkpoint_behind(synth_dir, tmp_path, capsys):
+    out = tmp_path / "run"
+    train = ["train", "--data", str(synth_dir / "manifest.json"), "--out", str(out),
+             "--set", "model=gcflow", "--set", "hidden=8", "--set", "epochs=5"]
+    assert main(train) == 0
+    assert (out / "checkpoint.json").exists()
+    assert main(train + ["--set", "lr=1e8"]) == 1
+    assert json.loads((out / "metrics.json").read_text())["status"] == "diverged"
+    assert not (out / "checkpoint.json").exists()
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(out / "checkpoint.json"), "--data", str(synth_dir / "manifest.json")]) == 1
+    assert "checkpoint.json" in capsys.readouterr().err
+
+
 @pytest.fixture(scope="module")
 def pca_checkpoint(tmp_path_factory, synth_dir):
     out = tmp_path_factory.mktemp("pca-run")

@@ -225,6 +225,18 @@ def test_posterior_is_the_joint_over_the_marginal_on_random_heads(n, dim, means,
     assert_allclose(mixture.posterior_matrix(head, z), np.exp(joint - marginal[:, None]), rtol=0.0, atol=1e-12)
 
 
+def test_posterior_in_row_blocks_equals_the_whole_array_result():
+    # two full blocks of autodiff.ROW_BLOCK rows and a partial one
+    n = 2 * ad.ROW_BLOCK + 176
+    rng = np.random.default_rng(10)
+    head = mixture.MixtureHead(3, 16, mean_scalars=[-1.0, 0.5, 2.0], log_stds=[0.3, -0.2, 0.1], learn_weights=True)
+    head.weight_logits.data[...] = rng.normal(size=3)
+    z = rng.normal(scale=2.0, size=(n, 16))
+    whole = mixture.normalize_rows(mixture.component_logpdf_matrix(head, z).data + head.log_weights().data)[0]
+    assert mixture.posterior_matrix(head, z).tobytes() == whole.tobytes()
+    assert mixture.posterior_matrix(head, ad.Tensor(z)).tobytes() == whole.tobytes()
+
+
 def test_posterior_invariant_to_common_logpdf_shift():
     # shifting every component's log-density by the same constant is a
     # softmax invariance: realize the shift through the weight logits

@@ -1,3 +1,4 @@
+import base64
 import json
 import re
 import tracemalloc
@@ -13,7 +14,8 @@ from gcflow import autodiff as ad
 from gcflow import graphs
 from gcflow.autodiff import Tensor
 from gcflow.baselines import EmReference, GcnModel
-from gcflow.checkpoint import FORMAT_TAG, load_checkpoint
+from gcflow import checkpoint
+from gcflow.checkpoint import FORMAT_TAG, load_checkpoint, save_checkpoint
 from gcflow.data import SbmConfig, generate_sbm
 from gcflow.errors import ConfigError, DivergedError, DomainError, FormatError, SingularMatrixError
 from gcflow.evalkit import micro_f1, pca_apply, pca_fit
@@ -645,11 +647,27 @@ def test_gmm_ax_checkpoint_predicts_without_a_dense_matrix(tmp_path, monkeypatch
     assert peak < 16 * 2**20
 
 
+def param_values(payload):
+    """The parameter block of a checkpoint payload, decoded."""
+    return np.frombuffer(base64.b64decode(payload["params"]["float64le"]), "<f8").copy()
+
+
+def encode(values):
+    """A parameter block of ``values``, as ``save_checkpoint`` writes one."""
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode()
+
+
+def with_params(payload, **entries):
+    """``payload`` with the given ``params`` entries replaced."""
+    return {**payload, "params": {**payload["params"], **entries}}
+
+
 def test_checkpoint_rejects_non_numeric_values(sbm, tmp_path):
     record = train(TrainConfig(model="gcn", hidden=8, epochs=1, seed=0), sbm, checkpoint_dir=tmp_path)
     payload = json.loads(Path(record.checkpoint_path).read_text())
     bad = tmp_path / "bad.json"
-    for key, value in (("dim", "x"), ("params", [[["a"]]] + payload["params"][1:]),
+    for key, value in (("dim", "x"), ("params", with_params(payload, float64le=[["a"]])["params"]),
+                       ("params", payload["params"]["shapes"]),
                        ("pca", [[0.0]]), ("pca", {"mean": [0.0], "directions": [[1.0]]})):
         bad.write_text(json.dumps({**payload, key: value}))
         with pytest.raises(FormatError, match="malformed checkpoint"):
@@ -667,14 +685,98 @@ def test_checkpoint_rejects_header_values_out_of_range(sbm, tmp_path, monkeypatc
     record = train(TrainConfig(model="gcflow", hidden=8, epochs=1, seed=0), sbm, checkpoint_dir=tmp_path)
     payload = json.loads(Path(record.checkpoint_path).read_text())
     if value == "nan":
-        value = payload["params"]
-        value[0][0][0] = float("nan")
+        values = param_values(payload)
+        values[0] = float("nan")
+        value = with_params(payload, float64le=encode(values))["params"]
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({**payload, key: value}))
     calls = count_factorizations(monkeypatch)
     with pytest.raises(FormatError, match=f"^{re.escape(str(bad))}: "):
         load_checkpoint(bad, sbm.graph)
     assert calls == []
+
+
+def corrupt_param_block(payload, how):
+    values, shapes = param_values(payload), payload["params"]["shapes"]
+    if how == "not-base64":  # a character outside the alphabet, which a lenient decoder would skip
+        block = payload["params"]["float64le"]
+        return with_params(payload, float64le=block[:8] + "!" + block[8:])
+    if how in ("nan", "inf"):
+        values[-1] = float(how)
+        return with_params(payload, float64le=encode(values))
+    if how == "short":
+        return with_params(payload, float64le=encode(values[:-1]))
+    if how == "long":
+        return with_params(payload, float64le=encode(np.append(values, 0.0)))
+    if how == "ragged":  # a byte count that is not a multiple of 8
+        return with_params(payload, float64le=base64.b64encode(values.tobytes()[:-3]).decode())
+    if how == "count":  # one shape fewer, and the block cut to match
+        return with_params(payload, shapes=shapes[:-1], float64le=encode(values[:-int(np.prod(shapes[-1]))]))
+    # one matrix transposed: the same byte count, another shape
+    first = next(i for i, shape in enumerate(shapes) if len(shape) == 2 and shape[0] != shape[1])
+    return with_params(payload, shapes=shapes[:first] + [shapes[first][::-1]] + shapes[first + 1:])
+
+
+@pytest.mark.parametrize("how, match", [
+    ("not-base64", "malformed checkpoint"),
+    ("short", "parameter block holds"),
+    ("long", "parameter block holds"),
+    ("ragged", "parameter block holds"),
+    ("count", "stores parameter arrays of shapes"),
+    ("shape", "stores parameter arrays of shapes"),
+    ("nan", "non-finite"),
+    ("inf", "non-finite"),
+])
+def test_checkpoint_rejects_a_parameter_block_that_does_not_fit(sbm, tmp_path, monkeypatch, how, match):
+    record = train(TrainConfig(model="gcflow", hidden=8, epochs=1, seed=0), sbm, checkpoint_dir=tmp_path)
+    payload = json.loads(Path(record.checkpoint_path).read_text())
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(corrupt_param_block(payload, how)))
+    calls = count_factorizations(monkeypatch)
+    with pytest.raises(FormatError, match=f"^{re.escape(str(bad))}: .*{match}"):
+        load_checkpoint(bad, sbm.graph)
+    assert calls == []
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_checkpoint_round_trips_the_bits_of_every_parameter_value(sbm, kind, tmp_path):
+    # a negative zero, two subnormals, values near both ends of the finite range, and 1 + ulp
+    edge = np.array([-0.0, 5e-324, -2.5e-320, 1e308, -1e308, np.nextafter(1.0, 2.0)])
+    record = train(TrainConfig(model=kind, hidden=8, epochs=1, seed=0), sbm, checkpoint_dir=tmp_path)
+    tm = load_checkpoint(record.checkpoint_path, sbm.graph)
+    for p in tm.model.params():
+        p.data[...] = np.resize(edge, p.data.shape)
+    saved = tmp_path / "edge.json"
+    save_checkpoint(saved, tm, sbm.graph)
+    again = load_checkpoint(saved, sbm.graph)
+    assert [p.data.tobytes() for p in again.model.params()] == [p.data.tobytes() for p in tm.model.params()]
+    if isinstance(tm.model, EmReference):
+        assert again.model.params() == []
+        for name in ("weights", "means", "covs"):
+            assert getattr(again.model.gmm, name).tobytes() == getattr(tm.model.gmm, name).tobytes()
+    else:
+        # the flows' zero-dim coupling scales are in the block too
+        assert any(p.data.ndim == 0 for p in tm.model.params()) == isinstance(tm.model, mixture.FlowMixture)
+    resaved = tmp_path / "resaved.json"
+    save_checkpoint(resaved, again, sbm.graph)
+    assert resaved.read_bytes() == saved.read_bytes()
+
+
+def test_an_interrupted_save_leaves_the_previous_checkpoint_whole(sbm, tmp_path, monkeypatch):
+    record = train(TrainConfig(model="gcn", hidden=8, epochs=1, seed=0), sbm, checkpoint_dir=tmp_path)
+    path = Path(record.checkpoint_path)
+    before = path.read_bytes()
+    tm = load_checkpoint(path, sbm.graph)
+
+    def cut_short(payload, fh, **kwargs):
+        fh.write('{"format": ')
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(checkpoint.json, "dump", cut_short)
+    with pytest.raises(KeyboardInterrupt):
+        save_checkpoint(path, tm, sbm.graph)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["checkpoint.json"]
 
 
 @pytest.mark.parametrize("key, value, match", [
@@ -824,7 +926,7 @@ def test_a_version_5_checkpoint_is_refused_naming_both_tags(sbm, tmp_path):
     old.write_text(json.dumps(payload))
     with pytest.raises(FormatError, match=f"'gcflow-checkpoint-5'.*'{FORMAT_TAG}'"):
         load_checkpoint(old, sbm.graph)
-    assert FORMAT_TAG == "gcflow-checkpoint-7"
+    assert FORMAT_TAG == "gcflow-checkpoint-8"
 
 
 def test_checkpoint_round_trip_gcn_and_gmm(sbm, tmp_path):
@@ -870,9 +972,9 @@ def test_checkpoint_rejects_non_checkpoints(tmp_path, sbm):
     bad.write_text("{\"format\": \"something-else\"}")
     with pytest.raises(FormatError):
         load_checkpoint(bad, sbm.graph)
-    # version 6 configs carried the damping setting
+    # version 6 configs carried the damping setting, version 7 stored parameters as nested JSON lists
     for tag in ("gcflow-checkpoint-1", "gcflow-checkpoint-2", "gcflow-checkpoint-3", "gcflow-checkpoint-4",
-                "gcflow-checkpoint-6"):
+                "gcflow-checkpoint-6", "gcflow-checkpoint-7"):
         bad.write_text(f"{{\"format\": \"{tag}\"}}")
         with pytest.raises(FormatError, match=f"{tag}.*{FORMAT_TAG}"):
             load_checkpoint(bad, sbm.graph)
