@@ -84,6 +84,10 @@ def cmd_train(args):
     dataset = load_dataset(args.data)
     cfg = build_train_config(args.config, args.set)
     out = Path(args.out)
+    # as ``train`` deletes an older checkpoint, so a failed run leaves no older run's record
+    if out.is_dir():
+        for name in ("metrics.json", "epochs.csv"):
+            (out / name).unlink(missing_ok=True)
     try:
         record = train(cfg, dataset, checkpoint_dir=out)
     except DivergedError as exc:

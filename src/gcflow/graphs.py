@@ -4,9 +4,11 @@ A graph's normalized adjacency is the mixing matrix applied to node features
 before each constituent flow. Both normalizations add self-loops first, so a
 stored edge list never contains them. The adjacency itself is a CSR
 matrix built from the edge list. Its log absolute determinant enters the
-model's likelihood, and it is factored only when first read: that read is
-where a singular matrix raises ``SingularMatrixError``, and damping (adding a
-small multiple of the identity) is the supported remediation.
+model's likelihood, and it is computed only when first read: one exact block
+elimination of an independent set of nodes, then a dense LU of the remaining
+nodes' Schur complement. That read is where a singular matrix raises
+``SingularMatrixError``, and damping (adding a small multiple of the
+identity) is the supported remediation.
 """
 
 from __future__ import annotations
@@ -98,11 +100,13 @@ class NormalizedAdjacency:
 
     Built only by ``normalize_row`` and ``normalize_sym``. ``sparse`` is the
     CSR matrix that ``mix`` multiplies feature matrices by. ``log_abs_det``
-    is factored densely (O(n³)) on first read and cached; only a likelihood
-    reads it, so inference never pays for it, and that read is where a
-    singular matrix raises ``SingularMatrixError``. ``scheme`` records how
-    the matrix was built ("row-normalized" or "symmetric") and ``damping``
-    the multiple of the identity added after normalization (0.0 when none).
+    is computed from its sparsity pattern on first read and cached: an
+    independent set of nodes is eliminated exactly, and only the rest is
+    factored densely (see ``_shifted_log_abs_det``). Only a likelihood reads
+    it, so inference never pays for it, and that read is where a singular
+    matrix raises ``SingularMatrixError``. ``scheme`` records how the matrix
+    was built ("row-normalized" or "symmetric") and ``damping`` the multiple
+    of the identity added after normalization (0.0 when none).
     """
 
     def __init__(self, matrix, scheme, damping):
@@ -119,7 +123,7 @@ class NormalizedAdjacency:
     def log_abs_det(self):
         if self._log_abs_det is None:
             try:
-                self._log_abs_det = _lu_checked(self.sparse.toarray(order="F"))[1]
+                self._log_abs_det = _shifted_log_abs_det(self.sparse, self.damping)
             except SingularMatrixError:
                 hint = "increase damping" if self.damping else "pass a small damping value"
                 raise SingularMatrixError(f"{self.scheme} adjacency is singular; {hint}") from None
@@ -139,7 +143,7 @@ def _normalized(g: Graph, scheme, damping):
     With d = degree + 1, entry (i, j) of A + I becomes 1/d_i (row scheme) or
     (1·s_i)·s_j with s = 1/sqrt(d) (symmetric scheme), and ``damping`` is
     added to the diagonal: the same float operations a dense build performs,
-    so the stored entries and the log|det| come out bit-identical to it.
+    so the stored entries come out bit-identical to it.
     """
     damping = float(damping)
     if not 0.0 <= damping < np.inf:
@@ -173,6 +177,65 @@ def normalize_sym(g: Graph, damping=0.0) -> NormalizedAdjacency:
     """Symmetric normalization D^-1/2 (A+I) D^-1/2 with self-loops in D;
     damping as for ``normalize_row``."""
     return _normalized(g, "symmetric", damping)
+
+
+def independent_set(pattern):
+    """Mask of a maximal independent set of the graph whose edges are the
+    off-diagonal entries of the square CSR matrix ``pattern`` (a
+    ``NormalizedAdjacency``'s ``sparse``): greedy, lowest (degree, node id) first.
+
+    It runs in vectorized rounds over the edges: an undecided node whose key
+    is below every undecided neighbour's joins, and its neighbours leave.
+    That gives the sequential greedy's set, with no rng.
+    """
+    n = pattern.shape[0]
+    src, dst = np.repeat(np.arange(n), np.diff(pattern.indptr)), pattern.indices
+    src, dst = src[src != dst], dst[src != dst]
+    rank = np.empty(n, dtype=np.intp)
+    rank[np.argsort(np.bincount(src, minlength=n), kind="stable")] = np.arange(n)
+    chosen, undecided = np.zeros(n, dtype=bool), np.ones(n, dtype=bool)
+    while undecided.any():
+        joins = undecided.copy()
+        joins[src[rank[dst] < rank[src]]] = False
+        chosen |= joins
+        undecided &= ~joins
+        undecided[dst[joins[src]]] = False
+        # only edges between undecided nodes can decide a later round
+        live = undecided[src] & undecided[dst]
+        src, dst = src[live], dst[live]
+    return chosen
+
+
+def _shifted_log_abs_det(pattern, damping):
+    """log|det| of either normalization of a graph, from the CSR ``pattern``
+    of its A + I, with no n x n array.
+
+    With d = degree + 1, a row's entry count, both are diagonal rescalings of
+    the symmetric B = A + I + damping·diag(d), so their log|det| is
+    log|det B| − Σ log d. One exact block elimination gives log|det B|. B's
+    block over an ``independent_set`` I is the diagonal 1 + damping·d ≥ 1, so
+    log|det B| = Σ_I log(1 + damping·d) + log|det S|, with the complement's
+    S = B_RR − B_RI diag(1/(1 + damping·d_I)) B_IR built by sparse products.
+    Only S is densified and factored, by ``_lu_checked``: its pivots are held
+    against SINGULAR_THRESHOLD times S's largest entry, which is whole-number
+    scale, not against the normalized matrix's (at most 1 + damping). An
+    empty S is not factored. A second level of elimination would pivot on
+    S's diagonal without pivoting, so there is none.
+    """
+    inside = independent_set(pattern)
+    outside = ~inside
+    d = np.diff(pattern.indptr).astype(np.float64)
+    shift = 1.0 + damping * d
+    # B less its damping: a one at every entry of A + I
+    ones = scipy.sparse.csr_matrix((np.ones(pattern.nnz), pattern.indices, pattern.indptr), shape=pattern.shape)
+    b_rows = ones[outside]
+    b_ri = b_rows[:, inside]
+    s = (b_rows[:, outside] + scipy.sparse.diags(damping * d[outside])
+         - b_ri @ scipy.sparse.diags(1.0 / shift[inside]) @ b_ri.T)
+    value = np.log(shift[inside]).sum() - np.log(d).sum()
+    if s.shape[0]:
+        value += _lu_checked(s.toarray(order="F"))[1]
+    return float(value)
 
 
 def logabsdet_tensor(pattern, values, damping=0.0):

@@ -8,19 +8,21 @@ the component posterior of its latent vector.
 
 A node's log-density adds three pieces: the mixture log-density of its
 latent vector, its own coupling log-determinant, and an equal per-node
-share of the adjacency log-determinant. The last piece is a constant when
-the adjacency is fixed, but it is always included so reported values are
-proper log-likelihoods; constants cost nothing under differentiation.
+share of the adjacency log-determinant. ``log_densities`` always includes
+the last piece, so the likelihoods it reports are proper ones. When the
+adjacency is fixed that piece is a constant with no gradient, and the
+training loss of ``FlowMixture`` leaves it out.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import autodiff as ad
 from .errors import ConfigError, DomainError
+from .graphs import NormalizedAdjacency
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -238,8 +240,18 @@ class FlowMixture:
         called. A forward that draws no noise computes the same latents as
         inference, so its predictions equal ``predict_and_represent``'s.
         Non-finite latents raise ``DomainError``.
+
+        A fixed adjacency's log|det| is left out of the loss: it is a
+        constant with no gradient, so the parameters train as they would
+        with it, and its last bit depends on the BLAS thread count, which it
+        would carry into every epoch's loss. With unlabeled nodes the
+        negative log-likelihood is this loss minus the constant's per-node
+        share: the feature width times the stage count times
+        ``log_abs_det``, over n.
         """
         result = self.flow.forward(x, rng=rng)
+        if isinstance(self.flow.adjacency, NormalizedAdjacency):
+            result = replace(result, stage_logdets=[])
         pred = _classify(self.head, _finite(result.z.data))
         return lambda: semi_supervised_loss(self.head, result, labels, loss_cfg), pred
 

@@ -1,5 +1,5 @@
 """Reference implementations the optimized code is checked against: dense
-adjacency constructions, the identity mixing matrix and a dense mixing
+adjacency constructions, the sequential greedy independent set, the identity mixing matrix and a dense mixing
 source, attention logits drawn at random, a counter of the dense factorizations the graph module runs, the
 dense n x n mixing route of the attention source, an MLP and a coupling
 update built from unfused ops, per-vector mixture densities and a dense Gaussian density,
@@ -40,6 +40,16 @@ def normalized_dense(g, scheme, damping=0.0):
     if damping:
         m = m + damping * np.eye(g.n)
     return m
+
+
+def greedy_independent_set(g):
+    """Nodes visited one at a time by (degree, node id), each taken unless
+    a neighbour already was; a boolean mask."""
+    a = adjacency_dense(g) > 0
+    taken = np.zeros(g.n, dtype=bool)
+    for v in sorted(range(g.n), key=lambda v: (a[v].sum(), v)):
+        taken[v] = not (a[v] & taken).any()
+    return taken
 
 
 def identity_adjacency(n):

@@ -175,6 +175,18 @@ def test_a_diverged_run_leaves_no_older_checkpoint_behind(synth_dir, tmp_path, c
     assert "checkpoint.json" in capsys.readouterr().err
 
 
+def test_a_run_that_fails_before_training_leaves_no_older_record_behind(synth_dir, tmp_path, capsys):
+    out = tmp_path / "run"
+    train = ["train", "--data", str(synth_dir / "manifest.json"), "--out", str(out), "--set", "model=gcn"]
+    assert main(train + ["--set", "epochs=5"]) == 0
+    assert {path.name for path in out.iterdir()} == {"metrics.json", "epochs.csv", "checkpoint.json"}
+    capsys.readouterr()
+    # wider than the features: refused before the first epoch
+    assert main(train + ["--set", "pca_dim=50"]) == 1
+    assert "cannot keep 50 directions" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 @pytest.fixture(scope="module")
 def pca_checkpoint(tmp_path_factory, synth_dir):
     out = tmp_path_factory.mktemp("pca-run")

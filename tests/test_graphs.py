@@ -13,8 +13,10 @@ from numpy.testing import assert_allclose
 
 from gcflow import autodiff as ad
 from gcflow import graphs
+from gcflow.data import SbmConfig, generate_sbm
 from gcflow.errors import DomainError, ShapeError, SingularMatrixError
-from oracles import adjacency_dense, count_factorizations, full_pattern, normalized_dense, unique_pairs
+from oracles import (adjacency_dense, count_factorizations, full_pattern, greedy_independent_set, normalized_dense,
+                     unique_pairs)
 
 
 def det_leibniz(m):
@@ -295,15 +297,15 @@ def test_csr_build_matches_dense_oracle_bit_for_bit(n, isolated, density, epsilo
         assert getattr(got, field).dtype == getattr(want, field).dtype
         assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
     assert adj.sparse.toarray().tobytes() == oracle.tobytes()
-    # ``log_abs_det`` factors its own Fortran-order densification in place,
-    # the public function a copy of the C-order oracle: the same log|det| and error
+    # ``log_abs_det`` eliminates an independent set and factors the rest, the
+    # public function the whole dense oracle: the same error, and log|det| to rounding
     try:
         want_logdet = graphs.log_abs_det(oracle)
     except SingularMatrixError:
         with pytest.raises(SingularMatrixError, match="damping"):
             adj.log_abs_det
         return
-    assert adj.log_abs_det == want_logdet
+    assert abs(adj.log_abs_det - want_logdet) <= 1e-12 * max(1.0, abs(want_logdet))
 
 
 @settings(derandomize=True, deadline=None, max_examples=80)
@@ -329,7 +331,85 @@ def test_log_abs_det_is_factored_once_on_first_read(monkeypatch):
     assert calls == []
     first = adj.log_abs_det
     assert adj.log_abs_det == first
-    assert calls == [(3, 3)]
+    # the path's two ends are eliminated: only its middle node is factored
+    assert calls == [(1, 1)]
+
+
+@settings(derandomize=True, deadline=None, max_examples=120)
+@given(n=st.integers(1, 30), density=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+@example(n=5, density=0.0, seed=0)  # no edges: every node is taken
+@example(n=12, density=1.0, seed=0)  # complete: node 0 alone
+def test_independent_set_is_the_sequential_greedy_one(n, density, seed):
+    rng = np.random.default_rng(seed)
+    g = graphs.make_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < density])
+    # the set is read off the pattern of A + I, whatever the values on it
+    chosen = graphs.independent_set(graphs.normalize_row(g).sparse)
+    assert chosen.dtype == bool and chosen.shape == (n,)
+    a = adjacency_dense(g) > 0
+    # independent: no edge joins two chosen nodes; maximal: every other node has a chosen neighbour
+    assert not a[chosen][:, chosen].any()
+    assert a[~chosen][:, chosen].any(axis=1).all()
+    assert graphs.independent_set(graphs.normalize_sym(g, damping=0.1).sparse).tobytes() == chosen.tobytes()
+    assert chosen.tobytes() == greedy_independent_set(g).tobytes()
+
+
+def shifted_log_abs_det(g, epsilon):
+    """The identity test's oracle: log|det(A + I + eps*D)| - sum(log D_ii), D = deg + 1, by one dense LU."""
+    a = adjacency_dense(g)
+    d = a.sum(axis=1) + 1.0
+    return graphs.log_abs_det(a + np.eye(g.n) + epsilon * np.diag(d)) - np.log(d).sum()
+
+
+@pytest.mark.parametrize("norm", [graphs.normalize_row, graphs.normalize_sym])
+def test_a_star_factors_only_its_centre(norm, monkeypatch):
+    g = graphs.make_graph(7, [(3, j) for j in range(7) if j != 3])
+    # the six leaves are eliminated, leaving the centre's 1 + 7 eps - 6 / (1 + 2 eps)
+    assert graphs.independent_set(norm(g).sparse).tolist() == [True] * 3 + [False] + [True] * 3
+    wants = [shifted_log_abs_det(g, epsilon) for epsilon in (0.0, 1e-3)]
+    calls = count_factorizations(monkeypatch)
+    for epsilon, want in zip((0.0, 1e-3), wants):
+        got = norm(g, damping=epsilon).log_abs_det
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+        assert_allclose(got, math.log(abs(1 + 7 * epsilon - 6 / (1 + 2 * epsilon)))
+                        + 6 * math.log(1 + 2 * epsilon) - 6 * math.log(2) - math.log(7), rtol=1e-14)
+    assert calls == [(1, 1), (1, 1)]
+
+
+@pytest.mark.parametrize("norm", [graphs.normalize_row, graphs.normalize_sym])
+def test_an_edgeless_graph_factors_nothing(norm, monkeypatch):
+    g = graphs.make_graph(5, [])
+    calls = count_factorizations(monkeypatch)
+    assert norm(g).log_abs_det == 0.0
+    assert_allclose(norm(g, damping=0.1).log_abs_det, 5 * math.log(1.1), rtol=1e-15)
+    assert calls == []
+
+
+def test_an_isolated_edge_is_singular_undamped():
+    # the twin pair's two rows of A + I are equal; the path beside it is not singular
+    g = graphs.make_graph(5, [(0, 1), (2, 3), (3, 4)])
+    for norm in (graphs.normalize_row, graphs.normalize_sym):
+        with pytest.raises(SingularMatrixError, match="pass a small damping value"):
+            norm(g).log_abs_det
+        with pytest.raises(SingularMatrixError):
+            shifted_log_abs_det(g, 0.0)
+        want = shifted_log_abs_det(g, 1e-3)
+        assert abs(norm(g, damping=1e-3).log_abs_det - want) <= 1e-12 * abs(want)
+
+
+@pytest.mark.parametrize("block_size", [100, 400], ids=["sbm-300", "sbm-1200"])
+def test_elimination_matches_the_dense_lu_on_block_models(block_size):
+    g = generate_sbm(SbmConfig(block_size=block_size, seed=0)).graph
+    # the eliminated set is a real share of the graph, not a corner case
+    assert 0.05 * g.n < graphs.independent_set(graphs.normalize_row(g).sparse).sum() < 0.5 * g.n
+    for epsilon in (0.0, 1e-3):
+        want = shifted_log_abs_det(g, epsilon)
+        for scheme, norm in (("row", graphs.normalize_row), ("sym", graphs.normalize_sym)):
+            # the pivot check runs on S, not on the normalized matrix: both reach the same verdict
+            # here, and the dense LU of the normalized matrix itself gives the same value
+            dense = graphs.log_abs_det(normalized_dense(g, scheme, epsilon))
+            got = norm(g, damping=epsilon).log_abs_det
+            assert abs(got - want) <= 1e-12 * abs(want)
+            assert abs(got - dense) <= 1e-12 * abs(dense)
 
 
 def test_sparse_and_dense_views_agree():

@@ -223,6 +223,14 @@ def test_build_adjacency_rescues_singular_graph():
         replayed.model.adjacency.log_abs_det
 
 
+def test_gcflow_assembly_rescues_an_isolated_edge():
+    # the twin pair's equal rows of A + I leave a zero in the eliminated complement
+    g = make_graph(5, [(0, 1), (2, 3), (3, 4)])
+    tm = assemble_model(TrainConfig(model="gcflow"), g, 2, 2)
+    assert tm.damping_used == tm.model.flow.adjacency.damping == adjparam.DEFAULT_DAMPING
+    assert np.isfinite(tm.model.flow.adjacency.log_abs_det)
+
+
 @pytest.mark.parametrize("kind", ["gcn", "gmm-ax"])
 def test_fixed_mixing_of_a_singular_graph_is_neither_factored_nor_damped(kind, monkeypatch):
     # only a likelihood inverts its mixing matrix, so the classifier and the
@@ -574,6 +582,27 @@ def test_inference_skips_the_graph_logdet(sbm, kind, monkeypatch):
     assert calls == []
     build_loss()
     assert len(calls) == tm.model.flow.num_flows
+
+
+@pytest.mark.parametrize("scheme", ["row", "sym"])
+def test_the_fixed_mixing_loss_leaves_out_the_constant_log_det(sbm, scheme, monkeypatch):
+    tm = training.assemble_model(TrainConfig(model="gcflow", adjacency=scheme, hidden=8, seed=1),
+                                 sbm.graph, sbm.dim, sbm.num_classes)
+    flow, head = tm.model.flow, tm.head
+    loss_cfg = mixture.LossConfig(sbm.mask_indices("train"), np.flatnonzero(~sbm.train_mask))
+    constant = flow.adjacency.log_abs_det
+
+    def losses():
+        trained = tm.model.loss_and_predictions(sbm.features, sbm.labels, loss_cfg, np.random.default_rng(0))[0]()
+        return trained.item(), mixture.semi_supervised_loss(head, flow.forward(sbm.features), sbm.labels, loss_cfg).item()
+
+    trained, likelihood = losses()
+    assert_allclose(likelihood, trained - sbm.dim * flow.num_flows * constant / sbm.n, rtol=1e-12)
+    # another last bit of the constant leaves the trained loss's bytes as they were
+    monkeypatch.setattr(graphs.NormalizedAdjacency, "log_abs_det", property(lambda adj: constant * (1 + 1e-15)))
+    moved_trained, moved_likelihood = losses()
+    assert moved_trained == trained
+    assert moved_likelihood != likelihood
 
 
 @pytest.mark.parametrize("kind", FLOW_KINDS)
@@ -1010,8 +1039,11 @@ def test_inference_route_never_factors(sbm, kind, tmp_path, monkeypatch):
     record = train(cfg, sbm, checkpoint_dir=tmp_path)
     mixing = training.KINDS[kind].mixing
     if mixing is training._invertible_mixing:
-        # the nonsingularity read at assembly; the loss reads the cached value
-        assert calls == [(sbm.n, sbm.n)]
+        # the nonsingularity read at assembly, over the complement of the eliminated
+        # independent set; the loss reads the cached value
+        rest = sbm.n - int(graphs.independent_set(graphs.normalize_row(sbm.graph).sparse).sum())
+        assert 0 < rest < sbm.n
+        assert calls == [(rest, rest)]
     else:
         # a learned source factors each stage of each epoch's loss forward once; no other source is factored
         stages = cfg.num_flows if mixing is training._attention else 0
