@@ -34,8 +34,7 @@ FORMAT_TAG = "gcflow-checkpoint-8"
 
 
 def save_checkpoint(path, tm: TrainedModel, graph):
-    """Write ``tm``, trained on ``graph``, to ``path``, through a temporary
-    file beside it that replaces ``path`` only once it is complete."""
+    """Write ``tm``, trained on ``graph``, to ``path`` through ``write_json``."""
     params = tm.model.params()
     payload = {
         "format": FORMAT_TAG,
@@ -58,17 +57,32 @@ def save_checkpoint(path, tm: TrainedModel, graph):
             "covs": tm.model.gmm.covs.tolist(),
             "mapping": tm.model.mapping.tolist(),
         }
+    return write_json(path, payload)
+
+
+def write_atomic(path, write):
+    """Call ``write`` on a text file opened under a temporary name beside
+    ``path``, then rename that file over ``path``: an interrupted write
+    leaves the previous file whole and no temporary file behind."""
     path = Path(path)
     partial = path.with_name(path.name + ".partial")
     try:
         with open(partial, "w") as fh:
-            json.dump(payload, fh, sort_keys=True)
-            fh.write("\n")
+            write(fh)
         os.replace(partial, path)
     except BaseException:
         partial.unlink(missing_ok=True)
         raise
     return str(path)
+
+
+def write_json(path, obj):
+    """``obj`` as one line of sorted-key JSON, written through ``write_atomic``."""
+    def dump(fh):
+        json.dump(obj, fh, sort_keys=True)
+        fh.write("\n")
+
+    return write_atomic(path, dump)
 
 
 def load_checkpoint(path, graph) -> TrainedModel:

@@ -18,6 +18,7 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
+from .checkpoint import load_checkpoint, write_atomic, write_json
 from .data import (
     SbmConfig, data_lines, generate_sbm, load_dataset, read_features, read_labels, save_dataset,
     write_features,
@@ -65,16 +66,16 @@ def build_train_config(config_path=None, overrides=None) -> TrainConfig:
 
 
 def write_metrics(path, metrics):
-    with open(path, "w") as fh:
-        json.dump(metrics, fh, sort_keys=True)
-        fh.write("\n")
+    write_json(path, metrics)
 
 
 def write_epoch_csv(path, record):
-    with open(path, "w") as fh:
+    def rows(fh):
         fh.write("epoch,loss,val_f1\n")
         for epoch, (loss, f1) in enumerate(zip(record.losses, record.val_f1s)):
             fh.write(f"{epoch},{loss!r},{f1!r}\n")
+
+    write_atomic(path, rows)
 
 
 # -- subcommands --------------------------------------------------------
@@ -104,8 +105,6 @@ def cmd_train(args):
 
 
 def _load_trained(checkpoint_path, data_path):
-    from .checkpoint import load_checkpoint
-
     dataset = load_dataset(data_path)
     return load_checkpoint(checkpoint_path, dataset.graph), dataset
 

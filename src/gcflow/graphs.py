@@ -5,9 +5,9 @@ before each constituent flow. Both normalizations add self-loops first, so a
 stored edge list never contains them. The adjacency itself is a CSR
 matrix built from the edge list. Its log absolute determinant enters the
 model's likelihood, and it is computed only when first read: one exact block
-elimination of an independent set of nodes, then a dense LU of the remaining
-nodes' Schur complement. That read is where a singular matrix raises
-``SingularMatrixError``, and damping (adding a small multiple of the
+elimination of an independent set of nodes, then a dense symmetric LDLᵀ of
+the remaining nodes' Schur complement. That read is where a singular matrix
+raises ``SingularMatrixError``, and damping (adding a small multiple of the
 identity) is the supported remediation.
 """
 
@@ -102,11 +102,12 @@ class NormalizedAdjacency:
     CSR matrix that ``mix`` multiplies feature matrices by. ``log_abs_det``
     is computed from its sparsity pattern on first read and cached: an
     independent set of nodes is eliminated exactly, and only the rest is
-    factored densely (see ``_shifted_log_abs_det``). Only a likelihood reads
-    it, so inference never pays for it, and that read is where a singular
-    matrix raises ``SingularMatrixError``. ``scheme`` records how the matrix
-    was built ("row-normalized" or "symmetric") and ``damping`` the multiple
-    of the identity added after normalization (0.0 when none).
+    factored densely, by a symmetric LDLᵀ (see ``_shifted_log_abs_det``).
+    Only a likelihood reads it, so inference never pays for it, and that read
+    is where a singular matrix raises ``SingularMatrixError``. ``scheme``
+    records how the matrix was built ("row-normalized" or "symmetric") and
+    ``damping`` the multiple of the identity added after normalization (0.0
+    when none).
     """
 
     def __init__(self, matrix, scheme, damping):
@@ -216,11 +217,13 @@ def _shifted_log_abs_det(pattern, damping):
     block over an ``independent_set`` I is the diagonal 1 + damping·d ≥ 1, so
     log|det B| = Σ_I log(1 + damping·d) + log|det S|, with the complement's
     S = B_RR − B_RI diag(1/(1 + damping·d_I)) B_IR built by sparse products.
-    Only S is densified and factored, by ``_lu_checked``: its pivots are held
-    against SINGULAR_THRESHOLD times S's largest entry, which is whole-number
-    scale, not against the normalized matrix's (at most 1 + damping). An
-    empty S is not factored. A second level of elimination would pivot on
-    S's diagonal without pivoting, so there is none.
+    Only S is densified and factored. S is symmetric and indefinite, so
+    ``_ldl_checked`` factors it (Bunch–Kaufman, half an LU's flops; a
+    Cholesky would fail): its pivots are held against SINGULAR_THRESHOLD
+    times S's largest entry, which is whole-number scale, not against the
+    normalized matrix's (at most 1 + damping). An empty S is not factored.
+    A second level of elimination would pivot on S's diagonal without
+    pivoting, so there is none.
     """
     inside = independent_set(pattern)
     outside = ~inside
@@ -234,7 +237,8 @@ def _shifted_log_abs_det(pattern, damping):
          - b_ri @ scipy.sparse.diags(1.0 / shift[inside]) @ b_ri.T)
     value = np.log(shift[inside]).sum() - np.log(d).sum()
     if s.shape[0]:
-        value += _lu_checked(s.toarray(order="F"))[1]
+        # S is symmetric, so its C-order array's transpose is S itself, in Fortran order
+        value += _ldl_checked(s.toarray().T)
     return float(value)
 
 
@@ -277,6 +281,39 @@ def _lu_checked(matrix):
     numerically singular.
     """
     m = np.asarray(matrix, dtype=np.float64)
+    scale = _checked_scale(m)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # scipy warns on exact singularity; the pivot check below handles it
+        factors = scipy.linalg.lu_factor(m, overwrite_a=True, check_finite=False)
+    return factors, _checked_log_abs_det(np.diag(factors[0]), scale)
+
+
+def _ldl_checked(matrix):
+    """log|det| of a symmetric matrix through LAPACK's Bunch–Kaufman LDLᵀ
+    (``dsytrf``), with the blocked workspace ``dsytrf_lwork`` asks for.
+
+    Only the upper triangle is read, and a Fortran-order float64 array is
+    factored in place, as by ``_lu_checked``. D is block diagonal: each 1 x 1
+    block is a pivot, and each 2 x 2 block, whose two rows ``ipiv`` marks
+    negative, gives two, its eigenvalues. Every pivot is held to
+    ``_lu_checked``'s rule, so a null direction inside a 2 x 2 block is caught.
+    """
+    m = np.asarray(matrix, dtype=np.float64)
+    scale = _checked_scale(m)
+    lwork = int(scipy.linalg.lapack.dsytrf_lwork(m.shape[0])[0])
+    factors, ipiv, _ = scipy.linalg.lapack.dsytrf(m, lwork=lwork, overwrite_a=1)
+    pivots = factors.diagonal().copy()
+    # a block's rows are adjacent, and upper storage keeps its off-diagonal entry above the diagonal
+    first = np.flatnonzero(ipiv < 0)[::2]
+    mean = 0.5 * (pivots[first] + pivots[first + 1])
+    radius = np.hypot(0.5 * (pivots[first] - pivots[first + 1]), factors[first, first + 1])
+    pivots[first], pivots[first + 1] = mean + radius, mean - radius
+    return _checked_log_abs_det(pivots, scale)
+
+
+def _checked_scale(m):
+    """The largest entry magnitude of a square float64 matrix; refuses a
+    non-square, non-finite or zero one."""
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ShapeError(f"log_abs_det needs a square matrix, got {m.shape}")
     # the extremes are NaN if any entry is and infinite if any entry is, so
@@ -287,15 +324,17 @@ def _lu_checked(matrix):
     scale = max(top, -bottom)
     if scale == 0.0:
         raise SingularMatrixError("zero matrix is singular")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # scipy warns on exact singularity; the pivot check below handles it
-        factors = scipy.linalg.lu_factor(m, overwrite_a=True, check_finite=False)
-    pivots = np.abs(np.diag(factors[0]))
+    return scale
+
+
+def _checked_log_abs_det(pivots, scale):
+    """Σ log|pivot|, once no pivot magnitude is below SINGULAR_THRESHOLD times ``scale``."""
+    pivots = np.abs(pivots)
     if np.any(pivots < SINGULAR_THRESHOLD * scale):
         raise SingularMatrixError(
             f"matrix is numerically singular (pivot below {SINGULAR_THRESHOLD:g} of max entry)"
         )
-    return factors, float(np.log(pivots).sum())
+    return float(np.log(pivots).sum())
 
 
 def log_abs_det(matrix):

@@ -236,7 +236,7 @@ def _fixed_mixing(cfg, graph, damping_used):
 
 def _invertible_mixing(cfg, graph, damping_used):
     """``_fixed_mixing`` for a likelihood. Unless ``damping_used`` replays it, its log|det| is read here (the one
-    set-up LU, of the nodes an eliminated independent set leaves); a singular one is rebuilt at ``DEFAULT_DAMPING``."""
+    set-up LDLᵀ, of nodes an eliminated independent set leaves); a singular one is rebuilt at ``DEFAULT_DAMPING``."""
     adj = _fixed_mixing(cfg, graph, damping_used)
     if damping_used is None:
         try:

@@ -1,6 +1,6 @@
 """Reference implementations the optimized code is checked against: dense
 adjacency constructions, the sequential greedy independent set, the identity mixing matrix and a dense mixing
-source, attention logits drawn at random, a counter of the dense factorizations the graph module runs, the
+source, attention logits drawn at random, a counter of the dense LU and LDLᵀ factorizations the graph module runs, the
 dense n x n mixing route of the attention source, an MLP and a coupling
 update built from unfused ops, per-vector mixture densities and a dense Gaussian density,
 the metric routes of confusion counts, quadratic loops, contingency sums and pair enumeration,
@@ -79,16 +79,16 @@ def with_random_logits(source, seed):
 
 
 def count_factorizations(monkeypatch):
-    """Record the shape of every LU the graph module runs; returns the
-    list, which grows as factorizations happen."""
+    """Record every dense factorization the graph module runs, as the pair
+    ("lu" or "ldl", shape of the matrix); returns the list, which grows as
+    factorizations happen."""
     calls = []
-    lu = graphs._lu_checked
+    for name, attr in (("lu", "_lu_checked"), ("ldl", "_ldl_checked")):
+        def counted(matrix, name=name, factor=getattr(graphs, attr)):
+            calls.append((name, np.shape(matrix)))
+            return factor(matrix)
 
-    def counted(matrix):
-        calls.append(np.shape(matrix))
-        return lu(matrix)
-
-    monkeypatch.setattr(graphs, "_lu_checked", counted)
+        monkeypatch.setattr(graphs, attr, counted)
     return calls
 
 

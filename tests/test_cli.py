@@ -1,12 +1,14 @@
 import json
+import os
 import re
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from gcflow import evalkit
-from gcflow.cli import build_train_config, main, read_config_file
+from gcflow.cli import build_train_config, main, read_config_file, write_epoch_csv, write_metrics
 from gcflow.data import SbmConfig, generate_sbm, read_features, save_dataset
 from gcflow.errors import ConfigError, FormatError
 
@@ -185,6 +187,38 @@ def test_a_run_that_fails_before_training_leaves_no_older_record_behind(synth_di
     assert main(train + ["--set", "pca_dim=50"]) == 1
     assert "cannot keep 50 directions" in capsys.readouterr().err
     assert list(out.iterdir()) == []
+
+
+class Interrupted(Exception):
+    pass
+
+
+def interrupted_rows():
+    yield 0.5
+    raise Interrupted
+
+
+@pytest.mark.parametrize("where", ["mid-write", "before-rename"])
+def test_an_interrupted_run_file_write_leaves_the_previous_file_whole(trained_dir, tmp_path, monkeypatch, where):
+    metrics, epochs = tmp_path / "metrics.json", tmp_path / "epochs.csv"
+    for path in (metrics, epochs):
+        path.write_bytes((trained_dir / path.name).read_bytes())
+    before = {path: path.read_bytes() for path in (metrics, epochs)}
+    if where == "mid-write":
+        # the encoder and the rows fail after part of the new file is written
+        payload, rows, errors = {"a": 1.0, "b": object()}, interrupted_rows(), (TypeError, Interrupted)
+    else:
+        def cut(src, dst):
+            raise Interrupted
+
+        monkeypatch.setattr(os, "replace", cut)
+        payload, rows, errors = {"status": "new"}, [0.5, 0.75, 1.0], (Interrupted, Interrupted)
+    with pytest.raises(errors[0]):
+        write_metrics(metrics, payload)
+    with pytest.raises(errors[1]):
+        write_epoch_csv(epochs, SimpleNamespace(losses=[1.0, 0.5, 0.25], val_f1s=rows))
+    assert {path: path.read_bytes() for path in before} == before
+    assert sorted(tmp_path.iterdir()) == [epochs, metrics]
 
 
 @pytest.fixture(scope="module")

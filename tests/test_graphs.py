@@ -270,6 +270,41 @@ def test_normalized_log_abs_det_identity_on_random_graphs(n, density, epsilon, n
     assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
 
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(half=st.integers(1, 15), form=st.sampled_from(["dense", "bipartite"]), deficit=st.integers(0, 2),
+       seed=st.integers(0, 2**32 - 1))
+@example(half=1, form="bipartite", deficit=0, seed=0)  # one 2 x 2 block and nothing else
+@example(half=6, form="bipartite", deficit=1, seed=1)  # singular, every pivot a 2 x 2 block
+def test_ldl_matches_the_dense_lu_on_zero_diagonal_symmetric_matrices(half, form, deficit, seed):
+    # a zero diagonal leaves Bunch-Kaufman no 1 x 1 pivot to start with, so it takes 2 x 2 blocks
+    rng = np.random.default_rng(seed)
+    n = 2 * half
+    if form == "dense":
+        deficit = 0
+        x = rng.normal(size=(n, n))
+        m = x + x.T
+        np.fill_diagonal(m, 0.0)
+    else:
+        # [[0, B], [B^T, 0]] keeps a zero diagonal through every elimination step, so
+        # each pivot is a 2 x 2 block, and a B of rank half - deficit puts the exact
+        # null directions inside one
+        deficit = min(deficit, half - 1)
+        b = rng.normal(size=(half, half - deficit)) @ rng.normal(size=(half - deficit, half))
+        m = np.block([[np.zeros((half, half)), b], [b.T, np.zeros((half, half))]])
+    order = rng.permutation(n)
+    m = m[np.ix_(order, order)]
+    try:
+        want = graphs.log_abs_det(m)
+    except SingularMatrixError:
+        assert deficit > 0
+        with pytest.raises(SingularMatrixError, match="numerically singular"):
+            graphs._ldl_checked(np.asfortranarray(m))
+        return
+    assert deficit == 0
+    got = graphs._ldl_checked(np.asfortranarray(m))
+    assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+
 @settings(derandomize=True, deadline=None, max_examples=120)
 @given(
     n=st.integers(1, 12),
@@ -331,8 +366,8 @@ def test_log_abs_det_is_factored_once_on_first_read(monkeypatch):
     assert calls == []
     first = adj.log_abs_det
     assert adj.log_abs_det == first
-    # the path's two ends are eliminated: only its middle node is factored
-    assert calls == [(1, 1)]
+    # the path's two ends are eliminated: only its middle node is factored, symmetrically
+    assert calls == [("ldl", (1, 1))]
 
 
 @settings(derandomize=True, deadline=None, max_examples=120)
@@ -372,7 +407,7 @@ def test_a_star_factors_only_its_centre(norm, monkeypatch):
         assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
         assert_allclose(got, math.log(abs(1 + 7 * epsilon - 6 / (1 + 2 * epsilon)))
                         + 6 * math.log(1 + 2 * epsilon) - 6 * math.log(2) - math.log(7), rtol=1e-14)
-    assert calls == [(1, 1), (1, 1)]
+    assert calls == [("ldl", (1, 1))] * 2
 
 
 @pytest.mark.parametrize("norm", [graphs.normalize_row, graphs.normalize_sym])

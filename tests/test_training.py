@@ -1039,15 +1039,15 @@ def test_inference_route_never_factors(sbm, kind, tmp_path, monkeypatch):
     record = train(cfg, sbm, checkpoint_dir=tmp_path)
     mixing = training.KINDS[kind].mixing
     if mixing is training._invertible_mixing:
-        # the nonsingularity read at assembly, over the complement of the eliminated
-        # independent set; the loss reads the cached value
+        # the nonsingularity read at assembly, one LDLᵀ over the complement of the
+        # eliminated independent set; the loss reads the cached value
         rest = sbm.n - int(graphs.independent_set(graphs.normalize_row(sbm.graph).sparse).sum())
         assert 0 < rest < sbm.n
-        assert calls == [(rest, rest)]
+        assert calls == [("ldl", (rest, rest))]
     else:
-        # a learned source factors each stage of each epoch's loss forward once; no other source is factored
+        # a learned source LU-factors each stage of each epoch's loss forward once; no other source is factored
         stages = cfg.num_flows if mixing is training._attention else 0
-        assert calls == [(sbm.n, sbm.n)] * (stages * record.epochs_run)
+        assert calls == [("lu", (sbm.n, sbm.n))] * (stages * record.epochs_run)
     calls.clear()
     tm = load_checkpoint(record.checkpoint_path, sbm.graph)
     representation(tm, sbm)
