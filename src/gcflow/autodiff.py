@@ -2,9 +2,11 @@
 
 An operation computes its value and hands ``make_node`` its inputs with one
 vector-Jacobian function per input: the output's gradient in, that input's
-share of the gradient, in the input's shape, out. The recorded graph is the
-tape. ``make_node`` alone turns these into a backward step: it calls only
-the functions of inputs that need grad, accumulates what they return, and
+share of the gradient, in the input's shape, out. An op whose shares come
+from one computation hands one function instead, which returns every
+input's share at once. The recorded graph is the tape. ``make_node`` alone
+turns these into a backward step: it calls only the functions of inputs
+that need grad, accumulates what they return, and
 refers to the output only weakly, so a tape has no reference cycles and is
 freed as soon as its last reference is dropped, not whenever the cyclic
 garbage collector next runs. ``Tensor.backward`` replays the tape in reverse
@@ -45,8 +47,9 @@ from .errors import DomainError, ShapeError
 # False inside ``no_grad``; a context variable, so threads and tasks each see their own
 _recording = contextvars.ContextVar("gcflow_autodiff_recording", default=True)
 
-# rows per product in ``affine`` and per block of the tape-free inference
-# route (``flows.GcFlowModel.latents``): a 512 x 64 float64 block is 256 KiB
+# rows per block of a coupling net's taped forward and backward (``flows.Mlp``)
+# and of the tape-free inference route (``flows.GcFlowModel.latents``): a
+# 512 x 64 float64 block is 256 KiB
 ROW_BLOCK = 512
 
 
@@ -205,9 +208,11 @@ def no_grad():
 
 def make_node(data, parents, vjps, op="custom") -> Tensor:
     """Create an op-result tensor from its value, its parents and one
-    vector-Jacobian function per parent; recorded on the tape only when a
-    parent needs grad and no ``no_grad`` block is active. A share that owns
-    its memory and is not the output gradient is handed over, not copied."""
+    vector-Jacobian function per parent, or one function that returns every
+    parent's share at once (None for a parent that needs no grad); recorded
+    on the tape only when a parent needs grad and no ``no_grad`` block is
+    active. A share that owns its memory and is not the output gradient is
+    handed over, not copied."""
     out = Tensor(data)
     if _recording.get() and any(p.requires_grad for p in parents):
         parents = tuple(parents)
@@ -218,9 +223,10 @@ def make_node(data, parents, vjps, op="custom") -> Tensor:
 
         def backward():
             g = ref().grad
-            for parent, vjp in zip(parents, vjps):
+            shares = vjps(g) if callable(vjps) else (vjp(g) if parent.requires_grad else None
+                                                     for parent, vjp in zip(parents, vjps))
+            for parent, share in zip(parents, shares):
                 if parent.requires_grad:
-                    share = vjp(g)
                     parent.accumulate(share, owned=type(share) is np.ndarray and share.base is None
                                       and share is not g and share.dtype == np.float64
                                       and share.shape == parent.data.shape)
@@ -279,25 +285,6 @@ def matmul(a, b):
     return make_node(a.data @ b.data, (a, b), (lambda g: g @ b.data.T, lambda g: a.data.T @ g), "matmul")
 
 
-def affine(x, w, b):
-    """``x @ w + b`` as one node, the bias broadcast over the rows: one
-    product and an in-place add, where ``matmul`` then ``add`` make two
-    nodes and two n x k arrays. The product is taken ``ROW_BLOCK`` rows at a
-    time, as the tape-free route takes it, since BLAS may round a block's
-    product differently in the last bit from the whole one's."""
-    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
-    if x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[0]:
-        raise ShapeError(f"affine: incompatible shapes {x.shape} @ {w.shape}")
-    if b.shape not in ((w.shape[1],), (1, w.shape[1])):
-        raise ShapeError(f"affine: bias of shape {b.shape} for {w.shape[1]} outputs")
-    out = np.empty((x.shape[0], w.shape[1]))
-    for r in range(0, x.shape[0], ROW_BLOCK):
-        np.matmul(x.data[r:r + ROW_BLOCK], w.data, out=out[r:r + ROW_BLOCK])
-    out += b.data
-    return make_node(out, (x, w, b), (lambda g: g @ w.data.T, lambda g: x.data.T @ g,
-                                      lambda g: _unbroadcast(g, b.shape)), "affine")
-
-
 def sparse_matmul(pattern, values, x):
     """``A @ x``, where A has the CSR structure of ``pattern`` (whose own
     stored entries are ignored) and the stored entries ``values``. For the
@@ -347,7 +334,7 @@ def _tanh_vjp(y, g):
 def tanh(a, overwrite=False):
     """Elementwise tanh. With ``overwrite`` the result is written into
     ``a``'s array, for an ``a`` whose value no backward step reads and no
-    caller keeps, such as an ``affine`` output: the tape then holds one
+    caller keeps, such as a coupling net's output: the tape then holds one
     array where it would hold two."""
     a = as_tensor(a)
     value = np.tanh(a.data, out=a.data if overwrite else None)

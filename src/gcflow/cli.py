@@ -82,19 +82,25 @@ def write_epoch_csv(path, record):
 
 
 def cmd_train(args):
-    dataset = load_dataset(args.data)
-    cfg = build_train_config(args.config, args.set)
     out = Path(args.out)
-    # as ``train`` deletes an older checkpoint, so a failed run leaves no older run's record
+    # an older run's files go before anything can fail, so a failed run leaves none of them
     if out.is_dir():
-        for name in ("metrics.json", "epochs.csv"):
+        for name in ("metrics.json", "epochs.csv", "checkpoint.json"):
             (out / name).unlink(missing_ok=True)
     try:
-        record = train(cfg, dataset, checkpoint_dir=out)
+        cfg = build_train_config(args.config, args.set)
+        record = train(cfg, load_dataset(args.data), checkpoint_dir=out)
     except DivergedError as exc:
         # keep the epochs that ran; main reports the error and exits 1
         write_metrics(out / "metrics.json", {**exc.record.metrics_dict(), "status": "diverged"})
         write_epoch_csv(out / "epochs.csv", exc.record)
+        raise
+    except GcFlowError as exc:
+        # any other failure, before the first epoch or after the last, says what it was in a
+        # directory that exists by then; a run refused before ``train`` made one leaves none
+        if out.is_dir():
+            write_metrics(out / "metrics.json", {"status": "failed", "error": type(exc).__name__,
+                                                 "message": str(exc)})
         raise
     write_metrics(out / "metrics.json", record.metrics_dict())
     write_epoch_csv(out / "epochs.csv", record)

@@ -13,16 +13,21 @@ by the couplings and a shared part contributed by the adjacency matrices
 the full map numerically and takes the determinant of the resulting
 (n*D) x (n*D) Jacobian.
 
+Each coupling net is one tape node whose value is ``Mlp.apply`` taken
+``autodiff.ROW_BLOCK`` rows at a time. The tape keeps no hidden activation:
+backward recomputes each block's hidden layers and passes the gradient back
+through them while they are in cache.
+
 Inference has its own route, ``GcFlowModel.latents``, in plain numpy: no
 tape, no log-determinant. Only the mixing reads other rows, so each stage
 mixes once and then runs its coupling stack over blocks of
 ``autodiff.ROW_BLOCK`` rows, each updated in place by ``CouplingLayer.apply``
 and ``Mlp.apply``, and no coupling temporary is larger than a block. They
-apply the taped forward's operations in the same order, and
-``autodiff.affine`` multiplies in the same row blocks, so both routes give
-the same latents byte for byte. Run as the taped ops under ``no_grad``
-instead, the route took about 1.6 ms more per ``infer`` request, the cost
-of a ``Tensor`` per operation per block.
+apply the taped forward's operations in the same order, and the taped nets
+run ``Mlp.apply`` on the same row blocks, so both routes give the same
+latents byte for byte. Run as the taped ops under ``no_grad`` instead, the
+route took about 1.6 ms more per ``infer`` request, the cost of a
+``Tensor`` per operation per block.
 """
 
 from __future__ import annotations
@@ -64,23 +69,72 @@ class Mlp:
         self.biases = [ad.Tensor(np.zeros((1, w)), requires_grad=True) for w in widths[1:]]
 
     def __call__(self, x, rng=None):
-        last = len(self.weights) - 1
-        for k, (w, b) in enumerate(zip(self.weights, self.biases)):
-            x = ad.affine(x, w, b)
-            if k < last:
-                x = ad.dropout(ad.tanh(x, overwrite=True), self.dropout, rng)
-        return x
+        """The net as one tape node, its value ``apply`` taken
+        ``autodiff.ROW_BLOCK`` rows at a time. Dropout, given an rng, draws
+        one keep mask over all rows per hidden layer, in layer order. The
+        tape keeps the input, the output and those bool masks alone;
+        ``_shares`` recomputes the hidden layers in backward."""
+        x = ad.as_tensor(x)
+        if x.data.ndim != 2 or x.shape[1] != self.widths[0]:
+            raise ShapeError(f"MLP of input width {self.widths[0]} given shape {x.shape}")
+        n = x.shape[0]
+        keeps = None
+        if rng is not None and self.dropout > 0.0:
+            keeps = [rng.random((n, w)) >= self.dropout for w in self.widths[1:-1]]
+        out = np.empty((n, self.widths[-1]))
+        for r in range(0, n, ad.ROW_BLOCK):
+            rows = slice(r, r + ad.ROW_BLOCK)
+            out[rows] = self.apply(x.data[rows], keeps and [keep[rows] for keep in keeps])
+        return ad.make_node(out, (x, *self.weights, *self.biases), lambda g: self._shares(x, keeps, g), "mlp")
 
-    def apply(self, x):
-        """``__call__`` with no dropout on a plain array, recording no tape:
-        ``x @ w``, then ``+= b``, then ``tanh`` in place, as ``affine`` and
-        ``tanh(overwrite=True)`` compute them."""
-        last = len(self.weights) - 1
-        for k, (w, b) in enumerate(zip(self.weights, self.biases)):
+    def _shares(self, x, keeps, g):
+        """The input's, weights' and biases' shares of the output gradient
+        ``g``, block by block in row order: recompute the block's hidden
+        layers, pass ``g`` back through them, write the block's input share
+        and add its weight and bias shares into one buffer each. The same
+        arithmetic as a product, bias add, tanh and dropout node per layer,
+        so equal to theirs bit for bit up to ``autodiff.ROW_BLOCK`` rows."""
+        gx = np.empty_like(x.data) if x.requires_grad else None
+        gw, gb = ([np.zeros_like(p.data) for p in params] for params in (self.weights, self.biases))
+        for r in range(0, x.shape[0], ad.ROW_BLOCK):
+            rows = slice(r, r + ad.ROW_BLOCK)
+            hidden = []
+            self._hidden(x.data[rows], keeps and [keep[rows] for keep in keeps], hidden)
+            inputs = [x.data[rows]] + [y for _, y in hidden]
+            grad = g[rows]
+            for k in reversed(range(len(self.weights))):
+                gw[k] += inputs[k].T @ grad
+                gb[k] += grad.sum(axis=0, keepdims=True)
+                if k:
+                    grad = grad @ self.weights[k].data.T
+                    if keeps:
+                        grad = grad * (keeps[k - 1][rows] / (1.0 - self.dropout))
+                    grad = ad._tanh_vjp(hidden[k - 1][0], grad)
+            if gx is not None:
+                gx[rows] = grad @ self.weights[0].data.T
+        return (gx, *gw, *gb)
+
+    def _hidden(self, x, keeps=None, seen=None):
+        """The hidden layers on a plain array: ``x @ w``, then ``+= b``, then
+        ``tanh`` in place and, with ``keeps``, dropout's multiply by
+        ``keep / (1 - dropout)``. ``seen``, a list, receives each layer's
+        tanh output and the next layer's input."""
+        for k, (w, b) in enumerate(zip(self.weights[:-1], self.biases[:-1])):
             x = x @ w.data
             x += b.data
-            if k < last:
-                np.tanh(x, out=x)
+            np.tanh(x, out=x)
+            y = x if keeps is None else x * (keeps[k] / (1.0 - self.dropout))
+            if seen is not None:
+                seen.append((x, y))
+            x = y
+        return x
+
+    def apply(self, x, keeps=None):
+        """The net on a plain array, recording no tape: the hidden layers,
+        then ``x @ w`` and ``+= b`` for the output layer. With no ``keeps``
+        (one dropout keep mask per hidden layer) it is inference."""
+        x = self._hidden(x, keeps) @ self.weights[-1].data
+        x += self.biases[-1].data
         return x
 
     def params(self):

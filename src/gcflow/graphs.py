@@ -187,23 +187,35 @@ def independent_set(pattern):
 
     It runs in vectorized rounds over the edges: an undecided node whose key
     is below every undecided neighbour's joins, and its neighbours leave.
-    That gives the sequential greedy's set, with no rng.
+    That gives the sequential greedy's set, with no rng. On a chain ordered
+    by id a round admits one node per chain end, so once a round admits
+    fewer than one undecided node in 64, one sequential pass in key order
+    decides the rest: the nodes still undecided have no chosen neighbour, so
+    it picks what the sequential greedy would.
     """
     n = pattern.shape[0]
     src, dst = np.repeat(np.arange(n), np.diff(pattern.indptr)), pattern.indices
     src, dst = src[src != dst], dst[src != dst]
+    order = np.argsort(np.bincount(src, minlength=n), kind="stable")
     rank = np.empty(n, dtype=np.intp)
-    rank[np.argsort(np.bincount(src, minlength=n), kind="stable")] = np.arange(n)
+    rank[order] = np.arange(n)
     chosen, undecided = np.zeros(n, dtype=bool), np.ones(n, dtype=bool)
     while undecided.any():
         joins = undecided.copy()
         joins[src[rank[dst] < rank[src]]] = False
+        if 64 * np.count_nonzero(joins) < np.count_nonzero(undecided):
+            break
         chosen |= joins
         undecided &= ~joins
         undecided[dst[joins[src]]] = False
         # only edges between undecided nodes can decide a later round
         live = undecided[src] & undecided[dst]
         src, dst = src[live], dst[live]
+    indptr, indices = pattern.indptr.tolist(), pattern.indices
+    for node in order[undecided[order]].tolist():
+        if undecided[node]:
+            chosen[node] = True
+            undecided[indices[indptr[node]:indptr[node + 1]]] = False
     return chosen
 
 

@@ -45,11 +45,14 @@ def normalized_dense(g, scheme, damping=0.0):
 def greedy_independent_set(g):
     """Nodes visited one at a time by (degree, node id), each taken unless
     a neighbour already was; a boolean mask."""
-    a = adjacency_dense(g) > 0
-    taken = np.zeros(g.n, dtype=bool)
-    for v in sorted(range(g.n), key=lambda v: (a[v].sum(), v)):
-        taken[v] = not (a[v] & taken).any()
-    return taken
+    neighbours = [[] for _ in range(g.n)]
+    for i, j in g.edges.tolist():
+        neighbours[i].append(j)
+        neighbours[j].append(i)
+    taken = [False] * g.n
+    for v in sorted(range(g.n), key=lambda v: (len(neighbours[v]), v)):
+        taken[v] = not any(taken[u] for u in neighbours[v])
+    return np.array(taken, dtype=bool)
 
 
 def identity_adjacency(n):

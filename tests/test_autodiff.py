@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from gcflow import autodiff as ad, graphs
+from gcflow import autodiff as ad, flows, graphs
 from gcflow.errors import DomainError, ShapeError
 from oracles import concat_cols, couple_unfused, full_pattern, scatter_matrix
 
@@ -28,10 +28,6 @@ def test_matmul_hand_case():
 def test_matmul_shape_mismatch():
     with pytest.raises(ShapeError):
         ad.matmul(ad.Tensor(np.ones((2, 3))), ad.Tensor(np.ones((2, 3))))
-    with pytest.raises(ShapeError):
-        ad.affine(np.ones((2, 3)), np.ones((2, 3)), np.zeros(3))
-    with pytest.raises(ShapeError):
-        ad.affine(np.ones((2, 3)), np.ones((3, 4)), np.zeros((2, 4)))
 
 
 def test_backward_square():
@@ -59,11 +55,11 @@ RECORDING_OPS = {
     "mul": lambda x: x * x,
     "div": lambda x: ad.div(1.0, x),
     "matmul": lambda x: x @ x,
-    "affine": lambda x: ad.affine(x, x, ad.tsum(x, 0)),
+    "mlp": lambda x: flows.Mlp([3, 4, 4, 3], np.random.default_rng(0), dropout=0.3)(x, np.random.default_rng(1)),
     "sparse_matmul": lambda x: ad.sparse_matmul(full_pattern(3), ad.reshape(x, (9,)), x),
     "exp": ad.exp,
     "tanh": ad.tanh,
-    "tanh_overwrite": lambda x: ad.tanh(ad.affine(x, x, ad.tsum(x, 0)), overwrite=True),
+    "tanh_overwrite": lambda x: ad.tanh(x @ x + ad.tsum(x, 0), overwrite=True),
     "relu": ad.relu,
     "couple": lambda x: ad.couple(x, ad.slice_cols(x, 0, 2), ad.slice_cols(x, 1, 3), slice(1, 3)),
     "logsumexp_rows": ad.logsumexp_rows,
@@ -295,7 +291,7 @@ def test_tanh_overwrite_equals_tanh_bit_for_bit_and_writes_into_its_input():
     runs = []
     for overwrite in (False, True):
         ad.zero_grads([x, w, b])
-        pre = ad.affine(x, w, b)
+        pre = ad.matmul(x, w) + b
         out = ad.tanh(pre, overwrite=overwrite)
         ad.tsum(out * weights).backward()
         assert np.shares_memory(out.data, pre.data) == overwrite
@@ -470,17 +466,6 @@ def test_matmul_over_random_shapes(m, k, n, seed):
     a = ad.Tensor(rng.normal(size=(m, k)), requires_grad=True)
     b = ad.Tensor(rng.normal(size=(k, n)), requires_grad=True)
     assert ad.grad_check(lambda: weighted_sum(ad.matmul(a, b), np.random.default_rng(seed)), [a, b]) < 1e-6
-
-
-@FD_SETTINGS
-@given(m=st.integers(1, 4), k=st.integers(1, 4), n=st.integers(1, 4), row=st.booleans(), seed=SEEDS)
-def test_affine_over_random_shapes(m, k, n, row, seed):
-    rng = np.random.default_rng(seed)
-    x = ad.Tensor(rng.normal(size=(m, k)), requires_grad=True)
-    w = ad.Tensor(rng.normal(size=(k, n)), requires_grad=True)
-    b = ad.Tensor(rng.normal(size=(1, n) if row else (n,)), requires_grad=True)
-    assert np.array_equal(ad.affine(x, w, b).data, x.data @ w.data + b.data)
-    assert ad.grad_check(lambda: weighted_sum(ad.affine(x, w, b), np.random.default_rng(seed)), [x, w, b]) < 1e-6
 
 
 @FD_SETTINGS

@@ -170,8 +170,11 @@ def test_a_diverged_run_leaves_no_older_checkpoint_behind(synth_dir, tmp_path, c
     assert main(train) == 0
     assert (out / "checkpoint.json").exists()
     assert main(train + ["--set", "lr=1e8"]) == 1
-    assert json.loads((out / "metrics.json").read_text())["status"] == "diverged"
+    metrics = json.loads((out / "metrics.json").read_text())
+    assert metrics["status"] == "diverged"
     assert not (out / "checkpoint.json").exists()
+    # the epochs file is the diverged run's, not the five epochs before it
+    assert len((out / "epochs.csv").read_text().splitlines()) == 1 + metrics["epochs_run"] < 1 + 5
     capsys.readouterr()
     assert main(["eval", "--checkpoint", str(out / "checkpoint.json"), "--data", str(synth_dir / "manifest.json")]) == 1
     assert "checkpoint.json" in capsys.readouterr().err
@@ -183,10 +186,32 @@ def test_a_run_that_fails_before_training_leaves_no_older_record_behind(synth_di
     assert main(train + ["--set", "epochs=5"]) == 0
     assert {path.name for path in out.iterdir()} == {"metrics.json", "epochs.csv", "checkpoint.json"}
     capsys.readouterr()
-    # wider than the features: refused before the first epoch
+    # wider than the features: refused before the first epoch, with the reason on record
     assert main(train + ["--set", "pca_dim=50"]) == 1
-    assert "cannot keep 50 directions" in capsys.readouterr().err
-    assert list(out.iterdir()) == []
+    err = capsys.readouterr().err
+    assert "cannot keep 50 directions" in err
+    assert [path.name for path in out.iterdir()] == ["metrics.json"]
+    metrics = json.loads((out / "metrics.json").read_text())
+    assert metrics == {"status": "failed", "error": "ShapeError", "message": metrics["message"]}
+    assert f"gcflow: error: {metrics['message']}\n" == err
+
+
+def test_a_run_that_fails_in_evaluate_leaves_only_its_failure_record(synth_dir, tmp_path, capsys, monkeypatch):
+    from gcflow import training
+
+    out = tmp_path / "run"
+    train = ["train", "--data", str(synth_dir / "manifest.json"), "--out", str(out),
+             "--set", "model=gcflow", "--set", "hidden=8", "--set", "epochs=3"]
+    assert main(train) == 0
+    # latents that went non-finite after the last epoch fail k-means's own check
+    monkeypatch.setattr(training, "kmeans", lambda z, k, seed: evalkit.kmeans(z * np.nan, k, seed=seed))
+    capsys.readouterr()
+    assert main(train) == 1
+    assert "non-finite" in capsys.readouterr().err
+    assert [path.name for path in out.iterdir()] == ["metrics.json"]
+    metrics = json.loads((out / "metrics.json").read_text())
+    assert metrics["status"] == "failed" and metrics["error"] == "DomainError"
+    assert "non-finite" in metrics["message"]
 
 
 class Interrupted(Exception):
@@ -284,10 +309,18 @@ def test_checkpoint_rejects_a_pca_projection_that_disagrees_with_pca_dim(
 def test_em_train_without_a_class_in_the_training_split_fails(tmp_path, capsys):
     ds = generate_sbm(SbmConfig(seed=0))
     manifest = save_dataset(replace(ds, train_mask=ds.train_mask & (ds.labels != 2)), tmp_path / "ds")
-    rc = main(["train", "--data", manifest, "--out", str(tmp_path / "run"), "--set", "model=gmm-x"])
+    out = tmp_path / "run"
+    out.mkdir()
+    for name in ("metrics.json", "epochs.csv", "checkpoint.json"):
+        (out / name).write_text("an older run's\n")
+    rc = main(["train", "--data", manifest, "--out", str(out), "--set", "model=gmm-x"])
     assert rc == 1
     assert "class 2 has no training node" in capsys.readouterr().err
-    assert not (tmp_path / "run" / "metrics.json").exists()
+    # a ConfigError inside train: its record alone, no older run's file
+    assert [path.name for path in out.iterdir()] == ["metrics.json"]
+    metrics = json.loads((out / "metrics.json").read_text())
+    assert metrics["status"] == "failed" and metrics["error"] == "ConfigError"
+    assert metrics["message"].startswith("class 2 has no training node")
 
 
 def test_unknown_flag_fails_with_usage(capsys):

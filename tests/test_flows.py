@@ -1,3 +1,4 @@
+import functools
 import tracemalloc
 from collections import Counter
 
@@ -67,19 +68,87 @@ def test_tanh_saturation_is_exact():
     assert np.tanh(20.0) == 1.0
 
 
+class MaskSlices:
+    """Stands in for the rng of an unfused run on one row block: each draw
+    hands over that block's rows of the next mask the whole run drew."""
+
+    def __init__(self, masks, rows):
+        self.slices = [mask[rows] for mask in masks]
+
+    def random(self, shape):
+        return self.slices.pop(0)
+
+
+def run_mlp(net, mlp, x, weights, rng=None):
+    """``net``'s output on ``x`` and every gradient of ``sum(out * weights)``,
+    parameters first, then the input's when it needs one."""
+    leaves = mlp.params() + [x] * x.requires_grad
+    ad.zero_grads(leaves)
+    out = net(x, rng=rng)
+    ad.tsum(out * weights).backward()
+    return [out.data] + [p.grad.copy() for p in leaves]
+
+
+# one, two and three layers: no hidden layer, one, and a hidden-to-hidden product
+MLP_WIDTHS = ([6, 4], [6, 9, 4], [6, 9, 9, 4])
+
+
 @pytest.mark.parametrize("dropout", [0.0, 0.3])
 def test_mlp_affine_layers_equal_the_unfused_ops_bit_for_bit(dropout):
-    rng = np.random.default_rng(5)
-    mlp = flows.Mlp([6, 9, 9, 4], rng, dropout=dropout)
-    x = ad.Tensor(rng.normal(size=(13, 6)), requires_grad=True)
-    weights = ad.Tensor(rng.normal(size=(13, 4)))
-    runs = []
-    for net in (mlp, lambda t, **kw: mlp_unfused(mlp, t, **kw)):
-        ad.zero_grads(mlp.params() + [x])
-        out = net(x, rng=np.random.default_rng(1))
-        ad.tsum(out * weights).backward()
-        runs.append([out.data] + [p.grad.copy() for p in mlp.params() + [x]])
-    assert all(np.array_equal(a, b) for a, b in zip(*runs))
+    # up to one row block the node sums every gradient as a node per op does
+    for widths in MLP_WIDTHS:
+        rng = np.random.default_rng(5)
+        mlp = flows.Mlp(widths, rng, dropout=dropout)
+        for needs_grad in (True, False):
+            x = ad.Tensor(rng.normal(size=(13, 6)), requires_grad=needs_grad)
+            weights = ad.Tensor(rng.normal(size=(13, 4)))
+            runs = [run_mlp(net, mlp, x, weights, np.random.default_rng(1))
+                    for net in (mlp, lambda t, **kw: mlp_unfused(mlp, t, **kw))]
+            assert all(np.array_equal(a, b) for a, b in zip(*runs))
+
+
+@pytest.mark.parametrize("dropout", [0.0, 0.3])
+def test_an_mlp_over_several_row_blocks_equals_the_unfused_ops_block_by_block(dropout):
+    # the unfused ops on each 512-row slice, their parameter gradients summed
+    # in row order, are the node's arithmetic over three blocks
+    n, block = 2 * ad.ROW_BLOCK + 3, ad.ROW_BLOCK
+    for widths in MLP_WIDTHS:
+        rng = np.random.default_rng(8)
+        mlp = flows.Mlp(widths, rng, dropout=dropout)
+        x = ad.Tensor(rng.normal(size=(n, 6)), requires_grad=True)
+        weights = rng.normal(size=(n, 4))
+        got = run_mlp(mlp, mlp, x, ad.Tensor(weights), np.random.default_rng(1))
+        draws = np.random.default_rng(1)
+        masks = [draws.random((n, w)) for w in widths[1:-1]] if dropout else []
+        parts = [run_mlp(lambda t, **kw: mlp_unfused(mlp, t, **kw), mlp,
+                         ad.Tensor(x.data[r:r + block], requires_grad=True), ad.Tensor(weights[r:r + block]),
+                         MaskSlices(masks, slice(r, r + block)) if dropout else None)
+                 for r in range(0, n, block)]
+        outs, *shares, grads_x = zip(*parts)
+        want = [np.concatenate(outs), *(functools.reduce(np.add, share) for share in shares), np.concatenate(grads_x)]
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def test_an_mlp_records_one_node_and_a_second_backward_doubles_its_gradients():
+    rng = np.random.default_rng(9)
+    mlp = flows.Mlp([3, 7, 7, 2], rng, dropout=0.2)
+    x = ad.Tensor(rng.normal(size=(ad.ROW_BLOCK + 5, 3)), requires_grad=True)
+    out = mlp(x, rng=np.random.default_rng(2))
+    assert out._op == "mlp" and out._parents == (x, *mlp.weights, *mlp.biases)
+    loss = ad.tsum(out * out)
+    loss.backward()
+    first = [p.grad.copy() for p in mlp.params() + [x]]
+    loss.backward()
+    assert all(np.array_equal(p.grad, 2.0 * g) for p, g in zip(mlp.params() + [x], first))
+    with ad.no_grad():
+        quiet = mlp(x, rng=np.random.default_rng(2))
+    assert quiet._parents == () and quiet._backward is None and not quiet.requires_grad
+    assert quiet.data.tobytes() == out.data.tobytes()
+
+
+def test_an_mlp_refuses_an_input_of_the_wrong_width():
+    with pytest.raises(ShapeError, match="input width 3"):
+        flows.Mlp([3, 4], np.random.default_rng(0))(np.ones((2, 4)))
 
 
 @pytest.mark.parametrize("dropout", [1.0, -0.1, float("nan")])
@@ -110,26 +179,27 @@ def test_a_coupling_update_records_one_couple_node(parity):
     layer = flows.CouplingLayer(5, 4, 2, parity, np.random.default_rng(0))
     y, logdet = layer.forward(ad.Tensor(np.ones((3, 5)), requires_grad=True))
     ops = {id(node): node._op for out in (y, logdet) for node in out._topo() if node._parents}
-    # the kept half, two two-layer nets, the bounded scale, the update and the log-det row sum
-    assert Counter(ops.values()) == Counter(slice_cols=1, affine=4, tanh=3, mul=1, couple=1, sum=1)
+    # the kept half, the two nets, the bounded scale, the update and the log-det row sum
+    assert Counter(ops.values()) == Counter(slice_cols=1, mlp=2, tanh=1, mul=1, couple=1, sum=1)
 
 
-def test_a_coupling_tape_keeps_one_array_per_hidden_layer():
-    # each hidden layer's tanh overwrites its affine output, which no backward
-    # step reads, so the tape holds the activation alone, not both
+def test_a_coupling_tape_keeps_no_hidden_layer_array():
+    # each net keeps its input, its output and, under dropout, a bool mask per
+    # hidden layer; backward recomputes the hidden layers, so the tape holds
+    # less than one n x hidden float64 array where it held four
     n, hidden, net_layers = 1024, 64, 3
     rng = np.random.default_rng(6)
-    layer = flows.CouplingLayer(4, hidden, net_layers, 0, rng)
-    x = ad.Tensor(rng.normal(size=(n, 4)), requires_grad=True)
-    tracemalloc.start()
-    try:
-        y, logdet = layer.forward(x)
-        held, _ = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    activations = 2 * (net_layers - 1) * n * hidden * 8  # two nets, two hidden layers each
-    assert activations <= held < activations + n * hidden * 8
-    assert y.requires_grad and logdet.requires_grad
+    for dropout, noise in ((0.0, None), (0.3, rng)):
+        layer = flows.CouplingLayer(4, hidden, net_layers, 0, rng, dropout=dropout)
+        x = ad.Tensor(rng.normal(size=(n, 4)), requires_grad=True)
+        tracemalloc.start()
+        try:
+            y, logdet = layer.forward(x, noise)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held < n * hidden * 8
+        assert y.requires_grad and logdet.requires_grad
 
 
 def test_identity_layer_is_identity():

@@ -67,9 +67,12 @@ def test_inference_equals_the_taped_forward_byte_for_byte(spec, n, dim, hidden, 
 @settings(derandomize=True, deadline=None, max_examples=60)
 @given(n=st.integers(1, B), k=st.integers(1, 70), m=st.integers(1, 70), seed=st.integers(0, 2**16))
 def test_affine_within_one_block_is_the_whole_product(n, k, m, seed):
+    # a one-layer net is x @ w + b; its taped forward takes the product by row blocks
     rng = np.random.default_rng(seed)
-    x, w, b = rng.normal(size=(n, k)), rng.normal(size=(k, m)), rng.normal(size=(1, m))
-    assert ad.affine(x, w, b).data.tobytes() == (x @ w + b).tobytes()
+    net = flows.Mlp([k, m], rng)
+    x, w, b = rng.normal(size=(n, k)), net.weights[0].data, net.biases[0].data
+    b += rng.normal(size=(1, m))
+    assert net(ad.Tensor(x, requires_grad=True)).data.tobytes() == (x @ w + b).tobytes()
 
 
 def test_the_inverse_reads_the_forwards_scale_and_shift_across_blocks(monkeypatch):
