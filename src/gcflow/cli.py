@@ -83,13 +83,15 @@ def write_epoch_csv(path, record):
 
 def cmd_train(args):
     out = Path(args.out)
-    # an older run's files go before anything can fail, so a failed run leaves none of them
+    # a config or dataset that cannot be read starts no run and leaves an older one as it is
+    cfg = build_train_config(args.config, args.set)
+    dataset = load_dataset(args.data)
+    # an older run's files go before training starts, so a failed run leaves none of them
     if out.is_dir():
         for name in ("metrics.json", "epochs.csv", "checkpoint.json"):
             (out / name).unlink(missing_ok=True)
     try:
-        cfg = build_train_config(args.config, args.set)
-        record = train(cfg, load_dataset(args.data), checkpoint_dir=out)
+        record = train(cfg, dataset, checkpoint_dir=out)
     except DivergedError as exc:
         # keep the epochs that ran; main reports the error and exits 1
         write_metrics(out / "metrics.json", {**exc.record.metrics_dict(), "status": "diverged"})

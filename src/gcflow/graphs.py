@@ -185,34 +185,17 @@ def independent_set(pattern):
     off-diagonal entries of the square CSR matrix ``pattern`` (a
     ``NormalizedAdjacency``'s ``sparse``): greedy, lowest (degree, node id) first.
 
-    It runs in vectorized rounds over the edges: an undecided node whose key
-    is below every undecided neighbour's joins, and its neighbours leave.
-    That gives the sequential greedy's set, with no rng. On a chain ordered
-    by id a round admits one node per chain end, so once a round admits
-    fewer than one undecided node in 64, one sequential pass in key order
-    decides the rest: the nodes still undecided have no chosen neighbour, so
-    it picks what the sequential greedy would.
+    One sequential pass in that order takes each node that no taken
+    neighbour has ruled out, with no rng, in time linear in nodes plus edges
+    whatever the node order. (Vectorized rounds that take every local
+    minimum at once need about n/2 rounds on a path whose ids follow it.)
     """
     n = pattern.shape[0]
     src, dst = np.repeat(np.arange(n), np.diff(pattern.indptr)), pattern.indices
-    src, dst = src[src != dst], dst[src != dst]
-    order = np.argsort(np.bincount(src, minlength=n), kind="stable")
-    rank = np.empty(n, dtype=np.intp)
-    rank[order] = np.arange(n)
+    order = np.argsort(np.bincount(src[src != dst], minlength=n), kind="stable")
     chosen, undecided = np.zeros(n, dtype=bool), np.ones(n, dtype=bool)
-    while undecided.any():
-        joins = undecided.copy()
-        joins[src[rank[dst] < rank[src]]] = False
-        if 64 * np.count_nonzero(joins) < np.count_nonzero(undecided):
-            break
-        chosen |= joins
-        undecided &= ~joins
-        undecided[dst[joins[src]]] = False
-        # only edges between undecided nodes can decide a later round
-        live = undecided[src] & undecided[dst]
-        src, dst = src[live], dst[live]
     indptr, indices = pattern.indptr.tolist(), pattern.indices
-    for node in order[undecided[order]].tolist():
+    for node in order.tolist():
         if undecided[node]:
             chosen[node] = True
             undecided[indices[indptr[node]:indptr[node + 1]]] = False

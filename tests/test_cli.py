@@ -196,6 +196,20 @@ def test_a_run_that_fails_before_training_leaves_no_older_record_behind(synth_di
     assert f"gcflow: error: {metrics['message']}\n" == err
 
 
+def test_a_run_that_cannot_read_its_data_or_config_keeps_the_older_run(synth_dir, tmp_path, capsys):
+    out = tmp_path / "run"
+    train = ["train", "--out", str(out), "--set", "model=gcn", "--set", "epochs=5"]
+    assert main(train + ["--data", str(synth_dir / "manifest.json")]) == 0
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+    assert set(before) == {"metrics.json", "epochs.csv", "checkpoint.json"}
+    # a mistyped data path (an OSError) and an unknown key start no run
+    assert main(train + ["--data", str(tmp_path / "missing" / "manifest.json")]) == 1
+    assert main(train + ["--data", str(synth_dir / "manifest.json"), "--set", "lr_typo=0.1"]) == 1
+    err = capsys.readouterr().err
+    assert "No such file or directory" in err and "unknown config keys ['lr_typo']" in err
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+
 def test_a_run_that_fails_in_evaluate_leaves_only_its_failure_record(synth_dir, tmp_path, capsys, monkeypatch):
     from gcflow import training
 
