@@ -49,9 +49,10 @@ class GcnModel:
     def loss_and_predictions(self, x, labels, loss_cfg, rng):
         """A function that builds the cross-entropy over the labeled nodes of
         one training forward, and that forward's highest-scoring class per
-        node; without dropout these equal ``predict_and_represent``'s."""
-        logits, _ = self.forward(x, rng=rng)
-        return lambda: gcn_loss(logits, labels, loss_cfg.labeled), logits.data.argmax(axis=1)
+        node and penultimate representation; without dropout these equal
+        ``predict_and_represent``'s."""
+        logits, penultimate = self.forward(x, rng=rng)
+        return lambda: gcn_loss(logits, labels, loss_cfg.labeled), logits.data.argmax(axis=1), penultimate
 
     def represent(self, x):
         return self.predict_and_represent(x)[1]

@@ -255,11 +255,14 @@ def kmeans(points, k, seed=0) -> ClusterAssignment:
     centroids = _plusplus_seed(x, k, rng)
     labels = None
     trace = []
+    sq = np.empty((n, k))
     for _ in range(KMEANS_MAX_ITERS):
-        sq = ((x[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-        new_labels = sq.argmin(axis=1)
         for c in range(k):
-            if not np.any(new_labels == c):
+            sq[:, c] = ((x - centroids[c]) ** 2).sum(axis=1)
+        new_labels = sq.argmin(axis=1)
+        sizes = np.bincount(new_labels, minlength=k)
+        for c in range(k):
+            if sizes[c] == 0:
                 farthest = sq[np.arange(n), new_labels].argmax()
                 if sq[farthest, new_labels[farthest]] == 0.0:
                     distinct = len(np.unique(x, axis=0))
@@ -267,6 +270,7 @@ def kmeans(points, k, seed=0) -> ClusterAssignment:
                 centroids[c] = x[farthest]
                 sq[:, c] = ((x - centroids[c]) ** 2).sum(axis=1)
                 new_labels = sq.argmin(axis=1)
+                sizes = np.bincount(new_labels, minlength=k)
         trace.append(float(sq[np.arange(n), new_labels].sum()))
         if labels is not None and np.array_equal(new_labels, labels):
             break

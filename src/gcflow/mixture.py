@@ -234,11 +234,12 @@ class FlowMixture:
         return self.flow.params() + self.head.params()
 
     def loss_and_predictions(self, x, labels, loss_cfg: LossConfig, rng):
-        """A function that builds the training loss, and the most probable
-        component per node, from one training forward. The loss, and with it
-        the graph log|det| it reads, is built only when the function is
-        called. A forward that draws no noise computes the same latents as
-        inference, so its predictions equal ``predict_and_represent``'s.
+        """A function that builds the training loss, the most probable
+        component per node, and the latents, from one training forward. The
+        loss, and with it the graph log|det| it reads, is built only when the
+        function is called, so the head can change before then. A forward
+        that draws no noise computes the same latents as inference, so its
+        predictions and latents equal ``predict_and_represent``'s.
         Non-finite latents raise ``DomainError``.
 
         A fixed adjacency's log|det| is left out of the loss: it is a
@@ -252,8 +253,8 @@ class FlowMixture:
         result = self.flow.forward(x, rng=rng)
         if isinstance(self.flow.adjacency, NormalizedAdjacency):
             result = replace(result, stage_logdets=[])
-        pred = _classify(self.head, _finite(result.z.data))
-        return lambda: semi_supervised_loss(self.head, result, labels, loss_cfg), pred
+        z = _finite(result.z.data)
+        return lambda: semi_supervised_loss(self.head, result, labels, loss_cfg), _classify(self.head, z), z
 
     def represent(self, x) -> np.ndarray:
         """Latent features: the space the mixture clusters in."""

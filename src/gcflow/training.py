@@ -6,10 +6,12 @@ parameterized mixing, and the two EM-mixture references fitted on raw or
 pre-mixed features. Each kind is one ``KINDS`` entry, the one place that
 reads the kind, and ``assemble_model`` builds its model object. Everything
 after that calls the object's ``params``, ``loss_and_predictions`` (a
-function that builds the training loss, and the predictions, of one
-training forward),
+function that builds the training loss, the predictions and the
+representation of one training forward),
 ``predict_and_represent`` and ``represent``; the EM references have ``fit``
-in place of the loss.
+in place of the loss. ``train`` runs no forward twice: epoch 0's loss
+forward seeds the label means, and the final ``evaluate`` scores the
+validation forward of the best epoch.
 Everything stochastic draws from a single generator seeded by the run seed,
 so a repeated run reproduces its metrics exactly.
 """
@@ -326,15 +328,17 @@ def _scored_indices(ds: Dataset, split):
     return idx
 
 
-def evaluate(tm: TrainedModel, ds: Dataset):
+def evaluate(tm: TrainedModel, ds: Dataset, outputs=None):
     """Classification and clustering metrics on the dataset's test split.
 
     F1 is scored over the test nodes with a known label. One forward yields
     both the predictions and the representation, and with every label known
     one distance pass yields both silhouettes. k-means is seeded with the
-    run seed.
+    run seed. ``outputs``, the ``(predictions, representation)`` of a
+    forward ``train`` already ran on these parameters and this dataset,
+    takes the place of that forward.
     """
-    pred, z = tm.model.predict_and_represent(node_features(tm, ds))
+    pred, z = tm.model.predict_and_represent(node_features(tm, ds)) if outputs is None else outputs
     test = _scored_indices(ds, "test")
     km = kmeans(z, ds.num_classes, seed=tm.config["seed"])
     return {
@@ -358,7 +362,8 @@ def train(cfg: TrainConfig, dataset: Dataset, checkpoint_dir=None) -> RunRecord:
     its parents) before training starts; a path that exists but is not a
     directory raises ``ConfigError`` then, not after the last epoch. An
     older run's checkpoint there is deleted then too, so after a failed run
-    the directory holds no checkpoint.
+    the directory holds no checkpoint. A validation (gradient models) or
+    test split with no known label raises ``ConfigError`` before any set-up.
     """
     start = time.perf_counter()
     if checkpoint_dir is not None:
@@ -368,6 +373,9 @@ def train(cfg: TrainConfig, dataset: Dataset, checkpoint_dir=None) -> RunRecord:
         except (FileExistsError, NotADirectoryError):
             raise ConfigError(f"checkpoint directory {checkpoint_dir} is not a directory") from None
         (checkpoint_dir / "checkpoint.json").unlink(missing_ok=True)
+    if KINDS[cfg.model].build is not _em:
+        _scored_indices(dataset, "val")
+    _scored_indices(dataset, "test")
     # fitted before assembly, so a bad pca_dim fails before any factorization
     pca = None if cfg.pca_dim is None else pca_fit(dataset.features, cfg.pca_dim)
     tm = assemble_model(cfg, dataset.graph, cfg.pca_dim or dataset.dim, dataset.num_classes)
@@ -376,10 +384,10 @@ def train(cfg: TrainConfig, dataset: Dataset, checkpoint_dir=None) -> RunRecord:
 
     if isinstance(tm.model, EmReference):
         tm.model.fit(node_features(tm, dataset), dataset.labels, dataset.mask_indices("train"))
-        losses, val_f1s = [], []
+        losses, val_f1s, outputs = [], [], None
     else:
-        losses, val_f1s = _descend(cfg, tm, dataset, snapshot, start)
-    metrics = evaluate(tm, dataset)
+        losses, val_f1s, outputs = _descend(cfg, tm, dataset, snapshot, start)
+    metrics = evaluate(tm, dataset, outputs)
     record = RunRecord(
         config=snapshot, seed=cfg.seed, epochs_run=len(losses), losses=losses,
         val_f1s=val_f1s, wall_seconds=time.perf_counter() - start, **metrics,
@@ -395,7 +403,13 @@ def train(cfg: TrainConfig, dataset: Dataset, checkpoint_dir=None) -> RunRecord:
 
 def _descend(cfg: TrainConfig, tm: TrainedModel, ds: Dataset, snapshot, start):
     """The epoch loop of ``train`` for gradient models; returns the losses
-    and validation F1 scores per epoch and leaves the best parameters set."""
+    and validation F1 scores per epoch and the best epoch's validation
+    ``(predictions, representation)``, and leaves the best parameters set.
+
+    Label mean init reads epoch 0's loss forward when it drew no noise, and
+    a ``represent`` forward otherwise; either way the means are set before
+    that epoch's loss is built.
+    """
     x = node_features(tm, ds)
     labels = ds.labels
     train_idx = ds.mask_indices("train")
@@ -404,8 +418,6 @@ def _descend(cfg: TrainConfig, tm: TrainedModel, ds: Dataset, snapshot, start):
     loss_cfg = LossConfig(train_idx, unlabeled, unlabeled_weight=cfg.unlabeled_weight)
 
     params = tm.model.params()
-    if tm.head is not None and cfg.label_init_means:
-        init_means_from_labels(tm.head, tm.model.represent(x), labels, train_idx)
 
     run_rng = np.random.default_rng(cfg.seed)
     opt = AdamState(params, cfg.lr, weight_decay=cfg.weight_decay)
@@ -414,7 +426,7 @@ def _descend(cfg: TrainConfig, tm: TrainedModel, ds: Dataset, snapshot, start):
     best_f1 = -1.0
     best_loss = np.inf
     best_epoch = -1
-    best_params = None
+    best_params = best_outputs = None
     # a loss forward that leaves the run generator as it was drew no noise
     # and computed what inference does, so the forward after a step can be
     # both this epoch's validation forward and the next epoch's loss forward;
@@ -432,8 +444,10 @@ def _descend(cfg: TrainConfig, tm: TrainedModel, ds: Dataset, snapshot, start):
             loss, build_loss, carried = None, carried, None
             if build_loss is None:
                 before = run_rng.bit_generator.state
-                build_loss = tm.model.loss_and_predictions(x, labels, loss_cfg, run_rng)[0]
+                build_loss, _, z = tm.model.loss_and_predictions(x, labels, loss_cfg, run_rng)
                 carry = run_rng.bit_generator.state == before
+                if epoch == 0 and tm.head is not None and cfg.label_init_means:
+                    init_means_from_labels(tm.head, z if carry else tm.model.represent(x), labels, train_idx)
             loss = build_loss()
             value = loss.item()
             if not np.isfinite(value):
@@ -443,10 +457,10 @@ def _descend(cfg: TrainConfig, tm: TrainedModel, ds: Dataset, snapshot, start):
             adam_step(opt)
             losses.append(value)
             if carry and epoch + 1 < cfg.epochs:
-                carried, pred = tm.model.loss_and_predictions(x, labels, loss_cfg, run_rng)
+                carried, *outputs = tm.model.loss_and_predictions(x, labels, loss_cfg, run_rng)
             else:
-                pred = tm.model.predict_and_represent(x)[0]
-            f1 = micro_f1(pred[val_idx], labels[val_idx])
+                outputs = tm.model.predict_and_represent(x)
+            f1 = micro_f1(outputs[0][val_idx], labels[val_idx])
         except (DomainError, SingularMatrixError) as exc:
             if len(val_f1s) < len(losses):  # the step ran, its validation failed
                 val_f1s.append(float("nan"))
@@ -463,9 +477,10 @@ def _descend(cfg: TrainConfig, tm: TrainedModel, ds: Dataset, snapshot, start):
             best_loss = value
             best_epoch = epoch
             best_params = [p.data.copy() for p in params]
+            best_outputs = outputs
         if epoch - best_epoch >= cfg.patience:
             break
 
     for p, saved in zip(params, best_params):
         np.copyto(p.data, saved)
-    return losses, val_f1s
+    return losses, val_f1s, best_outputs

@@ -310,6 +310,37 @@ def ari_from_pairs(a, t):
     return (ss - expected) / denom
 
 
+def kmeans_broadcast(points, k, seed=0):
+    """``evalkit.kmeans`` with each round's distances from one n x k x D
+    broadcast and empty clusters found by one ``np.any`` pass per cluster;
+    returns labels, centroids, inertia and inertia trace."""
+    from gcflow import evalkit
+
+    x = np.asarray(points, dtype=np.float64)
+    n = x.shape[0]
+    rng = np.random.default_rng(seed)
+    centroids = evalkit._plusplus_seed(x, k, rng)
+    labels = None
+    trace = []
+    for _ in range(evalkit.KMEANS_MAX_ITERS):
+        sq = ((x[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+        new_labels = sq.argmin(axis=1)
+        for c in range(k):
+            if not np.any(new_labels == c):
+                farthest = sq[np.arange(n), new_labels].argmax()
+                centroids[c] = x[farthest]
+                sq[:, c] = ((x - centroids[c]) ** 2).sum(axis=1)
+                new_labels = sq.argmin(axis=1)
+        trace.append(float(sq[np.arange(n), new_labels].sum()))
+        if labels is not None and np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+        for c in range(k):
+            centroids[c] = x[labels == c].mean(axis=0)
+    inertia = float(((x - centroids[labels]) ** 2).sum(axis=1).sum())
+    return labels, centroids, inertia, trace
+
+
 # -- the block-model sampler's single full-matrix draw --------------------
 
 
@@ -349,8 +380,8 @@ def unique_pairs(pairs):
 
 def descend_two_forward(cfg, tm, ds, snapshot, start):
     """Reference epoch loop: every epoch builds a fresh loss forward and
-    scores validation with a second, inference forward. Drop-in for
-    ``training._descend``."""
+    scores validation with a second, inference forward, and label mean init
+    runs a forward of its own. Drop-in for ``training._descend``."""
     import time
 
     from gcflow import autodiff as ad
@@ -409,7 +440,7 @@ def descend_two_forward(cfg, tm, ds, snapshot, start):
 
     for p, saved in zip(params, best_params):
         np.copyto(p.data, saved)
-    return losses, val_f1s
+    return losses, val_f1s, None  # no outputs kept: evaluate runs its own forward
 
 
 def evaluate_two_pass(tm, ds):

@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 from gcflow import evalkit
 from gcflow.data import SbmConfig, generate_sbm
 from gcflow.errors import ConfigError, DomainError, ShapeError
+import oracles
 from oracles import ari_from_pairs, f1_via_confusion, nmi_from_table, silhouette_loops
 
 
@@ -390,6 +391,24 @@ def test_kmeans_restarts_an_emptied_cluster_at_the_farthest_point(monkeypatch):
     out = evalkit.kmeans(x, 3)
     assert evalkit.ari(out.labels, truth) == 1.0
     assert len(np.unique(out.centroids, axis=0)) == 3
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_kmeans_equals_the_broadcast_distances_bit_for_bit(monkeypatch, seed):
+    rng = np.random.default_rng(seed)
+    n, k = int(rng.integers(10, 300)), int(rng.integers(1, 8))
+    dim = int(rng.choice([1, 3, 17, 129, 300]))  # past 128 a row sum splits into pairwise blocks
+    x = rng.normal(size=(n, dim)) * rng.uniform(0.1, 10.0) + rng.integers(0, 3, size=(n, 1)) * 5.0
+    runs = [(evalkit.kmeans(x, k, seed=seed), oracles.kmeans_broadcast(x, k, seed=seed))]
+    if k > 1:
+        # k seeds on one point: every point's nearest is the first, so the other k - 1 clusters restart
+        monkeypatch.setattr(evalkit, "_plusplus_seed", lambda points, k, rng: points[[0] * k].copy())
+        runs.append((evalkit.kmeans(x, k, seed=seed), oracles.kmeans_broadcast(x, k, seed=seed)))
+    for got, (labels, centroids, inertia, trace) in runs:
+        assert got.labels.tobytes() == labels.tobytes()
+        assert got.centroids.tobytes() == centroids.tobytes()
+        assert got.inertia == inertia
+        assert got.inertia_trace == trace
 
 
 @pytest.mark.parametrize("k", [0, -1])

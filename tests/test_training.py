@@ -321,12 +321,15 @@ def test_divergence_record_has_one_val_f1_per_loss(sbm, kind):
 def run_route(monkeypatch, cfg, ds, descend, score):
     """Train with the given epoch loop and evaluate; returns the comparable
     outcome: status, message, losses and val F1s as bytes, metrics minus
-    the wall clock, and the parameters evaluate saw."""
+    the wall clock, the parameters evaluate saw, and whether train handed
+    evaluate the outputs of a forward it already ran."""
     seen = []
+    reused = []
 
-    def scoring(tm, dataset):
+    def scoring(tm, dataset, outputs=None):
         seen.extend(p.data.copy() for p in tm.model.params())
-        return score(tm, dataset)
+        reused.append(outputs is not None)
+        return score(tm, dataset) if outputs is None else score(tm, dataset, outputs)
 
     monkeypatch.setattr(training, "_descend", descend)
     monkeypatch.setattr(training, "evaluate", scoring)
@@ -342,6 +345,7 @@ def run_route(monkeypatch, cfg, ds, descend, score):
         "val_f1s": np.array(record.val_f1s).tobytes(),
         "metrics": json.dumps(metrics, sort_keys=True),
         "params": [p.tobytes() for p in seen],
+        "reused": reused,
     }
 
 
@@ -367,6 +371,10 @@ def test_one_forward_loop_matches_the_two_forward_reference(sbm, monkeypatch, ca
     # of the last epoch run is discarded at the break
     cfg = TrainConfig(hidden=8, epochs=12, patience=3, seed=0, **case)
     reference, got = both_routes(monkeypatch, cfg, sbm)
+    # the reference evaluate runs its own forwards; a gradient model's train
+    # hands evaluate the best epoch's validation outputs instead
+    assert reference.pop("reused") == [False]
+    assert got.pop("reused") == [case["model"] not in ("gmm-x", "gmm-ax")]
     assert got == reference
     assert reference["status"] == "ok"
 
@@ -414,21 +422,22 @@ def count_gcflow_forwards(monkeypatch):
     return calls
 
 
-def test_gcflow_runs_one_forward_per_epoch_and_per_evaluate(sbm, monkeypatch):
+def test_gcflow_runs_one_forward_per_epoch_and_none_in_evaluate(sbm, monkeypatch):
     calls = count_gcflow_forwards(monkeypatch)
     at_evaluate = []
     real_evaluate = training.evaluate
 
-    def counted(tm, ds):
+    def counted(tm, ds, outputs=None):
         at_evaluate.append(len(calls))
-        return real_evaluate(tm, ds)
+        return real_evaluate(tm, ds, outputs)
 
     monkeypatch.setattr(training, "evaluate", counted)
     epochs = 7
     train(TrainConfig(model="gcflow", hidden=8, epochs=epochs, patience=epochs, seed=0), sbm)
-    # mean init, the first loss, one carried forward per later epoch, the last predict
-    assert at_evaluate == [1 + epochs + 1]
-    assert len(calls) == 1 + epochs + 1 + 1
+    # the first loss (which also seeds the means), one carried forward per
+    # later epoch, the last predict; evaluate scores a kept one
+    assert at_evaluate == [epochs + 1]
+    assert len(calls) == epochs + 1
 
 
 @pytest.mark.parametrize("kind", ["gcflow", "gcflow-p"])
@@ -437,9 +446,9 @@ def test_a_failed_carried_forward_ends_the_run_with_no_second_forward(sbm, monke
     cfg = TrainConfig(model=kind, hidden=8, lr=1e8, epochs=10, patience=10, seed=0)
     with pytest.raises(DivergedError, match=r"^training diverged at epoch 0: exp overflow$") as err:
         train(cfg, sbm)
-    # mean init, the first loss, and the carried forward that overflows: no
-    # inference forward retries it
-    assert len(calls) == 3
+    # the first loss, which seeds the means, and the carried forward that
+    # overflows: no inference forward retries it
+    assert len(calls) == 2
     record = err.value.record
     assert record.epochs_run == len(record.losses) == len(record.val_f1s) == 1
     assert np.isnan(record.val_f1s[0])
@@ -468,8 +477,10 @@ def test_models_report_whether_training_draws_noise(sbm, monkeypatch, case, nois
     monkeypatch.setattr(ad, "zero_grads", lambda params: marks.append(len(forwards)) or real_zero(params))
     epochs = 5
     train(TrainConfig(hidden=8, epochs=epochs, patience=epochs, seed=0, **case), sbm)
-    # epoch 0 builds its loss afresh, so it runs two forwards either way
-    assert np.diff(marks).tolist() == [2] + [2 if noisy else 1] * (epochs - 2)
+    # epoch 0 builds its loss afresh, so it runs two forwards either way, and
+    # a noisy flow's head reads its mean init from a third
+    first = 3 if noisy and case["model"] != "gcn" else 2
+    assert np.diff(marks).tolist() == [first] + [2 if noisy else 1] * (epochs - 2)
 
 
 def partly_labelled(ds):
@@ -506,6 +517,36 @@ def test_a_split_without_a_known_label_is_refused(sbm, split, kind):
     labels[getattr(sbm, f"{split}_mask")] = -1
     with pytest.raises(ConfigError, match=f"{split} split has no node with a known label"):
         train(TrainConfig(model=kind, hidden=8, epochs=2), replace(sbm, labels=labels))
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_a_split_that_cannot_be_scored_fails_before_any_set_up(sbm, monkeypatch, kind):
+    factored, epochs = [], []
+    real_factor, real_zero = graphs._shifted_log_abs_det, ad.zero_grads
+    monkeypatch.setattr(graphs, "_shifted_log_abs_det", lambda *a: factored.append(1) or real_factor(*a))
+    monkeypatch.setattr(ad, "zero_grads", lambda params: epochs.append(1) or real_zero(params))
+    labels = sbm.labels.copy()
+    labels[sbm.test_mask] = -1
+    with pytest.raises(ConfigError, match="^dataset's test split has no node with a known label$"):
+        train(TrainConfig(model=kind, hidden=8, epochs=200, patience=200), replace(sbm, labels=labels))
+    # with both splits unscorable a gradient model names val, the split it reads first
+    labels[sbm.val_mask] = -1
+    split = "test" if kind in ("gmm-x", "gmm-ax") else "val"
+    with pytest.raises(ConfigError, match=f"^dataset's {split} split has no node with a known label$"):
+        train(TrainConfig(model=kind, hidden=8, epochs=200, patience=200), replace(sbm, labels=labels))
+    assert factored == epochs == []
+
+
+@pytest.mark.parametrize("kind", FLOW_KINDS + ("gcn",))
+@pytest.mark.parametrize("dropout", [0.0, 0.1])
+def test_the_reused_outputs_belong_to_the_restored_parameters(sbm, tmp_path, kind, dropout):
+    cfg = TrainConfig(model=kind, hidden=8, dropout=dropout, epochs=30, patience=3, seed=0)
+    record = train(cfg, sbm, checkpoint_dir=tmp_path)
+    # stopped by patience, so the best epoch is patience epochs before the last
+    assert record.epochs_run < cfg.epochs
+    reloaded = evaluate(load_checkpoint(record.checkpoint_path, sbm.graph), sbm)
+    metrics = record.metrics_dict()
+    assert json.dumps({key: metrics[key] for key in reloaded}) == json.dumps(reloaded)
 
 
 def perturbed_flow_model(kind, ds, seed=1):
