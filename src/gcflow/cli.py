@@ -65,10 +65,6 @@ def build_train_config(config_path=None, overrides=None) -> TrainConfig:
     return TrainConfig(**values)
 
 
-def write_metrics(path, metrics):
-    write_json(path, metrics)
-
-
 def write_epoch_csv(path, record):
     def rows(fh):
         fh.write("epoch,loss,val_f1\n")
@@ -94,17 +90,17 @@ def cmd_train(args):
         record = train(cfg, dataset, checkpoint_dir=out)
     except DivergedError as exc:
         # keep the epochs that ran; main reports the error and exits 1
-        write_metrics(out / "metrics.json", {**exc.record.metrics_dict(), "status": "diverged"})
+        write_json(out / "metrics.json", {**exc.record.metrics_dict(), "status": "diverged"})
         write_epoch_csv(out / "epochs.csv", exc.record)
         raise
     except GcFlowError as exc:
         # any other failure, before the first epoch or after the last, says what it was in a
         # directory that exists by then; a run refused before ``train`` made one leaves none
         if out.is_dir():
-            write_metrics(out / "metrics.json", {"status": "failed", "error": type(exc).__name__,
-                                                 "message": str(exc)})
+            write_json(out / "metrics.json", {"status": "failed", "error": type(exc).__name__,
+                                              "message": str(exc)})
         raise
-    write_metrics(out / "metrics.json", record.metrics_dict())
+    write_json(out / "metrics.json", record.metrics_dict())
     write_epoch_csv(out / "epochs.csv", record)
     print(f"trained {cfg.model} for {record.epochs_run} epochs: "
           f"test micro-F1 {record.test_micro_f1:.4f}")
@@ -128,7 +124,7 @@ def cmd_eval(args):
         losses=[], val_f1s=[], wall_seconds=time.perf_counter() - start, **metrics,
     ).metrics_dict()
     if args.out:
-        write_metrics(args.out, payload)
+        write_json(args.out, payload)
     print(json.dumps(payload, sort_keys=True))
     return 0
 
@@ -157,7 +153,7 @@ def cmd_cluster(args):
             )
         payload.update(cluster_agreement(points, assign, labels))
     if args.out:
-        write_metrics(args.out, payload)
+        write_json(args.out, payload)
     print(json.dumps(payload, sort_keys=True))
     return 0
 

@@ -27,7 +27,9 @@ apply the taped forward's operations in the same order, and the taped nets
 run ``Mlp.apply`` on the same row blocks, so both routes give the same
 latents byte for byte. Run as the taped ops under ``no_grad`` instead, the
 route took about 1.6 ms more per ``infer`` request, the cost of a
-``Tensor`` per operation per block.
+``Tensor`` per operation per block. ``GcFlowModel.inverse`` mirrors the
+route on a plain array: the same row blocks, each coupling undone in place
+by ``CouplingLayer.inverse``, last first, then one LU solve per stage.
 """
 
 from __future__ import annotations
@@ -162,17 +164,13 @@ class CouplingLayer:
         self.t_net = Mlp(widths, rng, dropout=dropout)
         self.s_scale = ad.Tensor(0.0, requires_grad=True)
 
-    def _scale_shift(self, x, rng=None):
+    def forward(self, x, rng=None):
+        """Returns the transformed tensor and the per-row log-determinant."""
         if x.shape[1] != self.dim:
             raise ShapeError(f"expected {self.dim} features, got {x.shape[1]}")
         kept = ad.slice_cols(x, self.kept.start, self.kept.stop)
         s = ad.tanh(self.s_net(kept, rng), overwrite=True) * self.s_scale
-        return s, self.t_net(kept, rng)
-
-    def forward(self, x, rng=None):
-        """Returns the transformed tensor and the per-row log-determinant."""
-        s, t = self._scale_shift(x, rng)
-        return ad.couple(x, s, t, self.changed), ad.tsum(s, axis=1)
+        return ad.couple(x, s, self.t_net(kept, rng), self.changed), ad.tsum(s, axis=1)
 
     def apply(self, x):
         """``forward``'s output written into the plain array ``x`` in place,
@@ -188,9 +186,13 @@ class CouplingLayer:
         x[:, self.changed] = changed
 
     def inverse(self, y):
-        s, t = self._scale_shift(y)
-        changed = (y.data[:, self.changed] - t.data) * ad._checked_exp(-s.data)
-        return ad.Tensor(ad._put_cols(y.data.copy(), self.changed, changed))
+        """Undo ``apply`` in the plain array ``y`` in place, with s and t taken
+        from the kept half by ``apply``'s own operations, so bit for bit."""
+        kept = y[:, self.kept].copy()
+        s = self.s_net.apply(kept)
+        np.tanh(s, out=s)
+        s *= self.s_scale.data
+        y[:, self.changed] = (y[:, self.changed] - self.t_net.apply(kept)) * ad._checked_exp(-s)
 
     def params(self):
         return self.s_net.params() + self.t_net.params() + [self.s_scale]
@@ -214,11 +216,6 @@ class FlowStack:
             x, ld = layer.forward(x, rng)
             logdet = logdet + ld
         return x, logdet
-
-    def inverse(self, y):
-        for layer in reversed(self.layers):
-            y = layer.inverse(y)
-        return y
 
     def params(self):
         return [p for layer in self.layers for p in layer.params()]
@@ -269,12 +266,16 @@ class GcFlowModel:
     def num_flows(self):
         return len(self.flows)
 
-    def forward(self, x, rng=None) -> ForwardResult:
+    def _features(self, x):
+        """``x`` as a tensor, refused unless it is n x (this model's feature count)."""
         x = ad.as_tensor(x)
-        n, dim = x.shape
-        if self.dim is not None and dim != self.dim:
-            raise ShapeError(f"model expects {self.dim} features, got {dim}")
-        flow_logdet = ad.Tensor(np.zeros(n))
+        if x.data.ndim != 2 or self.dim not in (None, x.shape[1]):
+            raise ShapeError(f"model expects n x {self.dim} features, got shape {x.shape}")
+        return x
+
+    def forward(self, x, rng=None) -> ForwardResult:
+        x = self._features(x)
+        flow_logdet = ad.Tensor(np.zeros(x.shape[0]))
         stage_logdets = []
         for stage, flow in enumerate(self.flows):
             if self.adjacency is not None:
@@ -289,33 +290,35 @@ class GcFlowModel:
         with no tape and no log-determinant. Each stage mixes once, then runs
         its coupling stack over blocks of ``autodiff.ROW_BLOCK`` rows, each
         block updated in place."""
-        z = ad.as_tensor(x).data
-        n, dim = z.shape
-        if self.dim is not None and dim != self.dim:
-            raise ShapeError(f"model expects {self.dim} features, got {dim}")
+        z = self._features(x).data
         if self.adjacency is None:
             z = z.copy()  # updated in place below; the caller's array stays as it was
         for stage, flow in enumerate(self.flows):
             if self.adjacency is not None:
                 with ad.no_grad():
                     z = self.adjacency.mix(z, stage)[0].data
-            for r in range(0, n, ad.ROW_BLOCK):
+            for r in range(0, z.shape[0], ad.ROW_BLOCK):
                 block = z[r:r + ad.ROW_BLOCK]
                 for layer in flow.layers:
                     layer.apply(block)
         return z
 
-    def inverse(self, z):
-        """Undo forward: each stage, last first, inverts its flow, then solves
-        with its mixing matrix, read back as ``mix`` of the identity and
-        factored by one checked LU."""
-        x = ad.as_tensor(z)
-        with ad.no_grad():
-            for stage in reversed(range(self.num_flows)):
-                x = self.flows[stage].inverse(x)
-                if self.adjacency is not None:
-                    factors = _lu_checked(self.adjacency.mix(np.eye(x.shape[0]), stage)[0].data)[0]
-                    x = ad.Tensor(scipy.linalg.lu_solve(factors, x.data, check_finite=False))
+    def inverse(self, z) -> np.ndarray:
+        """Undo forward on a plain array, with no tape: each stage, last first,
+        undoes its couplings, last first, on the row blocks ``latents`` uses,
+        then solves with its mixing matrix, read back as ``mix`` of the
+        identity and factored by one checked LU."""
+        x = self._features(z).data.copy()  # inverted in place below
+        n = x.shape[0]
+        for stage in reversed(range(self.num_flows)):
+            for r in range(0, n, ad.ROW_BLOCK):
+                block = x[r:r + ad.ROW_BLOCK]
+                for layer in reversed(self.flows[stage].layers):
+                    layer.inverse(block)
+            if self.adjacency is not None:
+                with ad.no_grad():
+                    factors = _lu_checked(self.adjacency.mix(np.eye(n), stage)[0].data)[0]
+                x = scipy.linalg.lu_solve(factors, x, check_finite=False)
         return x
 
     def params(self):

@@ -132,7 +132,7 @@ def inverse_error(seed, trials, sizes, dims, max_cond=None, learned=False):
                else None if trial % 3 == 0 else random_graph(rng, n))
         model = build_gcflow(2, dim, hidden=8, net_layers=2, adjacency=adj, seed=trial)
         x = rng.normal(size=(n, dim))
-        back = model.inverse(model.forward(x).z.data).data
+        back = model.inverse(model.forward(x).z.data)
         worst = max(worst, np.abs(back - x).max())
     return worst
 

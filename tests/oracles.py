@@ -5,8 +5,9 @@ dense n x n mixing route of the attention source, an MLP and a coupling
 update built from unfused ops, per-vector mixture densities and a dense Gaussian density,
 the metric routes of confusion counts, quadratic loops, contingency sums and pair enumeration,
 the block-model sampler's single full-matrix draw, the row-wise unique of the edge dedupe,
-and the two-forward training loop and two-pass evaluate."""
+the two-forward training loop and two-pass evaluate, and a checkpoint block's codec."""
 
+import base64
 import itertools
 
 import numpy as np
@@ -466,3 +467,18 @@ def evaluate_two_pass(tm, ds):
         "nmi": evalkit.nmi(km.labels[known], ds.labels[known]),
         "ari": evalkit.ari(km.labels[known], ds.labels[known]),
     }
+
+
+def block_arrays(block):
+    """The arrays of a checkpoint block, writable copies, split by its shapes
+    from the base64 string of little-endian float64s."""
+    values = np.frombuffer(base64.b64decode(block["float64le"]), "<f8")
+    ends = np.cumsum([int(np.prod(shape)) for shape in block["shapes"]], dtype=np.intp)
+    return [part.reshape(shape).copy() for part, shape in zip(np.split(values, ends[:-1]), block["shapes"])]
+
+
+def block_of(arrays):
+    """A checkpoint block of ``arrays``: their shapes and their values in C
+    order, base64-encoded as little-endian float64s."""
+    flat = np.concatenate([np.ravel(a) for a in arrays]).astype("<f8")
+    return {"shapes": [list(np.shape(a)) for a in arrays], "float64le": base64.b64encode(flat.tobytes()).decode()}

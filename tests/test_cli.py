@@ -8,9 +8,11 @@ import numpy as np
 import pytest
 
 from gcflow import evalkit
-from gcflow.cli import build_train_config, main, read_config_file, write_epoch_csv, write_metrics
-from gcflow.data import SbmConfig, generate_sbm, read_features, save_dataset
+from gcflow.checkpoint import write_json
+from gcflow.cli import build_train_config, main, read_config_file, write_epoch_csv
+from gcflow.data import SbmConfig, generate_sbm, read_features, save_dataset, write_features
 from gcflow.errors import ConfigError, FormatError
+from oracles import block_arrays, block_of
 
 
 @pytest.fixture(scope="module")
@@ -253,11 +255,28 @@ def test_an_interrupted_run_file_write_leaves_the_previous_file_whole(trained_di
         monkeypatch.setattr(os, "replace", cut)
         payload, rows, errors = {"status": "new"}, [0.5, 0.75, 1.0], (Interrupted, Interrupted)
     with pytest.raises(errors[0]):
-        write_metrics(metrics, payload)
+        write_json(metrics, payload)
     with pytest.raises(errors[1]):
         write_epoch_csv(epochs, SimpleNamespace(losses=[1.0, 0.5, 0.25], val_f1s=rows))
     assert {path: path.read_bytes() for path in before} == before
     assert sorted(tmp_path.iterdir()) == [epochs, metrics]
+
+
+@pytest.mark.parametrize("command", ["eval", "cluster"])
+def test_an_out_in_a_missing_directory_is_reported_by_its_own_name(synth_dir, trained_dir, tmp_path, capsys, command):
+    if command == "eval":
+        argv = ["eval", "--checkpoint", str(trained_dir / "checkpoint.json"), "--data", str(synth_dir / "manifest.json")]
+    else:
+        emb = tmp_path / "z.bin"
+        write_features(emb, np.random.default_rng(0).normal(size=(20, 2)))
+        argv = ["cluster", "--embedding", str(emb), "--k", "2"]
+    before = sorted(tmp_path.iterdir())
+    out = tmp_path / "missing" / "x.json"
+    assert main([*argv, "--out", str(out)]) == 1
+    # the file asked for, not the temporary name it is written under
+    err = capsys.readouterr().err
+    assert err.startswith("gcflow: error: ") and err.rstrip().endswith(f"No such file or directory: '{out}'")
+    assert sorted(tmp_path.iterdir()) == before  # no directory made, no file left behind
 
 
 @pytest.fixture(scope="module")
@@ -270,17 +289,23 @@ def pca_checkpoint(tmp_path_factory, synth_dir):
 
 
 def corrupt_pca(payload, how):
-    pca = {key: np.array(value) for key, value in payload["pca"].items()}
+    mean, directions, explained = block_arrays(payload["pca"])
     if how == "extra-row":
-        pca["directions"] = np.vstack([pca["directions"], pca["directions"][:1]])
+        directions = np.vstack([directions, directions[:1]])
     elif how == "nan-mean":
-        pca["mean"][0] = np.nan
+        mean[0] = np.nan
     else:  # one column more than the model's dim
-        pca["directions"] = np.hstack([pca["directions"], pca["directions"][:, :1]])
-    return {**payload, "pca": {key: value.tolist() for key, value in pca.items()}}
+        directions = np.hstack([directions, directions[:, :1]])
+    return {**payload, "pca": block_of([mean, directions, explained])}
 
 
-PCA_FAULTS = ["extra-row", "nan-mean", "extra-column"]
+# each fault and the start of its refusal, after the file's name
+PCA_REFUSALS = {
+    "extra-row": "stores pca arrays of shapes [[8], [9, 4], [4]], the model has [[8], [8, 4], [4]]",
+    "nan-mean": "the pca block holds non-finite values",
+    "extra-column": "stores pca arrays of shapes [[8], [8, 5], [4]], the model has [[8], [8, 4], [4]]",
+}
+PCA_FAULTS = list(PCA_REFUSALS)
 
 
 @pytest.mark.parametrize("how", PCA_FAULTS)
@@ -290,7 +315,7 @@ def test_checkpoint_rejects_a_pca_projection_that_does_not_fit(synth_dir, pca_ch
 
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(corrupt_pca(pca_checkpoint, how)))
-    with pytest.raises(FormatError, match=f"^{re.escape(str(bad))}: pca mean, directions, explained are"):
+    with pytest.raises(FormatError, match=f"^{re.escape(f'{bad}: {PCA_REFUSALS[how]}')}"):
         load_checkpoint(bad, load_dataset(synth_dir / "manifest.json").graph)
 
 
@@ -300,7 +325,7 @@ def test_eval_rejects_a_pca_projection_that_does_not_fit(synth_dir, pca_checkpoi
     bad.write_text(json.dumps(corrupt_pca(pca_checkpoint, how)))
     rc = main(["eval", "--checkpoint", str(bad), "--data", str(synth_dir / "manifest.json")])
     assert rc == 1
-    assert capsys.readouterr().err.startswith(f"gcflow: error: {bad}: pca ")
+    assert capsys.readouterr().err.startswith(f"gcflow: error: {bad}: {PCA_REFUSALS[how]}")
 
 
 @pytest.mark.parametrize("change", [{"pca": None}, {"config": {"pca_dim": None}}, {"config": {"pca_dim": 3}}],

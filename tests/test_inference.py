@@ -80,18 +80,23 @@ def test_the_inverse_reads_the_forwards_scale_and_shift_across_blocks(monkeypatc
     layer = flows.CouplingLayer(6, 16, 3, 1, rng)
     for p in layer.params():
         p.data += 0.3 * rng.normal(size=p.data.shape)
-    seen, real = [], flows.CouplingLayer._scale_shift
+    model = flows.GcFlowModel([flows.FlowStack([layer])])
+    seen, real = [], flows.Mlp.apply
 
-    def recorded(self, x, rng=None):
-        s, t = real(self, x, rng)
-        seen.append((s.data.tobytes(), t.data.tobytes()))
-        return s, t
+    def recorded(self, x, keeps=None):
+        out = real(self, x, keeps)
+        seen.append((self is layer.s_net, out.tobytes()))
+        return out
 
-    monkeypatch.setattr(flows.CouplingLayer, "_scale_shift", recorded)
-    x = ad.Tensor(rng.normal(size=(2 * B + 1, 6)))
-    back = layer.inverse(layer.forward(x)[0])
-    assert len(seen) == 2 and seen[0] == seen[1]
-    assert np.abs(back.data - x.data).max() < 1e-10
+    monkeypatch.setattr(flows.Mlp, "apply", recorded)
+    x = rng.normal(size=(2 * B + 1, 6))
+    z = model.forward(x).z.data
+    forward = sorted(seen)
+    seen.clear()
+    back = model.inverse(z)
+    # each net once per block of rows in each direction, with the same outputs
+    assert len(forward) == 6 and sorted(seen) == forward
+    assert np.abs(back - x).max() < 1e-10
 
 
 def overflowing_model(n):

@@ -18,7 +18,7 @@ from gcflow import checkpoint
 from gcflow.checkpoint import FORMAT_TAG, load_checkpoint, save_checkpoint
 from gcflow.data import SbmConfig, generate_sbm
 from gcflow.errors import ConfigError, DivergedError, DomainError, FormatError, SingularMatrixError
-from gcflow.evalkit import micro_f1, pca_apply, pca_fit
+from gcflow.evalkit import PcaProjection, micro_f1, pca_apply, pca_fit
 from gcflow import adjparam, flows, mixture, training
 from gcflow.graphs import make_graph
 from gcflow.training import (
@@ -36,7 +36,7 @@ from gcflow.training import (
     train,
 )
 import oracles
-from oracles import count_factorizations
+from oracles import block_arrays, block_of, count_factorizations
 
 
 @pytest.fixture(scope="module")
@@ -736,9 +736,10 @@ def test_checkpoint_rejects_non_numeric_values(sbm, tmp_path):
     record = train(TrainConfig(model="gcn", hidden=8, epochs=1, seed=0), sbm, checkpoint_dir=tmp_path)
     payload = json.loads(Path(record.checkpoint_path).read_text())
     bad = tmp_path / "bad.json"
+    d = payload["dim"]
     for key, value in (("dim", "x"), ("params", with_params(payload, float64le=[["a"]])["params"]),
                        ("params", payload["params"]["shapes"]),
-                       ("pca", [[0.0]]), ("pca", {"mean": [0.0], "directions": [[1.0]]})):
+                       ("pca", [[0.0]]), ("pca", {"shapes": [[d], [d, d], [d]], "float64le": [["a"]]})):
         bad.write_text(json.dumps({**payload, key: value}))
         with pytest.raises(FormatError, match="malformed checkpoint"):
             load_checkpoint(bad, sbm.graph)
@@ -832,6 +833,28 @@ def test_checkpoint_round_trips_the_bits_of_every_parameter_value(sbm, kind, tmp
     assert resaved.read_bytes() == saved.read_bytes()
 
 
+@pytest.mark.parametrize("pca_dim", [None, 4])
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_a_reloaded_checkpoint_saves_the_bytes_it_was_loaded_from(sbm, kind, pca_dim, tmp_path):
+    record = train(TrainConfig(model=kind, hidden=8, epochs=1, seed=0, pca_dim=pca_dim), sbm, checkpoint_dir=tmp_path)
+    tm = load_checkpoint(record.checkpoint_path, sbm.graph)
+    resaved = tmp_path / "resaved.json"
+    save_checkpoint(resaved, tm, sbm.graph)
+    assert resaved.read_bytes() == Path(record.checkpoint_path).read_bytes()
+    if pca_dim is None:
+        return
+    # a negative zero, two subnormals, values near both ends of the finite range, and 1 + ulp
+    edge = np.array([-0.0, 5e-324, -2.5e-320, 1e308, -1e308, np.nextafter(1.0, 2.0)])
+    tm.pca = PcaProjection(*(np.resize(edge, a.shape) for a in vars(tm.pca).values()))
+    save_checkpoint(resaved, tm, sbm.graph)
+    again = load_checkpoint(resaved, sbm.graph)
+    assert [a.tobytes() for a in vars(again.pca).values()] == [a.tobytes() for a in vars(tm.pca).values()]
+    if isinstance(tm.model, EmReference):
+        fits = [[m.gmm.weights, m.gmm.means, m.gmm.covs, m.mapping] for m in (tm.model, again.model)]
+        assert [a.tobytes() for a in fits[1]] == [a.tobytes() for a in fits[0]]
+        assert again.model.mapping.dtype == np.intp
+
+
 def test_an_interrupted_save_leaves_the_previous_checkpoint_whole(sbm, tmp_path, monkeypatch):
     record = train(TrainConfig(model="gcn", hidden=8, epochs=1, seed=0), sbm, checkpoint_dir=tmp_path)
     path = Path(record.checkpoint_path)
@@ -849,58 +872,94 @@ def test_an_interrupted_save_leaves_the_previous_checkpoint_whole(sbm, tmp_path,
     assert sorted(p.name for p in tmp_path.iterdir()) == ["checkpoint.json"]
 
 
+def with_em_array(payload, key, value):
+    """``payload`` with the EM fit's array ``key`` replaced by ``value``."""
+    arrays = dict(zip(("weights", "means", "covs", "mapping"), block_arrays(payload["gmm"])))
+    return {**payload, "gmm": block_of([*{**arrays, key: np.asarray(value, dtype=np.float64)}.values()])}
+
+
 @pytest.mark.parametrize("key, value, match", [
-    ("means", [[0.0, 1.0]] * 3, r"\(3, 2\)"),
-    ("weights", [0.5, 0.5], r"\(2,\)"),
-    ("covs", np.eye(8)[None].repeat(2, axis=0).tolist(), r"\(2, 8, 8\)"),
-    ("mapping", [0, 7, 1], r"\[0, 7, 1\]"),
-    ("mapping", [0, 1], r"\(2,\)"),
-    ("mapping", [-1, 0, 1], r"\[-1, 0, 1\]"),
+    ("means", [[0.0, 1.0]] * 3, r"stores gmm arrays of shapes \[\[3\], \[3, 2\], \[3, 8, 8\], \[3\]\], "
+                                r"the model has \[\[3\], \[3, 8\], \[3, 8, 8\], \[3\]\]$"),
+    ("weights", [0.5, 0.5], r"stores gmm arrays of shapes \[\[2\], \[3, 8\], "),
+    ("covs", np.eye(8)[None].repeat(2, axis=0), r"stores gmm arrays of shapes \[\[3\], \[3, 8\], \[2, 8, 8\], "),
+    ("mapping", [0, 7, 1], r"the gmm mapping \[0\.0, 7\.0, 1\.0\] must hold integers in \[0, 3\)$"),
+    ("mapping", [0, 1], r"stores gmm arrays of shapes \[\[3\], \[3, 8\], \[3, 8, 8\], \[2\]\], "),
+    ("mapping", [-1, 0, 1], r"the gmm mapping \[-1\.0, 0\.0, 1\.0\] must hold integers in \[0, 3\)$"),
 ], ids=["means", "weights", "covs", "mapping-class", "mapping-length", "mapping-negative"])
 def test_checkpoint_rejects_em_arrays_that_do_not_fit_the_model(sbm, tmp_path, key, value, match):
     record = train(TrainConfig(model="gmm-x", seed=0), sbm, checkpoint_dir=tmp_path)
     payload = json.loads(Path(record.checkpoint_path).read_text())
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({**payload, "gmm": {**payload["gmm"], key: value}}))
-    with pytest.raises(FormatError, match=match):
+    bad.write_text(json.dumps(with_em_array(payload, key, value)))
+    with pytest.raises(FormatError, match=f"^{re.escape(str(bad))}: {match}"):
         load_checkpoint(bad, sbm.graph)
 
 
-@pytest.mark.parametrize("key, value", [
-    ("weights", [2.0, -0.5, -0.5]),
-    ("weights", [0.5, 0.3, 0.1]),
-    ("weights", [float("nan"), 0.5, 0.5]),
-    ("covs", "asymmetric"),
-    ("covs", "indefinite"),
-    ("covs", "non-finite"),
-    ("mapping", [0.0, 1.7, 2.9]),
+@pytest.mark.parametrize("key, value, match", [
+    ("weights", [2.0, -0.5, -0.5], "gmm weights .* are not a probability vector"),
+    ("weights", [0.5, 0.3, 0.1], "gmm weights .* are not a probability vector"),
+    ("weights", [float("nan"), 0.5, 0.5], "the gmm block holds non-finite values"),
+    ("covs", "asymmetric", "or the covariances are not symmetric"),
+    ("covs", "indefinite", "malformed checkpoint"),
+    ("covs", "non-finite", "the gmm block holds non-finite values"),
+    ("mapping", [0.0, 1.7, 2.9], r"the gmm mapping \[0\.0, 1\.7, 2\.9\] must hold integers"),
 ], ids=["weights-negative", "weights-sum", "weights-nan", "covs-asymmetric", "covs-indefinite",
         "covs-inf", "mapping-float"])
-def test_checkpoint_rejects_em_values_that_are_not_a_mixture(sbm, tmp_path, key, value):
+def test_checkpoint_rejects_em_values_that_are_not_a_mixture(sbm, tmp_path, key, value, match):
     record = train(TrainConfig(model="gmm-x", seed=0), sbm, checkpoint_dir=tmp_path)
     payload = json.loads(Path(record.checkpoint_path).read_text())
     if key == "covs":
-        covs = np.array(payload["gmm"]["covs"])
+        covs = block_arrays(payload["gmm"])[2]
         if value == "asymmetric":
             covs[1, 0, 1] += 1e-3
         elif value == "indefinite":
             covs[2] -= 10.0 * np.eye(covs.shape[1])  # symmetric, a negative eigenvalue
         else:
             covs[0, 3, 3] = np.inf
-        value = covs.tolist()
+        value = covs
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({**payload, "gmm": {**payload["gmm"], key: value}}))
-    with pytest.raises(FormatError):
+    bad.write_text(json.dumps(with_em_array(payload, key, value)))
+    with pytest.raises(FormatError, match=f"^{re.escape(str(bad))}: .*{match}"):
         load_checkpoint(bad, sbm.graph)
 
 
 def test_em_checkpoint_covariances_load_when_symmetric_only_to_rounding(sbm, tmp_path):
     record = train(TrainConfig(model="gmm-x", seed=0), sbm, checkpoint_dir=tmp_path)
-    covs = np.array(json.loads(Path(record.checkpoint_path).read_text())["gmm"]["covs"])
+    covs = block_arrays(json.loads(Path(record.checkpoint_path).read_text())["gmm"])[2]
     asymmetry = np.abs(covs - covs.transpose(0, 2, 1)).max()
     assert 0.0 < asymmetry < 1e-15  # EM's weighted outer products are not exactly symmetric
     tm = load_checkpoint(record.checkpoint_path, sbm.graph)
     assert evaluate(tm, sbm)["test_micro_f1"] == record.test_micro_f1
+
+
+@pytest.fixture(scope="module")
+def projected_payloads(sbm, tmp_path_factory):
+    """Checkpoint payloads of a gcflow and a gmm-x run with pca_dim=4, which
+    between them hold a parameter, a projection and an EM fit block."""
+    payloads = {}
+    for kind in ("gcflow", "gmm-x"):
+        out = tmp_path_factory.mktemp(kind)
+        record = train(TrainConfig(model=kind, hidden=8, epochs=1, seed=0, pca_dim=4), sbm, checkpoint_dir=out)
+        payloads[kind] = json.loads(Path(record.checkpoint_path).read_text())
+    return payloads
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("group, index", [
+    ("params", 0), ("pca", 0), ("pca", 1), ("pca", 2), ("gmm", 0), ("gmm", 1), ("gmm", 2), ("gmm", 3),
+], ids=["params", "pca-mean", "pca-directions", "pca-explained", "gmm-weights", "gmm-means", "gmm-covs",
+        "gmm-mapping"])
+def test_checkpoint_refuses_a_non_finite_value_in_any_array(sbm, projected_payloads, tmp_path, group, index, value):
+    # a NaN or an inf in the EM means once loaded and predicted class 0 for every node
+    payload = projected_payloads["gcflow" if group == "params" else "gmm-x"]
+    arrays = block_arrays(payload[group])
+    arrays[index].flat[arrays[index].size // 2] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**payload, group: block_of(arrays)}))
+    name = "parameter" if group == "params" else group
+    with pytest.raises(FormatError, match=f"^{re.escape(str(bad))}: the {name} block holds non-finite values$"):
+        load_checkpoint(bad, sbm.graph)
 
 
 @pytest.mark.parametrize("kind", ["gmm-x", "gmm-ax"])
@@ -982,7 +1041,7 @@ def test_a_reloaded_parameterized_checkpoint_inverts_its_own_forward(sbm, tmp_pa
     flow = load_checkpoint(record.checkpoint_path, sbm.graph).model.flow
     assert not any(np.array_equal(logits.data, np.zeros_like(logits.data)) for logits in flow.adjacency.logits)
     x = sbm.features
-    assert np.abs(flow.inverse(flow.forward(x).z).data - x).max() < 1e-8
+    assert np.abs(flow.inverse(flow.forward(x).z) - x).max() < 1e-8
 
 
 def test_a_version_5_checkpoint_is_refused_naming_both_tags(sbm, tmp_path):
@@ -996,7 +1055,7 @@ def test_a_version_5_checkpoint_is_refused_naming_both_tags(sbm, tmp_path):
     old.write_text(json.dumps(payload))
     with pytest.raises(FormatError, match=f"'gcflow-checkpoint-5'.*'{FORMAT_TAG}'"):
         load_checkpoint(old, sbm.graph)
-    assert FORMAT_TAG == "gcflow-checkpoint-8"
+    assert FORMAT_TAG == "gcflow-checkpoint-9"
 
 
 def test_checkpoint_round_trip_gcn_and_gmm(sbm, tmp_path):
@@ -1042,9 +1101,10 @@ def test_checkpoint_rejects_non_checkpoints(tmp_path, sbm):
     bad.write_text("{\"format\": \"something-else\"}")
     with pytest.raises(FormatError):
         load_checkpoint(bad, sbm.graph)
-    # version 6 configs carried the damping setting, version 7 stored parameters as nested JSON lists
+    # version 6 configs carried the damping setting, version 7 stored parameters as nested JSON lists,
+    # version 8 the projection and the EM fit
     for tag in ("gcflow-checkpoint-1", "gcflow-checkpoint-2", "gcflow-checkpoint-3", "gcflow-checkpoint-4",
-                "gcflow-checkpoint-6", "gcflow-checkpoint-7"):
+                "gcflow-checkpoint-6", "gcflow-checkpoint-7", "gcflow-checkpoint-8"):
         bad.write_text(f"{{\"format\": \"{tag}\"}}")
         with pytest.raises(FormatError, match=f"{tag}.*{FORMAT_TAG}"):
             load_checkpoint(bad, sbm.graph)
