@@ -14,16 +14,22 @@ matrix plus ``damping`` times the identity (rows of a softmax-normalized
 matrix sum to 1 and exact singularity is otherwise common). It returns,
 beside the mixed features, a function that computes the matrix's log|det|:
 only a likelihood calls it, so a forward that is not scored never factors.
+The pattern stores no diagonal, so the matrix's block over an independent set
+of the graph is damping times the identity: ``logabsdet_tensor`` eliminates
+that set and factors only the other nodes' Schur complement, under the
+source's ``plan``, built on the first call and kept for every stage and epoch.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 import scipy.sparse
 
 from . import autodiff as ad
 from .errors import DomainError
-from .graphs import Graph, directed_edges, logabsdet_tensor
+from .graphs import Graph, directed_edges, elimination_plan, logabsdet_tensor
 
 DEFAULT_DAMPING = 1e-3
 
@@ -48,7 +54,13 @@ class AttentionAdjacency:
         also a function that factors that matrix for its differentiable log|det|."""
         values = self.realize(stage)
         mixed = ad.sparse_matmul(self.pattern, values, x) + x * self.damping
-        return mixed, lambda: logabsdet_tensor(self.pattern, values, self.damping)
+        return mixed, lambda: logabsdet_tensor(self.pattern, values, self.damping, self.plan)
+
+    @functools.cached_property
+    def plan(self):
+        """The ``elimination_plan`` of the pattern at this damping, built on the
+        first log|det| and shared by every stage and epoch."""
+        return elimination_plan(self.pattern, self.damping)
 
     def realize(self, stage):
         scores = self.logits[stage]

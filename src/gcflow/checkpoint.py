@@ -117,7 +117,8 @@ def load_checkpoint(path, graph) -> TrainedModel:
     config ``pca_dim``, missing with one, or with a ``pca_dim`` other than
     ``dim``. Every block (parameters, projection, EM fit) is refused when
     its shapes are not the model's, (D,), (D, dim) and (dim,) for the
-    projection's mean, directions and explained variances, when it is not
+    projection's mean, directions and explained variances with D at least
+    ``dim``, when it is not
     base64 or its byte count is not 8 per value those shapes hold, and when
     it holds a non-finite value. An EM fit is also refused when its weights
     are not a probability vector, its covariances are not symmetric positive
@@ -146,6 +147,9 @@ def load_checkpoint(path, graph) -> TrainedModel:
         if payload["pca"] is not None:
             (d,), *_ = payload["pca"]["shapes"]  # the mean's shape: D, the raw feature count
             pca = PcaProjection(*_decode(path, "pca", payload["pca"], [[d], [d, dim], [dim]]))
+            if d < dim:
+                raise FormatError(f"{path}: the pca block projects {d} features onto {dim} directions; "
+                                  "a projection has no more directions than features")
         if (pca is None) != (cfg.pca_dim is None) or cfg.pca_dim not in (None, dim):
             raise FormatError(f"{path}: config pca_dim is {cfg.pca_dim}, but dim is {dim} and "
                               f"{'no' if pca is None else 'a'} pca projection is saved")
@@ -161,9 +165,12 @@ def load_checkpoint(path, graph) -> TrainedModel:
                                                     [[k], [k, dim], [k, dim, dim], [k]])
             if not np.all((mapping >= 0) & (mapping < k) & (mapping == np.floor(mapping))):
                 raise FormatError(f"{path}: the gmm mapping {mapping.tolist()} must hold integers in [0, {k})")
-            # symmetric to rounding: a fitted covariance can be off by an ulp
-            if not (np.all(weights >= 0.0) and abs(weights.sum() - 1.0) <= 1e-9
-                    and np.abs(covs - covs.transpose(0, 2, 1)).max() <= 1e-12 * np.abs(covs).max()):
+            # symmetric to rounding: a fitted covariance can be off by an ulp; a sum or a difference of
+            # finite values near 1e308 overflows to inf, which fails the check
+            with np.errstate(over="ignore"):
+                is_mixture = (np.all(weights >= 0.0) and abs(weights.sum() - 1.0) <= 1e-9
+                              and np.abs(covs - covs.transpose(0, 2, 1)).max() <= 1e-12 * np.abs(covs).max())
+            if not is_mixture:
                 raise FormatError(f"{path}: gmm weights {weights.tolist()} are not a probability vector, "
                                   "or the covariances are not symmetric")
             np.linalg.cholesky(covs)  # LinAlgError unless every covariance is positive definite

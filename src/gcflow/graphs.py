@@ -8,7 +8,10 @@ model's likelihood, and it is computed only when first read: one exact block
 elimination of an independent set of nodes, then a dense symmetric LDLᵀ of
 the remaining nodes' Schur complement. That read is where a singular matrix
 raises ``SingularMatrixError``, and damping (adding a small multiple of the
-identity) is the supported remediation.
+identity) is the supported remediation. A learned mixing matrix's
+differentiable log|det| (``logabsdet_tensor``) eliminates an independent set
+the same way, under a plan built once per pattern, and LU-factors the rest's
+Schur complement; its gradient inverts only that complement.
 """
 
 from __future__ import annotations
@@ -237,30 +240,128 @@ def _shifted_log_abs_det(pattern, damping):
     return float(value)
 
 
-def logabsdet_tensor(pattern, values, damping=0.0):
-    """Differentiable log|det| of A + damping·I, A as in ``autodiff.sparse_matmul``.
+@dataclass(frozen=True, eq=False)
+class EliminationPlan:
+    """Where ``logabsdet_tensor`` puts each entry of a pattern, and where its
+    backward reads, once the independent set I is eliminated: built by
+    ``elimination_plan`` from the pattern's structure, whatever its values.
 
-    The matrix M is densified once, in Fortran order, and factored in place
-    with the pivot check of ``log_abs_det``. Only a backward pass inverts it:
-    LAPACK ``getri`` overwrites the factors with M⁻¹, using the blocked
-    workspace ``getri_lwork`` asks for (scipy's default of 3n runs it
-    unblocked, slower than a solve against the identity). The gradient of
-    log|det|, M⁻ᵀ at the pattern's positions, is M⁻¹ at the transposed
-    positions. Those entries are kept, so a repeated backward reuses them
-    once the factors are gone.
+    Positions in the Schur complement S, whose rows and columns are the
+    other nodes R in order, are flat Fortran-order indices, row + |R|·column.
+    """
+
+    eliminated: int  # |I|
+    kept: np.ndarray  # the R x R entries, in CSR order, which S takes as they are
+    kept_indices: np.ndarray  # their columns in S
+    kept_indptr: np.ndarray  # the CSR row pointers of S's rows over them
+    kept_read: np.ndarray  # the position of each kept entry's transpose
+    # each fill term pairs an entry (r, k), k in I, with an entry (k, c): it
+    # takes M_rk·M_kc/damping from S at (r, c); terms are sorted by that position
+    left: np.ndarray  # the (r, k) entry of each term
+    right: np.ndarray  # the (k, c) entry of each term
+    fill_starts: np.ndarray  # where each position's run of terms starts
+    fill_at: np.ndarray  # the position each run fills
+    term_read: np.ndarray  # (c, r), the transposed position of each term
+
+
+def elimination_plan(pattern, damping) -> EliminationPlan:
+    """The plan ``logabsdet_tensor(pattern, values, damping)`` follows.
+
+    A node is eliminated when it is in the ``independent_set`` of the graph
+    of the pattern's off-diagonal entries, taken in both directions, its row
+    stores no diagonal entry, and 0 < damping < inf. M's block over those
+    nodes is then damping·I, whatever the values. With none eliminated, S is M.
+    """
+    n = pattern.shape[0]
+    rows = np.repeat(np.arange(n), np.diff(pattern.indptr))
+    cols = pattern.indices.astype(np.intp)
+    inside = np.zeros(n, dtype=bool)
+    if 0.0 < damping < np.inf:
+        ones = scipy.sparse.csr_matrix((np.ones(cols.size), cols, pattern.indptr), shape=pattern.shape)
+        inside = independent_set((ones + ones.T).tocsr())
+        inside[rows[rows == cols]] = False
+    rest = np.flatnonzero(~inside)
+    m = rest.size
+    at = np.zeros(n, dtype=np.intp)  # each node of R's row and column in S
+    at[rest] = np.arange(m)
+    row_in, col_in = inside[rows], inside[cols]
+    kept = np.flatnonzero(~row_in & ~col_in)
+    kept_indptr = np.concatenate([[0], np.cumsum(np.bincount(at[rows[kept]], minlength=m))])
+    # the (r, k) entries grouped by k; the (k, c) entries are grouped by k already, in CSR order
+    into = np.flatnonzero(~row_in & col_in)
+    into = into[np.argsort(cols[into], kind="stable")]
+    out_of = np.flatnonzero(row_in & ~col_in)
+    out_count = np.bincount(rows[out_of], minlength=n)
+    out_start = np.cumsum(out_count) - out_count
+    runs = out_count[cols[into]]  # the terms of each (r, k) entry: one per (k, c) entry
+    left = np.repeat(into, runs)
+    offset = np.arange(left.size) - np.repeat(np.cumsum(runs) - runs, runs)
+    right = out_of[np.repeat(out_start[cols[into]], runs) + offset]
+    fill = at[rows[left]] + m * at[cols[right]]
+    order = np.argsort(fill, kind="stable")
+    left, right, fill = left[order], right[order], fill[order]
+    fill_starts = np.flatnonzero(np.diff(fill, prepend=-1))
+    return EliminationPlan(
+        eliminated=n - m, kept=kept, kept_indices=at[cols[kept]], kept_indptr=kept_indptr,
+        kept_read=at[cols[kept]] + m * at[rows[kept]], left=left, right=right, fill_starts=fill_starts,
+        fill_at=fill[fill_starts], term_read=at[cols[right]] + m * at[rows[left]])
+
+
+def logabsdet_tensor(pattern, values, damping=0.0, plan=None):
+    """Differentiable log|det| of M = A + damping·I, A as in ``autodiff.sparse_matmul``.
+
+    ``plan``, ``elimination_plan(pattern, damping)`` when not given, names
+    the eliminated independent set I, whose block of M is damping·I. Only the
+    other nodes' Schur complement S = M_RR − M_RI·M_IR/damping is densified,
+    in Fortran order, and log|det M| = |I|·log(damping) + log|det S|. S is
+    LU-factored in place with the pivot check of ``log_abs_det``, held
+    against S's largest entry, and damping is held to the same rule. With
+    nothing eliminated S is M and this is the whole matrix's LU.
+
+    Only a backward pass inverts: LAPACK ``getri`` overwrites S's factors
+    with S⁻¹, using the blocked workspace ``getri_lwork`` asks for (scipy's
+    default of 3n runs it unblocked, slower than a solve against the
+    identity). The gradient at entry (i, j) is (M⁻¹)_ji: S⁻¹ for i, j in R,
+    −(S⁻¹·M_RI)/damping for i in I and −(M_IR·S⁻¹)/damping for j in I. No
+    entry joins two nodes of I, so M⁻¹ itself is never formed. Those entries
+    are kept, so a repeated backward reuses them once the factors are gone.
+    The 1/damping terms cost digits: at damping 1e-3 on a 600-node learned
+    matrix the gradient's error against a refined inverse reached 4e-11 of
+    its largest entry, against 1.4e-12 for the whole matrix's inverse.
     """
     values = ad.as_tensor(values)
-    a = scipy.sparse.csr_matrix((values.data, pattern.indices, pattern.indptr), shape=pattern.shape)
-    dense = a.toarray(order="F")
-    dense.flat[:: dense.shape[1] + 1] += damping
-    factors, value = _lu_checked(dense)
+    plan = elimination_plan(pattern, damping) if plan is None else plan
+    v = values.data
+    if not np.isfinite(v).all():
+        raise DomainError("matrix has non-finite entries; its determinant is undefined")
+    m = plan.kept_indptr.size - 1
+    s = scipy.sparse.csr_matrix((v[plan.kept], plan.kept_indices, plan.kept_indptr), shape=(m, m)).toarray(order="F")
+    s.flat[:: m + 1] += damping
+    left, right = v[plan.left], v[plan.right]
+    if left.size:
+        s.reshape(-1, order="F")[plan.fill_at] -= np.add.reduceat(left * right, plan.fill_starts) / damping
+    factors, value = None, 0.0
+    if m:
+        if plan.eliminated:  # every eliminated pivot is the damping
+            _checked_log_abs_det([damping], _checked_scale(s))
+        factors, value = _lu_checked(s)
+    if plan.eliminated:
+        value += plan.eliminated * np.log(damping)
 
     @functools.cache
     def transposed_inverse_at_pattern():
-        # the pivot check passed, so no pivot is zero and getri cannot fail
-        lwork = int(scipy.linalg.lapack.dgetri_lwork(a.shape[0])[0])
-        inverse = scipy.linalg.lapack.dgetri(*factors, lwork=lwork, overwrite_lu=1)[0]
-        return inverse[a.indices, a.tocoo().row]
+        inverse = np.zeros(0)
+        if m:
+            # the pivot check passed, so no pivot is zero and getri cannot fail
+            lwork = int(scipy.linalg.lapack.dgetri_lwork(m)[0])
+            inverse = scipy.linalg.lapack.dgetri(*factors, lwork=lwork, overwrite_lu=1)[0].reshape(-1, order="F")
+        grad = np.zeros(v.size)
+        if left.size:
+            read = inverse[plan.term_read]
+            grad = np.bincount(plan.left, read * right, v.size) + np.bincount(plan.right, read * left, v.size)
+            grad /= -damping
+        grad[plan.kept] = inverse[plan.kept_read]
+        return grad
 
     return ad.make_node(np.float64(value), (values,), (lambda g: g * transposed_inverse_at_pattern(),),
                         "logabsdet")

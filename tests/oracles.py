@@ -1,6 +1,6 @@
 """Reference implementations the optimized code is checked against: dense
 adjacency constructions, the sequential greedy independent set, the identity mixing matrix and a dense mixing
-source, attention logits drawn at random, a counter of the dense LU and LDLᵀ factorizations the graph module runs, the
+source, attention logits drawn at random, a counter of the dense LU and LDLᵀ factorizations the graph module runs, a refined inverse, the
 dense n x n mixing route of the attention source, an MLP and a coupling
 update built from unfused ops, per-vector mixture densities and a dense Gaussian density,
 the metric routes of confusion counts, quadratic loops, contingency sums and pair enumeration,
@@ -94,6 +94,17 @@ def count_factorizations(monkeypatch):
 
         monkeypatch.setattr(graphs, attr, counted)
     return calls
+
+
+def refined_inverse(m):
+    """The inverse of a float64 matrix, as longdouble: ``np.linalg.inv``
+    refined by two Newton steps X + X(I - MX) carried in longdouble."""
+    m = np.asarray(m, dtype=np.longdouble)
+    x = np.linalg.inv(m.astype(np.float64)).astype(np.longdouble)
+    eye = np.eye(m.shape[0], dtype=np.longdouble)
+    for _ in range(2):
+        x = x + x @ (eye - m @ x)
+    return x
 
 
 def full_pattern(n):

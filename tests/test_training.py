@@ -903,9 +903,10 @@ def test_checkpoint_rejects_em_arrays_that_do_not_fit_the_model(sbm, tmp_path, k
     ("covs", "asymmetric", "or the covariances are not symmetric"),
     ("covs", "indefinite", "malformed checkpoint"),
     ("covs", "non-finite", "the gmm block holds non-finite values"),
+    ("covs", "near-overflow", "or the covariances are not symmetric"),
     ("mapping", [0.0, 1.7, 2.9], r"the gmm mapping \[0\.0, 1\.7, 2\.9\] must hold integers"),
 ], ids=["weights-negative", "weights-sum", "weights-nan", "covs-asymmetric", "covs-indefinite",
-        "covs-inf", "mapping-float"])
+        "covs-inf", "covs-1e308", "mapping-float"])
 def test_checkpoint_rejects_em_values_that_are_not_a_mixture(sbm, tmp_path, key, value, match):
     record = train(TrainConfig(model="gmm-x", seed=0), sbm, checkpoint_dir=tmp_path)
     payload = json.loads(Path(record.checkpoint_path).read_text())
@@ -915,6 +916,8 @@ def test_checkpoint_rejects_em_values_that_are_not_a_mixture(sbm, tmp_path, key,
             covs[1, 0, 1] += 1e-3
         elif value == "indefinite":
             covs[2] -= 10.0 * np.eye(covs.shape[1])  # symmetric, a negative eigenvalue
+        elif value == "near-overflow":  # finite, but their difference overflows
+            covs[1, 0, 1], covs[1, 1, 0] = 1e308, -1e308
         else:
             covs[0, 3, 3] = np.inf
         value = covs
@@ -959,6 +962,17 @@ def test_checkpoint_refuses_a_non_finite_value_in_any_array(sbm, projected_paylo
     bad.write_text(json.dumps({**payload, group: block_of(arrays)}))
     name = "parameter" if group == "params" else group
     with pytest.raises(FormatError, match=f"^{re.escape(str(bad))}: the {name} block holds non-finite values$"):
+        load_checkpoint(bad, sbm.graph)
+
+
+@pytest.mark.parametrize("width", [0, 3])
+def test_checkpoint_refuses_a_projection_with_fewer_features_than_directions(sbm, projected_payloads, tmp_path,
+                                                                             width):
+    # pca_fit never writes one; loaded, it failed later as a ShapeError naming neither the file nor the block
+    payload = projected_payloads["gcflow"]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**payload, "pca": block_of([np.zeros(width), np.zeros((width, 4)), np.ones(4)])}))
+    with pytest.raises(FormatError, match=f"^{re.escape(str(bad))}: the pca block projects {width} features onto 4 "):
         load_checkpoint(bad, sbm.graph)
 
 
@@ -1146,9 +1160,12 @@ def test_inference_route_never_factors(sbm, kind, tmp_path, monkeypatch):
         assert 0 < rest < sbm.n
         assert calls == [("ldl", (rest, rest))]
     else:
-        # a learned source LU-factors each stage of each epoch's loss forward once; no other source is factored
+        # a learned source LU-factors each stage of each epoch's loss forward once, over the complement of
+        # its pattern's eliminated independent set; no other source is factored
         stages = cfg.num_flows if mixing is training._attention else 0
-        assert calls == [("lu", (sbm.n, sbm.n))] * (stages * record.epochs_run)
+        rest = sbm.n - int(graphs.independent_set(adjparam.AttentionAdjacency(sbm.graph, 1).pattern).sum())
+        assert 0 < rest < sbm.n
+        assert calls == [("lu", (rest, rest))] * (stages * record.epochs_run)
     calls.clear()
     tm = load_checkpoint(record.checkpoint_path, sbm.graph)
     representation(tm, sbm)
